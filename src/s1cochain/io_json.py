@@ -13,14 +13,21 @@ parse . emit . parse == parse and emitted bytes are stable.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .complexes import Generator, S1Complex, FilteredPlusComplex
 from .dilation import PLUS_PART, ZERO_PART, SplitS1Complex
 from .linalg import SparseMatrix, Vector
 
 SCHEMA_VERSION = "1"
+
+# Most decimal digits in a coefficient's numerator or denominator.  Far more
+# than any construction here produces; it bounds the work one literal costs.
+MAX_COEFF_DIGITS = 1000
+_COEFF_LITERAL = re.compile(
+    rf"-?[0-9]{{1,{MAX_COEFF_DIGITS}}}(?:/[0-9]{{1,{MAX_COEFF_DIGITS}}})?")
 
 
 class DocumentError(ValueError):
@@ -38,12 +45,25 @@ def _expect(cond: bool, path: str, message: str) -> None:
 
 
 def _parse_coeff(x: Any, path: str) -> Fraction:
+    """A coefficient literal: `-?digits` or `-?digits/digits`, as `dumps` emits."""
     _expect(isinstance(x, str), path, "coefficient must be a rational string, not a number")
+    _expect(_COEFF_LITERAL.fullmatch(x) is not None, path,
+            f"bad rational literal {x[:40]!r}: expected -?digits[/digits], "
+            f"at most {MAX_COEFF_DIGITS} digits each")
     try:
-        q = Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(path, f"bad rational literal {x!r}") from exc
-    return q
+        return Fraction(x)
+    except ZeroDivisionError as exc:
+        raise DocumentError(path, f"bad rational literal {x!r}: zero denominator") from exc
+
+
+def _entries(container: dict, path: str) -> Iterator[tuple[str, dict]]:
+    """(JSON path, entry object) for each item of `container["entries"]`."""
+    raw = container.get("entries", [])
+    _expect(isinstance(raw, list), f"{path}.entries", "expected an array")
+    for j, e in enumerate(raw):
+        epath = f"{path}.entries[{j}]"
+        _expect(isinstance(e, dict), epath, "expected an object")
+        yield epath, e
 
 
 def document_to_split_complex(doc: Any) -> SplitS1Complex:
@@ -96,11 +116,7 @@ def document_to_split_complex(doc: Any) -> SplitS1Complex:
                 f"{path}.order", f"expected an integer in [0, {n_tr}]")
         _expect(r not in mats, f"{path}.order", f"duplicate operator order {r}")
         mats[r] = []
-        raw_ent = op.get("entries", [])
-        _expect(isinstance(raw_ent, list), f"{path}.entries", "expected an array")
-        for j, e in enumerate(raw_ent):
-            epath = f"{path}.entries[{j}]"
-            _expect(isinstance(e, dict), epath, "expected an object")
+        for epath, e in _entries(op, path):
             frm, to = e.get("from"), e.get("to")
             _expect(isinstance(frm, str) and frm in index, f"{epath}.from",
                     f"unknown generator {frm!r}")
@@ -207,8 +223,7 @@ def document_to_morphism(doc: Any) -> "S1MorphismPair":
                 f"{path}.order", f"expected an integer in [0, {n_tr}]")
         _expect(r not in mats, f"{path}.order", f"duplicate component order {r}")
         mats[r] = []
-        for j, e in enumerate(comp.get("entries", [])):
-            epath = f"{path}.entries[{j}]"
+        for epath, e in _entries(comp, path):
             frm, to = e.get("from"), e.get("to")
             _expect(isinstance(frm, str) and frm in src_index, f"{epath}.from",
                     f"unknown source generator {frm!r}")

@@ -6,16 +6,30 @@ here is exact: scalars are `fractions.Fraction`, vectors are sparse dicts
 ``{index: Fraction}`` with no stored zeros, and matrices are canonical
 row-major triplet lists.  No floating point is accepted anywhere.
 
-Pivoting is deterministic (leftmost nonzero column, first available row), so
-every derived basis -- reduced echelon forms, kernel and image bases,
-subquotient coordinates -- is reproducible across runs.
+Every elimination computes the reduced row echelon form (RREF), which is
+unique for a fixed column order.  Which row supplies a pivot is therefore a
+free choice that cannot change any result: pivot columns, reduced rows,
+kernel and image bases, `solve` witnesses and subquotient coordinates are a
+deterministic function of the input.
+
+The elimination is column-indexed.  It keeps, for every column that occurs,
+the set of not-yet-pivot rows holding it, built in O(nnz).  It visits only
+those columns, in increasing order, takes a pivot row from the column's set,
+and subtracts it from exactly the rows in that set, updating the sets on
+fill-in and cancellation.  Back-substitution then clears each pivot column
+from the pivot rows above it, found through an index of pivot rows by pivot
+column built once.  Empty columns and rows that do not hold a column cost
+nothing, so the work follows the nonzeros, not rows x columns.
+
+Each matrix builds its column view (column -> (row, value) pairs) on first
+use and keeps it; `apply`, `@`, `col` and `columns` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 QQ = Fraction
@@ -188,16 +202,26 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
+    @cached_property
+    def _by_col(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+        """Column view: column -> its (row, value) pairs in row order.
+
+        Built on first use and kept on the instance, which is immutable;
+        fields, equality, hashing and repr do not see it.
+        """
+        acc: dict[int, list[tuple[int, Fraction]]] = {}
+        for r, c, v in self.entries:
+            acc.setdefault(c, []).append((r, v))
+        return {c: tuple(lst) for c, lst in acc.items()}
+
     def col(self, j: int) -> Vector:
         if not 0 <= j < self.cols:
             raise DimensionError(f"column {j} out of range")
-        return {r: v for r, c, v in self.entries if c == j}
+        return dict(self._by_col.get(j, ()))
 
     def columns(self) -> list[Vector]:
-        out: list[Vector] = [dict() for _ in range(self.cols)]
-        for r, c, v in self.entries:
-            out[c][r] = v
-        return out
+        by_col = self._by_col
+        return [dict(by_col.get(j, ())) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -233,7 +257,7 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ")
-        by_col = _cols_of(self)
+        by_col = self._by_col
         acc: dict[tuple[int, int], Fraction] = {}
         for r, c, v in other.entries:
             # column c of the product picks up v * (column r of self)
@@ -249,7 +273,7 @@ class SparseMatrix:
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times sparse column vector."""
-        by_col = _cols_of(self)
+        by_col = self._by_col
         out: Vector = {}
         for c, x in v.items():
             if c >= self.cols:
@@ -277,69 +301,104 @@ class SparseMatrix:
         return SparseMatrix.from_entries(len(row_indices), len(col_indices), ent)
 
 
-@lru_cache(maxsize=512)
-def _cols_of(m: SparseMatrix) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-    acc: dict[int, list[tuple[int, Fraction]]] = {}
-    for r, c, v in m.entries:
-        acc.setdefault(c, []).append((r, v))
-    return {c: tuple(lst) for c, lst in acc.items()}
-
-
 # ---------------------------------------------------------------------------
 # elimination
 
 
 def _rref_rows(rows: list[dict[int, Fraction]], cols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduce the dict rows to RREF over the columns < cols, in place.
+
+    Returns the same row dicts reordered, pivot rows in pivot order followed
+    by the rows left empty, and the strictly increasing pivot columns.
+    """
+    # column -> rows holding it that are not pivot rows yet; O(nnz) to build.
+    # A fill-in column is always a column of the pivot row that causes it,
+    # so elimination never adds a key and `sorted(index)` visits each
+    # occurring column once, skipping empty columns entirely.
+    index: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            index.setdefault(c, set()).add(i)
     pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(cols):
-        piv = None
-        for i in range(r, nrows):
-            if c in rows[i]:
-                piv = i
-                break
-        if piv is None:
+    prows: list[int] = []
+    # A pivot row's own pivot entry (1 after scaling) is left out until the
+    # end, so that subtracting a pivot row never touches its pivot column.
+    for c in sorted(index):
+        if c >= cols:
+            break
+        holders = index[c]
+        if not holders:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pval = prow[c]
+        # Any holder can supply the pivot: the RREF does not depend on it.
+        p = min(holders)
+        prow = rows[p]
+        for k in prow:
+            index[k].discard(p)
+        pval = prow.pop(c)
         if pval != 1:
             inv = Fraction(1) / pval
             for k in prow:
                 prow[k] *= inv
-        for i in range(nrows):
-            if i == r:
-                continue
+        for i in holders:
             row = rows[i]
-            f = row.get(c)
-            if f is None:
-                continue
+            f = row.pop(c)
             for k, v in prow.items():
-                s = row.get(k, Fraction(0)) - f * v
-                if s:
-                    row[k] = s
+                if k in row:
+                    s = row[k] - f * v
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+                        index[k].discard(i)
                 else:
-                    row.pop(k, None)
+                    row[k] = -f * v
+                    index[k].add(i)
+        holders.clear()
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        prows.append(p)
+    # Back-substitution, last pivot first.  When a pivot row is subtracted,
+    # its later pivot columns are already cleared, so it holds no pivot
+    # column and the index of pivot rows by pivot column stays exact.
+    above: dict[int, list[int]] = {c: [] for c in pivots}
+    for p in prows:
+        for k in rows[p]:
+            if k in above:
+                above[k].append(p)
+    for c, p in zip(reversed(pivots), reversed(prows)):
+        prow = rows[p]
+        for i in above[c]:
+            row = rows[i]
+            f = row.pop(c)
+            for k, v in prow.items():
+                if k in row:
+                    s = row[k] - f * v
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+                else:
+                    row[k] = -f * v
+    one = Fraction(1)
+    out = []
+    for c, p in zip(pivots, prows):
+        rows[p][c] = one
+        out.append(rows[p])
+    pset = set(prows)
+    out += [row for i, row in enumerate(rows) if i not in pset]
+    return out, pivots
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
     """Reduced row-echelon form with strictly increasing pivot columns.
 
-    Pivot selection is leftmost-column-first, first-row-first, so the output
-    is a deterministic function of the input.
+    The RREF of a matrix is unique for its column order, so the output is a
+    deterministic function of the input, whichever row supplies each pivot.
+    Row r of the result is the r-th pivot row; the zero rows come last.
     """
     rows, pivots = _rref_rows(m.row_dicts(), m.cols)
-    ent = []
-    for r, row in enumerate(rows):
-        for c in sorted(row):
-            ent.append((r, c, row[c]))
-    return SparseMatrix.from_entries(m.rows, m.cols, ent), tuple(pivots)
+    # only the pivot rows can be nonzero
+    ent = tuple((r, c, row[c]) for r, row in enumerate(rows[:len(pivots)]) for c in sorted(row))
+    return SparseMatrix(m.rows, m.cols, ent), tuple(pivots)
 
 
 def rank(m: SparseMatrix) -> int:
@@ -372,27 +431,20 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
 
 def kernel_basis(m: SparseMatrix) -> list[Vector]:
     """Deterministic basis of ker(m), one vector per free column."""
-    red, pivots = rref(m)
+    rows, pivots = _rref_rows(m.row_dicts(), m.cols)
     pivset = set(pivots)
-    rows = red.row_dicts()
-    out: list[Vector] = []
-    for f in range(m.cols):
-        if f in pivset:
-            continue
-        v: Vector = {f: Fraction(1)}
-        for r, p in enumerate(pivots):
-            coeff = rows[r].get(f)
-            if coeff:
-                v[p] = -coeff
-        out.append(v)
-    return out
+    free: dict[int, Vector] = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivset}
+    for row, p in zip(rows, pivots):
+        for f, coeff in row.items():
+            if f != p:
+                free[f][p] = -coeff
+    return list(free.values())
 
 
 def image_basis(m: SparseMatrix) -> list[Vector]:
     """Basis of the column space: the original columns at the pivot indices."""
     _, pivots = rref(m)
-    cols = m.columns()
-    return [cols[p] for p in pivots]
+    return [m.col(p) for p in pivots]
 
 
 def span_rank(vectors: Sequence[Vector], dim: int) -> int:

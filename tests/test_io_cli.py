@@ -1,4 +1,6 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -100,6 +102,35 @@ class TestDocumentErrors:
         with pytest.raises(DocumentError):
             loads("{not json")
 
+    @pytest.mark.parametrize("literal", [
+        "1e400", " 3 ", "1_000", "0.5", "+1", "1/-2", "\u0663", "1/0", "",
+        pytest.param("1" * 1001, id="1001-digit-numerator"),
+        pytest.param("1/" + "1" * 1001, id="1001-digit-denominator")])
+    def test_coefficient_outside_the_grammar_rejected(self, literal):
+        doc = sample_doc()
+        doc["operators"][0]["entries"][0]["coeff"] = literal
+        with pytest.raises(DocumentError) as exc:
+            document_to_split_complex(doc)
+        assert exc.value.path == "$.operators[0].entries[0].coeff"
+
+    def test_huge_exponent_rejected_fast(self):
+        doc = sample_doc()
+        doc["unit"] = [{"gen": "e", "coeff": "1e999999999"}]
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as exc:
+            document_to_split_complex(doc)
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.path == "$.unit[0].coeff"
+
+    @pytest.mark.parametrize("literal, value", [
+        ("-3", Fraction(-3)), ("0012/8", Fraction(3, 2)),
+        pytest.param("1" * 1000, Fraction(int("1" * 1000)), id="1000-digits")])
+    def test_coefficient_grammar_accepts(self, literal, value):
+        doc = sample_doc()
+        doc["operators"][0]["entries"][0]["coeff"] = literal
+        s = document_to_split_complex(doc)
+        assert s.complex.deltas[0].entries[0][2] == value
+
 
 class TestMorphismDocuments:
     def _sample(self):
@@ -127,6 +158,19 @@ class TestMorphismDocuments:
         with pytest.raises(DocumentError) as exc:
             document_to_morphism(doc)
         assert "components[0]" in exc.value.path
+
+    @pytest.mark.parametrize("entries, path", [
+        ([5], "$.components[0].entries[0]"),
+        ({"a": 1}, "$.components[0].entries"),
+    ])
+    def test_malformed_component_entries_positioned(self, entries, path):
+        from s1cochain.io_json import document_to_morphism
+
+        doc = self._sample()
+        doc["components"][0]["entries"] = entries
+        with pytest.raises(DocumentError) as exc:
+            document_to_morphism(doc)
+        assert exc.value.path == path
 
     def test_truncation_mismatch_rejected(self):
         from s1cochain.io_json import document_to_morphism

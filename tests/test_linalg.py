@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s1cochain import linalg
 from s1cochain.linalg import (
     DimensionError,
     SparseMatrix,
@@ -184,3 +186,200 @@ def test_no_floats_anywhere():
         vec({0: 0.5})
     with pytest.raises(TypeError):
         SparseMatrix.from_entries(1, 1, [(0, 0, 1.5)])
+
+
+# ---------------------------------------------------------------------------
+# oracle: plain leftmost-column, first-row Gauss-Jordan elimination
+
+
+def _oracle_rref_rows(rows, cols):
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(cols):
+        piv = None
+        for i in range(r, nrows):
+            if c in rows[i]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        pval = prow[c]
+        if pval != 1:
+            inv = F(1) / pval
+            for k in prow:
+                prow[k] *= inv
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row.get(c)
+            if f is None:
+                continue
+            for k, v in prow.items():
+                s = row.get(k, F(0)) - f * v
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _oracle_rref(m):
+    rows, pivots = _oracle_rref_rows(m.row_dicts(), m.cols)
+    ent = [(r, c, row[c]) for r, row in enumerate(rows) for c in sorted(row)]
+    return SparseMatrix.from_entries(m.rows, m.cols, ent), tuple(pivots)
+
+
+def _oracle_solve(m, b):
+    rows = m.row_dicts()
+    for i, x in b.items():
+        rows[i][m.cols] = x
+    rows, pivots = _oracle_rref_rows(rows, m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    return {p: rows[r][m.cols] for r, p in enumerate(pivots) if rows[r].get(m.cols)}
+
+
+def _oracle_kernel_basis(m):
+    red, pivots = _oracle_rref(m)
+    rows = red.row_dicts()
+    out = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = {f: F(1)}
+        for r, p in enumerate(pivots):
+            if rows[r].get(f):
+                v[p] = -rows[r][f]
+        out.append(v)
+    return out
+
+
+def _oracle_image_basis(m):
+    cols = [{r: v for r, c, v in m.entries if c == j} for j in range(m.cols)]
+    return [cols[p] for p in _oracle_rref(m)[1]]
+
+
+def _exact(vectors):
+    """Vectors with their key order, which dict equality ignores."""
+    return [None if v is None else list(v.items()) for v in vectors]
+
+
+_small = st.integers(-3, 3)
+_big = st.integers(-(2 ** 130), 2 ** 130)
+_coeffs = st.builds(F, st.one_of(_small, _small, _big),
+                    st.one_of(st.integers(1, 4), st.integers(1, 2 ** 110)))
+
+
+@st.composite
+def _matrices(draw):
+    """Sparse rational matrices: empty shapes, all-zero, empty columns,
+    repeated rows and coefficients of 100+ bits all occur."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    ent = []
+    if nrows and ncols:
+        ent = draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                      st.integers(0, ncols - 1), _coeffs), max_size=24))
+        for src in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+            scale = draw(_coeffs)
+            ent += [(nrows, c, scale * v) for r, c, v in ent if r == src]
+            nrows += 1
+    return SparseMatrix.from_entries(nrows, ncols, ent)
+
+
+def _vectors(dim):
+    """Sparse vectors of length dim, without stored zeros."""
+    return st.dictionaries(st.integers(0, max(dim - 1, 0)), _coeffs, max_size=4).map(
+        lambda v: {i: x for i, x in v.items() if x and i < dim})
+
+
+@st.composite
+def _system(draw):
+    """A matrix with a right-hand side inside or (usually) outside its image."""
+    m = draw(_matrices())
+    if draw(st.booleans()):
+        return m, m.apply(draw(_vectors(m.cols)))
+    return m, draw(_vectors(m.rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_system())
+def test_kernel_matches_gauss_jordan_oracle(system):
+    m, b = system
+    red, pivots = rref(m)
+    assert (red, pivots) == _oracle_rref(m)
+    assert rank(m) == len(pivots)
+    assert _exact(kernel_basis(m)) == _exact(_oracle_kernel_basis(m))
+    assert _exact(image_basis(m)) == _exact(_oracle_image_basis(m))
+    assert _exact([solve(m, b)]) == _exact([_oracle_solve(m, b)])
+
+    # The row-order contract solve and kernel_basis read: the r-th row is
+    # the r-th pivot row, holding 1 at its pivot and no other pivot column;
+    # the remaining rows are empty.
+    rows, piv = linalg._rref_rows(m.row_dicts(), m.cols)
+    assert len(rows) == m.rows and tuple(piv) == pivots
+    for r, p in enumerate(piv):
+        assert rows[r][p] == 1
+        assert not set(rows[r]) & (set(piv) - {p})
+    assert all(not row for row in rows[len(piv):])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_system(), st.data())
+def test_subquotient_membership_matches_oracle(system, data):
+    m, v = system
+    z = m.columns()
+    b = [m.apply(x) for x in data.draw(st.lists(_vectors(m.cols), max_size=3))]
+
+    def reduce():
+        s = Subquotient(m.rows, z, b)
+        return _exact(s.basis), s.membership(v)
+
+    got = reduce()
+    with mock.patch.object(linalg, "_rref_rows", _oracle_rref_rows):
+        assert got == reduce()
+
+
+# ---------------------------------------------------------------------------
+# column view
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(), st.data())
+def test_column_view_agrees_with_dense(m, data):
+    d = m.to_dense()
+    other = data.draw(_matrices().map(lambda o: SparseMatrix.from_entries(
+        m.cols, o.cols, [(r, c, v) for r, c, v in o.entries if r < m.cols])))
+    od = other.to_dense()
+    assert (m @ other).to_dense() == [
+        [sum((d[i][k] * od[k][j] for k in range(m.cols)), F(0)) for j in range(other.cols)]
+        for i in range(m.rows)]
+    x = data.draw(_vectors(m.cols))
+    product = {i: sum((d[i][j] * c for j, c in x.items()), F(0)) for i in range(m.rows)}
+    assert m.apply(x) == {i: c for i, c in product.items() if c}
+    cols = m.columns()
+    assert len(cols) == m.cols
+    for j in range(m.cols):
+        assert cols[j] == m.col(j) == {i: d[i][j] for i in range(m.rows) if d[i][j]}
+        assert list(m.col(j)) == sorted(m.col(j))
+
+
+def test_column_view_leaves_equality_hash_and_repr_alone():
+    a = dense([[1, 0, 2], [0, F(1, 3), 0]])
+    b = dense([[1, 0, 2], [0, F(1, 3), 0]])
+    a.apply({0: F(1)})
+    assert a.col(2) == {0: F(2)}
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert {a: 1}[b] == 1
+
+
+def test_col_out_of_range():
+    with pytest.raises(DimensionError):
+        dense([[1]]).col(1)
