@@ -25,7 +25,6 @@ from .linalg import (
     rank,
     rref,
     solve,
-    subquotient_membership,
 )
 from .complexes import (
     FilteredPlusComplex,
@@ -34,7 +33,6 @@ from .complexes import (
     TruncationError,
     build_filtered_plus,
     cohomology,
-    cohomology_dims,
     direct_sum,
     make_complex,
     shift,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, factorial
 
-from .complexes import Generator, S1Complex
+from .complexes import MAX_GENERATORS, MAX_TRUNCATION, Generator, S1Complex
 from .dilation import SplitS1Complex, make_split_complex
 from .linalg import SparseMatrix
 
@@ -292,11 +292,21 @@ def milnor_model(k: int, m: int, truncation: int | None = None,
     n_tr = 2 * k if truncation is None else truncation
     if n_tr < 0:
         raise ValueError("truncation must be non-negative")
+    if n_tr > MAX_TRUNCATION:
+        raise ValueError(f"truncation {n_tr} exceeds the limit {MAX_TRUNCATION}")
+    n_spheres = 0
+    if include_spheres:
+        # (k-1)^(m+1).  Capping the exponent at the limit's bit length keeps
+        # the power small and changes it only where it exceeds the limit.
+        n_spheres = (k - 1) ** min(m + 1, MAX_GENERATORS.bit_length())
+    if 1 + n_spheres + 2 * k > MAX_GENERATORS:
+        raise ValueError(f"milnor_model({k}, {m}) has more than {MAX_GENERATORS} "
+                         f"generators, the limit")
 
     gens: list[Generator] = [Generator("e", 0)]
     zero_names = ["e"]
     if include_spheres:
-        for s in range((k - 1) ** (m + 1)):
+        for s in range(n_spheres):
             name = f"s{s}"
             gens.append(Generator(name, m))
             zero_names.append(name)

@@ -14,14 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .linalg import (
     SparseMatrix,
     Subquotient,
     Vector,
-    image_basis,
-    kernel_basis,
+    kernel_and_image,
 )
+
+# Input size limits.  A document or a Milnor model beyond them is refused
+# before any matrix is allocated for it.  They admit every construction the
+# package is exercised on, up to the n=738, N=8 Milnor model with spheres.
+MAX_TRUNCATION = 100
+MAX_GENERATORS = 10_000
 
 
 class TruncationError(ValueError):
@@ -204,49 +210,34 @@ class FilteredPlusComplex:
         return [i for i, dd in enumerate(self.degrees) if dd == d]
 
 
+def lift_family(ops: Sequence[SparseMatrix], level: int) -> SparseMatrix:
+    """sum_r u^r ops[r] as a matrix F^level(source) -> F^level(target).
+
+    ops[r] maps the source generators to the target generators, for r up to
+    the truncation len(ops) - 1.  The lift sends the basis pair (j, p) to
+    the pairs (i, p - r), truncating at u^0; both sides are power-major.
+    """
+    n_tr = len(ops) - 1
+    if level > n_tr:
+        raise TruncationError(f"level {level} exceeds truncation {n_tr}")
+    if level < 0:
+        raise ValueError("level must be non-negative")
+    n_dst, n_src = ops[0].rows, ops[0].cols
+    ent = []
+    for p in range(level + 1):  # source power
+        for r in range(0, min(p, n_tr) + 1):  # target power p - r
+            q = p - r
+            for i, j, v in ops[r].entries:
+                ent.append((q * n_dst + i, p * n_src + j, v))
+    return SparseMatrix.from_entries((level + 1) * n_dst, (level + 1) * n_src, ent)
+
+
 def build_filtered_plus(c: S1Complex, k: int) -> FilteredPlusComplex:
     """Assemble F^k with differential sum_r u^r delta^r (truncated at u^0)."""
-    if k > c.truncation:
-        raise TruncationError(f"level {k} exceeds truncation {c.truncation}")
-    if k < 0:
-        raise ValueError("level must be non-negative")
-    n = c.n
-    basis = tuple((g, p) for p in range(k + 1) for g in range(n))
+    diff = lift_family(c.deltas, k)
+    basis = tuple((g, p) for p in range(k + 1) for g in range(c.n))
     degrees = tuple(c.generators[g].degree - 2 * p for g, p in basis)
-    ent = []
-    for p in range(k + 1):  # source power
-        for r in range(0, min(p, c.truncation) + 1):  # target power p - r
-            q = p - r
-            for i, j, v in c.deltas[r].entries:
-                ent.append((q * n + i, p * n + j, v))
-    diff = SparseMatrix.from_entries(len(basis), len(basis), ent)
     return FilteredPlusComplex(c, k, basis, degrees, diff)
-
-
-def u_power_matrix(f: FilteredPlusComplex, j: int = 1) -> SparseMatrix:
-    """The action of u^j on F^level: (g, p) -> (g, p-j), truncating at u^0.
-
-    u commutes with the total differential, so this is a chain map of
-    total degree 2j.
-    """
-    if j < 0:
-        raise ValueError("only non-negative powers of u act on F^k")
-    n = f.source.n
-    ent = []
-    for idx, (g, p) in enumerate(f.basis):
-        if p - j >= 0:
-            ent.append((f.index_of(g, p - j), idx, Fraction(1)))
-    return SparseMatrix.from_entries(f.dim, f.dim, ent)
-
-
-def filtered_inclusion_matrix(small: FilteredPlusComplex, big: FilteredPlusComplex) -> SparseMatrix:
-    """Chain-level inclusion F^{k'} -> F^k for k' <= k (a prefix map)."""
-    if small.source is not big.source and small.source != big.source:
-        raise ValueError("filtered complexes of different sources")
-    if small.level > big.level:
-        raise ValueError("first argument must be the lower level")
-    ent = [(i, i, Fraction(1)) for i in range(small.dim)]
-    return SparseMatrix.from_entries(big.dim, small.dim, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +265,17 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
 
     Returns {degree: group} with exact dimensions and deterministic
     representative cycles.  `preferred` optionally requests distinguished
-    representatives (per degree) to head the chosen basis.
+    representatives (per degree) to head the chosen basis.  The cycles and
+    boundaries of every degree come from one elimination of the differential.
     """
     degs, diff = _graded_data(obj)
+    kernel, image = kernel_and_image(diff)
     cycles: dict[int, list[Vector]] = {}
-    for v in kernel_basis(diff):
+    for v in kernel:
         d = degs[min(v)]
         cycles.setdefault(d, []).append(v)
     bounds: dict[int, list[Vector]] = {}
-    for v in image_basis(diff):
+    for v in image:
         d = degs[min(v)]
         bounds.setdefault(d, []).append(v)
     out: dict[int, CohomologyGroup] = {}
@@ -299,11 +292,6 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
                 sq = Subquotient(len(degs), [], [])
                 out[d] = CohomologyGroup(d, 0, (), sq)
     return out
-
-
-def cohomology_dims(obj: S1Complex | FilteredPlusComplex,
-                    degrees: range | None = None) -> dict[int, int]:
-    return {d: g.dim for d, g in cohomology(obj, degrees).items() if g.dim or degrees is not None}
 
 
 # ---------------------------------------------------------------------------

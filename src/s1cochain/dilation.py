@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .complexes import (
     FilteredPlusComplex,
@@ -32,8 +33,8 @@ from .complexes import (
     TruncationError,
     build_filtered_plus,
     cohomology,
+    lift_family,
     shift,
-    u_power_matrix,
 )
 from .linalg import (
     SparseMatrix,
@@ -206,13 +207,20 @@ def has_k_dilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     return (prim is not None), prim
 
 
+def _unit_first_h0(obj: S1Complex | FilteredPlusComplex, e: Vector) -> Subquotient | None:
+    """H^0 of obj with the class of e heading its deterministic basis, or
+    None when that class vanishes."""
+    sq = cohomology(obj, degrees=range(0, 1), preferred={0: [e]})[0].subquotient
+    if not sq.basis_sources or sq.basis_sources[0] != ("preferred", 0):
+        return None
+    return sq
+
+
 def _zero_cohomology_with_unit(s: SplitS1Complex) -> tuple[S1Complex, Subquotient]:
     """H^0(C_0) with the unit class heading the deterministic basis."""
     cz = s.zero_part_complex()
-    e0 = s.unit_in_zero_coordinates()
-    h = cohomology(cz, preferred={0: [e0]})
-    sq = h[0].subquotient
-    if not sq.basis_sources or sq.basis_sources[0] != ("preferred", 0):
+    sq = _unit_first_h0(cz, s.unit_in_zero_coordinates())
+    if sq is None:
         raise ValueError("unit class vanishes in H^0; not a valid split complex")
     return cz, sq
 
@@ -237,40 +245,24 @@ def has_k_semidilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     """
     if k > s.truncation:
         raise TruncationError(f"level {k} exceeds truncation {s.truncation}")
-    cp = s.plus_part_complex()
-    cz = s.zero_part_complex()
-    fp = build_filtered_plus(cp, k)
-    fz = build_filtered_plus(cz, k)
-
-    conn = s.connecting_components()
-    n_p, n_z = cp.n, cz.n
-    ent = []
-    for p in range(k + 1):
-        for r in range(0, min(p, s.truncation) + 1):
-            q = p - r
-            for i, j, v in conn[r].entries:
-                ent.append((q * n_z + i, p * n_p + j, v))
-    conn_f = SparseMatrix.from_entries(fz.dim, fp.dim, ent)
+    fp = build_filtered_plus(s.plus_part_complex(), k)
+    fz = build_filtered_plus(s.zero_part_complex(), k)
+    conn_f = lift_family(s.connecting_components(), k)
 
     a_idx = fp.indices_of_degree(-1)
     w_idx = fz.indices_of_degree(-1)
-    h0 = cohomology(fz, preferred={0: [fz.include_chain(s.unit_in_zero_coordinates(), 0)]})
-    sq0 = h0.get(0)
-    if sq0 is None or not sq0.subquotient.basis_sources or \
-            sq0.subquotient.basis_sources[0] != ("preferred", 0):
+    e_f = fz.include_chain(s.unit_in_zero_coordinates(), 0)
+    h0 = _unit_first_h0(fz, e_f)
+    if h0 is None:
         return False, None
-    complement = list(sq0.subquotient.basis[1:])
+    complement = list(h0.basis[1:])
 
     # unknown layout: [A | w | c]; equations: delta_+ A = 0 (degree 0 block)
     # and conn(A) - delta_0 w - sum c_j z_j = e * u^0
-    dplus = fp.differential
     rows_closed = fp.indices_of_degree(0)
     rows_target = fz.indices_of_degree(0)
     ncols = len(a_idx) + len(w_idx) + len(complement)
-    sys_ent = []
-    closed_block = dplus.submatrix(rows_closed, a_idx)
-    for i, j, v in closed_block.entries:
-        sys_ent.append((i, j, v))
+    sys_ent = list(fp.differential.submatrix(rows_closed, a_idx).entries)
     off = len(rows_closed)
     conn_block = conn_f.submatrix(rows_target, a_idx)
     for i, j, v in conn_block.entries:
@@ -284,7 +276,6 @@ def has_k_semidilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
             sys_ent.append((off + i, len(a_idx) + len(w_idx) + jj, -v))
     sys = SparseMatrix.from_entries(off + len(rows_target), ncols, sys_ent)
 
-    e_f = fz.include_chain(s.unit_in_zero_coordinates(), 0)
     rhs = {off + i: x for i, x in vrestrict(e_f, rows_target).items()}
     sol = solve(sys, rhs)
     if sol is None:
@@ -350,84 +341,80 @@ def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None,
 # the u-torsion route
 
 
-def _torsion_feasible(s: SplitS1Complex, k: int, semi: bool) -> tuple[bool, Vector | None]:
-    """A closed x in F^N(C_+) with connecting class [e] (or pi_0-image [e])
-    such that u^{k+1} x is exact, with primitive inside F^{N-k-1}(C_+).
+def _torsion_levels(s: SplitS1Complex, semi: bool
+                    ) -> Callable[[int], tuple[bool, Vector | None]] | None:
+    """The u-torsion test as a function of the level k, or None when the
+    unit class vanishes in H^0(F^N C_0) and the semi test fails at every k.
 
-    Restricting the primitive to the lower filtration level is the truncated
-    shadow of torsion on the untruncated module and makes this route agree
-    with the direct scan at every level.
+    The test at level k: a closed x in F^N(C_+) with connecting class [e]
+    (or pi_0-image [e]) such that u^{k+1} x is exact, with primitive inside
+    F^{N-k-1}(C_+).  Restricting the primitive to the lower filtration level
+    is the truncated shadow of torsion on the untruncated module and makes
+    this route agree with the direct scan at every level.
+
+    Everything that does not depend on k (F^N of both parts, the lifted
+    connecting map, the closed and target blocks, the non-unit part of
+    H^0(F^N C_0) and the right-hand side) is built once, here.  Each level
+    adds only the u^{k+1} block, the y columns and the torsion rows.
     """
     n_tr = s.truncation
-    cp = s.plus_part_complex()
-    cz = s.zero_part_complex()
-    fp = build_filtered_plus(cp, n_tr)
-    fz = build_filtered_plus(cz, n_tr)
-
-    conn = s.connecting_components()
-    n_p, n_z = cp.n, cz.n
-    ent = []
-    for p in range(n_tr + 1):
-        for r in range(0, min(p, n_tr) + 1):
-            q = p - r
-            for i, j, v in conn[r].entries:
-                ent.append((q * n_z + i, p * n_p + j, v))
-    conn_f = SparseMatrix.from_entries(fz.dim, fp.dim, ent)
-
-    # x has total degree -1, so u^{k+1} x has degree 2k+1 and a primitive y
-    # for it has degree 2k
-    x_idx = fp.indices_of_degree(-1)
-    w_idx = fz.indices_of_degree(-1)
-    y_idx = [i for i in fp.indices_of_degree(2 * k)
-             if fp.basis[i][1] <= n_tr - k - 1]
-    u_mat = u_power_matrix(fp, k + 1)
+    fp = build_filtered_plus(s.plus_part_complex(), n_tr)
+    fz = build_filtered_plus(s.zero_part_complex(), n_tr)
+    conn_f = lift_family(s.connecting_components(), n_tr)
+    e_f = fz.include_chain(s.unit_in_zero_coordinates(), 0)
 
     complement: list[Vector] = []
     if semi:
-        h0 = cohomology(fz, preferred={0: [fz.include_chain(s.unit_in_zero_coordinates(), 0)]})
-        sq0 = h0.get(0)
-        if sq0 is None or not sq0.subquotient.basis_sources or \
-                sq0.subquotient.basis_sources[0] != ("preferred", 0):
-            return False, None
-        complement = list(sq0.subquotient.basis[1:])
+        h0 = _unit_first_h0(fz, e_f)
+        if h0 is None:
+            return None
+        complement = list(h0.basis[1:])
 
+    # x has total degree -1, so u^{k+1} x has degree 2k+1 and a primitive y
+    # for it has degree 2k.  Unknown layout: [x | w | y | c].
+    x_idx = fp.indices_of_degree(-1)
+    w_idx = fz.indices_of_degree(-1)
     rows_closed = fp.indices_of_degree(0)
     rows_target = fz.indices_of_degree(0)
-    rows_torsion = fp.indices_of_degree(2 * k + 1)
-    nx, nw, ny, nc = len(x_idx), len(w_idx), len(y_idx), len(complement)
-    sys_ent = []
-    # block 1: delta_+ x = 0
-    blk = fp.differential.submatrix(rows_closed, x_idx)
-    for i, j, v in blk.entries:
-        sys_ent.append((i, j, v))
+    nx, nw = len(x_idx), len(w_idx)
     off1 = len(rows_closed)
-    # block 2: conn(x) - delta_0 w - sum c_j z_j = e
-    blk = conn_f.submatrix(rows_target, x_idx)
-    for i, j, v in blk.entries:
-        sys_ent.append((off1 + i, j, v))
-    blk = fz.differential.submatrix(rows_target, w_idx)
-    for i, j, v in blk.entries:
-        sys_ent.append((off1 + i, nx + j, -v))
-    for jj, z in enumerate(complement):
-        for i, v in vrestrict(z, rows_target).items():
-            sys_ent.append((off1 + i, nx + nw + ny + jj, -v))
     off2 = off1 + len(rows_target)
-    # block 3: u^{k+1} x - delta_+ y = 0
-    blk = u_mat.submatrix(rows_torsion, x_idx)
-    for i, j, v in blk.entries:
-        sys_ent.append((off2 + i, j, v))
-    blk = fp.differential.submatrix(rows_torsion, y_idx)
-    for i, j, v in blk.entries:
-        sys_ent.append((off2 + i, nx + nw + j, -v))
-    sys = SparseMatrix.from_entries(off2 + len(rows_torsion), nx + nw + ny + nc, sys_ent)
-
-    e_f = fz.include_chain(s.unit_in_zero_coordinates(), 0)
+    # block 1: delta_+ x = 0
+    base = list(fp.differential.submatrix(rows_closed, x_idx).entries)
+    # block 2: conn(x) - delta_0 w - sum c_j z_j = e
+    for i, j, v in conn_f.submatrix(rows_target, x_idx).entries:
+        base.append((off1 + i, j, v))
+    for i, j, v in fz.differential.submatrix(rows_target, w_idx).entries:
+        base.append((off1 + i, nx + j, -v))
+    c_block = [(off1 + i, jj, -v) for jj, z in enumerate(complement)
+               for i, v in vrestrict(z, rows_target).items()]
     rhs = {off1 + i: x for i, x in vrestrict(e_f, rows_target).items()}
-    sol = solve(sys, rhs)
-    if sol is None:
-        return False, None
-    witness = vpromote({j: x for j, x in sol.items() if j < nx}, x_idx)
-    return True, witness
+    n_p = fp.source.n
+
+    def feasible(k: int) -> tuple[bool, Vector | None]:
+        y_idx = [i for i in fp.indices_of_degree(2 * k)
+                 if fp.basis[i][1] <= n_tr - k - 1]
+        rows_torsion = fp.indices_of_degree(2 * k + 1)
+        tpos = {idx: t for t, idx in enumerate(rows_torsion)}
+        ny = len(y_idx)
+        ent = base + [(i, nx + nw + ny + jj, v) for i, jj, v in c_block]
+        # block 3: u^{k+1} x - delta_+ y = 0; u^{k+1} lowers the u-power
+        # by k+1 and drops what falls below u^0
+        drop = (k + 1) * n_p
+        for j, idx in enumerate(x_idx):
+            if idx >= drop:
+                ent.append((off2 + tpos[idx - drop], j, Fraction(1)))
+        for j, idx in enumerate(y_idx):
+            for i, v in fp.differential.col(idx).items():
+                if i in tpos:
+                    ent.append((off2 + tpos[i], nx + nw + j, -v))
+        sys = SparseMatrix.from_entries(off2 + len(rows_torsion), nx + nw + ny + len(complement), ent)
+        sol = solve(sys, rhs)
+        if sol is None:
+            return False, None
+        return True, vpromote({j: x for j, x in sol.items() if j < nx}, x_idx)
+
+    return feasible
 
 
 def order_via_torsion(s: SplitS1Complex, semi: bool = False,
@@ -435,10 +422,12 @@ def order_via_torsion(s: SplitS1Complex, semi: bool = False,
     """Independent order detection through u-torsion of the connecting class."""
     kind = "semidilation" if semi else "dilation"
     n_tr = s.truncation if max_k is None else min(max_k, s.truncation)
-    for k in range(n_tr + 1):
-        ok, w = _torsion_feasible(s, k, semi)
-        if ok:
-            return DilationReport(kind, s.truncation, k, w, route="torsion")
+    feasible = _torsion_levels(s, semi)
+    if feasible is not None:
+        for k in range(n_tr + 1):
+            ok, w = feasible(k)
+            if ok:
+                return DilationReport(kind, s.truncation, k, w, route="torsion")
     return DilationReport(kind, s.truncation, None, None, route="torsion")
 
 

@@ -17,7 +17,13 @@ import re
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .complexes import Generator, S1Complex, FilteredPlusComplex
+from .complexes import (
+    MAX_GENERATORS,
+    MAX_TRUNCATION,
+    FilteredPlusComplex,
+    Generator,
+    S1Complex,
+)
 from .dilation import PLUS_PART, ZERO_PART, SplitS1Complex
 from .linalg import SparseMatrix, Vector
 
@@ -79,10 +85,14 @@ def document_to_split_complex(doc: Any) -> SplitS1Complex:
     n_tr = doc.get("truncation")
     _expect(isinstance(n_tr, int) and not isinstance(n_tr, bool) and n_tr >= 0,
             "$.truncation", "expected a non-negative integer")
+    _expect(n_tr <= MAX_TRUNCATION, "$.truncation",
+            f"truncation {n_tr} exceeds the limit {MAX_TRUNCATION}")
 
     raw_gens = doc.get("generators")
     _expect(isinstance(raw_gens, list) and raw_gens,
             "$.generators", "expected a non-empty array")
+    _expect(len(raw_gens) <= MAX_GENERATORS, "$.generators",
+            f"{len(raw_gens)} generators exceed the limit {MAX_GENERATORS}")
     seen = set()
     parsed = []
     for i, g in enumerate(raw_gens):

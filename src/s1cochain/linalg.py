@@ -21,8 +21,17 @@ from the pivot rows above it, found through an index of pivot rows by pivot
 column built once.  Empty columns and rows that do not hold a column cost
 nothing, so the work follows the nonzeros, not rows x columns.
 
+Eliminations see the nonempty rows only: `rref`, `kernel_basis`,
+`kernel_and_image` and `solve` hand the kernel one dict per row that holds
+an entry (`solve` adds the rows in the support of the right-hand side).  An
+empty row can neither supply a pivot nor change one, so the RREF is the
+same.  `kernel_and_image` reads a kernel basis and the pivot columns from a
+single elimination, for callers that need both.
+
 Each matrix builds its column view (column -> (row, value) pairs) on first
-use and keeps it; `apply`, `@`, `col` and `columns` read it.
+use and keeps it; `apply`, `@`, `col` and `columns` read it.  `from_entries`
+stores the first value at a position as it is and adds only repeated
+positions, dropping a sum that cancels.
 """
 
 from __future__ import annotations
@@ -35,6 +44,9 @@ from typing import Iterable, Mapping, Sequence
 QQ = Fraction
 
 Vector = dict[int, Fraction]
+
+# Fractions are immutable, so eliminations share this one instance.
+_ONE = Fraction(1)
 
 
 class DimensionError(ValueError):
@@ -146,18 +158,21 @@ class SparseMatrix:
     @staticmethod
     def from_entries(rows: int, cols: int,
                      entries: Iterable[tuple[int, int, object]]) -> "SparseMatrix":
+        # The first value at a position is stored as it is; only a repeated
+        # position costs an addition, and a sum that cancels is dropped.
         acc: dict[tuple[int, int], Fraction] = {}
         for r, c, x in entries:
-            q = as_q(x)
-            if not q:
-                continue
+            q = x if isinstance(x, Fraction) else as_q(x)
             key = (r, c)
-            s = acc.get(key, Fraction(0)) + q
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-        items = tuple((r, c, acc[(r, c)]) for r, c in sorted(acc))
+            if key in acc:
+                s = acc[key] + q
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+            elif q:
+                acc[key] = q
+        items = tuple((r, c, v) for (r, c), v in sorted(acc.items()))
         return SparseMatrix(rows, cols, items)
 
     @staticmethod
@@ -336,7 +351,7 @@ def _rref_rows(rows: list[dict[int, Fraction]], cols: int) -> tuple[list[dict[in
             index[k].discard(p)
         pval = prow.pop(c)
         if pval != 1:
-            inv = Fraction(1) / pval
+            inv = _ONE / pval
             for k in prow:
                 prow[k] *= inv
         for i in holders:
@@ -378,14 +393,25 @@ def _rref_rows(rows: list[dict[int, Fraction]], cols: int) -> tuple[list[dict[in
                         del row[k]
                 else:
                     row[k] = -f * v
-    one = Fraction(1)
     out = []
     for c, p in zip(pivots, prows):
-        rows[p][c] = one
+        rows[p][c] = _ONE
         out.append(rows[p])
     pset = set(prows)
     out += [row for i, row in enumerate(rows) if i not in pset]
     return out, pivots
+
+
+def _nonempty_rows(m: SparseMatrix) -> dict[int, dict[int, Fraction]]:
+    """Row index -> row dict, for the rows of m that hold an entry."""
+    out: dict[int, dict[int, Fraction]] = {}
+    last = -1
+    for r, c, v in m.entries:
+        if r != last:
+            out[r] = row = {}
+            last = r
+        row[c] = v
+    return out
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
@@ -395,7 +421,7 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
     deterministic function of the input, whichever row supplies each pivot.
     Row r of the result is the r-th pivot row; the zero rows come last.
     """
-    rows, pivots = _rref_rows(m.row_dicts(), m.cols)
+    rows, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
     # only the pivot rows can be nonzero
     ent = tuple((r, c, row[c]) for r, row in enumerate(rows[:len(pivots)]) for c in sorted(row))
     return SparseMatrix(m.rows, m.cols, ent), tuple(pivots)
@@ -414,11 +440,14 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     for i in b:
         if not 0 <= i < m.rows:
             raise DimensionError("right-hand side index out of range")
-    rows = m.row_dicts()
+    rows = _nonempty_rows(m)
     aug = m.cols
     for i, x in b.items():
-        rows[i][aug] = x
-    rows, pivots = _rref_rows(rows, m.cols + 1)
+        row = rows.get(i)
+        if row is None:
+            rows[i] = row = {}
+        row[aug] = x
+    rows, pivots = _rref_rows(list(rows.values()), m.cols + 1)
     if pivots and pivots[-1] == aug:
         return None
     x: Vector = {}
@@ -429,11 +458,10 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     return x
 
 
-def kernel_basis(m: SparseMatrix) -> list[Vector]:
-    """Deterministic basis of ker(m), one vector per free column."""
-    rows, pivots = _rref_rows(m.row_dicts(), m.cols)
+def _kernel_from_rref(rows: list[dict[int, Fraction]], pivots: list[int],
+                      cols: int) -> list[Vector]:
     pivset = set(pivots)
-    free: dict[int, Vector] = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivset}
+    free: dict[int, Vector] = {f: {f: _ONE} for f in range(cols) if f not in pivset}
     for row, p in zip(rows, pivots):
         for f, coeff in row.items():
             if f != p:
@@ -441,10 +469,22 @@ def kernel_basis(m: SparseMatrix) -> list[Vector]:
     return list(free.values())
 
 
+def kernel_basis(m: SparseMatrix) -> list[Vector]:
+    """Deterministic basis of ker(m), one vector per free column."""
+    rows, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
+    return _kernel_from_rref(rows, pivots, m.cols)
+
+
 def image_basis(m: SparseMatrix) -> list[Vector]:
     """Basis of the column space: the original columns at the pivot indices."""
     _, pivots = rref(m)
     return [m.col(p) for p in pivots]
+
+
+def kernel_and_image(m: SparseMatrix) -> tuple[list[Vector], list[Vector]]:
+    """`kernel_basis(m)` and `image_basis(m)`, read from one elimination."""
+    rows, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
+    return _kernel_from_rref(rows, pivots, m.cols), [m.col(p) for p in pivots]
 
 
 def span_rank(vectors: Sequence[Vector], dim: int) -> int:
@@ -486,6 +526,12 @@ class Subquotient:
     pivot search over the columns [B | preferred | Z]: the pivot columns
     beyond rank(B) represent the quotient, with any `preferred` vectors
     (e.g. a distinguished unit class) coming first when independent.
+
+    Construction runs two eliminations: rank(Z), and the one over
+    [B | preferred | Z].  The containment check needs no third: that matrix
+    has the columns of [Z | B | preferred], so its pivot count is
+    rank(span(Z, B, preferred)), which equals rank(Z) exactly when B and the
+    preferred vectors lie in span(Z).
     """
 
     def __init__(self, ambient_dim: int, z_gens: Sequence[Vector],
@@ -500,18 +546,13 @@ class Subquotient:
                 if not 0 <= i < ambient_dim:
                     raise DimensionError("generator index out of ambient range")
 
-        zmat = SparseMatrix.from_columns(self.z_gens, ambient_dim)
-        self.rank_z = rank(zmat)
-        if self.b_gens or self.preferred:
-            ext = SparseMatrix.from_columns(
-                list(self.z_gens) + list(self.b_gens) + list(self.preferred), ambient_dim)
-            if rank(ext) != self.rank_z:
-                raise ValueError("b_gens/preferred not contained in span(z_gens)")
-
+        self.rank_z = rank(SparseMatrix.from_columns(self.z_gens, ambient_dim))
         nb = len(self.b_gens)
         np_ = len(self.preferred)
         combined = list(self.b_gens) + list(self.preferred) + list(self.z_gens)
         _, pivots = rref(SparseMatrix.from_columns(combined, ambient_dim))
+        if len(pivots) != self.rank_z:
+            raise ValueError("b_gens/preferred not contained in span(z_gens)")
         self.rank_b = sum(1 for p in pivots if p < nb)
         b_basis = [combined[p] for p in pivots if p < nb]
         basis: list[Vector] = []
@@ -567,8 +608,3 @@ class Subquotient:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Subquotient(dim={self.dim}, rank_z={self.rank_z}, "
                 f"rank_b={self.rank_b}, ambient={self.ambient_dim})")
-
-
-def subquotient_membership(s: Subquotient, v: Vector) -> Membership:
-    """Reduce v against Z/B: not-in-Z, in-B, or class coordinates."""
-    return s.membership(v)

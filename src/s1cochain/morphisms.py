@@ -29,12 +29,13 @@ from .complexes import (
     TruncationError,
     build_filtered_plus,
     cohomology,
+    lift_family,
 )
 from .linalg import (
     SparseMatrix,
     Subquotient,
     Vector,
-    image_basis,
+    kernel_and_image,
     kernel_basis,
     rank as matrix_rank,
     solve,
@@ -191,16 +192,7 @@ def homotopy_deformation(phi: S1Morphism, hs: tuple[SparseMatrix, ...]) -> tuple
 
 def filtered_morphism_matrix(phi: S1Morphism, level: int) -> SparseMatrix:
     """phi_S1 = sum u^r phi^r as a matrix F^level(source) -> F^level(target)."""
-    fs = build_filtered_plus(phi.source, level)
-    ft = build_filtered_plus(phi.target, level)
-    n_src, n_dst = phi.source.n, phi.target.n
-    ent = []
-    for p in range(level + 1):
-        for r in range(0, min(p, phi.truncation) + 1):
-            q = p - r
-            for i, j, v in phi.phis[r].entries:
-                ent.append((q * n_dst + i, p * n_src + j, v))
-    return SparseMatrix.from_entries(ft.dim, fs.dim, ent)
+    return lift_family(phi.phis, level)
 
 
 def induced_cohomology_map(phi: S1Morphism, level: int) -> dict[int, SparseMatrix]:
@@ -279,7 +271,7 @@ def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
     if 2 * k > phi.truncation:
         raise TruncationError(f"Phi^{k} needs truncation >= {2 * k}")
     src, dst = phi.source, phi.target
-    cum: list[Vector] = list(image_basis(dst.deltas[0]))
+    cycles, cum = kernel_and_image(dst.deltas[0])
     for j in range(k):
         for w in z_space(src, j):
             val = phi_value(phi, w)
@@ -291,7 +283,7 @@ def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
     for kind, i in dom.basis_sources:
         assert kind == "z"
         dom_wits.append(z_wits[i])
-    cod = Subquotient(dst.n, kernel_basis(dst.deltas[0]), cum)
+    cod = Subquotient(dst.n, cycles, cum)
     ent = []
     for j, w in enumerate(dom_wits):
         val = phi_value(phi, w)

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from s1cochain.brieskorn import milnor_model
 from s1cochain.cli import main
+from s1cochain.complexes import MAX_GENERATORS, MAX_TRUNCATION
 from s1cochain.io_json import (
     DocumentError,
     document_to_split_complex,
@@ -121,6 +122,32 @@ class TestDocumentErrors:
             document_to_split_complex(doc)
         assert time.perf_counter() - start < 0.5
         assert exc.value.path == "$.unit[0].coeff"
+
+    def test_truncation_limit(self):
+        doc = sample_doc()
+        doc["truncation"] = MAX_TRUNCATION
+        assert document_to_split_complex(doc).truncation == MAX_TRUNCATION
+        doc["truncation"] = MAX_TRUNCATION + 1
+        with pytest.raises(DocumentError) as exc:
+            document_to_split_complex(doc)
+        assert exc.value.path == "$.truncation"
+
+    def test_generator_limit(self):
+        doc = sample_doc()
+        doc["generators"] += [{"name": f"g{i}", "degree": 3, "part": "zero"}
+                              for i in range(MAX_GENERATORS - 2)]
+        assert document_to_split_complex(doc).complex.n == MAX_GENERATORS
+        doc["generators"].append({"name": "one_more", "degree": 3, "part": "zero"})
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as exc:
+            document_to_split_complex(doc)
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.path == "$.generators"
+
+    def test_limits_admit_the_largest_milnor_model(self):
+        s = milnor_model(4, 5)
+        assert (s.complex.n, s.truncation) == (738, 8)
+        assert loads(dumps(s)).complex.n == 738
 
     @pytest.mark.parametrize("literal, value", [
         ("-3", Fraction(-3)), ("0012/8", Fraction(3, 2)),
@@ -338,6 +365,28 @@ class TestCli:
     def test_threads_flag_accepted(self):
         res = run_cli("--threads", "2", "brieskorn", "periods", "2,2")
         assert res.exit_code == 0
+
+    def test_oversized_truncation_exit_2_fast(self, tmp_path):
+        doc = {"schema_version": "1", "truncation": 100_000_000,
+               "generators": [{"name": "e", "degree": 0, "part": "zero"}],
+               "operators": [], "unit": "e"}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        res = run_cli("check", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert "$.truncation" in res.stderr
+
+    def test_oversized_milnor_exit_2_fast(self):
+        start = time.perf_counter()
+        res = run_cli("milnor", "--k", "9", "--m", "12")
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert str(MAX_GENERATORS) in res.stderr
+        res = run_cli("milnor", "--k", "2", "--m", "2", "--truncation", "100000000")
+        assert res.exit_code == 2
+        assert str(MAX_TRUNCATION) in res.stderr
 
     def test_out_of_range_levels_exit_2(self):
         doc = run_cli("milnor", "--k", "2", "--m", "2").output

@@ -11,12 +11,12 @@ from s1cochain.linalg import (
     SparseMatrix,
     Subquotient,
     image_basis,
+    kernel_and_image,
     kernel_basis,
     rank,
     rref,
     solve,
     span_leq,
-    subquotient_membership,
     vec,
 )
 
@@ -86,6 +86,14 @@ class TestSolve:
         with pytest.raises(DimensionError):
             solve(dense([[1]]), vec({3: 1}))
 
+    def test_rhs_on_an_empty_row(self):
+        # row 1 of m holds no entry, so only b with b[1] == 0 is reachable
+        m = dense([[1, 2], [0, 0], [0, 1]])
+        assert solve(m, vec({1: 1})) is None
+        assert solve(m, vec({0: 1, 1: F(-2, 3), 2: 1})) is None
+        assert solve(m, vec({0: 1, 2: 1})) == {0: F(-1), 1: F(1)}
+        assert solve(SparseMatrix.zero(3, 2), vec({2: 5})) is None
+
 
 class TestKernelImage:
     def test_rank_nullity(self):
@@ -129,7 +137,7 @@ def test_solve_random_consistent(rows, coeffs):
 class TestSubquotient:
     def test_zero_vector_in_b(self):
         s = Subquotient(2, [vec({0: 1}), vec({1: 1})], [vec({0: 1})])
-        m = subquotient_membership(s, {})
+        m = s.membership({})
         assert m.in_z and m.in_b
 
     def test_b_span_in_b(self):
@@ -158,8 +166,15 @@ class TestSubquotient:
         assert s.dim == s.rank_z - s.rank_b == 1
 
     def test_b_not_inside_z_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"not contained in span\(z_gens\)"):
             Subquotient(2, [vec({0: 1})], [vec({1: 1})])
+
+    def test_preferred_not_inside_z_rejected(self):
+        z = [vec({0: 1}), vec({1: 1})]
+        with pytest.raises(ValueError, match=r"not contained in span\(z_gens\)"):
+            Subquotient(3, z, [vec({0: 1})], preferred=[vec({1: 1, 2: 1})])
+        with pytest.raises(ValueError, match=r"not contained in span\(z_gens\)"):
+            Subquotient(3, z, [], preferred=[vec({2: 1})])
 
     def test_dimension_mismatch(self):
         s = Subquotient(2, [vec({0: 1})], [])
@@ -179,6 +194,49 @@ def test_span_leq_rank_identity():
     b = [vec({0: 1}), vec({1: 1})]
     assert span_leq(a, b, 2)
     assert not span_leq(b, a, 2)
+
+
+_literals = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(str, st.integers(-3, 3)))
+
+
+@st.composite
+def _entry_lists(draw):
+    """(rows, cols, entries) with repeated positions, some of whose values
+    cancel to zero, given as int, Fraction, "p" or "p/q"."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pos = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    ent = draw(st.lists(st.tuples(pos, _literals).map(lambda t: (*t[0], t[1])),
+                        max_size=12))
+    for r, c, x in draw(st.lists(st.sampled_from(ent), max_size=4)) if ent else ():
+        ent.append((r, c, -F(x)))           # cancels the earlier value
+        if draw(st.booleans()):
+            ent.append((r, c, x))           # and brings it back
+    return nrows, ncols, draw(st.permutations(ent))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entry_lists())
+def test_from_entries_matches_dense_accumulation(case):
+    nrows, ncols, ent = case
+    acc = [[F(0)] * ncols for _ in range(nrows)]
+    for r, c, x in ent:
+        acc[r][c] += F(x)
+    m = SparseMatrix.from_entries(nrows, ncols, ent)
+    assert m.to_dense() == acc
+    assert [(r, c) for r, c, _ in m.entries] == sorted(
+        (r, c) for r in range(nrows) for c in range(ncols) if acc[r][c])
+    assert all(type(v) is F for _, _, v in m.entries)
+    assert m == SparseMatrix.from_dense(acc)
+
+
+def test_from_entries_drops_cancelled_and_zero_values():
+    m = SparseMatrix.from_entries(2, 2, [(0, 0, 1), (0, 0, "-1"), (1, 1, 0),
+                                         (0, 1, "1/2"), (0, 1, F(1, 2)), (1, 0, 0)])
+    assert m.entries == ((0, 1, F(1)),)
 
 
 def test_no_floats_anywhere():
@@ -318,6 +376,9 @@ def test_kernel_matches_gauss_jordan_oracle(system):
     assert rank(m) == len(pivots)
     assert _exact(kernel_basis(m)) == _exact(_oracle_kernel_basis(m))
     assert _exact(image_basis(m)) == _exact(_oracle_image_basis(m))
+    kernel, image = kernel_and_image(m)
+    assert _exact(kernel) == _exact(_oracle_kernel_basis(m))
+    assert _exact(image) == _exact(_oracle_image_basis(m))
     assert _exact([solve(m, b)]) == _exact([_oracle_solve(m, b)])
 
     # The row-order contract solve and kernel_basis read: the r-th row is
