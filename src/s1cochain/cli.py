@@ -99,14 +99,8 @@ def _parse_exponents(text: str) -> list[int]:
 
 
 @click.group()
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Reserved; computations are currently single-threaded "
-                   "(all operations are pure, so results never depend on it).")
-def main(threads: int) -> None:
+def main() -> None:
     """Exact calculus of truncated circle-equivariant cochain complexes."""
-    if threads < 1:
-        _diag("--threads must be >= 1")
-        raise SystemExit(EXIT_INPUT_ERROR)
 
 
 @main.command()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linalg import (
     SparseMatrix,
@@ -292,6 +292,21 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
                 sq = Subquotient(len(degs), [], [])
                 out[d] = CohomologyGroup(d, 0, (), sq)
     return out
+
+
+def induced_map(src: dict[int, CohomologyGroup], dst: dict[int, CohomologyGroup],
+                d_src: int, d_dst: int, push: Callable[[Vector], Vector]) -> SparseMatrix:
+    """Matrix of H^{d_src}(src) -> H^{d_dst}(dst) induced by the chain map
+    `push`, in the deterministic bases; a degree missing from dst has no
+    cohomology, so every image there must be zero."""
+    grp = src.get(d_src)
+    images = [push(rep) for rep in grp.representatives] if grp else []
+    tgt = dst.get(d_dst)
+    if tgt is None:
+        if any(images):
+            raise AssertionError("class image in missing degree")
+        return SparseMatrix.zero(0, len(images))
+    return tgt.subquotient.coordinate_matrix(images)
 
 
 # ---------------------------------------------------------------------------

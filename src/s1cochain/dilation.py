@@ -33,6 +33,7 @@ from .complexes import (
     TruncationError,
     build_filtered_plus,
     cohomology,
+    induced_map,
     lift_family,
     shift,
 )
@@ -40,7 +41,6 @@ from .linalg import (
     SparseMatrix,
     Subquotient,
     Vector,
-    kernel_basis,
     rank as matrix_rank,
     solve,
     vis_zero,
@@ -566,41 +566,23 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None,
         all_deg = sorted(set(h_full) | set(h_zero) | set(h_plus))
         degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
 
-    def dim_of(h, d):
-        return h[d].dim if d in h else 0
-
-    def map_matrix(src_h, dst_h, d_src, d_dst, push):
-        sdim = dim_of(src_h, d_src)
-        tdim = dim_of(dst_h, d_dst)
-        ent = []
-        if sdim and d_src in src_h:
-            for j, rep in enumerate(src_h[d_src].representatives):
-                img = push(rep)
-                if d_dst in dst_h:
-                    coords = dst_h[d_dst].subquotient.coordinates(img)
-                    for i, x in enumerate(coords):
-                        if x:
-                            ent.append((i, j, x))
-                elif not vis_zero(img):
-                    raise AssertionError("class image in missing degree")
-        return SparseMatrix.from_entries(tdim, sdim, ent)
-
     def connecting(rep: Vector) -> Vector:
         image = f_full.differential.apply(lift_plus(rep))
         return to_zero(image)
 
+    # kernel dimension = columns - rank; each degree's connecting map
+    # H^d(plus) -> H^{d+1}(zero) is built once and serves degrees d and d+1
+    conn_rank = {d: matrix_rank(induced_map(h_plus, h_zero, d, d + 1, connecting))
+                 for d in sorted({e for d in degrees for e in (d - 1, d)})}
     nodes = []
     for d in degrees:
-        iota = map_matrix(h_zero, h_full, d, d, inc_map)
-        pimat = map_matrix(h_full, h_plus, d, d, proj_map)
-        delta_conn = map_matrix(h_plus, h_zero, d, d + 1, connecting)
-        prev_conn = map_matrix(h_plus, h_zero, d - 1, d, connecting)
-        nodes.append(LesNode(d, "full", matrix_rank(iota),
-                             len(kernel_basis(pimat))))
-        nodes.append(LesNode(d, "plus", matrix_rank(pimat),
-                             len(kernel_basis(delta_conn))))
-        nodes.append(LesNode(d, "zero", matrix_rank(prev_conn),
-                             len(kernel_basis(iota))))
+        iota = induced_map(h_zero, h_full, d, d, inc_map)
+        pimat = induced_map(h_full, h_plus, d, d, proj_map)
+        r_iota, r_pi = matrix_rank(iota), matrix_rank(pimat)
+        nodes.append(LesNode(d, "full", r_iota, pimat.cols - r_pi))
+        # pimat lands in H^d(plus), the source of the connecting map at d
+        nodes.append(LesNode(d, "plus", r_pi, pimat.rows - conn_rank[d]))
+        nodes.append(LesNode(d, "zero", conn_rank[d - 1], iota.cols - r_iota))
     return LesReport(n_tr,
                      {d: g.dim for d, g in sorted(h_zero.items())},
                      {d: g.dim for d, g in sorted(h_full.items())},

@@ -26,6 +26,7 @@ from .complexes import (
 )
 from .dilation import PLUS_PART, ZERO_PART, SplitS1Complex
 from .linalg import SparseMatrix, Vector
+from .morphisms import S1Morphism
 
 SCHEMA_VERSION = "1"
 
@@ -207,10 +208,9 @@ def loads(text: str) -> SplitS1Complex:
 # morphism documents (component schema mirrors the operator schema)
 
 
-def document_to_morphism(doc: Any) -> "S1MorphismPair":
-    """Parse a morphism document: embedded source/target plus components."""
-    from .morphisms import S1Morphism
-
+def document_to_morphism(doc: Any) -> tuple[SplitS1Complex, SplitS1Complex, S1Morphism]:
+    """Parse a morphism document into (source, target, morphism): the
+    embedded split complexes and the morphism between them."""
     _expect(isinstance(doc, dict), "$", "document must be a JSON object")
     _expect(doc.get("schema_version") == SCHEMA_VERSION,
             "$.schema_version", f"expected {SCHEMA_VERSION!r}")
@@ -244,7 +244,7 @@ def document_to_morphism(doc: Any) -> "S1MorphismPair":
     phis = tuple(SparseMatrix.from_entries(dst.complex.n, src.complex.n,
                                            mats.get(r, []))
                  for r in range(n_tr + 1))
-    return S1MorphismPair(src, dst, S1Morphism(src.complex, dst.complex, phis))
+    return src, dst, S1Morphism(src.complex, dst.complex, phis)
 
 
 def _field(doc: dict, key: str) -> Any:
@@ -252,17 +252,8 @@ def _field(doc: dict, key: str) -> Any:
     return doc[key]
 
 
-class S1MorphismPair:
-    """A parsed morphism with the split complexes it connects."""
-
-    def __init__(self, source, target, morphism):
-        self.source = source
-        self.target = target
-        self.morphism = morphism
-
-
 def morphism_to_document(source: SplitS1Complex, target: SplitS1Complex,
-                         morphism) -> dict:
+                         morphism: S1Morphism) -> dict:
     comps = []
     src_gens = morphism.source.generators
     dst_gens = morphism.target.generators

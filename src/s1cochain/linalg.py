@@ -28,6 +28,16 @@ empty row can neither supply a pivot nor change one, so the RREF is the
 same.  `kernel_and_image` reads a kernel basis and the pivot columns from a
 single elimination, for callers that need both.
 
+A subquotient Z/B reduces any number of vectors in one elimination.  Its
+B basis and quotient basis are independent columns, so the elimination of
+[B basis | quotient basis | v_1 ... v_m], with pivots in the basis columns
+only, makes every basis column a pivot.  The pivot rows then hold the
+unique coordinates of every v_t, and v_t lies in Z exactly when no other
+row holds its column.  `Subquotient.coordinate_matrix` reads the matrix of
+a map into Z/B this way; `membership` and `coordinates` are the case of one
+vector.  The coordinates are the unique solution that `solve` would find
+vector by vector, so they are the same numbers.
+
 Each matrix builds its column view (column -> (row, value) pairs) on first
 use and keeps it; `apply`, `@`, `col` and `columns` read it.  `from_entries`
 stores the first value at a position as it is and adds only repeated
@@ -278,11 +288,14 @@ class SparseMatrix:
             # column c of the product picks up v * (column r of self)
             for rr, vv in by_col.get(r, ()):
                 key = (rr, c)
-                s = acc.get(key, Fraction(0)) + vv * v
-                if s:
-                    acc[key] = s
+                if key in acc:
+                    s = acc[key] + vv * v
+                    if s:
+                        acc[key] = s
+                    else:
+                        del acc[key]
                 else:
-                    del acc[key]
+                    acc[key] = vv * v
         ent = tuple((r, c, acc[(r, c)]) for r, c in sorted(acc))
         return SparseMatrix(self.rows, other.cols, ent)
 
@@ -294,11 +307,14 @@ class SparseMatrix:
             if c >= self.cols:
                 raise DimensionError("vector index out of range")
             for r, m in by_col.get(c, ()):
-                s = out.get(r, Fraction(0)) + m * x
-                if s:
-                    out[r] = s
+                if r in out:
+                    s = out[r] + m * x
+                    if s:
+                        out[r] = s
+                    else:
+                        del out[r]
                 else:
-                    del out[r]
+                    out[r] = m * x
         return out
 
     def hstack(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -506,6 +522,11 @@ def span_leq(a: Sequence[Vector], b: Sequence[Vector], dim: int) -> bool:
 # subquotients Z/B
 
 
+def _column(m: SparseMatrix) -> tuple[Fraction, ...]:
+    """The one column of m as a dense tuple."""
+    return tuple(row[0] for row in m.to_dense())
+
+
 @dataclass(frozen=True)
 class Membership:
     """Outcome of reducing a vector against a subquotient Z/B."""
@@ -573,22 +594,47 @@ class Subquotient:
         self._solver = SparseMatrix.from_columns(b_basis + basis, ambient_dim)
         self._nb_basis = len(b_basis)
 
+    def _reduce(self, vectors: Sequence[Vector]) -> tuple[SparseMatrix, bool]:
+        """The coordinate matrix of `vectors` and whether all of them lie in Z.
+
+        One elimination of the rows of [B basis | quotient basis | v_1 ... v_m],
+        with pivots in the solver columns only.  Those columns are
+        independent, so each of them is a pivot, and pivot row r holds in
+        column s + t the unique coefficient of solver column r in v_t.  v_t
+        lies in Z exactly when no other row holds column s + t.
+        """
+        if not vectors:
+            return SparseMatrix.zero(self.dim, 0), True
+        s = self._solver.cols
+        rows = _nonempty_rows(self._solver)
+        for t, v in enumerate(vectors):
+            for i, x in v.items():
+                if not 0 <= i < self.ambient_dim:
+                    raise DimensionError("vector index out of ambient range")
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = row = {}
+                row[s + t] = x
+        reduced, pivots = _rref_rows(list(rows.values()), s)
+        assert len(pivots) == s
+        ent = tuple((j, c - s, x) for j, row in enumerate(reduced[self._nb_basis:s])
+                    for c, x in sorted(row.items()) if c >= s)
+        return SparseMatrix(self.dim, len(vectors), ent), not any(reduced[s:])
+
+    def coordinate_matrix(self, images: Sequence[Vector]) -> SparseMatrix:
+        """Column j holds the quotient coordinates of images[j], all read from
+        one elimination; raises ValueError when an image is not in Z."""
+        mat, in_z = self._reduce(images)
+        if not in_z:
+            raise ValueError("vector is not in Z")
+        return mat
+
     def membership(self, v: Vector) -> Membership:
-        for i in v:
-            if not 0 <= i < self.ambient_dim:
-                raise DimensionError("vector index out of ambient range")
-        sol = solve(self._solver, v)
-        if sol is None:
-            return Membership(False, None)
-        coords = tuple(sol.get(self._nb_basis + j, Fraction(0)) for j in range(self.dim))
-        return Membership(True, coords)
+        mat, in_z = self._reduce([v])
+        return Membership(True, _column(mat)) if in_z else Membership(False, None)
 
     def coordinates(self, v: Vector) -> tuple[Fraction, ...]:
-        m = self.membership(v)
-        if not m.in_z:
-            raise ValueError("vector is not in Z")
-        assert m.coords is not None
-        return m.coords
+        return _column(self.coordinate_matrix([v]))
 
     def class_vector(self, coords: Sequence[object]) -> Vector:
         """Chain-level representative of the class with the given coordinates."""

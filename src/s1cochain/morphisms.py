@@ -29,6 +29,7 @@ from .complexes import (
     TruncationError,
     build_filtered_plus,
     cohomology,
+    induced_map,
     lift_family,
 )
 from .linalg import (
@@ -42,8 +43,16 @@ from .linalg import (
     span_leq,
     vadd,
     vis_zero,
+    vsub,
 )
-from .spectral import WitnessedCycle, b_basis, delta_value, z_basis, z_space
+from .spectral import (
+    WitnessedCycle,
+    _quotient_with_witnesses,
+    b_basis,
+    delta_value,
+    z_basis,
+    z_space,
+)
 
 
 @dataclass(frozen=True)
@@ -202,23 +211,7 @@ def induced_cohomology_map(phi: S1Morphism, level: int) -> dict[int, SparseMatri
     mat = filtered_morphism_matrix(phi, level)
     hs = cohomology(fs)
     ht = cohomology(ft)
-    out: dict[int, SparseMatrix] = {}
-    for d, grp in hs.items():
-        tgt = ht.get(d)
-        tdim = tgt.dim if tgt else 0
-        ent = []
-        for j, rep in enumerate(grp.representatives):
-            img = mat.apply(rep)
-            if tgt is None:
-                if not vis_zero(img):
-                    raise AssertionError("image class in missing degree")
-                continue
-            coords = tgt.subquotient.coordinates(img)
-            for i, x in enumerate(coords):
-                if x:
-                    ent.append((i, j, x))
-        out[d] = SparseMatrix.from_entries(tdim, grp.dim, ent)
-    return out
+    return {d: induced_map(hs, ht, d, d, mat.apply) for d in hs}
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +270,9 @@ def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
             val = phi_value(phi, w)
             if not vis_zero(val):
                 cum.append(val)
-    z_wits = z_space(src, k)
-    dom = Subquotient(src.n, [w.leading for w in z_wits], b_basis(src, 0))
-    dom_wits = []
-    for kind, i in dom.basis_sources:
-        assert kind == "z"
-        dom_wits.append(z_wits[i])
+    dom, dom_wits = _quotient_with_witnesses(src, z_space(src, k), b_basis(src, 0))
     cod = Subquotient(dst.n, cycles, cum)
-    ent = []
-    for j, w in enumerate(dom_wits):
-        val = phi_value(phi, w)
-        coords = cod.coordinates(val)
-        for i, x in enumerate(coords):
-            if x:
-                ent.append((i, j, x))
-    mat = SparseMatrix.from_entries(cod.dim, dom.dim, ent)
+    mat = cod.coordinate_matrix([phi_value(phi, w) for w in dom_wits])
     return PhiKMap(k, dom, cod, mat, tuple(dom_wits), tuple(cum))
 
 
@@ -344,17 +325,18 @@ def _delta_square_commutes(phi: S1Morphism, k: int) -> bool:
     fmat = filtered_morphism_matrix(phi, k - 1)
     fs = build_filtered_plus(src, k - 1)
     ft = build_filtered_plus(dst, k - 1)
+    diffs = []
     for w in z_space(src, k - 1):
         left = phi0.apply(delta_value(src, w))
         image_chain = fmat.apply(w.filtered_vector(fs))
         alphas = tuple(ft.power_component(image_chain, k - 1 - j) for j in range(k))
-        w_dst = WitnessedCycle(k - 1, alphas)
-        right = delta_value(dst, w_dst)
-        diff = vadd(left, {i: -x for i, x in right.items()})
-        m = cod.membership(diff)
-        if not m.in_z or not m.in_b:
-            return False
-    return True
+        right = delta_value(dst, WitnessedCycle(k - 1, alphas))
+        diffs.append(vsub(left, right))
+    # a difference lies in B exactly when it is in Z with zero coordinates
+    try:
+        return cod.coordinate_matrix(diffs).is_zero()
+    except ValueError:
+        return False
 
 
 def verify_filtration_preservation(phi: S1Morphism, level: int | None = None) -> bool:

@@ -192,14 +192,7 @@ def delta_k(c: S1Complex, k: int) -> DeltaKMap:
         raise TruncationError(f"Delta^{k} needs truncation >= {2 * k}")
     dom_sq, dom_wits = _quotient_with_witnesses(c, z_space(c, k - 1), b_basis(c, 0))
     cod_sq = Subquotient(c.n, z_basis(c, 0), b_basis(c, k - 1))
-    ent = []
-    for j, w in enumerate(dom_wits):
-        val = delta_value(c, w)
-        coords = cod_sq.coordinates(val)
-        for i, x in enumerate(coords):
-            if x:
-                ent.append((i, j, x))
-    mat = SparseMatrix.from_entries(cod_sq.dim, dom_sq.dim, ent)
+    mat = cod_sq.coordinate_matrix([delta_value(c, w) for w in dom_wits])
     return DeltaKMap(k, dom_sq, cod_sq, mat, tuple(dom_wits))
 
 
@@ -283,17 +276,9 @@ def leray_page(c: S1Complex, k: int, with_differential: bool | None = None) -> L
     diffs: dict[int, SparseMatrix] = {}
     if with_differential:
         for i in range(0, n_tr - k):  # target column i, source column i+k+1
-            src = columns[i + k + 1]
-            dst = columns[i]
-            ent = []
-            for j, w in enumerate(src.witnesses):
-                val = delta_value(c, _truncate_witness(w, k))
-                coords = dst.subquotient.coordinates(val)
-                for r, x in enumerate(coords):
-                    if x:
-                        ent.append((r, j, x))
-            diffs[i] = SparseMatrix.from_entries(dst.subquotient.dim,
-                                                 src.subquotient.dim, ent)
+            images = [delta_value(c, _truncate_witness(w, k))
+                      for w in columns[i + k + 1].witnesses]
+            diffs[i] = columns[i].subquotient.coordinate_matrix(images)
     return LerayPage(k, n_tr, tuple(columns), diffs)
 
 
@@ -320,11 +305,4 @@ def reduced_page_map(c: S1Complex, k: int) -> tuple[Subquotient, SparseMatrix]:
     if 2 * k > c.truncation:
         raise TruncationError(f"page map {k} needs truncation >= {2 * k}")
     sq, wits = _quotient_with_witnesses(c, z_space(c, k - 1), b_basis(c, k - 1))
-    ent = []
-    for j, w in enumerate(wits):
-        val = delta_value(c, w)
-        coords = sq.coordinates(val)
-        for i, x in enumerate(coords):
-            if x:
-                ent.append((i, j, x))
-    return sq, SparseMatrix.from_entries(sq.dim, sq.dim, ent)
+    return sq, sq.coordinate_matrix([delta_value(c, w) for w in wits])

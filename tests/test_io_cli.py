@@ -1,20 +1,26 @@
 import json
 import time
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s1cochain.brieskorn import milnor_model
 from s1cochain.cli import main
 from s1cochain.complexes import MAX_GENERATORS, MAX_TRUNCATION
 from s1cochain.io_json import (
     DocumentError,
+    document_to_morphism,
     document_to_split_complex,
     dumps,
     loads,
+    morphism_to_document,
     split_complex_to_document,
 )
+from s1cochain.morphisms import identity_morphism
 from s1cochain.randomized import random_split_complex
 
 import random
@@ -172,9 +178,9 @@ class TestMorphismDocuments:
         from s1cochain.morphisms import verify_morphism
 
         doc = self._sample()
-        pair = document_to_morphism(doc)
-        assert verify_morphism(pair.morphism).valid
-        again = morphism_to_document(pair.source, pair.target, pair.morphism)
+        source, target, morphism = document_to_morphism(doc)
+        assert verify_morphism(morphism).valid
+        again = morphism_to_document(source, target, morphism)
         assert again == doc
 
     def test_positioned_error_in_component(self):
@@ -216,9 +222,65 @@ class TestMorphismDocuments:
         s = random_split_complex(rng, 5, 2, 3)
         _, deformed, _ = random_endomorphism_pair(rng, s.complex)
         doc = morphism_to_document(s, s, deformed)
-        pair = document_to_morphism(doc)
-        assert verify_morphism(pair.morphism).valid
-        assert any(not m.is_zero() for m in pair.morphism.phis[1:])
+        _, _, morphism = document_to_morphism(doc)
+        assert verify_morphism(morphism).valid
+        assert any(not m.is_zero() for m in morphism.phis[1:])
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the parsers: arbitrary JSON gets a DocumentError, never a crash
+
+_SCHEMA_KEYS = ("schema_version", "kind", "truncation", "generators", "name",
+                "degree", "part", "operators", "components", "order", "entries",
+                "from", "to", "coeff", "unit", "gen", "source", "target")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["1", "0", "-1/2", "1/0", "x", "e", "plus", "zero", "morphism"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=16)
+
+
+def _morphism_sample():
+    s = document_to_split_complex(sample_doc())
+    return morphism_to_document(s, s, identity_morphism(s.complex))
+
+
+def _paths(node, path=()):
+    """The JSON path of every node below `node`."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _documents(draw, sample):
+    """Arbitrary JSON, or a valid document with one node, drawn uniformly,
+    replaced by arbitrary JSON."""
+    if draw(st.booleans()):
+        return draw(_json_values)
+    doc = sample()
+    *parents, key = draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = draw(_json_values)
+    return doc
+
+
+@pytest.mark.parametrize("parse, sample", [
+    pytest.param(document_to_split_complex, sample_doc, id="complex"),
+    pytest.param(document_to_morphism, _morphism_sample, id="morphism")])
+@settings(max_examples=200, deadline=timedelta(milliseconds=500))
+@given(data=st.data())
+def test_parsers_raise_only_document_errors(parse, sample, data):
+    doc = data.draw(_documents(sample))
+    try:
+        parse(doc)
+    except DocumentError:
+        pass
 
 
 def run_cli(*args, stdin=None):
@@ -362,9 +424,10 @@ class TestCli:
         assert payload["pass"]
         assert [r["n"] for r in payload["rows"]] == [3, 4, 5]
 
-    def test_threads_flag_accepted(self):
+    def test_threads_flag_removed(self):
         res = run_cli("--threads", "2", "brieskorn", "periods", "2,2")
-        assert res.exit_code == 0
+        assert res.exit_code == 2
+        assert "--threads" in res.stderr
 
     def test_oversized_truncation_exit_2_fast(self, tmp_path):
         doc = {"schema_version": "1", "truncation": 100_000_000,

@@ -17,6 +17,7 @@ from s1cochain.linalg import (
     rref,
     solve,
     span_leq,
+    vadd,
     vec,
 )
 
@@ -398,6 +399,9 @@ def test_subquotient_membership_matches_oracle(system, data):
     m, v = system
     z = m.columns()
     b = [m.apply(x) for x in data.draw(st.lists(_vectors(m.cols), max_size=3))]
+    # images of m lie in Z = span(z); other vectors usually do not
+    vs = [v] + data.draw(st.lists(
+        st.one_of(_vectors(m.cols).map(m.apply), _vectors(m.rows)), max_size=4))
 
     def reduce():
         s = Subquotient(m.rows, z, b)
@@ -406,6 +410,30 @@ def test_subquotient_membership_matches_oracle(system, data):
     got = reduce()
     with mock.patch.object(linalg, "_rref_rows", _oracle_rref_rows):
         assert got == reduce()
+
+    # The batched reduction against the oracle's solve of the solver
+    # matrix, vector by vector.
+    s = Subquotient(m.rows, z, b)
+    expected = []
+    for u in vs:
+        sol = _oracle_solve(s._solver, u)
+        coords = None if sol is None else tuple(
+            sol.get(s._nb_basis + j, F(0)) for j in range(s.dim))
+        expected.append(coords)
+        assert s.membership(u) == linalg.Membership(coords is not None, coords)
+        if coords is None:
+            with pytest.raises(ValueError, match="vector is not in Z"):
+                s.coordinates(u)
+        else:
+            assert s.coordinates(u) == coords
+    inside = [c for c in expected if c is not None]
+    mat = s.coordinate_matrix([u for u, c in zip(vs, expected) if c is not None])
+    assert (mat.rows, mat.cols) == (s.dim, len(inside))
+    assert [tuple(mat.to_dense()[i][j] for i in range(s.dim))
+            for j in range(mat.cols)] == inside
+    if len(inside) < len(vs):
+        with pytest.raises(ValueError, match="vector is not in Z"):
+            s.coordinate_matrix(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +446,16 @@ def test_column_view_agrees_with_dense(m, data):
     d = m.to_dense()
     other = data.draw(_matrices().map(lambda o: SparseMatrix.from_entries(
         m.cols, o.cols, [(r, c, v) for r, c, v in o.entries if r < m.cols])))
+    x = data.draw(_vectors(m.cols))
+    kernel = kernel_basis(m)
+    if kernel and data.draw(st.booleans()):
+        # kernel vectors make every product term at a touched position cancel
+        other = SparseMatrix.from_columns(kernel + other.columns(), m.cols)
+        x = vadd(x, kernel[-1])
     od = other.to_dense()
     assert (m @ other).to_dense() == [
         [sum((d[i][k] * od[k][j] for k in range(m.cols)), F(0)) for j in range(other.cols)]
         for i in range(m.rows)]
-    x = data.draw(_vectors(m.cols))
     product = {i: sum((d[i][j] * c for j, c in x.items()), F(0)) for i in range(m.rows)}
     assert m.apply(x) == {i: c for i, c in product.items() if c}
     cols = m.columns()

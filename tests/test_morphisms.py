@@ -188,6 +188,22 @@ class TestFunctoriality:
         assert verify_functoriality(identity_morphism(c)).valid
         assert verify_functoriality(zero_morphism(c, c)).valid
 
+    def test_square_failing_in_z_and_outside_z(self):
+        # delta^1(x) = y.  phi^0 keeps y and kills x, so at alpha = x the
+        # square's difference is phi^0(Delta^1 x) - Delta^1(phi^0 x) = y.
+        c = make_complex([("x", 1), ("y", 0)], 2, {1: [("x", "y", 1)]})
+        zero = SparseMatrix.zero(2, 2)
+        keep_y = SparseMatrix.from_entries(2, 2, [(1, 1, F(1))])
+        # in C the difference y is closed but not exact: in Z_0, not in B_0
+        phi = S1Morphism(c, c, (keep_y, zero, zero))
+        assert verify_functoriality(phi).squares == ((1, False),)
+        # in D it lands on v, which is not closed: outside Z_0
+        d = make_complex([("u", 1), ("v", 0), ("w", 1)], 2, {0: [("v", "w", 1)]})
+        y_to_v = SparseMatrix.from_entries(3, 2, [(1, 1, F(1))])
+        zero_d = SparseMatrix.zero(3, 2)
+        phi = S1Morphism(c, d, (y_to_v, zero_d, zero_d))
+        assert verify_functoriality(phi).squares == ((1, False),)
+
     def test_random_morphisms(self):
         rng = random.Random(17)
         for _ in range(5):
