@@ -5,14 +5,13 @@ convergence of the last page to the cohomology of the filtered complex.
 """
 
 from s1cochain import (
-    b_space,
     build_filtered_plus,
     cohomology,
     delta_k,
     e_infinity,
+    filtration_tower,
     leray_page,
     milnor_model,
-    z_space,
 )
 
 
@@ -25,9 +24,10 @@ def main() -> None:
     c = s.complex
     print(f"model (3,3): {c.n} generators, truncation {c.truncation}")
 
+    tower = filtration_tower(c, 2)   # Z_k and B_k of every k <= 2, from F^2
     for k in range(3):
-        zs = z_space(c, k)
-        bs = b_space(c, k)
+        zs = tower.z(k)
+        bs = tower.b(k)
         print(f"\nZ_{k}: dim {len(zs)}, leading terms "
               f"{[show_chain(c, w.leading) for w in zs]}")
         print(f"B_{k}: dim {len(bs)}, values "

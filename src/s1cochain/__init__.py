@@ -41,12 +41,14 @@ from .complexes import (
 )
 from .spectral import (
     DeltaKMap,
+    FiltrationTower,
     LerayPage,
     WitnessedCycle,
     b_basis,
     b_space,
     delta_k,
     e_infinity,
+    filtration_tower,
     leray_page,
     z_basis,
     z_space,

@@ -28,7 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, factorial
 
-from .complexes import MAX_GENERATORS, MAX_TRUNCATION, Generator, S1Complex
+from .complexes import (
+    MAX_FILTERED_DIM,
+    MAX_GENERATORS,
+    MAX_TRUNCATION,
+    Generator,
+    S1Complex,
+)
 from .dilation import SplitS1Complex, make_split_complex
 from .linalg import SparseMatrix
 
@@ -299,9 +305,14 @@ def milnor_model(k: int, m: int, truncation: int | None = None,
         # (k-1)^(m+1).  Capping the exponent at the limit's bit length keeps
         # the power small and changes it only where it exceeds the limit.
         n_spheres = (k - 1) ** min(m + 1, MAX_GENERATORS.bit_length())
-    if 1 + n_spheres + 2 * k > MAX_GENERATORS:
+    n = 1 + n_spheres + 2 * k
+    if n > MAX_GENERATORS:
         raise ValueError(f"milnor_model({k}, {m}) has more than {MAX_GENERATORS} "
                          f"generators, the limit")
+    if (n_tr + 1) * n > MAX_FILTERED_DIM:
+        raise ValueError(f"milnor_model({k}, {m}) at truncation {n_tr} has filtered "
+                         f"dimension (N+1)*n = {(n_tr + 1) * n}, above the limit "
+                         f"{MAX_FILTERED_DIM}")
 
     gens: list[Generator] = [Generator("e", 0)]
     zero_names = ["e"]

@@ -30,7 +30,7 @@ from .io_json import (
     filtered_chain_terms,
     loads,
 )
-from .spectral import b_space, delta_k, leray_page, z_space
+from .spectral import delta_k, filtration_tower, leray_page
 from .tensor import tensor_split
 
 EXIT_PROPERTY_FAILURE = 1
@@ -162,9 +162,10 @@ def zb(file: str, k: int) -> None:
         _diag(f"k={k} outside [0, {s.truncation}]")
         raise SystemExit(EXIT_INPUT_ERROR)
     c = s.complex
-    f = build_filtered_plus(c, k)
-    zs = z_space(c, k)
-    bs = b_space(c, k)
+    tower = filtration_tower(c, k)
+    f = tower.filtered
+    zs = tower.z(k)
+    bs = tower.b(k)
     from .io_json import chain_terms
     _emit({
         "k": k,
@@ -244,6 +245,9 @@ def pages(file: str, level: int | None) -> None:
 
 
 def _dilation_common(file: str, max_k: int | None, semi: bool) -> None:
+    if max_k is not None and max_k < 0:
+        _diag(f"--max-k must be non-negative (got {max_k})")
+        raise SystemExit(EXIT_INPUT_ERROR)
     s = _load_valid(file)
     scan = order_of_semidilation if semi else order_of_dilation
     report = scan(s, max_k=max_k)
@@ -314,7 +318,11 @@ def tensor_cmd(file_a: str, file_b: str, output: str) -> None:
     """Koszul tensor product of two split complexes."""
     a = _load_valid(file_a)
     b = _load_valid(file_b)
-    prod = tensor_split(a, b)
+    try:
+        prod = tensor_split(a, b)
+    except ValueError as exc:
+        _diag(str(exc))
+        raise SystemExit(EXIT_INPUT_ERROR)
     text = dumps(prod)
     if output == "-":
         click.echo(text, nl=False)

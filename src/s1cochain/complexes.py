@@ -23,11 +23,13 @@ from .linalg import (
     kernel_and_image,
 )
 
-# Input size limits.  A document or a Milnor model beyond them is refused
-# before any matrix is allocated for it.  They admit every construction the
-# package is exercised on, up to the n=738, N=8 Milnor model with spheres.
+# Input size limits.  A document, a Milnor model or a tensor product beyond
+# them is refused before any matrix is allocated for it.  They admit every
+# construction the package is exercised on, up to the n=738, N=8 Milnor
+# model with spheres.  MAX_FILTERED_DIM bounds the dimension (N+1)*n of F^N.
 MAX_TRUNCATION = 100
 MAX_GENERATORS = 10_000
+MAX_FILTERED_DIM = 20_000
 
 
 class TruncationError(ValueError):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .complexes import (
@@ -194,16 +195,12 @@ def verify_splitting(s: SplitS1Complex) -> SplittingReport:
 # dilation / semi-dilation at a fixed level
 
 
-def _unit_in_filtered(s: SplitS1Complex, f: FilteredPlusComplex) -> Vector:
-    return f.include_chain(s.unit, 0)
-
-
 def has_k_dilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     """Is the unit exact in F^k of the full complex?  Returns the primitive."""
     if k > s.truncation:
         raise TruncationError(f"level {k} exceeds truncation {s.truncation}")
     f = build_filtered_plus(s.complex, k)
-    prim = solve(f.differential, _unit_in_filtered(s, f))
+    prim = solve(f.differential, f.include_chain(s.unit, 0))
     return (prim is not None), prim
 
 
@@ -216,21 +213,14 @@ def _unit_first_h0(obj: S1Complex | FilteredPlusComplex, e: Vector) -> Subquotie
     return sq
 
 
-def _zero_cohomology_with_unit(s: SplitS1Complex) -> tuple[S1Complex, Subquotient]:
-    """H^0(C_0) with the unit class heading the deterministic basis."""
-    cz = s.zero_part_complex()
-    sq = _unit_first_h0(cz, s.unit_in_zero_coordinates())
-    if sq is None:
-        raise ValueError("unit class vanishes in H^0; not a valid split complex")
-    return cz, sq
-
-
 def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
     """pi_0 of a closed degree-0 chain of C_0 (ambient plus-zero coordinates).
 
     The e-coordinate of the class in the deterministic basis of H^0(C_0).
     """
-    _, sq = _zero_cohomology_with_unit(s)
+    sq = _unit_first_h0(s.zero_part_complex(), s.unit_in_zero_coordinates())
+    if sq is None:
+        raise ValueError("unit class vanishes in H^0; not a valid split complex")
     coords = sq.coordinates(vrestrict(v, s.zero_indices))
     return coords[0]
 
@@ -308,33 +298,48 @@ class DilationReport:
         return f"{self.kind} order > truncation {self.truncation} ({self.route} route)"
 
 
-def _scan(s: SplitS1Complex, test, kind: str, max_k: int | None,
-          check_monotone: bool) -> DilationReport:
-    n_tr = s.truncation if max_k is None else min(max_k, s.truncation)
-    first = None
-    witness = None
-    for k in range(n_tr + 1):
-        ok, w = test(s, k)
+def _scan_level(s: SplitS1Complex, max_k: int | None) -> int:
+    if max_k is None:
+        return s.truncation
+    if max_k < 0:
+        raise ValueError(f"max_k must be non-negative (got {max_k})")
+    return min(max_k, s.truncation)
+
+
+def order_of_dilation(s: SplitS1Complex, max_k: int | None = None) -> DilationReport:
+    """The least k at which the unit is exact in F^k, from one `solve`.
+
+    F^k is the column prefix of F^N's first (k+1)n indices, its differential
+    F^N's leading block, and F^N's pivot columns inside it a basis of its
+    column span.  The free-variables-zero solution is the one combination
+    of pivot columns giving e, so e is exact in F^k exactly when it is
+    supported there: the order is its largest index // n, it is the witness
+    `has_k_dilation(s, order)` returns, and e stays exact at higher levels.
+    """
+    f = build_filtered_plus(s.complex, _scan_level(s, max_k))
+    prim = solve(f.differential, f.include_chain(s.unit, 0))
+    order = None if prim is None else max(prim) // s.complex.n
+    return DilationReport("dilation", s.truncation, order, prim)
+
+
+def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> DilationReport:
+    """The least k with a k-semi-dilation, checking every higher level too.
+
+    One system per level: the unknowns [A | w | c] are not ordered by
+    u-power and c, the non-unit part of H^0(F^k C_0), changes with k, so no
+    level is a column prefix of another.  Ordering them by u-power would
+    change which unknowns are free, and with that the witness.
+    """
+    level = _scan_level(s, max_k)
+    for k in range(level + 1):
+        ok, witness = has_k_semidilation(s, k)
         if ok:
-            first, witness = k, w
-            break
-    if first is not None and check_monotone:
-        for k in range(first + 1, n_tr + 1):
-            ok, _ = test(s, k)
-            if not ok:
-                raise AssertionError(
-                    f"monotonicity violated: {kind} at {first} but not at {k}")
-    return DilationReport(kind, s.truncation, first, witness)
-
-
-def order_of_dilation(s: SplitS1Complex, max_k: int | None = None,
-                      check_monotone: bool = True) -> DilationReport:
-    return _scan(s, has_k_dilation, "dilation", max_k, check_monotone)
-
-
-def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None,
-                          check_monotone: bool = True) -> DilationReport:
-    return _scan(s, has_k_semidilation, "semidilation", max_k, check_monotone)
+            for later in range(k + 1, level + 1):
+                if not has_k_semidilation(s, later)[0]:
+                    raise AssertionError(
+                        f"monotonicity violated: semidilation at {k} but not at {later}")
+            return DilationReport("semidilation", s.truncation, k, witness)
+    return DilationReport("semidilation", s.truncation, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +426,7 @@ def order_via_torsion(s: SplitS1Complex, semi: bool = False,
                       max_k: int | None = None) -> DilationReport:
     """Independent order detection through u-torsion of the connecting class."""
     kind = "semidilation" if semi else "dilation"
-    n_tr = s.truncation if max_k is None else min(max_k, s.truncation)
+    n_tr = _scan_level(s, max_k)
     feasible = _torsion_levels(s, semi)
     if feasible is not None:
         for k in range(n_tr + 1):
@@ -505,6 +510,19 @@ class LesReport:
         return all(n.exact for n in self.nodes)
 
 
+def _reindex(v: Vector, n_from: int, n_to: int, where: dict[int, int]) -> Vector:
+    """Carry v between filtered complexes with n_from and n_to generators,
+    sending generator g to where[g] at the same u-power; generators not in
+    `where` are dropped."""
+    out: Vector = {}
+    for idx, x in v.items():
+        p, g = divmod(idx, n_from)
+        t = where.get(g)
+        if t is not None:
+            out[p * n_to + t] = x
+    return out
+
+
 def tautological_les(s: SplitS1Complex, degrees: range | None = None,
                      level: int | None = None) -> LesReport:
     """Exactness of ... -> H(F^N C_0) -> H(F^N C) -> H(F^N C_+) -> ... .
@@ -515,60 +533,25 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None,
     """
     n_tr = s.truncation if level is None else level
     c = s.complex
-    cz = s.zero_part_complex()
-    cp = s.plus_part_complex()
+    cz, cp = s.zero_part_complex(), s.plus_part_complex()
     f_full = build_filtered_plus(c, n_tr)
-    f_zero = build_filtered_plus(cz, n_tr)
-    f_plus = build_filtered_plus(cp, n_tr)
     h_full = cohomology(f_full)
-    h_zero = cohomology(f_zero)
-    h_plus = cohomology(f_plus)
+    h_zero, h_plus = (cohomology(build_filtered_plus(x, n_tr)) for x in (cz, cp))
 
-    zi, pi = s.zero_indices, s.plus_indices
-    n = c.n
-
-    def inc_map(v: Vector) -> Vector:
-        # F^N(C_0) -> F^N(C): reindex generators
-        out: Vector = {}
-        for idx, x in v.items():
-            p, g = divmod(idx, cz.n)
-            out[p * n + zi[g]] = x
-        return out
-
-    def proj_map(v: Vector) -> Vector:
-        # F^N(C) -> F^N(C_+)
-        pos = {g: t for t, g in enumerate(pi)}
-        out: Vector = {}
-        for idx, x in v.items():
-            p, g = divmod(idx, n)
-            if g in pos:
-                out[p * f_plus.source.n + pos[g]] = x
-        return out
-
-    def lift_plus(v: Vector) -> Vector:
-        # F^N(C_+) -> F^N(C), tautological lift on the basis
-        out: Vector = {}
-        for idx, x in v.items():
-            p, g = divmod(idx, cp.n)
-            out[p * n + pi[g]] = x
-        return out
-
-    def to_zero(v: Vector) -> Vector:
-        pos = {g: t for t, g in enumerate(zi)}
-        out: Vector = {}
-        for idx, x in v.items():
-            p, g = divmod(idx, n)
-            if g in pos:
-                out[p * cz.n + pos[g]] = x
-        return out
+    zi, pi, n = s.zero_indices, s.plus_indices, c.n
+    # F^N(C_0) -> F^N(C) and F^N(C_+) -> F^N(C) (the tautological lift),
+    # and back, each as one reindexing of generators
+    inc_map = partial(_reindex, n_from=cz.n, n_to=n, where=dict(enumerate(zi)))
+    lift_plus = partial(_reindex, n_from=cp.n, n_to=n, where=dict(enumerate(pi)))
+    proj_map = partial(_reindex, n_from=n, n_to=cp.n, where={g: t for t, g in enumerate(pi)})
+    to_zero = partial(_reindex, n_from=n, n_to=cz.n, where={g: t for t, g in enumerate(zi)})
 
     if degrees is None:
         all_deg = sorted(set(h_full) | set(h_zero) | set(h_plus))
         degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
 
     def connecting(rep: Vector) -> Vector:
-        image = f_full.differential.apply(lift_plus(rep))
-        return to_zero(image)
+        return to_zero(f_full.differential.apply(lift_plus(rep)))
 
     # kernel dimension = columns - rank; each degree's connecting map
     # H^d(plus) -> H^{d+1}(zero) is built once and serves degrees d and d+1

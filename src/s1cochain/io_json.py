@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Any, Iterator
 
 from .complexes import (
+    MAX_FILTERED_DIM,
     MAX_GENERATORS,
     MAX_TRUNCATION,
     FilteredPlusComplex,
@@ -94,6 +95,9 @@ def document_to_split_complex(doc: Any) -> SplitS1Complex:
             "$.generators", "expected a non-empty array")
     _expect(len(raw_gens) <= MAX_GENERATORS, "$.generators",
             f"{len(raw_gens)} generators exceed the limit {MAX_GENERATORS}")
+    _expect((n_tr + 1) * len(raw_gens) <= MAX_FILTERED_DIM, "$.truncation",
+            f"filtered dimension (N+1)*n = {(n_tr + 1) * len(raw_gens)} exceeds "
+            f"the limit {MAX_FILTERED_DIM}")
     seen = set()
     parsed = []
     for i, g in enumerate(raw_gens):

@@ -37,8 +37,6 @@ from .linalg import (
     Subquotient,
     Vector,
     kernel_and_image,
-    kernel_basis,
-    rank as matrix_rank,
     solve,
     span_leq,
     vadd,
@@ -46,12 +44,12 @@ from .linalg import (
     vsub,
 )
 from .spectral import (
+    FiltrationTower,
+    QuotientMapRanks,
     WitnessedCycle,
     _quotient_with_witnesses,
-    b_basis,
     delta_value,
-    z_basis,
-    z_space,
+    filtration_tower,
 )
 
 
@@ -219,7 +217,7 @@ def induced_cohomology_map(phi: S1Morphism, level: int) -> dict[int, SparseMatri
 
 
 @dataclass(frozen=True)
-class PhiKMap:
+class PhiKMap(QuotientMapRanks):
     """Phi^k : Z_k/B_0 (source) -> H(target) / (im Phi^0 + ... + im Phi^{k-1})."""
 
     k: int
@@ -228,18 +226,6 @@ class PhiKMap:
     matrix: SparseMatrix
     domain_witnesses: tuple[WitnessedCycle, ...]
     accumulated_images: tuple[Vector, ...]
-
-    @property
-    def rank(self) -> int:
-        return matrix_rank(self.matrix)
-
-    @property
-    def kernel_dim(self) -> int:
-        return len(kernel_basis(self.matrix))
-
-    @property
-    def coker_dim(self) -> int:
-        return self.codomain.dim - self.rank
 
 
 def _require_trivial_target(phi: S1Morphism) -> None:
@@ -264,13 +250,14 @@ def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
     if 2 * k > phi.truncation:
         raise TruncationError(f"Phi^{k} needs truncation >= {2 * k}")
     src, dst = phi.source, phi.target
+    t = filtration_tower(src, k)
     cycles, cum = kernel_and_image(dst.deltas[0])
     for j in range(k):
-        for w in z_space(src, j):
+        for w in t.z(j):
             val = phi_value(phi, w)
             if not vis_zero(val):
                 cum.append(val)
-    dom, dom_wits = _quotient_with_witnesses(src, z_space(src, k), b_basis(src, 0))
+    dom, dom_wits = _quotient_with_witnesses(src, t.z(k), t.b_vectors(0))
     cod = Subquotient(dst.n, cycles, cum)
     mat = cod.coordinate_matrix([phi_value(phi, w) for w in dom_wits])
     return PhiKMap(k, dom, cod, mat, tuple(dom_wits), tuple(cum))
@@ -303,30 +290,28 @@ def verify_functoriality(phi: S1Morphism) -> FunctorialityReport:
     """
     src, dst = phi.source, phi.target
     phi0 = phi.phis[0]
-    z_cont = []
-    b_cont = []
-    squares = []
-    for k in range(0, phi.truncation // 2 + 1):
-        zs = z_basis(src, k)
-        zd = z_basis(dst, k)
-        z_cont.append((k, span_leq([phi0.apply(v) for v in zs], zd, dst.n)))
-        bs = b_basis(src, k)
-        bd = b_basis(dst, k)
-        b_cont.append((k, span_leq([phi0.apply(v) for v in bs], bd, dst.n)))
+    level = phi.truncation // 2
+    ts, td = filtration_tower(src, level), filtration_tower(dst, level)
+    z_cont, b_cont, squares = [], [], []
+    for k in range(0, level + 1):
+        z_cont.append((k, span_leq([phi0.apply(v) for v in ts.z_vectors(k)],
+                                   td.z_vectors(k), dst.n)))
+        b_cont.append((k, span_leq([phi0.apply(v) for v in ts.b_vectors(k)],
+                                   td.b_vectors(k), dst.n)))
         if k >= 1:
-            squares.append((k, _delta_square_commutes(phi, k)))
+            squares.append((k, _delta_square_commutes(phi, k, ts, td)))
     return FunctorialityReport(tuple(z_cont), tuple(b_cont), tuple(squares))
 
 
-def _delta_square_commutes(phi: S1Morphism, k: int) -> bool:
+def _delta_square_commutes(phi: S1Morphism, k: int, ts: FiltrationTower,
+                           td: FiltrationTower) -> bool:
     src, dst = phi.source, phi.target
     phi0 = phi.phis[0]
-    cod = Subquotient(dst.n, z_basis(dst, 0), b_basis(dst, k - 1))
+    cod = Subquotient(dst.n, td.z_vectors(0), td.b_vectors(k - 1))
     fmat = filtered_morphism_matrix(phi, k - 1)
-    fs = build_filtered_plus(src, k - 1)
-    ft = build_filtered_plus(dst, k - 1)
+    fs, ft = ts.filtered, td.filtered
     diffs = []
-    for w in z_space(src, k - 1):
+    for w in ts.z(k - 1):
         left = phi0.apply(delta_value(src, w))
         image_chain = fmat.apply(w.filtered_vector(fs))
         alphas = tuple(ft.power_component(image_chain, k - 1 - j) for j in range(k))
@@ -350,16 +335,13 @@ def verify_filtration_preservation(phi: S1Morphism, level: int | None = None) ->
     ft = build_filtered_plus(phi.target, n_tr)
     mat = filtered_morphism_matrix(phi, n_tr)
     for j in range(n_tr + 1):
-        fj_src = build_filtered_plus(phi.source, j)
-        fj_dst = build_filtered_plus(phi.target, j)
-        h_src = cohomology(fj_src)
-        for grp in h_src.values():
+        for grp in cohomology(build_filtered_plus(phi.source, j)).values():
             for rep in grp.representatives:
                 # promote the F^j class to F^N (a prefix of the basis), push
                 # forward, and test that the image class has a representative
                 # supported inside F^j of the target
                 img = mat.apply(dict(rep))
-                if _representative_in_prefix(ft, img, fj_dst.dim) is None:
+                if _representative_in_prefix(ft, img, (j + 1) * phi.target.n) is None:
                     return False
     return True
 

@@ -19,11 +19,25 @@ coker = Z_0/B_k.
 All spaces are kept as spanning sets inside the ambient complex so that the
 inclusion chain and the kernel/image/cokernel identities are literal rank
 assertions.
+
+Every level is read from F^N (`filtration_tower`).  F^j is the column
+prefix of F^N's first (j+1)n indices, and its differential is F^N's leading
+block, since a column at u-power p has rows at u-powers <= p only.  The RREF
+of a column prefix is the prefix of the RREF.  A kernel vector has a 1 at
+its free column and otherwise entries at smaller pivot columns, so ker F^j
+is the kernel vectors of F^N whose largest index, their free column, lies in
+the prefix.  Z_j is read from those at u-power exactly j; their u^-j blocks
+are independent, each holding a 1 at its free column where the others hold
+0.  The primitives of B_j are likewise a prefix of the kernel of F^N's rows
+at positive u-power, and the pivots of a column prefix of their boundary
+values are the pivots in the prefix, so B_j's basis is the prefix of B_N's.
+Every vector and witness is the one a separate elimination of F^j gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import (
     FilteredPlusComplex,
@@ -76,68 +90,91 @@ def _split_filtered_vector(f: FilteredPlusComplex, v: Vector, level: int) -> tup
     return tuple(f.power_component(v, level - j) for j in range(level + 1))
 
 
-def _independent_by_leading(pairs: list[tuple[Vector, Vector]], dim: int) -> list[int]:
-    """Indices of pairs whose first components form a deterministic basis."""
-    mat = SparseMatrix.from_columns([p[0] for p in pairs], dim)
-    _, pivots = rref(mat)
-    return list(pivots)
+@dataclass(frozen=True)
+class FiltrationTower:
+    """Z_j and B_j with witnesses for every level j <= filtered.level.
+
+    Each half runs on first use: Z one kernel elimination of F^level, B one
+    of its rows at positive u-power and an `rref` of the boundary values.
+    A vector's level is the u-power of its free column, max index // n.
+    """
+
+    filtered: FilteredPlusComplex
+
+    @cached_property
+    def _closed(self) -> list[tuple[int, Vector]]:
+        """(level, kernel vector of F^level's differential)."""
+        f = self.filtered
+        kern = kernel_basis(f.differential)
+        assert not any(f.differential.apply(v) for v in kern)
+        return [(max(v) // f.source.n, v) for v in kern]
+
+    @cached_property
+    def _exact(self) -> list[tuple[int, Vector, Vector]]:
+        """(level, boundary value in C, primitive) of the chosen primitives."""
+        f = self.filtered
+        n = f.source.n
+        high = SparseMatrix.from_entries(
+            f.dim, f.dim, ((i, j, v) for i, j, v in f.differential.entries if i >= n))
+        pairs = []
+        for a in kernel_basis(high):
+            image = f.differential.apply(a)
+            value = f.power_component(image, 0)
+            assert image == f.include_chain(value, 0)
+            if not vis_zero(value):
+                pairs.append((max(a) // n, value, a))
+        _, chosen = rref(SparseMatrix.from_columns([p[1] for p in pairs], n))
+        return [pairs[i] for i in chosen]
+
+    def _check(self, j: int) -> None:
+        if not 0 <= j <= self.filtered.level:
+            raise ValueError(f"level {j} outside the tower [0, {self.filtered.level}]")
+
+    def z(self, j: int) -> list[WitnessedCycle]:
+        """Basis of Z_j with witnesses: the closed vectors of level j."""
+        self._check(j)
+        return [WitnessedCycle(j, _split_filtered_vector(self.filtered, v, j))
+                for lv, v in self._closed if lv == j]
+
+    def z_vectors(self, j: int) -> list[Vector]:
+        """The leading terms of `z(j)`."""
+        self._check(j)
+        return [self.filtered.power_component(v, j) for lv, v in self._closed if lv == j]
+
+    def b(self, j: int) -> list[WitnessedCycle]:
+        """Basis of B_j with primitives: the chosen primitives of level <= j."""
+        self._check(j)
+        return [WitnessedCycle(j, _split_filtered_vector(self.filtered, a, j), boundary_value=value)
+                for lv, value, a in self._exact if lv <= j]
+
+    def b_vectors(self, j: int) -> list[Vector]:
+        """The boundary values of `b(j)`."""
+        self._check(j)
+        return [value for lv, value, _ in self._exact if lv <= j]
+
+
+def filtration_tower(c: S1Complex, level: int) -> FiltrationTower:
+    """Z_0, ..., Z_level and B_0, ..., B_level, all read from F^level."""
+    return FiltrationTower(build_filtered_plus(c, level))
 
 
 def z_space(c: S1Complex, k: int) -> list[WitnessedCycle]:
     """Basis of Z_k with witnesses: the u^-k block of ker(delta_S1 on F^k)."""
-    if k > c.truncation:
-        raise TruncationError(f"Z_{k} needs truncation >= {k}")
-    f = build_filtered_plus(c, k)
-    kern = kernel_basis(f.differential)
-    pairs = [(f.power_component(v, k), v) for v in kern]
-    pairs = [p for p in pairs if not vis_zero(p[0])]
-    chosen = _independent_by_leading(pairs, c.n)
-    out = []
-    for i in chosen:
-        full = pairs[i][1]
-        w = WitnessedCycle(k, _split_filtered_vector(f, full, k))
-        assert vis_zero(f.differential.apply(w.filtered_vector(f)))
-        out.append(w)
-    return out
+    return filtration_tower(c, k).z(k)
 
 
 def b_space(c: S1Complex, k: int) -> list[WitnessedCycle]:
-    """Basis of B_k with primitives: image of delta_S1 on F^k intersected with C.
-
-    An element of C is exact in F^k iff some primitive A has delta_S1(A)
-    supported entirely at u^0; the primitives are found as the kernel of the
-    positive-power part of the differential.
-    """
-    if k > c.truncation:
-        raise TruncationError(f"B_{k} needs truncation >= {k}")
-    f = build_filtered_plus(c, k)
-    n = c.n
-    # rows of the differential landing at u-power >= 1
-    high = SparseMatrix.from_entries(
-        f.dim, f.dim, ((i, j, v) for i, j, v in f.differential.entries if i >= n))
-    prims = kernel_basis(high)
-    pairs = []
-    for a in prims:
-        value = f.differential.apply(a)
-        value_c = f.power_component(value, 0)
-        if not vis_zero(value_c):
-            pairs.append((value_c, a))
-    chosen = _independent_by_leading(pairs, n)
-    out = []
-    for i in chosen:
-        value_c, a = pairs[i]
-        w = WitnessedCycle(k, _split_filtered_vector(f, a, k), boundary_value=value_c)
-        assert f.differential.apply(w.filtered_vector(f)) == f.include_chain(value_c, 0)
-        out.append(w)
-    return out
+    """Basis of B_k with primitives A: delta_S1(A) lies at u^0, so A is in
+    the kernel of the positive-power rows of the differential of F^k."""
+    return filtration_tower(c, k).b(k)
 
 
 def z_basis(c: S1Complex, k: int) -> list[Vector]:
-    return [w.leading for w in z_space(c, k)]
+    return filtration_tower(c, k).z_vectors(k)
 
 
 def b_basis(c: S1Complex, k: int) -> list[Vector]:
-    return [w.boundary_value for w in b_space(c, k)]  # type: ignore[misc]
+    return filtration_tower(c, k).b_vectors(k)
 
 
 def delta_value(c: S1Complex, w: WitnessedCycle) -> Vector:
@@ -151,8 +188,27 @@ def delta_value(c: S1Complex, w: WitnessedCycle) -> Vector:
     return out
 
 
+class QuotientMapRanks:
+    """Rank, kernel and cokernel dimension of `matrix`, from one elimination."""
+
+    matrix: SparseMatrix
+    codomain: Subquotient
+
+    @cached_property
+    def rank(self) -> int:
+        return matrix_rank(self.matrix)
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.matrix.cols - self.rank
+
+    @property
+    def coker_dim(self) -> int:
+        return self.codomain.dim - self.rank
+
+
 @dataclass(frozen=True)
-class DeltaKMap:
+class DeltaKMap(QuotientMapRanks):
     """Delta^k : Z_{k-1}/B_0 -> Z_0/B_{k-1} in deterministic quotient bases."""
 
     k: int
@@ -161,27 +217,12 @@ class DeltaKMap:
     matrix: SparseMatrix
     domain_witnesses: tuple[WitnessedCycle, ...]
 
-    @property
-    def kernel_dim(self) -> int:
-        return len(kernel_basis(self.matrix))
-
-    @property
-    def rank(self) -> int:
-        return matrix_rank(self.matrix)
-
-    @property
-    def coker_dim(self) -> int:
-        return self.codomain.dim - self.rank
-
 
 def _quotient_with_witnesses(c: S1Complex, z_wits: list[WitnessedCycle],
                              b_vecs: list[Vector]) -> tuple[Subquotient, list[WitnessedCycle]]:
     sq = Subquotient(c.n, [w.leading for w in z_wits], b_vecs)
-    wits = []
-    for kind, i in sq.basis_sources:
-        assert kind == "z"
-        wits.append(z_wits[i])
-    return sq, wits
+    assert all(kind == "z" for kind, _ in sq.basis_sources)
+    return sq, [z_wits[i] for _, i in sq.basis_sources]
 
 
 def delta_k(c: S1Complex, k: int) -> DeltaKMap:
@@ -190,8 +231,9 @@ def delta_k(c: S1Complex, k: int) -> DeltaKMap:
         raise ValueError("Delta^k is defined for k >= 1")
     if 2 * k > c.truncation:
         raise TruncationError(f"Delta^{k} needs truncation >= {2 * k}")
-    dom_sq, dom_wits = _quotient_with_witnesses(c, z_space(c, k - 1), b_basis(c, 0))
-    cod_sq = Subquotient(c.n, z_basis(c, 0), b_basis(c, k - 1))
+    t = filtration_tower(c, k - 1)
+    dom_sq, dom_wits = _quotient_with_witnesses(c, t.z(k - 1), t.b_vectors(0))
+    cod_sq = Subquotient(c.n, t.z_vectors(0), t.b_vectors(k - 1))
     mat = cod_sq.coordinate_matrix([delta_value(c, w) for w in dom_wits])
     return DeltaKMap(k, dom_sq, cod_sq, mat, tuple(dom_wits))
 
@@ -265,8 +307,9 @@ def leray_page(c: S1Complex, k: int, with_differential: bool | None = None) -> L
     if with_differential and 2 * (k + 1) > n_tr:
         raise TruncationError(
             f"the differential of page {k + 1} needs truncation >= {2 * (k + 1)}")
-    z_wits = {j: z_space(c, j) for j in range(min(k, n_tr) + 1)}
-    b_vecs = {j: b_basis(c, j) for j in range(min(k, n_tr) + 1)}
+    t = filtration_tower(c, k)
+    z_wits = {j: t.z(j) for j in range(k + 1)}
+    b_vecs = {j: t.b_vectors(j) for j in range(k + 1)}
     columns = []
     for i in range(n_tr + 1):
         zi = min(i, k)
@@ -276,19 +319,10 @@ def leray_page(c: S1Complex, k: int, with_differential: bool | None = None) -> L
     diffs: dict[int, SparseMatrix] = {}
     if with_differential:
         for i in range(0, n_tr - k):  # target column i, source column i+k+1
-            images = [delta_value(c, _truncate_witness(w, k))
-                      for w in columns[i + k + 1].witnesses]
+            # column i+k+1 > k holds Z_k, so its witnesses have level k
+            images = [delta_value(c, w) for w in columns[i + k + 1].witnesses]
             diffs[i] = columns[i].subquotient.coordinate_matrix(images)
     return LerayPage(k, n_tr, tuple(columns), diffs)
-
-
-def _truncate_witness(w: WitnessedCycle, k: int) -> WitnessedCycle:
-    """View a Z_j witness (j >= k) as a Z_k witness for the same leading term."""
-    if w.level == k:
-        return w
-    if w.level < k:
-        raise ValueError("witness level below requested level")
-    return WitnessedCycle(k, w.alphas[: k + 1])
 
 
 def e_infinity(c: S1Complex) -> LerayPage:
@@ -304,5 +338,6 @@ def reduced_page_map(c: S1Complex, k: int) -> tuple[Subquotient, SparseMatrix]:
     """
     if 2 * k > c.truncation:
         raise TruncationError(f"page map {k} needs truncation >= {2 * k}")
-    sq, wits = _quotient_with_witnesses(c, z_space(c, k - 1), b_basis(c, k - 1))
+    t = filtration_tower(c, k - 1)
+    sq, wits = _quotient_with_witnesses(c, t.z(k - 1), t.b_vectors(k - 1))
     return sq, sq.coordinate_matrix([delta_value(c, w) for w in wits])

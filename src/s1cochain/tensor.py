@@ -13,7 +13,13 @@ vanish on both factors).
 
 from __future__ import annotations
 
-from .complexes import Generator, S1Complex, truncate
+from .complexes import (
+    MAX_FILTERED_DIM,
+    MAX_GENERATORS,
+    Generator,
+    S1Complex,
+    truncate,
+)
 from .dilation import PLUS_PART, ZERO_PART, SplitS1Complex
 from .linalg import SparseMatrix, Vector
 from .morphisms import S1Morphism
@@ -24,8 +30,19 @@ def _pair_name(a: Generator, b: Generator) -> str:
 
 
 def tensor(c: S1Complex, d: S1Complex) -> S1Complex:
-    """Koszul-signed tensor product, truncated to min of the truncations."""
+    """Koszul-signed tensor product, truncated to min of the truncations.
+
+    Raises ValueError, before allocating anything, when the product exceeds
+    MAX_GENERATORS or MAX_FILTERED_DIM.
+    """
     n_tr = min(c.truncation, d.truncation)
+    n = c.n * d.n
+    if n > MAX_GENERATORS:
+        raise ValueError(f"the tensor product has {c.n}*{d.n} = {n} generators, "
+                         f"above the limit {MAX_GENERATORS}")
+    if (n_tr + 1) * n > MAX_FILTERED_DIM:
+        raise ValueError(f"the tensor product has filtered dimension (N+1)*n = "
+                         f"{(n_tr + 1) * n}, above the limit {MAX_FILTERED_DIM}")
     cc = truncate(c, n_tr)
     dd = truncate(d, n_tr)
     nc, nd = cc.n, dd.n

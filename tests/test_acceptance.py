@@ -285,9 +285,9 @@ def test_criterion_5e_hierarchy_implications(corpus):
 
 def test_criterion_5f_torsion_route_agreement(corpus):
     for s in corpus:
-        assert order_of_dilation(s, check_monotone=False).order \
+        assert order_of_dilation(s).order \
             == order_via_torsion(s).order
-        assert order_of_semidilation(s, check_monotone=False).order \
+        assert order_of_semidilation(s).order \
             == order_via_torsion(s, semi=True).order
     report("ACCEPTANCE 5f (direct and u-torsion order detection agree): PASS")
 

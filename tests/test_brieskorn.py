@@ -20,7 +20,7 @@ from s1cochain.brieskorn import (
     predicted_order,
     principal_periods,
 )
-from s1cochain.complexes import build_filtered_plus, verify_s1_relations
+from s1cochain.complexes import MAX_FILTERED_DIM, build_filtered_plus, verify_s1_relations
 from s1cochain.dilation import order_of_dilation, verify_splitting
 
 
@@ -269,6 +269,12 @@ class TestMilnorModel:
             assert len(spheres) == (k - 1) ** (m + 1)
             assert all(g.degree == m for g in spheres)
 
+    def test_filtered_dimension_limit(self):
+        # n = 738 generators: F^26 fits in the limit, F^27 does not
+        assert milnor_model(4, 5, truncation=26).complex.n == 738
+        with pytest.raises(ValueError, match=str(MAX_FILTERED_DIM)):
+            milnor_model(4, 5, truncation=27)
+
     def test_monotonicity_errors(self):
         with pytest.raises(ValueError):
             milnor_model(3, 2)
@@ -289,7 +295,7 @@ class TestMilnorModel:
                 if (k - 1) ** (m + 1) > 243:
                     continue
                 s = milnor_model(k, m)
-                assert order_of_dilation(s, check_monotone=False).order == k - 1
+                assert order_of_dilation(s).order == k - 1
 
     def test_unit_primitive_evaluates_to_unit(self):
         # the alternating chain sum (-1)^i / k! p_check_{m-k+i} u^-i is an

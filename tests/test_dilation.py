@@ -25,7 +25,7 @@ from s1cochain.dilation import (
     tautological_les,
     verify_splitting,
 )
-from s1cochain.linalg import SparseMatrix, vis_zero
+from s1cochain.linalg import SparseMatrix, kernel_basis, vis_zero
 from s1cochain.randomized import random_split_complex
 from s1cochain.spectral import delta_k
 
@@ -147,6 +147,13 @@ class TestOrders:
         rep = order_of_dilation(s, max_k=1)
         assert not rep.found
 
+    def test_negative_max_k_rejected(self):
+        s = milnor_model(2, 2, include_spheres=False)
+        for scan in (order_of_dilation, order_of_semidilation):
+            with pytest.raises(ValueError, match="max_k"):
+                scan(s, max_k=-1)
+            assert scan(s, max_k=0).order is None
+
     def test_report_witness_reverifies(self):
         for k, m in [(1, 1), (2, 3), (3, 3)]:
             s = milnor_model(k, m, include_spheres=False)
@@ -201,6 +208,10 @@ class TestOperators:
         cp = s.plus_part_complex()
         assert p.domain.dim == 2
         assert p.rank == 1
+        # read from the one rank elimination, also where the matrix is not square
+        assert p.matrix.rows != p.matrix.cols
+        assert p.kernel_dim == len(kernel_basis(p.matrix)) == 1
+        assert p.coker_dim == p.codomain.dim - 1
         col = [j for j, w in enumerate(p.domain_witnesses)
                if w.leading == {cp.index_of("p1_check"): F(1)}]
         assert len(col) == 1

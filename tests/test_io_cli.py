@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from s1cochain.brieskorn import milnor_model
 from s1cochain.cli import main
-from s1cochain.complexes import MAX_GENERATORS, MAX_TRUNCATION
+from s1cochain.complexes import MAX_FILTERED_DIM, MAX_GENERATORS, MAX_TRUNCATION
 from s1cochain.io_json import (
     DocumentError,
     document_to_morphism,
@@ -24,6 +24,14 @@ from s1cochain.morphisms import identity_morphism
 from s1cochain.randomized import random_split_complex
 
 import random
+
+
+def flat_doc(n, truncation):
+    """n degree-0 generators of the zero part, no operators, unit g0."""
+    return {"schema_version": "1", "truncation": truncation,
+            "generators": [{"name": f"g{i}", "degree": 0, "part": "zero"}
+                           for i in range(n)],
+            "operators": [], "unit": "g0"}
 
 
 def sample_doc():
@@ -149,6 +157,17 @@ class TestDocumentErrors:
             document_to_split_complex(doc)
         assert time.perf_counter() - start < 0.5
         assert exc.value.path == "$.generators"
+
+    def test_filtered_dimension_limit(self):
+        # (N+1)*n at the limit is admitted, one generator more is not
+        n = MAX_FILTERED_DIM // 100
+        doc = flat_doc(n, 99)
+        assert document_to_split_complex(doc).complex.n == n
+        doc["generators"].append({"name": "one_more", "degree": 0, "part": "zero"})
+        with pytest.raises(DocumentError) as exc:
+            document_to_split_complex(doc)
+        assert exc.value.path == "$.truncation"
+        assert str(MAX_FILTERED_DIM) in exc.value.message
 
     def test_limits_admit_the_largest_milnor_model(self):
         s = milnor_model(4, 5)
@@ -450,6 +469,40 @@ class TestCli:
         res = run_cli("milnor", "--k", "2", "--m", "2", "--truncation", "100000000")
         assert res.exit_code == 2
         assert str(MAX_TRUNCATION) in res.stderr
+
+    def test_negative_max_k_exit_2_fast(self):
+        doc = run_cli("milnor", "--k", "2", "--m", "2").output
+        for command in ("dilation", "semidilation"):
+            start = time.perf_counter()
+            res = run_cli(command, "--max-k", "-1", stdin=doc)
+            assert time.perf_counter() - start < 1.0
+            assert res.exit_code == 2
+            assert "--max-k" in res.stderr
+
+    def test_oversized_filtered_dimension_exit_2_fast(self, tmp_path):
+        # 10,000 generators are within the generator limit, but F^100 of
+        # them would have dimension 1,010,000
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(flat_doc(MAX_GENERATORS, 100)))
+        for command in ("dilation", "les", "pages"):
+            start = time.perf_counter()
+            res = run_cli(command, str(path))
+            assert time.perf_counter() - start < 1.0
+            assert res.exit_code == 2
+            assert "$.truncation" in res.stderr
+        res = run_cli("milnor", "--k", "4", "--m", "5", "--truncation", "100")
+        assert res.exit_code == 2
+        assert str(MAX_FILTERED_DIM) in res.stderr
+
+    def test_oversized_tensor_exit_2_fast(self, tmp_path):
+        # each factor is valid; the product would have 25,000,000 generators
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(flat_doc(5000, 0)))
+        start = time.perf_counter()
+        res = run_cli("tensor", str(path), str(path))
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert str(MAX_GENERATORS) in res.stderr
 
     def test_out_of_range_levels_exit_2(self):
         doc = run_cli("milnor", "--k", "2", "--m", "2").output

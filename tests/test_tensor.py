@@ -2,8 +2,15 @@ import random
 
 from fractions import Fraction as F
 
+import pytest
+
 from s1cochain.brieskorn import milnor_model
-from s1cochain.complexes import make_complex, verify_s1_relations
+from s1cochain.complexes import (
+    MAX_FILTERED_DIM,
+    MAX_GENERATORS,
+    make_complex,
+    verify_s1_relations,
+)
 from s1cochain.dilation import (
     make_split_complex,
     order_of_dilation,
@@ -108,3 +115,19 @@ class TestOrderLaws:
         p2 = tensor_split(milnor_model(2, 2, include_spheres=False),
                           milnor_model(2, 2, include_spheres=False))
         assert order_of_dilation(p1).order == order_of_dilation(p2).order == 1
+
+
+def test_product_size_limits_checked_before_allocation():
+    # 100 x 100 generators are at the generator limit, 100 x 101 above it;
+    # at truncation 1 the filtered dimension is at its limit, at 2 above it
+    def flat(n, n_tr):
+        return make_complex([(f"g{i}", 0) for i in range(n)], n_tr, {})
+
+    assert tensor(flat(100, 1), flat(100, 1)).n == MAX_GENERATORS
+    with pytest.raises(ValueError, match="10100 generators"):
+        tensor(flat(100, 0), flat(101, 0))
+    with pytest.raises(ValueError, match=str(MAX_FILTERED_DIM)):
+        tensor(flat(100, 2), flat(100, 2))
+    big = make_split_complex(flat(5000, 0), ["g0"], "g0")
+    with pytest.raises(ValueError, match=str(MAX_GENERATORS)):
+        tensor_split(big, big)
