@@ -1,0 +1,80 @@
+"""Byte fixtures of the CLI's JSON output.
+
+`tests/cli_fixtures/` holds four input documents, `milnor_model(3, 3)` and
+three complexes of the seed-10 corpus of acceptance criterion 5, and the
+exact stdout of `pages`, `semidilation`, `dilation`, `zb`, `delta`, `les`
+and `cohomology` on each.  Every test compares bytes, so a change to any
+basis, witness, order or key order fails here.
+
+To regenerate after an intended change of the output, run
+
+    PYTHONPATH=src python tests/test_cli_fixtures.py
+
+and say in the change why the bytes moved.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from s1cochain.cli import main
+
+FIXTURES = Path(__file__).parent / "cli_fixtures"
+
+# document name -> truncation N
+DOCUMENTS = {"milnor_3_3": 6, "corpus10_3": 5, "corpus10_15": 2, "corpus10_24": 6}
+
+
+def _commands(n_tr: int) -> list[tuple[str, ...]]:
+    out = [("pages",), ("semidilation",), ("semidilation", "--max-k", "1"),
+           ("dilation",), ("dilation", "--max-k", "1"), ("les",)]
+    out += [("zb", "--k", str(k)) for k in sorted({0, 1, n_tr})]
+    out += [("delta", "--k", str(k)) for k in sorted({1, n_tr // 2})]
+    out += [("cohomology", "--level", str(k)) for k in (0, n_tr)]
+    return out
+
+
+CASES = [(doc, args) for doc, n_tr in DOCUMENTS.items() for args in _commands(n_tr)]
+
+
+def _fixture_path(doc: str, args: tuple[str, ...]) -> Path:
+    return FIXTURES / doc / ("_".join(a.lstrip("-") for a in args) + ".out")
+
+
+def _run(doc: str, args: tuple[str, ...]):
+    return CliRunner().invoke(main, [*args, str(FIXTURES / f"{doc}.json")])
+
+
+@pytest.mark.parametrize("doc,args", CASES, ids=[f"{d}-{'_'.join(a)}" for d, a in CASES])
+def test_cli_output_matches_fixture(doc, args):
+    res = _run(doc, args)
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout == _fixture_path(doc, args).read_text(encoding="utf-8")
+
+
+def _write_fixtures() -> None:
+    import random
+
+    from s1cochain.brieskorn import milnor_model
+    from s1cochain.io_json import dumps
+    from s1cochain.randomized import random_split_complex
+
+    # the recipe of acceptance criterion 5 at seed 10
+    subjects = {"milnor_3_3": milnor_model(3, 3)}
+    for i in (3, 15, 24):
+        rng = random.Random(10_000 + i)
+        subjects[f"corpus10_{i}"] = random_split_complex(
+            rng, 3 + i % 9, i % 4, 2 + i % 5, with_unit_killer=(i % 7 == 0))
+    for doc, s in subjects.items():
+        assert s.truncation == DOCUMENTS[doc]
+        (FIXTURES / doc).mkdir(parents=True, exist_ok=True)
+        (FIXTURES / f"{doc}.json").write_text(dumps(s), encoding="utf-8")
+    for doc, args in CASES:
+        res = _run(doc, args)
+        assert res.exit_code == 0, (doc, args, res.stderr)
+        _fixture_path(doc, args).write_text(res.stdout, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _write_fixtures()
