@@ -10,7 +10,7 @@ from s1cochain import (
     delta_k,
     e_infinity,
     filtration_tower,
-    leray_page,
+    leray_pages,
     milnor_model,
 )
 
@@ -40,8 +40,7 @@ def main() -> None:
               f"kernel {dk.kernel_dim}, cokernel {dk.coker_dim}")
 
     print("\npage dimensions by total degree:")
-    for k in range(0, 4):
-        page = leray_page(c, k, with_differential=False)
+    for page in leray_pages(c)[:4]:   # every page from one tower of F^N
         print(f"  page {page.page_number}: {page.dims_by_total_degree(c.degrees)}")
 
     einf = e_infinity(c)

@@ -50,6 +50,7 @@ from .spectral import (
     e_infinity,
     filtration_tower,
     leray_page,
+    leray_pages,
     z_basis,
     z_space,
 )

@@ -71,10 +71,6 @@ class PrincipalPeriod:
     period: int
     indices: tuple[int, ...]
 
-    @property
-    def multiplicity(self) -> int:
-        return len(self.indices)
-
 
 @dataclass(frozen=True)
 class OrbitFamily:

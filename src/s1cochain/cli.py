@@ -16,7 +16,7 @@ import sys
 import click
 
 from . import brieskorn as bk
-from .complexes import build_filtered_plus, cohomology, verify_s1_relations
+from .complexes import MAX_DEGREE_WINDOW, build_filtered_plus, cohomology, verify_s1_relations
 from .dilation import (
     SplitS1Complex,
     order_of_dilation,
@@ -30,7 +30,7 @@ from .io_json import (
     filtered_chain_terms,
     loads,
 )
-from .spectral import delta_k, filtration_tower, leray_page
+from .spectral import delta_k, filtration_tower, leray_pages
 from .tensor import tensor_split
 
 EXIT_PROPERTY_FAILURE = 1
@@ -82,10 +82,15 @@ def _parse_degree_window(text: str | None) -> range | None:
         return None
     try:
         lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
+        window = range(int(lo), int(hi) + 1)
     except ValueError:
         _diag(f"bad degree window {text!r}; expected LO..HI")
         raise SystemExit(EXIT_INPUT_ERROR)
+    if len(window) > MAX_DEGREE_WINDOW:
+        _diag(f"degree window {text!r} spans {len(window)} degrees, "
+              f"more than {MAX_DEGREE_WINDOW}")
+        raise SystemExit(EXIT_INPUT_ERROR)
+    return window
 
 
 def _parse_exponents(text: str) -> list[int]:
@@ -95,6 +100,16 @@ def _parse_exponents(text: str) -> list[int]:
         return exps
     except ValueError as exc:
         _diag(f"bad exponent list {text!r}: {exc}")
+        raise SystemExit(EXIT_INPUT_ERROR)
+
+
+def _bounded(fn, exps: list[int], bound: int | None):
+    """fn(exps, bound), exiting 2 when fn rejects the bound, such as one
+    below the minimal principal period."""
+    try:
+        return fn(exps, bound)
+    except ValueError as exc:
+        _diag(f"--bound {bound}: {exc}")
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
@@ -207,7 +222,7 @@ def delta_cmd(file: str, k: int) -> None:
 
 @main.command()
 @click.argument("file", default="-")
-@click.option("--n", "--N", "level", type=int, default=None,
+@click.option("--n", "--N", "level", type=click.IntRange(0), default=None,
               help="Truncation to use (defaults to the document's).")
 def pages(file: str, level: int | None) -> None:
     """All Leray pages of the u-power filtration."""
@@ -220,8 +235,7 @@ def pages(file: str, level: int | None) -> None:
             raise SystemExit(EXIT_INPUT_ERROR)
         c = truncate(c, level)
     out = []
-    for k in range(c.truncation + 1):
-        page = leray_page(c, k)
+    for k, page in enumerate(leray_pages(c)):
         entry = {
             "page": page.page_number,
             "columns": [{
@@ -291,7 +305,11 @@ def les(file: str, degrees: str | None) -> None:
     """Exactness report for the tautological long exact sequence."""
     s = _load_valid(file)
     window = _parse_degree_window(degrees)
-    report = tautological_les(s, window)
+    try:
+        report = tautological_les(s, window)
+    except ValueError as exc:
+        _diag(str(exc))
+        raise SystemExit(EXIT_INPUT_ERROR)
     _emit({
         "level": report.level,
         "exact": report.exact,
@@ -379,12 +397,12 @@ def periods(exponents: str) -> None:
 
 @brieskorn.command()
 @click.argument("exponents")
-@click.option("--bound", type=int, default=None,
+@click.option("--bound", type=click.IntRange(1), default=None,
               help="Total-period bound (default: 4x the largest principal period).")
 def cz(exponents: str, bound: int | None) -> None:
     """Minimal Conley-Zehnder indices of all orbit families within a bound."""
     exps = _parse_exponents(exponents)
-    g = bk.global_min_cz(exps, bound)
+    g = _bounded(bk.global_min_cz, exps, bound)
     fams = bk.orbit_families(exps, g.period_bound)
     _emit({
         "exponents": exps,
@@ -404,11 +422,11 @@ def cz(exponents: str, bound: int | None) -> None:
 
 @brieskorn.command()
 @click.argument("exponents")
-@click.option("--bound", type=int, default=None)
+@click.option("--bound", type=click.IntRange(1), default=None)
 def adc(exponents: str, bound: int | None) -> None:
     """Bounded-period certificate of positive SFT degrees."""
     exps = _parse_exponents(exponents)
-    cert = bk.is_adc_certified(exps, bound)
+    cert = _bounded(bk.is_adc_certified, exps, bound)
     _emit({
         "exponents": exps,
         "period_bound": cert.period_bound,
@@ -422,11 +440,11 @@ def adc(exponents: str, bound: int | None) -> None:
 
 @brieskorn.command()
 @click.argument("exponents")
-@click.option("--bound", type=int, default=None)
+@click.option("--bound", type=click.IntRange(1), default=None)
 def predict(exponents: str, bound: int | None) -> None:
     """Predicted (semi-)dilation order (n - mu_min + 1)/2, with hypothesis flags."""
     exps = _parse_exponents(exponents)
-    p = bk.predicted_order(exps, bound)
+    p = _bounded(bk.predicted_order, exps, bound)
     _emit({
         "exponents": exps,
         "period_bound": p.period_bound,

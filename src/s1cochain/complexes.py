@@ -26,10 +26,12 @@ from .linalg import (
 # Input size limits.  A document, a Milnor model or a tensor product beyond
 # them is refused before any matrix is allocated for it.  They admit every
 # construction the package is exercised on, up to the n=738, N=8 Milnor
-# model with spheres.  MAX_FILTERED_DIM bounds the dimension (N+1)*n of F^N.
+# model with spheres.  MAX_FILTERED_DIM bounds the dimension (N+1)*n of F^N,
+# MAX_DEGREE_WINDOW the degrees a cohomology window or an LES walks.
 MAX_TRUNCATION = 100
 MAX_GENERATORS = 10_000
 MAX_FILTERED_DIM = 20_000
+MAX_DEGREE_WINDOW = 10_000
 
 
 class TruncationError(ValueError):
@@ -92,12 +94,6 @@ class S1Complex:
 
     def indices_of_degree(self, d: int) -> list[int]:
         return [i for i, g in enumerate(self.generators) if g.degree == d]
-
-    def degree_range(self) -> range:
-        if not self.generators:
-            return range(0, 0)
-        degs = self.degrees
-        return range(min(degs), max(degs) + 1)
 
 
 def make_complex(generators: list[tuple[str, int]], truncation: int,
@@ -195,9 +191,6 @@ class FilteredPlusComplex:
 
     def index_of(self, gen_index: int, power: int) -> int:
         return power * self.source.n + gen_index
-
-    def labels(self) -> list[str]:
-        return [f"{self.source.generators[g].name}*u^-{p}" for g, p in self.basis]
 
     def include_chain(self, v: Vector, power: int = 0) -> Vector:
         """A chain of C placed at the given u-power."""

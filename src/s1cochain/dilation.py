@@ -29,6 +29,7 @@ from functools import partial
 from typing import Callable
 
 from .complexes import (
+    MAX_DEGREE_WINDOW,
     FilteredPlusComplex,
     S1Complex,
     TruncationError,
@@ -225,16 +226,15 @@ def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
     return coords[0]
 
 
-def has_k_semidilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
-    """Can a closed A of F^k(C_+) connect to a class projecting to [e]?
-
-    Solved as one linear system: unknowns are A (total degree -1), a chain w
-    of C_0-coefficients absorbing exact ambiguity, and free coordinates along
-    the non-unit part of H^0(F^k C_0).  Returns A in ambient F^k(C_+)
-    coordinates of the plus part.
-    """
-    if k > s.truncation:
-        raise TruncationError(f"level {k} exceeds truncation {s.truncation}")
+def _solve_semidilation(s: SplitS1Complex, k: int, by_power: bool
+                        ) -> tuple[Vector | None, list[int], list[int]]:
+    """Solve the level-k system in [A | w | c]: A of total degree -1 in
+    F^k(C_+), w in C_0 absorbing exact ambiguity, c along the non-unit part
+    of H^0(F^k C_0), with delta_+ A = 0 and conn(A) - delta_0 w - sum c_j z_j
+    = e u^0.  Returns the free-variables-zero solution (None if there is none
+    or the unit class vanishes), A's indices and each column's u-power
+    (index // n for A and w, largest index // n_0 for c); `by_power` orders
+    the columns stably by (u-power, block, position)."""
     fp = build_filtered_plus(s.plus_part_complex(), k)
     fz = build_filtered_plus(s.zero_part_complex(), k)
     conn_f = lift_family(s.connecting_components(), k)
@@ -244,34 +244,38 @@ def has_k_semidilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     e_f = fz.include_chain(s.unit_in_zero_coordinates(), 0)
     h0 = _unit_first_h0(fz, e_f)
     if h0 is None:
-        return False, None
-    complement = list(h0.basis[1:])
+        return None, a_idx, []
+    complement = h0.basis[1:]
+    powers = ([i // fp.source.n for i in a_idx] + [i // fz.source.n for i in w_idx]
+              + [max(z) // fz.source.n for z in complement])
+    order = sorted(range(len(powers)), key=powers.__getitem__) if by_power else range(len(powers))
+    col = {j: t for t, j in enumerate(order)}
 
-    # unknown layout: [A | w | c]; equations: delta_+ A = 0 (degree 0 block)
-    # and conn(A) - delta_0 w - sum c_j z_j = e * u^0
     rows_closed = fp.indices_of_degree(0)
     rows_target = fz.indices_of_degree(0)
-    ncols = len(a_idx) + len(w_idx) + len(complement)
-    sys_ent = list(fp.differential.submatrix(rows_closed, a_idx).entries)
+    na, nw = len(a_idx), len(w_idx)
     off = len(rows_closed)
-    conn_block = conn_f.submatrix(rows_target, a_idx)
-    for i, j, v in conn_block.entries:
-        sys_ent.append((off + i, j, v))
-    dz_block = fz.differential.submatrix(rows_target, w_idx)
-    for i, j, v in dz_block.entries:
-        sys_ent.append((off + i, len(a_idx) + j, -v))
-    for jj, z in enumerate(complement):
-        zz = vrestrict(z, rows_target)
-        for i, v in zz.items():
-            sys_ent.append((off + i, len(a_idx) + len(w_idx) + jj, -v))
-    sys = SparseMatrix.from_entries(off + len(rows_target), ncols, sys_ent)
-
+    ent = [(i, col[j], v) for i, j, v in fp.differential.submatrix(rows_closed, a_idx).entries]
+    ent += [(off + i, col[j], v)
+            for i, j, v in conn_f.submatrix(rows_target, a_idx).entries]
+    ent += [(off + i, col[na + j], -v)
+            for i, j, v in fz.differential.submatrix(rows_target, w_idx).entries]
+    ent += [(off + i, col[na + nw + jj], -v) for jj, z in enumerate(complement)
+            for i, v in vrestrict(z, rows_target).items()]
+    system = SparseMatrix.from_entries(off + len(rows_target), len(col), ent)
     rhs = {off + i: x for i, x in vrestrict(e_f, rows_target).items()}
-    sol = solve(sys, rhs)
+    return solve(system, rhs), a_idx, [powers[j] for j in order]
+
+
+def has_k_semidilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
+    """Can a closed A of F^k(C_+) connect to a class projecting to [e]?
+    Returns A in ambient F^k(C_+) coordinates of the plus part."""
+    if k > s.truncation:
+        raise TruncationError(f"level {k} exceeds truncation {s.truncation}")
+    sol, a_idx, _ = _solve_semidilation(s, k, by_power=False)
     if sol is None:
         return False, None
-    witness = vpromote({j: x for j, x in sol.items() if j < len(a_idx)}, a_idx)
-    return True, witness
+    return True, vpromote({j: x for j, x in sol.items() if j < len(a_idx)}, a_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +327,26 @@ def order_of_dilation(s: SplitS1Complex, max_k: int | None = None) -> DilationRe
 
 
 def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> DilationReport:
-    """The least k with a k-semi-dilation, checking every higher level too.
+    """The least k with a k-semi-dilation, from one `solve` of level N.
 
-    One system per level: the unknowns [A | w | c] are not ordered by
-    u-power and c, the non-unit part of H^0(F^k C_0), changes with k, so no
-    level is a column prefix of another.  Ordering them by u-power would
-    change which unknowns are free, and with that the witness.
+    In (u-power, block, position) column order the level-k system is the
+    column prefix of the level-N one at u-power <= k, and the level-N rows
+    it misses are zero there: a column of A or w at power p has rows at
+    powers <= p only.  C_0 carries no higher operators, so F^N(C_0) is block
+    diagonal by u-power, and so are its kernel and image bases.  A degree-0
+    cycle of block p joins the H^0 basis exactly when it is independent of
+    the boundaries, the unit and the earlier cycles of block p, the same at
+    level k as at level N: the level-k complement is the level-N complement
+    vectors of level <= k.  The RREF of a column prefix is the prefix of the
+    RREF, so the free-variables-zero solution solves level k exactly when
+    it is supported there.  The order is its largest u-power, every higher
+    level has a semi-dilation, and the witness is `has_k_semidilation`'s.
     """
-    level = _scan_level(s, max_k)
-    for k in range(level + 1):
-        ok, witness = has_k_semidilation(s, k)
-        if ok:
-            for later in range(k + 1, level + 1):
-                if not has_k_semidilation(s, later)[0]:
-                    raise AssertionError(
-                        f"monotonicity violated: semidilation at {k} but not at {later}")
-            return DilationReport("semidilation", s.truncation, k, witness)
-    return DilationReport("semidilation", s.truncation, None, None)
+    sol, _, powers = _solve_semidilation(s, _scan_level(s, max_k), by_power=True)
+    if sol is None:
+        return DilationReport("semidilation", s.truncation, None, None)
+    order = powers[max(sol)]
+    return DilationReport("semidilation", s.truncation, order, has_k_semidilation(s, order)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +556,9 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None,
     if degrees is None:
         all_deg = sorted(set(h_full) | set(h_zero) | set(h_plus))
         degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
+    if len(degrees) > MAX_DEGREE_WINDOW:
+        raise ValueError(f"degree window {degrees.start}..{degrees.stop - 1} spans "
+                         f"{len(degrees)} degrees, more than {MAX_DEGREE_WINDOW}")
 
     def connecting(rep: Vector) -> Vector:
         return to_zero(f_full.differential.apply(lift_plus(rep)))

@@ -503,10 +503,6 @@ def kernel_and_image(m: SparseMatrix) -> tuple[list[Vector], list[Vector]]:
     return _kernel_from_rref(rows, pivots, m.cols), [m.col(p) for p in pivots]
 
 
-def span_rank(vectors: Sequence[Vector], dim: int) -> int:
-    return rank(SparseMatrix.from_columns(vectors, dim))
-
-
 def span_contains(vectors: Sequence[Vector], v: Vector, dim: int) -> bool:
     return solve(SparseMatrix.from_columns(vectors, dim), v) is not None
 

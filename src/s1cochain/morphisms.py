@@ -260,7 +260,7 @@ def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
     dom, dom_wits = _quotient_with_witnesses(src, t.z(k), t.b_vectors(0))
     cod = Subquotient(dst.n, cycles, cum)
     mat = cod.coordinate_matrix([phi_value(phi, w) for w in dom_wits])
-    return PhiKMap(k, dom, cod, mat, tuple(dom_wits), tuple(cum))
+    return PhiKMap(k, dom, cod, mat, dom_wits, tuple(cum))
 
 
 # ---------------------------------------------------------------------------

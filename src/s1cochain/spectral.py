@@ -32,6 +32,11 @@ are independent, each holding a 1 at its free column where the others hold
 at positive u-power, and the pivots of a column prefix of their boundary
 values are the pivots in the prefix, so B_j's basis is the prefix of B_N's.
 Every vector and witness is the one a separate elimination of F^j gives.
+
+Column i of page k+1 is u^-i Z_{min(i,k)}/B_{min(k,N-i)}, so only 28 of the
+49 (page, column) pairs are distinct at N = 6, and a set of pages builds one
+`Subquotient` per distinct pair: `leray_pages` from one tower of F^N,
+`leray_page(c, k)` from F^k.
 """
 
 from __future__ import annotations
@@ -86,8 +91,12 @@ class WitnessedCycle:
 
 
 def _split_filtered_vector(f: FilteredPlusComplex, v: Vector, level: int) -> tuple[Vector, ...]:
-    """Decompose a vector of F^level into (alpha_0, ..., alpha_level)."""
-    return tuple(f.power_component(v, level - j) for j in range(level + 1))
+    """Decompose a vector of F^level into (alpha_0, ..., alpha_level), keeping v's order."""
+    parts: tuple[Vector, ...] = tuple({} for _ in range(level + 1))
+    for i, x in v.items():
+        p, g = divmod(i, f.source.n)
+        parts[level - p][g] = x
+    return parts
 
 
 @dataclass(frozen=True)
@@ -218,11 +227,11 @@ class DeltaKMap(QuotientMapRanks):
     domain_witnesses: tuple[WitnessedCycle, ...]
 
 
-def _quotient_with_witnesses(c: S1Complex, z_wits: list[WitnessedCycle],
-                             b_vecs: list[Vector]) -> tuple[Subquotient, list[WitnessedCycle]]:
+def _quotient_with_witnesses(c: S1Complex, z_wits: list[WitnessedCycle], b_vecs: list[Vector]
+                             ) -> tuple[Subquotient, tuple[WitnessedCycle, ...]]:
     sq = Subquotient(c.n, [w.leading for w in z_wits], b_vecs)
     assert all(kind == "z" for kind, _ in sq.basis_sources)
-    return sq, [z_wits[i] for _, i in sq.basis_sources]
+    return sq, tuple(z_wits[i] for _, i in sq.basis_sources)
 
 
 def delta_k(c: S1Complex, k: int) -> DeltaKMap:
@@ -235,7 +244,7 @@ def delta_k(c: S1Complex, k: int) -> DeltaKMap:
     dom_sq, dom_wits = _quotient_with_witnesses(c, t.z(k - 1), t.b_vectors(0))
     cod_sq = Subquotient(c.n, t.z_vectors(0), t.b_vectors(k - 1))
     mat = cod_sq.coordinate_matrix([delta_value(c, w) for w in dom_wits])
-    return DeltaKMap(k, dom_sq, cod_sq, mat, tuple(dom_wits))
+    return DeltaKMap(k, dom_sq, cod_sq, mat, dom_wits)
 
 
 def perturbed_witness(c: S1Complex, w: WitnessedCycle, kernel_index: int = 0) -> WitnessedCycle:
@@ -297,8 +306,30 @@ class LerayPage:
         return {d: m for d, m in sorted(out.items()) if m}
 
 
+def _pages(c: S1Complex, tower: FiltrationTower, indices: dict[int, bool]) -> list[LerayPage]:
+    """Page k+1 for each k in `indices`, with its differential where
+    indices[k] is true; one `Subquotient` per distinct column pair."""
+    n_tr = c.truncation
+    pairs = {(min(i, k), min(k, n_tr - i)) for k in indices for i in range(n_tr + 1)}
+    z_wits = {j: tower.z(j) for j in {zi for zi, _ in pairs}}
+    quotients = {(zi, bi): _quotient_with_witnesses(c, z_wits[zi], tower.b_vectors(bi))
+                 for zi, bi in pairs}
+    out = []
+    for k, with_differential in indices.items():
+        columns = [PageColumn(i, *quotients[min(i, k), min(k, n_tr - i)])
+                   for i in range(n_tr + 1)]
+        diffs: dict[int, SparseMatrix] = {}
+        if with_differential:
+            for i in range(0, n_tr - k):  # target column i, source column i+k+1
+                # column i+k+1 > k holds Z_k, so its witnesses have level k
+                images = [delta_value(c, w) for w in columns[i + k + 1].witnesses]
+                diffs[i] = columns[i].subquotient.coordinate_matrix(images)
+        out.append(LerayPage(k, n_tr, tuple(columns), diffs))
+    return out
+
+
 def leray_page(c: S1Complex, k: int, with_differential: bool | None = None) -> LerayPage:
-    """Assemble page k+1; differentials need 2(k+1) <= truncation."""
+    """Assemble page k+1 from F^k; differentials need 2(k+1) <= truncation."""
     n_tr = c.truncation
     if k > n_tr:
         raise TruncationError(f"page index {k} exceeds truncation {n_tr}")
@@ -307,22 +338,13 @@ def leray_page(c: S1Complex, k: int, with_differential: bool | None = None) -> L
     if with_differential and 2 * (k + 1) > n_tr:
         raise TruncationError(
             f"the differential of page {k + 1} needs truncation >= {2 * (k + 1)}")
-    t = filtration_tower(c, k)
-    z_wits = {j: t.z(j) for j in range(k + 1)}
-    b_vecs = {j: t.b_vectors(j) for j in range(k + 1)}
-    columns = []
-    for i in range(n_tr + 1):
-        zi = min(i, k)
-        bi = min(k, n_tr - i)
-        sq, wits = _quotient_with_witnesses(c, z_wits[zi], b_vecs[bi])
-        columns.append(PageColumn(i, sq, tuple(wits)))
-    diffs: dict[int, SparseMatrix] = {}
-    if with_differential:
-        for i in range(0, n_tr - k):  # target column i, source column i+k+1
-            # column i+k+1 > k holds Z_k, so its witnesses have level k
-            images = [delta_value(c, w) for w in columns[i + k + 1].witnesses]
-            diffs[i] = columns[i].subquotient.coordinate_matrix(images)
-    return LerayPage(k, n_tr, tuple(columns), diffs)
+    return _pages(c, filtration_tower(c, k), {k: with_differential})[0]
+
+
+def leray_pages(c: S1Complex) -> list[LerayPage]:
+    """Every page, `leray_pages(c)[k] == leray_page(c, k)`, from one tower of F^N."""
+    n_tr = c.truncation
+    return _pages(c, filtration_tower(c, n_tr), {k: 2 * k + 2 <= n_tr for k in range(n_tr + 1)})
 
 
 def e_infinity(c: S1Complex) -> LerayPage:

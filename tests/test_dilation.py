@@ -6,6 +6,7 @@ import pytest
 
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import (
+    MAX_DEGREE_WINDOW,
     TruncationError,
     build_filtered_plus,
     cohomology,
@@ -325,6 +326,16 @@ class TestTautologicalLes:
             s = random_split_complex(rng, rng.randint(3, 8), rng.randint(1, 3),
                                      rng.randint(1, 4))
             assert tautological_les(s).exact
+
+    def test_degree_window_limit(self):
+        c = make_complex([("e", 0), ("x", MAX_DEGREE_WINDOW - 1)], 0, {})
+        s = make_split_complex(c, ["e"], "e")
+        # the default window 0..MAX_DEGREE_WINDOW spans one degree too many
+        with pytest.raises(ValueError, match=str(MAX_DEGREE_WINDOW)):
+            tautological_les(s)
+        with pytest.raises(ValueError, match=str(MAX_DEGREE_WINDOW)):
+            tautological_les(s, range(MAX_DEGREE_WINDOW + 1))
+        assert len(tautological_les(s, range(MAX_DEGREE_WINDOW)).nodes) == 3 * MAX_DEGREE_WINDOW
 
 
 class TestHierarchy:

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from s1cochain.brieskorn import milnor_model
 from s1cochain.cli import main
-from s1cochain.complexes import MAX_FILTERED_DIM, MAX_GENERATORS, MAX_TRUNCATION
+from s1cochain.complexes import (
+    MAX_DEGREE_WINDOW,
+    MAX_FILTERED_DIM,
+    MAX_GENERATORS,
+    MAX_TRUNCATION,
+)
 from s1cochain.io_json import (
     DocumentError,
     document_to_morphism,
@@ -511,3 +516,58 @@ class TestCli:
         assert run_cli("zb", "--k", "-1", stdin=doc).exit_code == 2
         assert run_cli("delta", "--k", "0", stdin=doc).exit_code == 2
         assert run_cli("delta", "--k", "7", stdin=doc).exit_code == 2
+
+    def test_pages_out_of_range_n_exit_2_fast(self):
+        doc = run_cli("milnor", "--k", "2", "--m", "2").output
+        for n, message in (("-1", "--n"), ("5", "exceeds")):
+            start = time.perf_counter()
+            res = run_cli("pages", "--n", n, stdin=doc)
+            assert time.perf_counter() - start < 1.0
+            assert res.exit_code == 2
+            assert message in res.stderr
+        assert run_cli("pages", "--n", "0", stdin=doc).exit_code == 0
+
+    def test_oversized_degree_window_exit_2_fast(self):
+        doc = run_cli("milnor", "--k", "2", "--m", "2").output
+        half = MAX_DEGREE_WINDOW // 2
+        for command in ("cohomology", "les"):
+            for window in ("-100000000..100000000", f"{-half}..{half}"):
+                start = time.perf_counter()
+                res = run_cli(command, f"--degrees={window}", stdin=doc)
+                assert time.perf_counter() - start < 1.0
+                assert res.exit_code == 2
+                assert str(MAX_DEGREE_WINDOW) in res.stderr
+        # the largest window is accepted
+        res = run_cli("cohomology", f"--degrees={-half}..{half - 1}", stdin=doc)
+        assert res.exit_code == 0
+        assert len(json.loads(res.stdout)["cohomology"]) == MAX_DEGREE_WINDOW
+
+    def test_far_degree_les_exit_2_fast(self, tmp_path):
+        # valid, but the default LES window spans the degrees 0..10^9
+        doc = flat_doc(24, 2)
+        doc["generators"][23].update(degree=10**9, part="plus")
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("check", str(path)).exit_code == 0
+        start = time.perf_counter()
+        res = run_cli("les", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert str(MAX_DEGREE_WINDOW) in res.stderr
+        assert run_cli("les", "--degrees", "-2..2", str(path)).exit_code == 0
+
+    @pytest.mark.parametrize("command", ["cz", "adc", "predict"])
+    def test_brieskorn_nonpositive_bound_exit_2_fast(self, command):
+        for bound in ("-5", "0"):
+            start = time.perf_counter()
+            res = run_cli("brieskorn", command, "2,3,3,3", "--bound", bound)
+            assert time.perf_counter() - start < 1.0
+            assert res.exit_code == 2
+            assert "--bound" in res.stderr
+
+    def test_brieskorn_bound_below_minimal_period_exit_2(self):
+        # the minimal principal period of (2,3,3,3) is 3
+        for command in ("cz", "predict"):
+            res = run_cli("brieskorn", command, "2,3,3,3", "--bound", "2")
+            assert res.exit_code == 2
+            assert "minimal principal period" in res.stderr

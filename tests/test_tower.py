@@ -1,13 +1,17 @@
-"""The filtration tower and the one-solve dilation order against references.
+"""The filtration tower, the pages and the one-solve orders against references.
 
 `_reference_z_space` and `_reference_b_space` are the per-level
 constructions that `filtration_tower` replaced, kept here verbatim as an
 oracle: each builds F^k and eliminates it on its own.  The tower reads every
 level from one elimination of F^level, and must give the same bases and the
 same witnesses, compared by `repr` so that even the order of the dict
-entries is checked.  `order_of_dilation` must equal a scan of
-`has_k_dilation`, which fails below the order and holds at every level from
-the order up.
+entries is checked.  `_reference_leray_page` builds one `Subquotient` per
+column of one page, and `leray_pages` must give the same pages.
+`order_of_dilation` and `order_of_semidilation` must equal a scan of
+`has_k_dilation` and `has_k_semidilation` for every `max_k`, and the level
+test must fail below the order and hold at every level from the order up.
+`_reference_order_of_semidilation` is the per-level scan with its monotone
+check that the one-solve semi-dilation order replaced.
 """
 
 import random
@@ -16,15 +20,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
+from click.testing import CliRunner
 
+from s1cochain import cli, dilation, spectral
+from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import build_filtered_plus
-from s1cochain.dilation import has_k_dilation, order_of_dilation
+from s1cochain.dilation import (
+    DilationReport,
+    has_k_dilation,
+    has_k_semidilation,
+    order_of_dilation,
+    order_of_semidilation,
+)
+from s1cochain.io_json import dumps
 from s1cochain.linalg import SparseMatrix, kernel_basis, rref, vis_zero
 from s1cochain.randomized import random_split_complex
 from s1cochain.spectral import (
+    LerayPage,
+    PageColumn,
     WitnessedCycle,
-    _split_filtered_vector,
+    _quotient_with_witnesses,
+    delta_value,
+    e_infinity,
     filtration_tower,
+    leray_page,
+    leray_pages,
 )
 
 from test_acceptance import _corpus
@@ -32,6 +52,10 @@ from test_acceptance import _corpus
 
 # ---------------------------------------------------------------------------
 # reference: one elimination of F^k per level k
+
+
+def _split_filtered_vector(f, v, level):
+    return tuple(f.power_component(v, level - j) for j in range(level + 1))
 
 
 def _independent_by_leading(pairs, dim):
@@ -77,6 +101,40 @@ def _reference_b_space(c, k):
     return out
 
 
+def _reference_order_of_semidilation(s, max_k):
+    level = min(max_k, s.truncation)
+    for k in range(level + 1):
+        ok, witness = has_k_semidilation(s, k)
+        if ok:
+            for later in range(k + 1, level + 1):
+                if not has_k_semidilation(s, later)[0]:
+                    raise AssertionError(
+                        f"monotonicity violated: semidilation at {k} but not at {later}")
+            return DilationReport("semidilation", s.truncation, k, witness)
+    return DilationReport("semidilation", s.truncation, None, None)
+
+
+def _reference_leray_page(c, k, with_differential=None):
+    n_tr = c.truncation
+    if with_differential is None:
+        with_differential = 2 * (k + 1) <= n_tr
+    t = filtration_tower(c, k)
+    z_wits = {j: t.z(j) for j in range(k + 1)}
+    b_vecs = {j: t.b_vectors(j) for j in range(k + 1)}
+    columns = []
+    for i in range(n_tr + 1):
+        zi = min(i, k)
+        bi = min(k, n_tr - i)
+        sq, wits = _quotient_with_witnesses(c, z_wits[zi], b_vecs[bi])
+        columns.append(PageColumn(i, sq, tuple(wits)))
+    diffs = {}
+    if with_differential:
+        for i in range(0, n_tr - k):
+            images = [delta_value(c, w) for w in columns[i + k + 1].witnesses]
+            diffs[i] = columns[i].subquotient.coordinate_matrix(images)
+    return LerayPage(k, n_tr, tuple(columns), diffs)
+
+
 # ---------------------------------------------------------------------------
 # the checks
 
@@ -95,17 +153,37 @@ def _check_tower(c, level):
         tower.b(-1)
 
 
-def _check_order(s, max_k):
-    rep = order_of_dilation(s, max_k=max_k)
-    levels = [has_k_dilation(s, k) for k in range(max_k + 1)]
+def _check_orders(s, semi):
+    order, level_test = ((order_of_semidilation, has_k_semidilation) if semi
+                         else (order_of_dilation, has_k_dilation))
+    levels = [level_test(s, k) for k in range(s.truncation + 1)]
     first = next((k for k, (ok, _) in enumerate(levels) if ok), None)
-    assert rep.order == first
-    if first is None:
-        assert rep.witness is None
-        return
-    assert repr(rep.witness) == repr(levels[first][1])
-    # monotone: no dilation below the order, a dilation at every level above
-    assert [ok for ok, _ in levels] == [k >= first for k in range(max_k + 1)]
+    # monotone: the level test fails below the order and holds from it up
+    assert [ok for ok, _ in levels] == [first is not None and k >= first
+                                        for k in range(s.truncation + 1)]
+    for max_k in range(s.truncation + 1):
+        rep = order(s, max_k=max_k)
+        expected = first if first is not None and first <= max_k else None
+        assert rep.order == expected
+        assert repr(rep.witness) == repr(None if expected is None else levels[expected][1])
+    if semi:
+        ref = _reference_order_of_semidilation(s, s.truncation)
+        assert (rep.order, repr(rep.witness)) == (ref.order, repr(ref.witness))
+
+
+def _page_repr(page):
+    """`repr` of the page with each column's quotient basis spelt out."""
+    return repr(page) + repr([(col.subquotient.basis, col.subquotient.basis_sources)
+                              for col in page.columns])
+
+
+def _check_pages(c):
+    levels = range(c.truncation + 1)
+    pages = [_page_repr(page) for page in leray_pages(c)]
+    assert pages == [_page_repr(_reference_leray_page(c, k)) for k in levels]
+    assert pages == [_page_repr(leray_page(c, k)) for k in levels]
+    # the last page has no differential, so it is E_infinity
+    assert pages[-1] == _page_repr(e_infinity(c))
 
 
 @st.composite
@@ -122,11 +200,49 @@ def test_tower_and_order_match_the_references(s, data):
     level = data.draw(st.integers(0, s.truncation), label="level")
     _check_tower(s.complex, level)
     _check_tower(s.plus_part_complex(), s.truncation)
-    _check_order(s, level)
-    _check_order(s, s.truncation)
+    _check_orders(s, semi=False)
+    _check_orders(s, semi=True)
+    _check_pages(s.complex)
 
 
 def test_tower_and_order_on_the_corpus():
     for s in _corpus():
         _check_tower(s.complex, s.truncation)
-        _check_order(s, s.truncation)
+        _check_orders(s, semi=False)
+        _check_orders(s, semi=True)
+        _check_pages(s.complex)
+
+
+def _counting(monkeypatch, module, name):
+    """Record the calls of module.name, passing them through."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_one_tower_per_page_set_and_two_solves_per_order(monkeypatch):
+    s = milnor_model(3, 3)
+    c = s.complex
+    towers = _counting(monkeypatch, spectral, "filtration_tower")
+    leray_page(c, 2)
+    leray_pages(c)
+    assert [level for _, level in towers] == [2, c.truncation]
+    towers.clear()
+    res = CliRunner().invoke(cli.main, ["pages"], input=dumps(s))
+    assert res.exit_code == 0
+    assert [level for _, level in towers] == [c.truncation]
+
+    solves = _counting(monkeypatch, dilation, "solve")
+    levels = _counting(monkeypatch, dilation, "has_k_semidilation")
+    assert order_of_semidilation(s).order == 2
+    assert len(solves) == 2 and [k for _, k in levels] == [2]
+    solves.clear()
+    levels.clear()
+    assert order_of_semidilation(s, max_k=1).order is None
+    assert len(solves) == 1 and not levels
