@@ -259,9 +259,6 @@ def pages(file: str, level: int | None) -> None:
 
 
 def _dilation_common(file: str, max_k: int | None, semi: bool) -> None:
-    if max_k is not None and max_k < 0:
-        _diag(f"--max-k must be non-negative (got {max_k})")
-        raise SystemExit(EXIT_INPUT_ERROR)
     s = _load_valid(file)
     scan = order_of_semidilation if semi else order_of_dilation
     report = scan(s, max_k=max_k)
@@ -284,7 +281,7 @@ def _dilation_common(file: str, max_k: int | None, semi: bool) -> None:
 
 @main.command()
 @click.argument("file", default="-")
-@click.option("--max-k", type=int, default=None, help="Scan bound (defaults to N).")
+@click.option("--max-k", type=click.IntRange(0), default=None, help="Scan bound (defaults to N).")
 def dilation(file: str, max_k: int | None) -> None:
     """Order of dilation: minimal k with the unit exact in F^k."""
     _dilation_common(file, max_k, semi=False)
@@ -292,7 +289,7 @@ def dilation(file: str, max_k: int | None) -> None:
 
 @main.command()
 @click.argument("file", default="-")
-@click.option("--max-k", type=int, default=None, help="Scan bound (defaults to N).")
+@click.option("--max-k", type=click.IntRange(0), default=None, help="Scan bound (defaults to N).")
 def semidilation(file: str, max_k: int | None) -> None:
     """Order of semi-dilation: minimal k reaching the unit through pi_0."""
     _dilation_common(file, max_k, semi=True)

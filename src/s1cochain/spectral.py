@@ -344,7 +344,8 @@ def leray_page(c: S1Complex, k: int, with_differential: bool | None = None) -> L
 def leray_pages(c: S1Complex) -> list[LerayPage]:
     """Every page, `leray_pages(c)[k] == leray_page(c, k)`, from one tower of F^N."""
     n_tr = c.truncation
-    return _pages(c, filtration_tower(c, n_tr), {k: 2 * k + 2 <= n_tr for k in range(n_tr + 1)})
+    return _pages(c, filtration_tower(c, n_tr),
+                  {k: 2 * (k + 1) <= n_tr for k in range(n_tr + 1)})
 
 
 def e_infinity(c: S1Complex) -> LerayPage:
