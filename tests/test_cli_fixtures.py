@@ -3,8 +3,11 @@
 `tests/cli_fixtures/` holds four input documents, `milnor_model(3, 3)` and
 three complexes of the seed-10 corpus of acceptance criterion 5, and the
 exact stdout of `pages`, `semidilation`, `dilation`, `zb`, `delta`, `les`
-and `cohomology` on each.  Every test compares bytes, so a change to any
-basis, witness, order or key order fails here.
+and `cohomology` on each.  It also holds the stdout of `check` on
+`milnor_3_3` and on `broken.json`, a hand-written document whose operators
+violate relations at every k and degree shifts at two orders, so the
+residual entries are pinned too.  Every test compares bytes, so a change to
+any basis, witness, order, residual or key order fails here.
 
 To regenerate after an intended change of the output, run
 
@@ -35,6 +38,9 @@ def _commands(n_tr: int) -> list[tuple[str, ...]]:
     return out
 
 
+# document -> exit code of `check`; `broken.json` is written by hand
+CHECKS = {"milnor_3_3": 0, "broken": 1}
+
 CASES = [(doc, args) for doc, n_tr in DOCUMENTS.items() for args in _commands(n_tr)]
 
 
@@ -51,6 +57,13 @@ def test_cli_output_matches_fixture(doc, args):
     res = _run(doc, args)
     assert res.exit_code == 0, res.stderr
     assert res.stdout == _fixture_path(doc, args).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("doc,code", CHECKS.items())
+def test_check_output_matches_fixture(doc, code):
+    res = _run(doc, ("check",))
+    assert res.exit_code == code, res.stderr
+    assert res.stdout == _fixture_path(doc, ("check",)).read_text(encoding="utf-8")
 
 
 def _write_fixtures() -> None:
@@ -74,6 +87,11 @@ def _write_fixtures() -> None:
         res = _run(doc, args)
         assert res.exit_code == 0, (doc, args, res.stderr)
         _fixture_path(doc, args).write_text(res.stdout, encoding="utf-8")
+    for doc, code in CHECKS.items():
+        res = _run(doc, ("check",))
+        assert res.exit_code == code, (doc, res.stderr)
+        (FIXTURES / doc).mkdir(exist_ok=True)
+        _fixture_path(doc, ("check",)).write_text(res.stdout, encoding="utf-8")
 
 
 if __name__ == "__main__":
