@@ -113,18 +113,53 @@ def make_complex(generators: list[tuple[str, int]], truncation: int,
 # validation
 
 
+def family_product(a: Sequence[SparseMatrix], b: Sequence[SparseMatrix],
+                   k: int) -> SparseMatrix:
+    """sum_{i+j=k} a[i] @ b[j], summed in one pass: the degree-k part of the
+    product of two operator families, on which every family relation rests."""
+    ent = []
+    for i in range(k + 1):
+        ent.extend((a[i] @ b[k - i]).entries)
+    return SparseMatrix.from_entries(a[0].rows, b[0].cols, ent)
+
+
 @dataclass(frozen=True)
 class RelationCheck:
+    """The degree-k relation of a family: its residual's nonzero entries,
+    named (source generator, target generator, value)."""
+
     k: int
     ok: bool
     residual_entries: tuple[tuple[str, str, Fraction], ...]
 
+    @staticmethod
+    def of(k: int, residual: SparseMatrix, source: S1Complex,
+           target: S1Complex) -> "RelationCheck":
+        bad = tuple((source.generators[j].name, target.generators[i].name, v)
+                    for i, j, v in residual.entries)
+        return RelationCheck(k, not bad, bad)
+
 
 @dataclass(frozen=True)
 class DegreeCheck:
+    """The entries of the order-r member of a family, named (source
+    generator, target generator), that do not shift degree as required."""
+
     r: int
     ok: bool
     violations: tuple[tuple[str, str], ...]
+
+    @staticmethod
+    def of_family(mats: Sequence[SparseMatrix], source: S1Complex, target: S1Complex,
+                  shift: int) -> tuple["DegreeCheck", ...]:
+        """One check per order r, each entry required to shift degree by shift - 2r."""
+        src, dst = source.generators, target.generators
+        out = []
+        for r, m in enumerate(mats):
+            bad = tuple((src[j].name, dst[i].name) for i, j, _ in m.entries
+                        if dst[i].degree - src[j].degree != shift - 2 * r)
+            out.append(DegreeCheck(r, not bad, bad))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -149,21 +184,9 @@ class S1ValidationReport:
 
 def verify_s1_relations(c: S1Complex) -> S1ValidationReport:
     """Check every truncated relation and every operator's degree shift."""
-    names = [g.name for g in c.generators]
-    degs = c.degrees
-    degree_checks = []
-    for r in range(c.truncation + 1):
-        bad = tuple((names[j], names[i]) for i, j, _ in c.deltas[r].entries
-                    if degs[i] - degs[j] != 1 - 2 * r)
-        degree_checks.append(DegreeCheck(r, not bad, bad))
-    relation_checks = []
-    for k in range(c.truncation + 1):
-        total = SparseMatrix.zero(c.n, c.n)
-        for i in range(k + 1):
-            total = total + (c.deltas[i] @ c.deltas[k - i])
-        bad = tuple((names[j], names[i], v) for i, j, v in total.entries)
-        relation_checks.append(RelationCheck(k, not bad, bad))
-    return S1ValidationReport(tuple(relation_checks), tuple(degree_checks))
+    relation_checks = tuple(RelationCheck.of(k, family_product(c.deltas, c.deltas, k), c, c)
+                            for k in range(c.truncation + 1))
+    return S1ValidationReport(relation_checks, DegreeCheck.of_family(c.deltas, c, c, 1))
 
 
 # ---------------------------------------------------------------------------

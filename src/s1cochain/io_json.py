@@ -74,6 +74,52 @@ def _entries(container: dict, path: str) -> Iterator[tuple[str, dict]]:
         yield epath, e
 
 
+def _parse_family(doc: dict, key: str, n_tr: int, src: tuple[Generator, ...],
+                  dst: tuple[Generator, ...], src_label: str,
+                  dst_label: str) -> tuple[SparseMatrix, ...]:
+    """The family (M^0, ..., M^N) listed under doc[key]: each listed order
+    once, with entries from a source to a target generator; an order not
+    listed is zero.  `operators` and `components` share this schema."""
+    src_index = {g.name: i for i, g in enumerate(src)}
+    dst_index = {g.name: i for i, g in enumerate(dst)}
+    raw = doc.get(key, [])
+    _expect(isinstance(raw, list), f"$.{key}", "expected an array")
+    noun = key[:-1]
+    mats: dict[int, list] = {}
+    for i, item in enumerate(raw):
+        path = f"$.{key}[{i}]"
+        _expect(isinstance(item, dict), path, "expected an object")
+        r = item.get("order")
+        _expect(isinstance(r, int) and not isinstance(r, bool) and 0 <= r <= n_tr,
+                f"{path}.order", f"expected an integer in [0, {n_tr}]")
+        _expect(r not in mats, f"{path}.order", f"duplicate {noun} order {r}")
+        mats[r] = []
+        for epath, e in _entries(item, path):
+            frm, to = e.get("from"), e.get("to")
+            _expect(isinstance(frm, str) and frm in src_index, f"{epath}.from",
+                    f"unknown {src_label} {frm!r}")
+            _expect(isinstance(to, str) and to in dst_index, f"{epath}.to",
+                    f"unknown {dst_label} {to!r}")
+            coeff = _parse_coeff(e.get("coeff"), f"{epath}.coeff")
+            mats[r].append((dst_index[to], src_index[frm], coeff))
+    return tuple(SparseMatrix.from_entries(len(dst), len(src), mats.get(r, []))
+                 for r in range(n_tr + 1))
+
+
+def _family_document(mats: tuple[SparseMatrix, ...], src: S1Complex,
+                     dst: S1Complex) -> list[dict]:
+    """The canonical form of a family: nonzero orders only, each with its
+    entries sorted by (from, to) name."""
+    out = []
+    for r, m in enumerate(mats):
+        ent = [{"from": src.generators[j].name, "to": dst.generators[i].name,
+                "coeff": str(v)} for i, j, v in m.entries]
+        if ent:
+            ent.sort(key=lambda e: (e["from"], e["to"]))
+            out.append({"order": r, "entries": ent})
+    return out
+
+
 def document_to_split_complex(doc: Any) -> SplitS1Complex:
     """Parse a document dict into a split complex (structural checks only).
 
@@ -118,29 +164,7 @@ def document_to_split_complex(doc: Any) -> SplitS1Complex:
     gens = tuple(Generator(n, d) for n, d, _ in parsed)
     parts = tuple(p for _, _, p in parsed)
     index = {g.name: i for i, g in enumerate(gens)}
-    n = len(gens)
-
-    raw_ops = doc.get("operators", [])
-    _expect(isinstance(raw_ops, list), "$.operators", "expected an array")
-    mats: dict[int, list] = {}
-    for i, op in enumerate(raw_ops):
-        path = f"$.operators[{i}]"
-        _expect(isinstance(op, dict), path, "expected an object")
-        r = op.get("order")
-        _expect(isinstance(r, int) and not isinstance(r, bool) and 0 <= r <= n_tr,
-                f"{path}.order", f"expected an integer in [0, {n_tr}]")
-        _expect(r not in mats, f"{path}.order", f"duplicate operator order {r}")
-        mats[r] = []
-        for epath, e in _entries(op, path):
-            frm, to = e.get("from"), e.get("to")
-            _expect(isinstance(frm, str) and frm in index, f"{epath}.from",
-                    f"unknown generator {frm!r}")
-            _expect(isinstance(to, str) and to in index, f"{epath}.to",
-                    f"unknown generator {to!r}")
-            coeff = _parse_coeff(e.get("coeff"), f"{epath}.coeff")
-            mats[r].append((index[to], index[frm], coeff))
-    deltas = tuple(SparseMatrix.from_entries(n, n, mats.get(r, []))
-                   for r in range(n_tr + 1))
+    deltas = _parse_family(doc, "operators", n_tr, gens, gens, "generator", "generator")
 
     raw_unit = doc.get("unit")
     unit: Vector = {}
@@ -174,16 +198,6 @@ def split_complex_to_document(s: SplitS1Complex) -> dict:
     gens = [{"name": c.generators[i].name,
              "degree": c.generators[i].degree,
              "part": s.parts[i]} for i in order]
-    ops = []
-    for r in range(c.truncation + 1):
-        ent = []
-        for i, j, v in c.deltas[r].entries:
-            ent.append({"from": c.generators[j].name,
-                        "to": c.generators[i].name,
-                        "coeff": str(v)})
-        if ent:
-            ent.sort(key=lambda e: (e["from"], e["to"]))
-            ops.append({"order": r, "entries": ent})
     unit = [{"gen": c.generators[i].name, "coeff": str(x)}
             for i, x in sorted(s.unit.items(),
                                key=lambda t: c.generators[t[0]].name)]
@@ -191,7 +205,7 @@ def split_complex_to_document(s: SplitS1Complex) -> dict:
         "schema_version": SCHEMA_VERSION,
         "truncation": c.truncation,
         "generators": gens,
-        "operators": ops,
+        "operators": _family_document(c.deltas, c, c),
         "unit": unit,
     }
 
@@ -224,30 +238,8 @@ def document_to_morphism(doc: Any) -> tuple[SplitS1Complex, SplitS1Complex, S1Mo
     n_tr = src.truncation
     _expect(dst.truncation == n_tr, "$.target.truncation",
             "source and target truncations differ")
-    src_index = {g.name: i for i, g in enumerate(src.complex.generators)}
-    dst_index = {g.name: i for i, g in enumerate(dst.complex.generators)}
-    raw = doc.get("components", [])
-    _expect(isinstance(raw, list), "$.components", "expected an array")
-    mats: dict[int, list] = {}
-    for i, comp in enumerate(raw):
-        path = f"$.components[{i}]"
-        _expect(isinstance(comp, dict), path, "expected an object")
-        r = comp.get("order")
-        _expect(isinstance(r, int) and not isinstance(r, bool) and 0 <= r <= n_tr,
-                f"{path}.order", f"expected an integer in [0, {n_tr}]")
-        _expect(r not in mats, f"{path}.order", f"duplicate component order {r}")
-        mats[r] = []
-        for epath, e in _entries(comp, path):
-            frm, to = e.get("from"), e.get("to")
-            _expect(isinstance(frm, str) and frm in src_index, f"{epath}.from",
-                    f"unknown source generator {frm!r}")
-            _expect(isinstance(to, str) and to in dst_index, f"{epath}.to",
-                    f"unknown target generator {to!r}")
-            coeff = _parse_coeff(e.get("coeff"), f"{epath}.coeff")
-            mats[r].append((dst_index[to], src_index[frm], coeff))
-    phis = tuple(SparseMatrix.from_entries(dst.complex.n, src.complex.n,
-                                           mats.get(r, []))
-                 for r in range(n_tr + 1))
+    phis = _parse_family(doc, "components", n_tr, src.complex.generators,
+                         dst.complex.generators, "source generator", "target generator")
     return src, dst, S1Morphism(src.complex, dst.complex, phis)
 
 
@@ -258,21 +250,12 @@ def _field(doc: dict, key: str) -> Any:
 
 def morphism_to_document(source: SplitS1Complex, target: SplitS1Complex,
                          morphism: S1Morphism) -> dict:
-    comps = []
-    src_gens = morphism.source.generators
-    dst_gens = morphism.target.generators
-    for r in range(morphism.truncation + 1):
-        ent = [{"from": src_gens[j].name, "to": dst_gens[i].name, "coeff": str(v)}
-               for i, j, v in morphism.phis[r].entries]
-        if ent:
-            ent.sort(key=lambda e: (e["from"], e["to"]))
-            comps.append({"order": r, "entries": ent})
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "morphism",
         "source": split_complex_to_document(source),
         "target": split_complex_to_document(target),
-        "components": comps,
+        "components": _family_document(morphism.phis, morphism.source, morphism.target),
     }
 
 

@@ -21,14 +21,16 @@ computed here with deterministic witness choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import (
+    DegreeCheck,
     FilteredPlusComplex,
+    RelationCheck,
     S1Complex,
     TruncationError,
     build_filtered_plus,
     cohomology,
+    family_product,
     induced_map,
     lift_family,
 )
@@ -48,6 +50,7 @@ from .spectral import (
     QuotientMapRanks,
     WitnessedCycle,
     _quotient_with_witnesses,
+    _split_filtered_vector,
     delta_value,
     filtration_tower,
 )
@@ -108,15 +111,8 @@ def zero_morphism(source: S1Complex, target: S1Complex) -> S1Morphism:
 
 
 @dataclass(frozen=True)
-class MorphismCheck:
-    k: int
-    ok: bool
-    residual_entries: tuple[tuple[str, str, Fraction], ...]
-
-
-@dataclass(frozen=True)
 class MorphismReport:
-    relation_checks: tuple[MorphismCheck, ...]
+    relation_checks: tuple[RelationCheck, ...]
     degree_checks: tuple[tuple[int, bool], ...]
 
     @property
@@ -127,69 +123,41 @@ class MorphismReport:
 
 def verify_morphism(phi: S1Morphism) -> MorphismReport:
     src, dst = phi.source, phi.target
-    src_names = [g.name for g in src.generators]
-    dst_names = [g.name for g in dst.generators]
-    degree_checks = []
-    for r, m in enumerate(phi.phis):
-        ok = all(dst.generators[i].degree - src.generators[j].degree == -2 * r
-                 for i, j, _ in m.entries)
-        degree_checks.append((r, ok))
-    checks = []
-    for k in range(phi.truncation + 1):
-        total = SparseMatrix.zero(dst.n, src.n)
-        for i in range(k + 1):
-            j = k - i
-            total = total + (phi.phis[i] @ src.deltas[j]) - (dst.deltas[j] @ phi.phis[i])
-        bad = tuple((src_names[jj], dst_names[ii], v) for ii, jj, v in total.entries)
-        checks.append(MorphismCheck(k, not bad, bad))
-    return MorphismReport(tuple(checks), tuple(degree_checks))
+    checks = tuple(
+        RelationCheck.of(k, family_product(phi.phis, src.deltas, k)
+                         - family_product(dst.deltas, phi.phis, k), src, dst)
+        for k in range(phi.truncation + 1))
+    degrees = tuple((c.r, c.ok) for c in DegreeCheck.of_family(phi.phis, src, dst, 0))
+    return MorphismReport(checks, degrees)
 
 
 def verify_homotopy(h: S1Homotopy) -> MorphismReport:
+    """The residual of phi - psi = h delta + partial h is the deformation of
+    phi by h minus psi."""
     phi, psi = h.between
     src, dst = phi.source, phi.target
-    src_names = [g.name for g in src.generators]
-    dst_names = [g.name for g in dst.generators]
-    degree_checks = []
-    for r, m in enumerate(h.hs):
-        ok = all(dst.generators[i].degree - src.generators[j].degree == -2 * r - 1
-                 for i, j, _ in m.entries)
-        degree_checks.append((r, ok))
-    checks = []
-    for k in range(phi.truncation + 1):
-        total = phi.phis[k] - psi.phis[k]
-        for i in range(k + 1):
-            j = k - i
-            total = total - (h.hs[i] @ src.deltas[j]) - (dst.deltas[j] @ h.hs[i])
-        bad = tuple((src_names[jj], dst_names[ii], v) for ii, jj, v in total.entries)
-        checks.append(MorphismCheck(k, not bad, bad))
-    return MorphismReport(tuple(checks), tuple(degree_checks))
+    deformed, _ = homotopy_deformation(phi, h.hs)
+    checks = tuple(RelationCheck.of(k, deformed.phis[k] - psi.phis[k], src, dst)
+                   for k in range(phi.truncation + 1))
+    degrees = tuple((c.r, c.ok) for c in DegreeCheck.of_family(h.hs, src, dst, -1))
+    return MorphismReport(checks, degrees)
 
 
 def compose(outer: S1Morphism, inner: S1Morphism) -> S1Morphism:
     """(outer . inner)^k = sum_{i+j=k} outer^i . inner^j."""
     if inner.target != outer.source:
         raise ValueError("composition mismatch: target(inner) != source(outer)")
-    phis = []
-    for k in range(inner.truncation + 1):
-        total = SparseMatrix.zero(outer.target.n, inner.source.n)
-        for i in range(k + 1):
-            total = total + (outer.phis[i] @ inner.phis[k - i])
-        phis.append(total)
-    return S1Morphism(inner.source, outer.target, tuple(phis))
+    phis = tuple(family_product(outer.phis, inner.phis, k)
+                 for k in range(inner.truncation + 1))
+    return S1Morphism(inner.source, outer.target, phis)
 
 
 def homotopy_deformation(phi: S1Morphism, hs: tuple[SparseMatrix, ...]) -> tuple[S1Morphism, S1Homotopy]:
     """The morphism phi - (h delta + partial h), homotopic to phi via h."""
     src, dst = phi.source, phi.target
-    new = []
-    for k in range(phi.truncation + 1):
-        total = phi.phis[k]
-        for i in range(k + 1):
-            j = k - i
-            total = total - (hs[i] @ src.deltas[j]) - (dst.deltas[j] @ hs[i])
-        new.append(total)
-    psi = S1Morphism(src, dst, tuple(new))
+    new = tuple(phi.phis[k] - family_product(hs, src.deltas, k) - family_product(dst.deltas, hs, k)
+                for k in range(phi.truncation + 1))
+    psi = S1Morphism(src, dst, new)
     return psi, S1Homotopy((phi, psi), hs)
 
 
@@ -236,12 +204,7 @@ def _require_trivial_target(phi: S1Morphism) -> None:
 
 def phi_value(phi: S1Morphism, w: WitnessedCycle) -> Vector:
     """Chain-level Phi^k of a Z_k witness: sum_{i=0}^k phi^i(alpha_{k-i})."""
-    out: Vector = {}
-    for i in range(0, w.level + 1):
-        a = w.alphas[w.level - i]
-        if a and i <= phi.truncation:
-            out = vadd(out, phi.phis[i].apply(a))
-    return out
+    return w.value(phi.phis, w.level)
 
 
 def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
@@ -314,7 +277,7 @@ def _delta_square_commutes(phi: S1Morphism, k: int, ts: FiltrationTower,
     for w in ts.z(k - 1):
         left = phi0.apply(delta_value(src, w))
         image_chain = fmat.apply(w.filtered_vector(fs))
-        alphas = tuple(ft.power_component(image_chain, k - 1 - j) for j in range(k))
+        alphas = _split_filtered_vector(ft, image_chain, k - 1)
         right = delta_value(dst, WitnessedCycle(k - 1, alphas))
         diffs.append(vsub(left, right))
     # a difference lies in B exactly when it is in Z with zero coordinates

@@ -22,7 +22,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .complexes import Generator, S1Complex, verify_s1_relations
+from .complexes import (
+    Generator,
+    S1Complex,
+    direct_sum,
+    family_product,
+    shift,
+    verify_s1_relations,
+)
 from .dilation import (
     PLUS_PART,
     ZERO_PART,
@@ -30,7 +37,12 @@ from .dilation import (
     verify_splitting,
 )
 from .linalg import SparseMatrix, Vector, kernel_basis, solve, vadd, vscale
-from .morphisms import S1Morphism, homotopy_deformation, verify_morphism
+from .morphisms import (
+    S1Morphism,
+    homotopy_deformation,
+    identity_morphism,
+    verify_morphism,
+)
 
 _SMALL = [Fraction(x) for x in (-2, -1, -1, 1, 1, 2)]
 
@@ -94,50 +106,46 @@ def _matched_pairing_delta0(rng: random.Random, degrees: tuple[int, ...],
 
 
 def _allowed_pairs(src_degrees: tuple[int, ...], dst_degrees: tuple[int, ...],
-                   shift: int) -> list[tuple[int, int]]:
+                   degree_shift: int) -> list[tuple[int, int]]:
     return [(i, j) for j, dj in enumerate(src_degrees)
-            for i, di in enumerate(dst_degrees) if di - dj == shift]
+            for i, di in enumerate(dst_degrees) if di - dj == degree_shift]
 
 
-def _solve_relation_level(rng: random.Random, degrees: tuple[int, ...],
-                          deltas: list[SparseMatrix], k: int,
-                          density: float) -> SparseMatrix | None:
-    """Solve delta^0 D + D delta^0 = -R_k for D over the allowed entries."""
-    n = len(degrees)
-    d0 = deltas[0]
-    rhs_mat = SparseMatrix.zero(n, n)
-    for i in range(1, k):
-        rhs_mat = rhs_mat + (deltas[i] @ deltas[k - i])
-    unknowns = _allowed_pairs(degrees, degrees, 1 - 2 * k)
-    upos = {p: t for t, p in enumerate(unknowns)}
-    rows = _allowed_pairs(degrees, degrees, 2 - 2 * k)
-    rpos = {p: t for t, p in enumerate(rows)}
-    ent = []
-    for (a, c, v) in d0.entries:
-        # term delta^0[a,c] * D[c,b] lands in row (a,b)
-        for (cc, b) in unknowns:
-            if cc == c and (a, b) in rpos:
-                ent.append((rpos[(a, b)], upos[(c, b)], v))
-    for (c, b, v) in d0.entries:
-        # term D[a,c] * delta^0[c,b] lands in row (a,b)
-        for (a, cc) in unknowns:
-            if cc == c and (a, b) in rpos:
-                ent.append((rpos[(a, b)], upos[(a, c)], v))
-    sys = SparseMatrix.from_entries(len(rows), len(unknowns), ent)
-    rhs: Vector = {}
-    for a, b, v in rhs_mat.entries:
-        if (a, b) not in rpos:
-            return None  # residual outside the graded window: unsolvable
-        rhs[rpos[(a, b)]] = -v
-    part = solve(sys, rhs)
-    if part is None:
-        return None
-    total = dict(part)
+def _random_kernel_element(rng: random.Random, sys: SparseMatrix, density: float,
+                           base: Vector) -> Vector:
+    """base plus a random combination of the kernel basis of sys."""
+    total = dict(base)
     for kv in kernel_basis(sys):
         if rng.random() < density:
             total = vadd(total, vscale(_rand_coeff(rng), kv))
-    d_ent = [(unknowns[t][0], unknowns[t][1], x) for t, x in total.items()]
-    return SparseMatrix.from_entries(n, n, d_ent)
+    return total
+
+
+def _solve_relation_level(rng: random.Random, gens: tuple[Generator, ...],
+                          deltas: list[SparseMatrix], k: int,
+                          density: float) -> SparseMatrix | None:
+    """Solve delta^0 D + D delta^0 = -R_k for D over the allowed entries.
+
+    A D of degree 1-2k is a degree-0 map from (C, delta^0) to the shift
+    C[1-2k], whose differential is -delta^0, and the left side is the k=0
+    morphism relation between the two.
+    """
+    n = len(gens)
+    c0 = S1Complex(gens, 0, (deltas[0],))
+    sys, unknowns, rpos = _relation_system(c0, shift(c0, 1 - 2 * k))
+    # R_k = sum_{i+j=k, i,j >= 1} delta^i delta^j, empty at k = 1
+    r_k = family_product(deltas[1:], deltas[1:], k - 2).entries if k > 1 else ()
+    rhs: Vector = {}
+    for a, b, v in r_k:
+        if (0, a, b) not in rpos:
+            return None  # residual outside the graded window: unsolvable
+        rhs[rpos[0, a, b]] = -v
+    part = solve(sys, rhs)
+    if part is None:
+        return None
+    total = _random_kernel_element(rng, sys, density, part)
+    return SparseMatrix.from_entries(n, n, [(unknowns[t][1], unknowns[t][2], x)
+                                            for t, x in total.items()])
 
 
 def random_s1_complex(rng: random.Random, n_gens: int, truncation: int,
@@ -151,7 +159,7 @@ def random_s1_complex(rng: random.Random, n_gens: int, truncation: int,
         ok = True
         for k in range(1, truncation + 1):
             density = 0.5 if attempt < retries else 0.0
-            dk = _solve_relation_level(rng, degrees, deltas, k, density)
+            dk = _solve_relation_level(rng, gens, deltas, k, density)
             if dk is None:
                 ok = False
                 break
@@ -170,47 +178,6 @@ def random_s1_complex(rng: random.Random, n_gens: int, truncation: int,
     return c
 
 
-def _connecting_family(rng: random.Random, plus: S1Complex, zero_degrees: tuple[int, ...],
-                       d0_zero: SparseMatrix, density: float = 0.5) -> list[SparseMatrix]:
-    """Sample delta_{+,0}^r from the kernel of the joint linear relations."""
-    n_p, n_z = plus.n, len(zero_degrees)
-    n_tr = plus.truncation
-    unknowns: list[tuple[int, int, int]] = []  # (r, zero-row, plus-col)
-    for r in range(n_tr + 1):
-        for (i, j) in _allowed_pairs(plus.degrees, zero_degrees, 1 - 2 * r):
-            unknowns.append((r, i, j))
-    upos = {u: t for t, u in enumerate(unknowns)}
-    rows: list[tuple[int, int, int]] = []
-    for k in range(n_tr + 1):
-        for (i, j) in _allowed_pairs(plus.degrees, zero_degrees, 2 - 2 * k):
-            rows.append((k, i, j))
-    rpos = {u: t for t, u in enumerate(rows)}
-    ent = []
-    for k in range(n_tr + 1):
-        # sum_{i+j=k} conn^i . delta_+^j  +  delta_0^0 . conn^k = 0
-        for r in range(k + 1):
-            dplus = plus.deltas[k - r]
-            for (c, b, v) in dplus.entries:
-                for (rr, a, cc) in unknowns:
-                    if rr == r and cc == c and (k, a, b) in rpos:
-                        ent.append((rpos[(k, a, b)], upos[(r, a, c)], v))
-        for (a, c, v) in d0_zero.entries:
-            for (rr, cc, b) in unknowns:
-                if rr == k and cc == c and (k, a, b) in rpos:
-                    ent.append((rpos[(k, a, b)], upos[(k, c, b)], v))
-    sys = SparseMatrix.from_entries(len(rows), len(unknowns), ent)
-    total: Vector = {}
-    for kv in kernel_basis(sys):
-        if rng.random() < density:
-            total = vadd(total, vscale(_rand_coeff(rng), kv))
-    mats = []
-    for r in range(n_tr + 1):
-        m_ent = [(i, j, x) for t, x in total.items()
-                 for (rr, i, j) in [unknowns[t]] if rr == r]
-        mats.append(SparseMatrix.from_entries(n_z, n_p, m_ent))
-    return mats
-
-
 def random_split_complex(rng: random.Random, n_plus: int, n_zero_extra: int,
                          truncation: int,
                          degree_span: tuple[int, int] = (-3, 4),
@@ -222,30 +189,25 @@ def random_split_complex(rng: random.Random, n_plus: int, n_zero_extra: int,
     vacuous on complexes without any dilation.
     """
     plus = random_s1_complex(rng, n_plus, truncation, degree_span)
-    zero_degrees = (0,) + tuple(rng.randint(degree_span[0], degree_span[1])
-                                for _ in range(n_zero_extra))
+    zero_gens = (Generator("e", 0),) + tuple(
+        Generator(f"z{i}", rng.randint(degree_span[0], degree_span[1]))
+        for i in range(n_zero_extra))
     # e (index 0) is protected: never a pairing source or target
-    d0_zero = _matched_pairing_delta0(rng, zero_degrees, protected={0})
-    conn = _connecting_family(rng, plus, zero_degrees, d0_zero)
+    d0_zero = _matched_pairing_delta0(rng, tuple(g.degree for g in zero_gens), protected={0})
+    n_z = len(zero_gens)
+    zero = S1Complex(zero_gens, truncation,
+                     (d0_zero,) + (SparseMatrix.zero(n_z, n_z),) * truncation)
+    # delta_{+,0} is a morphism C_+ -> C_0[1]: its relation
+    # sum_{i+j=k} conn^i delta_+^j + delta_0^0 conn^k = 0 is the morphism relation
+    conn = _morphism_components(rng, plus, shift(zero, 1))
 
-    n_z = len(zero_degrees)
-    n_p = plus.n
-    n = n_z + n_p
-    gens = tuple([Generator("e", 0)]
-                 + [Generator(f"z{i}", d) for i, d in enumerate(zero_degrees[1:])]
-                 + [Generator(g.name, g.degree) for g in plus.generators])
-    deltas = []
-    for r in range(truncation + 1):
-        ent = []
-        if r == 0:
-            ent.extend(d0_zero.entries)
-        ent.extend((i + n_z, j + n_z, v) for i, j, v in plus.deltas[r].entries)
-        ent.extend((i, j + n_z, v) for i, j, v in conn[r].entries)
-        deltas.append(SparseMatrix.from_entries(n, n, ent))
-    parts = (ZERO_PART,) * n_z + (PLUS_PART,) * n_p
-    unit: Vector = {0: Fraction(1)}
-    c = S1Complex(gens, truncation, tuple(deltas))
-    s = SplitS1Complex(c, parts, unit)
+    # C = C_0 + C_+ with delta_{+,0} in the block from C_+ to C_0
+    joined = direct_sum(zero, plus)
+    n = joined.n
+    deltas = tuple(d + SparseMatrix.from_entries(n, n, ((i, j + n_z, v) for i, j, v in m.entries))
+                   for d, m in zip(joined.deltas, conn))
+    parts = (ZERO_PART,) * n_z + (PLUS_PART,) * plus.n
+    s = SplitS1Complex(S1Complex(joined.generators, truncation, deltas), parts, {0: Fraction(1)})
     if with_unit_killer:
         s = _append_unit_killer(s)
     assert verify_s1_relations(s.complex).valid
@@ -282,53 +244,63 @@ def random_homotopy_blocks(rng: random.Random, phi: S1Morphism,
     return tuple(hs)
 
 
+def _relation_system(source: S1Complex, target: S1Complex
+                     ) -> tuple[SparseMatrix, list[tuple[int, int, int]], dict[tuple[int, int, int], int]]:
+    """The morphism relations sum_{i+j=k} phi^i delta^j - partial^j phi^i = 0
+    as one linear system in the entries of the phi^r of degree -2r.
+
+    Returns the matrix, its columns' unknowns (r, target, source generator)
+    and the rows' positions by relation entry (k, target, source generator).
+    """
+    n_tr = source.truncation
+    unknowns = [(r, i, j) for r in range(n_tr + 1)
+                for i, j in _allowed_pairs(source.degrees, target.degrees, -2 * r)]
+    rows = [(k, i, j) for k in range(n_tr + 1)
+            for i, j in _allowed_pairs(source.degrees, target.degrees, 1 - 2 * k)]
+    rpos = {u: t for t, u in enumerate(rows)}
+    # the unknowns of phi^r by source generator and by target generator
+    by_source: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    by_target: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for t, (r, i, j) in enumerate(unknowns):
+        by_source.setdefault((r, j), []).append((i, t))
+        by_target.setdefault((r, i), []).append((j, t))
+    ent = []
+    for k in range(n_tr + 1):
+        for r in range(k + 1):
+            for c, b, v in source.deltas[k - r].entries:    # phi^r . delta^{k-r}
+                for a, t in by_source.get((r, c), ()):
+                    if (k, a, b) in rpos:
+                        ent.append((rpos[k, a, b], t, v))
+            for a, c, v in target.deltas[k - r].entries:    # - delta^{k-r} . phi^r
+                for b, t in by_target.get((r, c), ()):
+                    if (k, a, b) in rpos:
+                        ent.append((rpos[k, a, b], t, -v))
+    return SparseMatrix.from_entries(len(rows), len(unknowns), ent), unknowns, rpos
+
+
+def _morphism_components(rng: random.Random, source: S1Complex, target: S1Complex,
+                         density: float = 0.5) -> tuple[SparseMatrix, ...]:
+    """phi^0, ..., phi^N of a random element of the kernel of the morphism relations."""
+    sys, unknowns, _ = _relation_system(source, target)
+    comps: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(source.truncation + 1)]
+    for t, x in _random_kernel_element(rng, sys, density, {}).items():
+        r, i, j = unknowns[t]
+        comps[r].append((i, j, x))
+    return tuple(SparseMatrix.from_entries(target.n, source.n, e) for e in comps)
+
+
 def random_morphism(rng: random.Random, source: S1Complex, target: S1Complex,
                     density: float = 0.5) -> S1Morphism:
     """A random solution of the (jointly linear) morphism relations."""
     if source.truncation != target.truncation:
         raise ValueError("equal truncations required")
-    n_tr = source.truncation
-    unknowns: list[tuple[int, int, int]] = []
-    for r in range(n_tr + 1):
-        for (i, j) in _allowed_pairs(source.degrees, target.degrees, -2 * r):
-            unknowns.append((r, i, j))
-    upos = {u: t for t, u in enumerate(unknowns)}
-    rows: list[tuple[int, int, int]] = []
-    for k in range(n_tr + 1):
-        for (i, j) in _allowed_pairs(source.degrees, target.degrees, 1 - 2 * k):
-            rows.append((k, i, j))
-    rpos = {u: t for t, u in enumerate(rows)}
-    ent = []
-    for k in range(n_tr + 1):
-        for r in range(k + 1):
-            dsrc = source.deltas[k - r]
-            for (c, b, v) in dsrc.entries:          # phi^r . delta^{k-r}
-                for a in range(target.n):
-                    if (r, a, c) in upos and (k, a, b) in rpos:
-                        ent.append((rpos[(k, a, b)], upos[(r, a, c)], v))
-            ddst = target.deltas[k - r]
-            for (a, c, v) in ddst.entries:          # - delta^{k-r} . phi^r
-                for b in range(source.n):
-                    if (r, c, b) in upos and (k, a, b) in rpos:
-                        ent.append((rpos[(k, a, b)], upos[(r, c, b)], -v))
-    sys = SparseMatrix.from_entries(len(rows), len(unknowns), ent)
-    total: Vector = {}
-    for kv in kernel_basis(sys):
-        if rng.random() < density:
-            total = vadd(total, vscale(_rand_coeff(rng), kv))
-    phis = []
-    for r in range(n_tr + 1):
-        m_ent = [(i, j, x) for t, x in total.items()
-                 for (rr, i, j) in [unknowns[t]] if rr == r]
-        phis.append(SparseMatrix.from_entries(target.n, source.n, m_ent))
-    phi = S1Morphism(source, target, tuple(phis))
+    phi = S1Morphism(source, target, _morphism_components(rng, source, target, density))
     assert verify_morphism(phi).valid
     return phi
 
 
 def random_endomorphism_pair(rng: random.Random, c: S1Complex):
     """A morphism and a homotopic deformation of it, with the homotopy."""
-    from .morphisms import identity_morphism
     base = identity_morphism(c)
     hs = random_homotopy_blocks(rng, base)
     deformed, hom = homotopy_deformation(base, hs)

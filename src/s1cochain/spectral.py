@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .complexes import (
     FilteredPlusComplex,
@@ -79,6 +80,16 @@ class WitnessedCycle:
     @property
     def leading(self) -> Vector:
         return self.alphas[0]
+
+    def value(self, ops: Sequence[SparseMatrix], top: int) -> Vector:
+        """sum_j ops[top - j](alpha_j), summed for j = level down to 0; an
+        order beyond the family contributes nothing."""
+        out: Vector = {}
+        for j in range(self.level, -1, -1):
+            a = self.alphas[j]
+            if a and top - j < len(ops):
+                out = vadd(out, ops[top - j].apply(a))
+        return out
 
     def filtered_vector(self, f: FilteredPlusComplex) -> Vector:
         """Assemble sum u^-i alpha_{k-i} in the basis of F^level."""
@@ -188,13 +199,7 @@ def b_basis(c: S1Complex, k: int) -> list[Vector]:
 
 def delta_value(c: S1Complex, w: WitnessedCycle) -> Vector:
     """Chain-level Delta^{k+1} of a Z_k witness: sum_{i>=1} delta^i(alpha_{k+1-i})."""
-    k1 = w.level + 1
-    out: Vector = {}
-    for i in range(1, k1 + 1):
-        a = w.alphas[k1 - i] if 0 <= k1 - i < len(w.alphas) else {}
-        if a and i <= c.truncation:
-            out = vadd(out, c.deltas[i].apply(a))
-    return out
+    return w.value(c.deltas, w.level + 1)
 
 
 class QuotientMapRanks:
