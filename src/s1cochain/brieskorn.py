@@ -38,6 +38,12 @@ from .complexes import (
 from .dilation import SplitS1Complex, make_split_complex
 from .linalg import SparseMatrix
 
+# The largest total-period bound an orbit walk accepts: the walk and its
+# family list grow linearly with the bound (about 1 s and 5 MB of `cz`
+# output at 100,000 for 2,3,3,3).  It admits the default bound 110,880 of
+# the one-dilation exponents (2, ..., n, n) up to n = 12.
+MAX_PERIOD_BOUND = 120_000
+
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
@@ -149,7 +155,10 @@ def orbit_families(exponents: tuple[int, ...] | list[int],
 
     For a composite period A the families are indexed by the principal
     periods T maximal under divisibility among principal divisors of A.
+    A bound above MAX_PERIOD_BOUND raises ValueError.
     """
+    if period_bound > MAX_PERIOD_BOUND:
+        raise ValueError(f"period bound {period_bound} exceeds the limit {MAX_PERIOD_BOUND}")
     periods = principal_periods(exponents)
     if not periods:
         return []

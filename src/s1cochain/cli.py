@@ -16,7 +16,14 @@ import sys
 import click
 
 from . import brieskorn as bk
-from .complexes import MAX_DEGREE_WINDOW, build_filtered_plus, cohomology, verify_s1_relations
+from .complexes import (
+    MAX_DEGREE_WINDOW,
+    MAX_TRUNCATION,
+    build_filtered_plus,
+    cohomology,
+    truncate,
+    verify_s1_relations,
+)
 from .dilation import (
     SplitS1Complex,
     order_of_dilation,
@@ -26,6 +33,7 @@ from .dilation import (
 )
 from .io_json import (
     DocumentError,
+    chain_terms,
     dumps,
     filtered_chain_terms,
     loads,
@@ -36,6 +44,10 @@ from .tensor import tensor_split
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
+# The largest n `reproduce corollary-1dilation` accepts: its period scan
+# grows like an lcm of 2, ..., n, taking about 5 s at n = 12 and 68 s at 13.
+MAX_ONE_DILATION_N = 12
+
 
 def _emit(data) -> None:
     click.echo(json.dumps(data, indent=2, sort_keys=True))
@@ -43,6 +55,16 @@ def _emit(data) -> None:
 
 def _diag(message: str) -> None:
     click.echo(message, err=True)
+
+
+def _write_output(text: str, output: str) -> None:
+    """Write a document to the file `output`, or to standard output for `-`."""
+    if output == "-":
+        click.echo(text, nl=False)
+    else:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _diag(f"wrote {output}")
 
 
 def _read_document(path: str) -> SplitS1Complex:
@@ -104,12 +126,13 @@ def _parse_exponents(text: str) -> list[int]:
 
 
 def _bounded(fn, exps: list[int], bound: int | None):
-    """fn(exps, bound), exiting 2 when fn rejects the bound, such as one
-    below the minimal principal period."""
+    """fn(exps, bound), exiting 2 when fn rejects the bound, explicit or
+    default, such as one below the minimal principal period or one above
+    MAX_PERIOD_BOUND."""
     try:
         return fn(exps, bound)
     except ValueError as exc:
-        _diag(f"--bound {bound}: {exc}")
+        _diag(f"--bound {'(default)' if bound is None else bound}: {exc}")
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
@@ -181,7 +204,6 @@ def zb(file: str, k: int) -> None:
     f = tower.filtered
     zs = tower.z(k)
     bs = tower.b(k)
-    from .io_json import chain_terms
     _emit({
         "k": k,
         "z_dim": len(zs),
@@ -226,7 +248,6 @@ def delta_cmd(file: str, k: int) -> None:
               help="Truncation to use (defaults to the document's).")
 def pages(file: str, level: int | None) -> None:
     """All Leray pages of the u-power filtration."""
-    from .complexes import truncate
     s = _load_valid(file)
     c = s.complex
     if level is not None:
@@ -338,13 +359,7 @@ def tensor_cmd(file_a: str, file_b: str, output: str) -> None:
     except ValueError as exc:
         _diag(str(exc))
         raise SystemExit(EXIT_INPUT_ERROR)
-    text = dumps(prod)
-    if output == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _diag(f"wrote {output}")
+    _write_output(dumps(prod), output)
 
 
 @main.command()
@@ -363,13 +378,7 @@ def milnor(k: int, m: int, truncation: int | None, spheres: bool, output: str) -
     except ValueError as exc:
         _diag(str(exc))
         raise SystemExit(EXIT_INPUT_ERROR)
-    text = dumps(s)
-    if output == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _diag(f"wrote {output}")
+    _write_output(dumps(s), output)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +473,8 @@ def reproduce() -> None:
 
 
 @reproduce.command("theorem-a")
-@click.option("--max", "max_m", type=int, default=6, show_default=True)
+@click.option("--max", "max_m", type=click.IntRange(1, MAX_TRUNCATION // 2), default=6,
+              show_default=True, help="Largest m; the models of m+1 variables have N = 2k <= 2m.")
 def theorem_a(max_m: int) -> None:
     """Dilation and semi-dilation orders of the Fermat models equal k-1."""
     rows = []
@@ -501,6 +511,9 @@ def corollary_1dilation(n_range: str) -> None:
     """
     window = _parse_degree_window(n_range)
     assert window is not None
+    if len(window) and window[-1] > MAX_ONE_DILATION_N:
+        _diag(f"--n-range {n_range!r}: n above the limit {MAX_ONE_DILATION_N}")
+        raise SystemExit(EXIT_INPUT_ERROR)
     rows = []
     ok_all = True
     for n in window:

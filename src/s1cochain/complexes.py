@@ -8,6 +8,12 @@ delta^0, ..., delta^N with delta^r of degree 1-2r, subject to
 The associated filtered complex F^k = C (x) <1, u^-1, ..., u^-k> carries the
 total differential sum_r u^r delta^r, where the formal degree-2 variable u
 acts by lowering the u-power and truncating at u^0.
+
+`family_product(a, b, k)` is the degree-k part sum_{i+j=k} a^i b^j of the
+product of two operator families.  The relation above, and in
+`s1cochain.morphisms` the morphism and homotopy relations and composition,
+are all read from it; `RelationCheck.of` and `DegreeCheck.of_family` name
+the entries of a residual and of a degree-shift violation for every family.
 """
 
 from __future__ import annotations

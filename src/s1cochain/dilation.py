@@ -530,15 +530,14 @@ def _reindex(v: Vector, n_from: int, n_to: int, where: dict[int, int]) -> Vector
     return out
 
 
-def tautological_les(s: SplitS1Complex, degrees: range | None = None,
-                     level: int | None = None) -> LesReport:
+def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesReport:
     """Exactness of ... -> H(F^N C_0) -> H(F^N C) -> H(F^N C_+) -> ... .
 
     Computes the three cohomologies, the induced inclusion/projection maps
     and the connecting map, and checks ker = im (as ranks) at every node in
     the degree window.
     """
-    n_tr = s.truncation if level is None else level
+    n_tr = s.truncation
     c = s.complex
     cz, cp = s.zero_part_complex(), s.plus_part_complex()
     f_full = build_filtered_plus(c, n_tr)

@@ -5,9 +5,11 @@ rational strings ("3", "-1/2"), never numbers: a float can survive a JSON
 round-trip only approximately, which would silently corrupt exact ranks.
 
 Canonical form: generators sorted by name, operators sorted by order with
-row-major sorted entries and only nonzero orders present, the unit always in
-chain form sorted by generator.  Parsing canonicalizes, so
-parse . emit . parse == parse and emitted bytes are stable.
+entries sorted by (from, to) name and only nonzero orders present, the unit
+always in chain form sorted by generator.  Parsing canonicalizes, so
+parse . emit . parse == parse and emitted bytes are stable.  The
+`operators` of a complex and the `components` of a morphism are both
+operator families and share one parser and one writer.
 """
 
 from __future__ import annotations

@@ -16,6 +16,12 @@ descend to quotient maps
     Phi^k(alpha_0) = sum_{i=0}^k phi^i(alpha_{k-i}),
 
 computed here with deterministic witness choices.
+
+Both relations and the composite (phi . psi)^k = sum_{i+j=k} phi^i psi^j
+are degree-k parts of products of families, `complexes.family_product`.
+A homotopy is checked through its deformation: phi - (h delta + partial h)
+must equal psi.  Phi^k and Delta^k evaluate a witness the same way,
+`WitnessedCycle.value`.
 """
 
 from __future__ import annotations

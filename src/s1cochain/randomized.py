@@ -6,13 +6,19 @@ structure of the objects rather than rejection sampling:
 * delta^0 is sampled as a matched acyclic pairing (a square-zero map that is
   strictly triangular in a suitable basis order) and the whole family is
   conjugated by a random degree-preserving change of basis at the end;
+* morphisms phi are sampled from the kernel of their defining relations,
+  which are jointly linear in the entries of the phi^r; the system indexes
+  its unknowns by (order, generator), so an operator entry visits only the
+  unknowns it multiplies;
+* the connecting family delta_{+,0} of a split complex is a morphism
+  C_+ -> C_0[1] and is drawn by that sampler;
 * each higher operator delta^k is solved from its relation
-  delta^0 delta^k + delta^k delta^0 = -sum_{0<i<k} delta^i delta^{k-i},
-  a linear system over the degree-constrained entries, plus a random kernel
-  element; when the bilinear obstruction makes a level unsolvable the draw
-  is retried with fresh lower operators;
-* connecting families delta_{+,0} and morphisms phi are sampled from the
-  kernel of their (jointly linear) defining relations.
+  delta^0 delta^k + delta^k delta^0 = -sum_{0<i<k} delta^i delta^{k-i}:
+  the left side is the k=0 morphism relation from (C, delta^0) to its
+  shift C[1-2k], so the same system builder gives it.  A particular
+  solution plus a random kernel element is drawn; when the bilinear
+  obstruction makes a level unsolvable the draw is retried with fresh lower
+  operators.
 
 Every produced object passes the public verifiers; generation asserts this.
 """

@@ -333,17 +333,12 @@ def _pages(c: S1Complex, tower: FiltrationTower, indices: dict[int, bool]) -> li
     return out
 
 
-def leray_page(c: S1Complex, k: int, with_differential: bool | None = None) -> LerayPage:
-    """Assemble page k+1 from F^k; differentials need 2(k+1) <= truncation."""
+def leray_page(c: S1Complex, k: int) -> LerayPage:
+    """Assemble page k+1 from F^k, with its differential when 2(k+1) <= truncation."""
     n_tr = c.truncation
     if k > n_tr:
         raise TruncationError(f"page index {k} exceeds truncation {n_tr}")
-    if with_differential is None:
-        with_differential = 2 * (k + 1) <= n_tr
-    if with_differential and 2 * (k + 1) > n_tr:
-        raise TruncationError(
-            f"the differential of page {k + 1} needs truncation >= {2 * (k + 1)}")
-    return _pages(c, filtration_tower(c, k), {k: with_differential})[0]
+    return _pages(c, filtration_tower(c, k), {k: 2 * (k + 1) <= n_tr})[0]
 
 
 def leray_pages(c: S1Complex) -> list[LerayPage]:
@@ -355,7 +350,7 @@ def leray_pages(c: S1Complex) -> list[LerayPage]:
 
 def e_infinity(c: S1Complex) -> LerayPage:
     """The last page: column i is u^-i Z_i / B_{N-i}."""
-    return leray_page(c, c.truncation, with_differential=False)
+    return leray_page(c, c.truncation)
 
 
 def reduced_page_map(c: S1Complex, k: int) -> tuple[Subquotient, SparseMatrix]:

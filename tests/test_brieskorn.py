@@ -7,6 +7,7 @@ from math import factorial, gcd
 import pytest
 
 from s1cochain.brieskorn import (
+    MAX_PERIOD_BOUND,
     BrieskornData,
     OrbitFamily,
     PrincipalPeriod,
@@ -170,6 +171,18 @@ class TestGlobalMinCz:
     def test_default_bound_is_stated(self):
         g = global_min_cz([2, 3, 3, 3])
         assert g.period_bound == 4 * 6
+
+    def test_bound_above_the_cap_rejected(self):
+        assert len(orbit_families([2, 2], MAX_PERIOD_BOUND)) == MAX_PERIOD_BOUND // 2
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            orbit_families([2, 3, 3, 3], MAX_PERIOD_BOUND + 1)
+        # the default bound of (97, 89, 83) is 4 * 97 * 89 * 83
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            global_min_cz([97, 89, 83])
+        # `reproduce corollary-1dilation` needs the default bound of the
+        # one-dilation exponents (2, ..., n, n) for n up to 12
+        exps = list(range(2, 12)) + [12, 12]
+        assert 4 * max(p.period for p in principal_periods(exps)) <= MAX_PERIOD_BOUND
 
 
 class TestAdcCertificate:

@@ -8,8 +8,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s1cochain.brieskorn import milnor_model
-from s1cochain.cli import main
+from s1cochain.brieskorn import MAX_PERIOD_BOUND, milnor_model
+from s1cochain.cli import MAX_ONE_DILATION_N, main
 from s1cochain.complexes import (
     MAX_DEGREE_WINDOW,
     MAX_FILTERED_DIM,
@@ -403,6 +403,12 @@ class TestCli:
         res2 = run_cli("dilation", str(out))
         assert json.loads(res2.stdout)["order"] == 0
 
+    def test_milnor_output_file_holds_the_stdout_bytes(self, tmp_path):
+        out = tmp_path / "m.json"
+        res = run_cli("milnor", "--k", "2", "--m", "2", "-o", str(out))
+        assert res.exit_code == 0 and res.stdout == ""
+        assert out.read_text() == run_cli("milnor", "--k", "2", "--m", "2").stdout
+
     def test_brieskorn_periods(self):
         res = run_cli("brieskorn", "periods", "2,3,3,3")
         payload = json.loads(res.stdout)
@@ -564,6 +570,27 @@ class TestCli:
             assert time.perf_counter() - start < 1.0
             assert res.exit_code == 2
             assert "--bound" in res.stderr
+
+    @pytest.mark.parametrize("command", ["cz", "adc", "predict"])
+    def test_brieskorn_bound_above_the_cap_exit_2_fast(self, command):
+        # an explicit bound, and the default 4 * 716,539 of (97, 89, 83)
+        for args in (("2,3,3,3", "--bound", str(MAX_PERIOD_BOUND + 1)), ("97,89,83",)):
+            start = time.perf_counter()
+            res = run_cli("brieskorn", command, *args)
+            assert time.perf_counter() - start < 1.0
+            assert res.exit_code == 2
+            assert str(MAX_PERIOD_BOUND) in res.stderr and "--bound" in res.stderr
+        assert run_cli("brieskorn", command, "2,3,3,3", "--bound", "24").exit_code == 0
+
+    def test_reproduce_bounds_exit_2_fast(self):
+        for args in (("theorem-a", "--max", str(MAX_TRUNCATION // 2 + 1)),
+                     ("theorem-a", "--max", "0"),
+                     ("corollary-1dilation", "--n-range", f"3..{MAX_ONE_DILATION_N + 1}")):
+            start = time.perf_counter()
+            res = run_cli("reproduce", *args)
+            assert time.perf_counter() - start < 1.0
+            assert res.exit_code == 2
+            assert args[1] in res.stderr
 
     def test_brieskorn_bound_below_minimal_period_exit_2(self):
         # the minimal principal period of (2,3,3,3) is 3

@@ -226,9 +226,9 @@ class TestLerayPages:
 
     def test_all_zero_all_pages_equal(self):
         c = all_zero_complex()
-        base = leray_page(c, 0, with_differential=False).dims_by_total_degree(c.degrees)
+        base = leray_page(c, 0).dims_by_total_degree(c.degrees)
         for k in range(1, c.truncation + 1):
-            page = leray_page(c, k, with_differential=False)
+            page = leray_page(c, k)
             assert page.dims_by_total_degree(c.degrees) == base
 
     def test_e_infinity_converges_milnor22(self):
@@ -270,8 +270,8 @@ class TestLerayPages:
         from s1cochain.linalg import rank
 
         def holds(c, k):
-            page = leray_page(c, k, with_differential=True)
-            nxt = leray_page(c, k + 1, with_differential=False)
+            page = leray_page(c, k)
+            nxt = leray_page(c, k + 1)
             for i in range(c.truncation + 1):
                 out_rank = rank(page.differentials[i - k - 1]) \
                     if (i - k - 1) in page.differentials else 0
@@ -291,11 +291,6 @@ class TestLerayPages:
             c = random_s1_complex(rng, rng.randint(4, 9), rng.randint(2, 6))
             for k in range(c.truncation // 2):
                 assert holds(c, k)
-
-    def test_differential_needs_truncation(self):
-        c = all_zero_complex(2)
-        with pytest.raises(TruncationError):
-            leray_page(c, 1, with_differential=True)
 
 
 def _check_page_recursion(c, k):
