@@ -511,7 +511,7 @@ def corollary_1dilation(n_range: str) -> None:
     """
     window = _parse_degree_window(n_range)
     assert window is not None
-    if len(window) and window[-1] > MAX_ONE_DILATION_N:
+    if window and window[-1] > MAX_ONE_DILATION_N:
         _diag(f"--n-range {n_range!r}: n above the limit {MAX_ONE_DILATION_N}")
         raise SystemExit(EXIT_INPUT_ERROR)
     rows = []
