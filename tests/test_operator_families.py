@@ -310,6 +310,20 @@ def _check_morphisms(seed, n_a, n_b, n_tr):
                 assert repr(phi_value(f, w)) == repr(_reference_phi_value(f, w))
 
 
+def test_witness_values_on_a_sweep():
+    # larger complexes, where witness values sum several blocks with
+    # different supports, so the summation order shows in the dict order
+    rng = random.Random(1)
+    for _ in range(60):
+        c = random_s1_complex(rng, rng.randint(4, 12), rng.randint(2, 6))
+        phi = random_morphism(rng, c, c)
+        tower = filtration_tower(c, c.truncation)
+        for j in range(c.truncation + 1):
+            for w in tower.z(j) + tower.b(j):
+                assert repr(delta_value(c, w)) == repr(_reference_delta_value(c, w))
+                assert repr(phi_value(phi, w)) == repr(_reference_phi_value(phi, w))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8), st.integers(0, 4))
 def test_families_match_the_references(seed, n_a, n_b, n_tr):
