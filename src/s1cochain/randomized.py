@@ -31,7 +31,6 @@ from fractions import Fraction
 from .complexes import (
     Generator,
     S1Complex,
-    direct_sum,
     family_product,
     shift,
     verify_s1_relations,
@@ -208,12 +207,16 @@ def random_split_complex(rng: random.Random, n_plus: int, n_zero_extra: int,
     conn = _morphism_components(rng, plus, shift(zero, 1))
 
     # C = C_0 + C_+ with delta_{+,0} in the block from C_+ to C_0
-    joined = direct_sum(zero, plus)
-    n = joined.n
-    deltas = tuple(d + SparseMatrix.from_entries(n, n, ((i, j + n_z, v) for i, j, v in m.entries))
-                   for d, m in zip(joined.deltas, conn))
+    n = n_z + plus.n
+    deltas = []
+    for z, p, m in zip(zero.deltas, plus.deltas, conn):
+        ent = list(z.entries)
+        ent.extend((i + n_z, j + n_z, v) for i, j, v in p.entries)
+        ent.extend((i, j + n_z, v) for i, j, v in m.entries)
+        deltas.append(SparseMatrix.from_entries(n, n, ent))
     parts = (ZERO_PART,) * n_z + (PLUS_PART,) * plus.n
-    s = SplitS1Complex(S1Complex(joined.generators, truncation, deltas), parts, {0: Fraction(1)})
+    s = SplitS1Complex(S1Complex(zero_gens + plus.generators, truncation, tuple(deltas)),
+                       parts, {0: Fraction(1)})
     if with_unit_killer:
         s = _append_unit_killer(s)
     assert verify_s1_relations(s.complex).valid
