@@ -112,8 +112,13 @@ def _matched_pairing_delta0(rng: random.Random, degrees: tuple[int, ...],
 
 def _allowed_pairs(src_degrees: tuple[int, ...], dst_degrees: tuple[int, ...],
                    degree_shift: int) -> list[tuple[int, int]]:
+    """The (target, source) pairs whose degrees differ by degree_shift,
+    source-major, read from an index of the targets by degree."""
+    by_degree: dict[int, list[int]] = {}
+    for i, d in enumerate(dst_degrees):
+        by_degree.setdefault(d, []).append(i)
     return [(i, j) for j, dj in enumerate(src_degrees)
-            for i, di in enumerate(dst_degrees) if di - dj == degree_shift]
+            for i in by_degree.get(dj + degree_shift, ())]
 
 
 def _random_kernel_element(rng: random.Random, sys: SparseMatrix, density: float,
