@@ -86,7 +86,6 @@ def _parse_family(doc: dict, key: str, n_tr: int, src: tuple[Generator, ...],
     dst_index = {g.name: i for i, g in enumerate(dst)}
     raw = doc.get(key, [])
     _expect(isinstance(raw, list), f"$.{key}", "expected an array")
-    noun = key[:-1]
     mats: dict[int, list] = {}
     for i, item in enumerate(raw):
         path = f"$.{key}[{i}]"
@@ -94,7 +93,7 @@ def _parse_family(doc: dict, key: str, n_tr: int, src: tuple[Generator, ...],
         r = item.get("order")
         _expect(isinstance(r, int) and not isinstance(r, bool) and 0 <= r <= n_tr,
                 f"{path}.order", f"expected an integer in [0, {n_tr}]")
-        _expect(r not in mats, f"{path}.order", f"duplicate {noun} order {r}")
+        _expect(r not in mats, f"{path}.order", f"duplicate {key[:-1]} order {r}")
         mats[r] = []
         for epath, e in _entries(item, path):
             frm, to = e.get("from"), e.get("to")

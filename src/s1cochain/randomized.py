@@ -112,8 +112,7 @@ def _matched_pairing_delta0(rng: random.Random, degrees: tuple[int, ...],
 
 def _allowed_pairs(src_degrees: tuple[int, ...], dst_degrees: tuple[int, ...],
                    degree_shift: int) -> list[tuple[int, int]]:
-    """The (target, source) pairs whose degrees differ by degree_shift,
-    source-major, read from an index of the targets by degree."""
+    """The (target, source) pairs whose degrees differ by degree_shift, source-major."""
     by_degree: dict[int, list[int]] = {}
     for i, d in enumerate(dst_degrees):
         by_degree.setdefault(d, []).append(i)
@@ -134,12 +133,8 @@ def _random_kernel_element(rng: random.Random, sys: SparseMatrix, density: float
 def _solve_relation_level(rng: random.Random, gens: tuple[Generator, ...],
                           deltas: list[SparseMatrix], k: int,
                           density: float) -> SparseMatrix | None:
-    """Solve delta^0 D + D delta^0 = -R_k for D over the allowed entries.
-
-    A D of degree 1-2k is a degree-0 map from (C, delta^0) to the shift
-    C[1-2k], whose differential is -delta^0, and the left side is the k=0
-    morphism relation between the two.
-    """
+    """Solve delta^0 D + D delta^0 = -R_k for D over the allowed entries,
+    as the k=0 morphism relation from (C, delta^0) to C[1-2k]."""
     n = len(gens)
     c0 = S1Complex(gens, 0, (deltas[0],))
     sys, unknowns, rpos = _relation_system(c0, shift(c0, 1 - 2 * k))
