@@ -6,8 +6,11 @@ exact stdout of `pages`, `semidilation`, `dilation`, `zb`, `delta`, `les`
 and `cohomology` on each.  It also holds the stdout of `check` on
 `milnor_3_3` and on `broken.json`, a hand-written document whose operators
 violate relations at every k and degree shifts at two orders, so the
-residual entries are pinned too.  Every test compares bytes, so a change to
-any basis, witness, order, residual or key order fails here.
+residual entries are pinned too.  `cli_fixtures/commands/` holds the stdout
+of the commands that read no document: `brieskorn periods`, `cz`, `adc` and
+`predict` on three exponent vectors, and `reproduce theorem-a --max 3`.
+Every test compares bytes, so a change to any basis, witness, order,
+residual, index or key order fails here.
 
 To regenerate after an intended change of the output, run
 
@@ -43,6 +46,14 @@ CHECKS = {"milnor_3_3": 0, "broken": 1}
 
 CASES = [(doc, args) for doc, n_tr in DOCUMENTS.items() for args in _commands(n_tr)]
 
+# exponents -> the --bound arguments of `cz`, `adc` and `predict`
+BRIESKORN = {"2,3,3,3": ("--bound", "60"), "3,3,3,3": (), "2,3,5": ()}
+
+COMMANDS = [("brieskorn", "periods", e) for e in BRIESKORN]
+COMMANDS += [("brieskorn", c, e, *bound) for c in ("cz", "adc", "predict")
+             for e, bound in BRIESKORN.items()]
+COMMANDS += [("reproduce", "theorem-a", "--max", "3")]
+
 
 def _fixture_path(doc: str, args: tuple[str, ...]) -> Path:
     return FIXTURES / doc / ("_".join(a.lstrip("-") for a in args) + ".out")
@@ -64,6 +75,13 @@ def test_check_output_matches_fixture(doc, code):
     res = _run(doc, ("check",))
     assert res.exit_code == code, res.stderr
     assert res.stdout == _fixture_path(doc, ("check",)).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=["_".join(a) for a in COMMANDS])
+def test_command_output_matches_fixture(args):
+    res = CliRunner().invoke(main, list(args))
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout == _fixture_path("commands", args).read_text(encoding="utf-8")
 
 
 def _write_fixtures() -> None:
@@ -92,6 +110,11 @@ def _write_fixtures() -> None:
         assert res.exit_code == code, (doc, res.stderr)
         (FIXTURES / doc).mkdir(exist_ok=True)
         _fixture_path(doc, ("check",)).write_text(res.stdout, encoding="utf-8")
+    (FIXTURES / "commands").mkdir(exist_ok=True)
+    for args in COMMANDS:
+        res = CliRunner().invoke(main, list(args))
+        assert res.exit_code == 0, (args, res.stderr)
+        _fixture_path("commands", args).write_text(res.stdout, encoding="utf-8")
 
 
 if __name__ == "__main__":
