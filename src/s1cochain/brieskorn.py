@@ -179,7 +179,7 @@ class GlobalMinCz:
     attained: OrbitFamily
     min_attained_at_minimal_period: bool
     period_bound: int
-    families_scanned: int
+    families: tuple[tuple[OrbitFamily, int], ...]   # (family, its min_cz)
 
 
 def global_min_cz(exponents: tuple[int, ...] | list[int],
@@ -195,20 +195,14 @@ def global_min_cz(exponents: tuple[int, ...] | list[int],
         raise ValueError("no principal period exists for these exponents")
     if period_bound is None:
         period_bound = 4 * max(p.period for p in periods)
-    fams = orbit_families(exponents, period_bound)
-    if not fams:
+    families = tuple((fam, min_cz(exponents, fam))
+                     for fam in orbit_families(exponents, period_bound))
+    if not families:
         raise ValueError("period bound below the minimal principal period")
-    best = None
-    best_fam = None
-    for fam in fams:
-        v = min_cz(exponents, fam)
-        if best is None or v < best:
-            best, best_fam = v, fam
-    assert best is not None and best_fam is not None
+    best_fam, best = min(families, key=lambda fv: fv[1])
     minimal_period = min(p.period for p in periods)
-    at_min = any(min_cz(exponents, fam) == best and fam.total_period == minimal_period
-                 for fam in fams)
-    return GlobalMinCz(best, best_fam, at_min, period_bound, len(fams))
+    at_min = any(v == best and fam.total_period == minimal_period for fam, v in families)
+    return GlobalMinCz(best, best_fam, at_min, period_bound, families)
 
 
 @dataclass(frozen=True)

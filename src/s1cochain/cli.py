@@ -409,7 +409,6 @@ def cz(exponents: str, bound: int | None) -> None:
     """Minimal Conley-Zehnder indices of all orbit families within a bound."""
     exps = _parse_exponents(exponents)
     g = _bounded(bk.global_min_cz, exps, bound)
-    fams = bk.orbit_families(exps, g.period_bound)
     _emit({
         "exponents": exps,
         "period_bound": g.period_bound,
@@ -418,8 +417,8 @@ def cz(exponents: str, bound: int | None) -> None:
             "count": f.count,
             "total_period": f.total_period,
             "parametrized_dimension": f.parametrized_dimension,
-            "min_cz": bk.min_cz(exps, f),
-        } for f in fams],
+            "min_cz": v,
+        } for f, v in g.families],
         "global_min_cz": g.minimum,
         "attained_at_total_period": g.attained.total_period,
         "min_attained_at_minimal_period": g.min_attained_at_minimal_period,

@@ -172,6 +172,14 @@ class TestGlobalMinCz:
         g = global_min_cz([2, 3, 3, 3])
         assert g.period_bound == 4 * 6
 
+    def test_families_pair_each_family_with_its_index(self):
+        for exps, bound in [([2, 3, 3, 3], 60), ([2, 3, 5], None), ([2, 2], 8)]:
+            g = global_min_cz(exps, bound)
+            fams = orbit_families(exps, g.period_bound)
+            assert g.families == tuple((f, min_cz(exps, f)) for f in fams)
+            first = next(f for f, v in g.families if v == g.minimum)
+            assert g.attained == first and g.minimum == min(v for _, v in g.families)
+
     def test_bound_above_the_cap_rejected(self):
         assert len(orbit_families([2, 2], MAX_PERIOD_BOUND)) == MAX_PERIOD_BOUND // 2
         with pytest.raises(ValueError, match="exceeds the limit"):
