@@ -311,7 +311,8 @@ def _scan_level(s: SplitS1Complex, max_k: int | None) -> int:
 
 
 def order_of_dilation(s: SplitS1Complex, max_k: int | None = None) -> DilationReport:
-    """The least k at which the unit is exact in F^k, from one `solve`.
+    """The least k at which the unit is exact in F^k, from the one level
+    test `has_k_dilation` at the scan level.
 
     F^k is the column prefix of F^N's first (k+1)n indices, its differential
     F^N's leading block, and F^N's pivot columns inside it a basis of its
@@ -320,8 +321,7 @@ def order_of_dilation(s: SplitS1Complex, max_k: int | None = None) -> DilationRe
     supported there: the order is its largest index // n, it is the witness
     `has_k_dilation(s, order)` returns, and e stays exact at higher levels.
     """
-    f = build_filtered_plus(s.complex, _scan_level(s, max_k))
-    prim = solve(f.differential, f.include_chain(s.unit, 0))
+    prim = has_k_dilation(s, _scan_level(s, max_k))[1]
     order = None if prim is None else max(prim) // s.complex.n
     return DilationReport("dilation", s.truncation, order, prim)
 
