@@ -21,12 +21,16 @@ from the pivot rows above it, found through an index of pivot rows by pivot
 column built once.  Empty columns and rows that do not hold a column cost
 nothing, so the work follows the nonzeros, not rows x columns.
 
-Eliminations see the nonempty rows only: `rref`, `kernel_basis`,
-`kernel_and_image` and `solve` hand the kernel one dict per row that holds
-an entry (`solve` adds the rows in the support of the right-hand side).  An
-empty row can neither supply a pivot nor change one, so the RREF is the
-same.  `kernel_and_image` reads a kernel basis and the pivot columns from a
-single elimination, for callers that need both.
+Eliminations see the nonempty rows only, one dict per row that holds an
+entry; an empty row can neither supply a pivot nor change one, so the RREF
+is the same.  A matrix hands over its own rows (`solve` adds the rows in the
+support of the right-hand side).  Vectors take one path, with no matrix
+built: `_column_rows` turns them into the rows of the matrix whose columns
+they are, range-checking every index.  `pivot_columns` eliminates those
+rows; `span_leq`, the filtration tower and `Subquotient`'s construction ask
+their span questions through it, and `Subquotient` reduces vectors over the
+same rows.  `kernel_and_image` reads a kernel basis and the pivot columns
+from a single elimination, for callers that need both.
 
 A subquotient Z/B reduces any number of vectors in one elimination.  Its
 B basis and quotient basis are independent columns, so the elimination of
@@ -88,10 +92,6 @@ def vec(entries: Mapping[int, object] | Iterable[tuple[int, object]] = ()) -> Ve
             if not out[i]:
                 del out[i]
     return out
-
-
-def unit_vec(i: int) -> Vector:
-    return {i: Fraction(1)}
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -256,10 +256,6 @@ class SparseMatrix:
 
     # algebra ------------------------------------------------------------
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_entries(self.cols, self.rows,
-                                         ((c, r, v) for r, c, v in self.entries))
-
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("matrix shapes differ")
@@ -316,13 +312,6 @@ class SparseMatrix:
                 else:
                     out[r] = m * x
         return out
-
-    def hstack(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.rows != other.rows:
-            raise DimensionError("row counts differ")
-        ent = list(self.entries)
-        ent.extend((r, c + self.cols, v) for r, c, v in other.entries)
-        return SparseMatrix.from_entries(self.rows, self.cols + other.cols, ent)
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "SparseMatrix":
         rpos = {idx: p for p, idx in enumerate(row_indices)}
@@ -443,8 +432,29 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
     return SparseMatrix(m.rows, m.cols, ent), tuple(pivots)
 
 
+def _column_rows(vectors: Sequence[Vector], dim: int) -> list[dict[int, Fraction]]:
+    """The nonempty rows of the dim-row matrix whose columns are `vectors`."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for c, v in enumerate(vectors):
+        for r, x in v.items():
+            if not 0 <= r < dim:
+                raise DimensionError("vector index out of ambient range")
+            if x:
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = row = {}
+                row[c] = x
+    return list(rows.values())
+
+
+def pivot_columns(vectors: Sequence[Vector], dim: int) -> list[int]:
+    """Pivot columns of the matrix whose columns are `vectors`: the first
+    vector of each rank increase, read without building the matrix."""
+    return _rref_rows(_column_rows(vectors, dim), len(vectors))[1]
+
+
 def rank(m: SparseMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_rref_rows(list(_nonempty_rows(m).values()), m.cols)[1])
 
 
 def solve(m: SparseMatrix, b: Vector) -> Vector | None:
@@ -474,7 +484,7 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     return x
 
 
-def _kernel_from_rref(rows: list[dict[int, Fraction]], pivots: list[int],
+def _kernel_of_reduced(rows: list[dict[int, Fraction]], pivots: list[int],
                       cols: int) -> list[Vector]:
     pivset = set(pivots)
     free: dict[int, Vector] = {f: {f: _ONE} for f in range(cols) if f not in pivset}
@@ -488,30 +498,25 @@ def _kernel_from_rref(rows: list[dict[int, Fraction]], pivots: list[int],
 def kernel_basis(m: SparseMatrix) -> list[Vector]:
     """Deterministic basis of ker(m), one vector per free column."""
     rows, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
-    return _kernel_from_rref(rows, pivots, m.cols)
+    return _kernel_of_reduced(rows, pivots, m.cols)
 
 
 def image_basis(m: SparseMatrix) -> list[Vector]:
     """Basis of the column space: the original columns at the pivot indices."""
-    _, pivots = rref(m)
+    _, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
     return [m.col(p) for p in pivots]
 
 
 def kernel_and_image(m: SparseMatrix) -> tuple[list[Vector], list[Vector]]:
     """`kernel_basis(m)` and `image_basis(m)`, read from one elimination."""
     rows, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
-    return _kernel_from_rref(rows, pivots, m.cols), [m.col(p) for p in pivots]
-
-
-def span_contains(vectors: Sequence[Vector], v: Vector, dim: int) -> bool:
-    return solve(SparseMatrix.from_columns(vectors, dim), v) is not None
+    return _kernel_of_reduced(rows, pivots, m.cols), [m.col(p) for p in pivots]
 
 
 def span_leq(a: Sequence[Vector], b: Sequence[Vector], dim: int) -> bool:
-    """span(a) contained in span(b), decided by a rank identity."""
-    mb = SparseMatrix.from_columns(list(b), dim)
-    mba = SparseMatrix.from_columns(list(b) + list(a), dim)
-    return rank(mb) == rank(mba)
+    """span(a) contained in span(b): no column of a is a pivot of [b | a],
+    since the RREF of a column prefix is the prefix of the RREF."""
+    return all(p < len(b) for p in pivot_columns([*b, *a], dim))
 
 
 # ---------------------------------------------------------------------------
@@ -544,51 +549,36 @@ class Subquotient:
     beyond rank(B) represent the quotient, with any `preferred` vectors
     (e.g. a distinguished unit class) coming first when independent.
 
-    Construction runs two eliminations: rank(Z), and the one over
-    [B | preferred | Z].  The containment check needs no third: that matrix
-    has the columns of [Z | B | preferred], so its pivot count is
-    rank(span(Z, B, preferred)), which equals rank(Z) exactly when B and the
-    preferred vectors lie in span(Z).
+    Construction runs two eliminations, both `pivot_columns` over the
+    generators: rank(Z), and the one over [B | preferred | Z].  The
+    containment check needs no third: the latter has the columns of
+    [Z | B | preferred], so its pivot count is rank(span(Z, B, preferred)),
+    which equals rank(Z) exactly when B and the preferred vectors lie in
+    span(Z).
     """
 
     def __init__(self, ambient_dim: int, z_gens: Sequence[Vector],
                  b_gens: Sequence[Vector] = (),
                  preferred: Sequence[Vector] = ()):
         self.ambient_dim = ambient_dim
-        self.z_gens = tuple(dict(v) for v in z_gens)
-        self.b_gens = tuple(dict(v) for v in b_gens)
-        self.preferred = tuple(dict(v) for v in preferred)
-        for v in (*self.z_gens, *self.b_gens, *self.preferred):
-            for i in v:
-                if not 0 <= i < ambient_dim:
-                    raise DimensionError("generator index out of ambient range")
-
-        self.rank_z = rank(SparseMatrix.from_columns(self.z_gens, ambient_dim))
-        nb = len(self.b_gens)
-        np_ = len(self.preferred)
-        combined = list(self.b_gens) + list(self.preferred) + list(self.z_gens)
-        _, pivots = rref(SparseMatrix.from_columns(combined, ambient_dim))
+        nb = len(b_gens)
+        np_ = len(preferred)
+        combined = [*b_gens, *preferred, *z_gens]
+        try:
+            self.rank_z = len(pivot_columns(z_gens, ambient_dim))
+            pivots = pivot_columns(combined, ambient_dim)
+        except DimensionError:
+            raise DimensionError("generator index out of ambient range") from None
         if len(pivots) != self.rank_z:
             raise ValueError("b_gens/preferred not contained in span(z_gens)")
-        self.rank_b = sum(1 for p in pivots if p < nb)
         b_basis = [combined[p] for p in pivots if p < nb]
-        basis: list[Vector] = []
-        sources: list[tuple[str, int]] = []
-        for p in pivots:
-            if p < nb:
-                continue
-            if p < nb + np_:
-                basis.append(combined[p])
-                sources.append(("preferred", p - nb))
-            else:
-                basis.append(combined[p])
-                sources.append(("z", p - nb - np_))
-        self.basis = tuple(basis)
-        self.basis_sources = tuple(sources)
-        self.dim = len(basis)
+        self.rank_b = self._nb_basis = len(b_basis)
+        self.basis = tuple(combined[p] for p in pivots if p >= nb)
+        self.basis_sources = tuple(("preferred", p - nb) if p < nb + np_ else ("z", p - nb - np_)
+                                   for p in pivots if p >= nb)
+        self.dim = len(self.basis)
         assert self.dim == self.rank_z - self.rank_b
-        self._solver = SparseMatrix.from_columns(b_basis + basis, ambient_dim)
-        self._nb_basis = len(b_basis)
+        self._solver = [*b_basis, *self.basis]
 
     def _reduce(self, vectors: Sequence[Vector]) -> tuple[SparseMatrix, bool]:
         """The coordinate matrix of `vectors` and whether all of them lie in Z.
@@ -601,17 +591,9 @@ class Subquotient:
         """
         if not vectors:
             return SparseMatrix.zero(self.dim, 0), True
-        s = self._solver.cols
-        rows = _nonempty_rows(self._solver)
-        for t, v in enumerate(vectors):
-            for i, x in v.items():
-                if not 0 <= i < self.ambient_dim:
-                    raise DimensionError("vector index out of ambient range")
-                row = rows.get(i)
-                if row is None:
-                    rows[i] = row = {}
-                row[s + t] = x
-        reduced, pivots = _rref_rows(list(rows.values()), s)
+        s = len(self._solver)
+        reduced, pivots = _rref_rows(
+            _column_rows([*self._solver, *vectors], self.ambient_dim), s)
         assert len(pivots) == s
         ent = tuple((j, c - s, x) for j, row in enumerate(reduced[self._nb_basis:s])
                     for c, x in sorted(row.items()) if c >= s)

@@ -56,8 +56,8 @@ from .linalg import (
     Subquotient,
     Vector,
     kernel_basis,
+    pivot_columns,
     rank as matrix_rank,
-    rref,
     vadd,
     vis_zero,
 )
@@ -115,7 +115,7 @@ class FiltrationTower:
     """Z_j and B_j with witnesses for every level j <= filtered.level.
 
     Each half runs on first use: Z one kernel elimination of F^level, B one
-    of its rows at positive u-power and an `rref` of the boundary values.
+    of its rows at positive u-power and `pivot_columns` of the boundary values.
     A vector's level is the u-power of its free column, max index // n.
     """
 
@@ -143,8 +143,7 @@ class FiltrationTower:
             assert image == f.include_chain(value, 0)
             if not vis_zero(value):
                 pairs.append((max(a) // n, value, a))
-        _, chosen = rref(SparseMatrix.from_columns([p[1] for p in pairs], n))
-        return [pairs[i] for i in chosen]
+        return [pairs[i] for i in pivot_columns([p[1] for p in pairs], n)]
 
     def _check(self, j: int) -> None:
         if not 0 <= j <= self.filtered.level:

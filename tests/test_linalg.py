@@ -13,6 +13,7 @@ from s1cochain.linalg import (
     image_basis,
     kernel_and_image,
     kernel_basis,
+    pivot_columns,
     rank,
     rref,
     solve,
@@ -80,7 +81,7 @@ class TestSolve:
         m = dense([[1, 2], [2, 4]])
         b = vec({0: 0, 1: 1})
         assert solve(m, b) is None
-        aug = m.hstack(SparseMatrix.from_columns([b], 2))
+        aug = SparseMatrix.from_columns(m.columns() + [b], 2)
         assert rank(aug) == rank(m) + 1
 
     def test_dimension_mismatch(self):
@@ -179,8 +180,14 @@ class TestSubquotient:
 
     def test_dimension_mismatch(self):
         s = Subquotient(2, [vec({0: 1})], [])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="vector index out of ambient range"):
             s.membership(vec({5: 1}))
+
+    def test_generator_out_of_range(self):
+        z = [vec({0: 1}), vec({1: 1})]
+        for args in ([z + [vec({2: 1})]], [z, [vec({-1: 1})]], [z, [], [vec({0: 1, 7: 1})]]):
+            with pytest.raises(DimensionError, match="generator index out of ambient range"):
+                Subquotient(2, *args)
 
     def test_preferred_vector_heads_basis(self):
         z = [vec({0: 1}), vec({1: 1})]
@@ -195,6 +202,12 @@ def test_span_leq_rank_identity():
     b = [vec({0: 1}), vec({1: 1})]
     assert span_leq(a, b, 2)
     assert not span_leq(b, a, 2)
+
+
+def test_span_leq_rejects_out_of_range_vector():
+    for a, b in (([vec({2: 1})], [vec({0: 1})]), ([], [vec({-1: 1})])):
+        with pytest.raises(DimensionError):
+            span_leq(a, b, 2)
 
 
 _literals = st.one_of(
@@ -416,7 +429,7 @@ def test_subquotient_membership_matches_oracle(system, data):
     s = Subquotient(m.rows, z, b)
     expected = []
     for u in vs:
-        sol = _oracle_solve(s._solver, u)
+        sol = _oracle_solve(SparseMatrix.from_columns(s._solver, s.ambient_dim), u)
         coords = None if sol is None else tuple(
             sol.get(s._nb_basis + j, F(0)) for j in range(s.dim))
         expected.append(coords)
@@ -434,6 +447,39 @@ def test_subquotient_membership_matches_oracle(system, data):
     if len(inside) < len(vs):
         with pytest.raises(ValueError, match="vector is not in Z"):
             s.coordinate_matrix(vs)
+
+
+@st.composite
+def _spans(draw):
+    """(dim, b, a, inside): b holds dependent columns (repeats, combinations
+    of the others, zeros); a lies inside span(b) by construction when
+    `inside`, and is drawn at random otherwise."""
+    m = draw(_matrices())
+    b = m.columns() + [m.apply(x) for x in draw(st.lists(_vectors(m.cols), max_size=3))]
+    inside = draw(st.booleans())
+    if inside:
+        a = [m.apply(x) for x in draw(st.lists(_vectors(m.cols), max_size=3))]
+    else:
+        a = draw(st.lists(_vectors(m.rows), max_size=3))
+    return m.rows, b, a, inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spans())
+def test_pivot_columns_and_span_leq_match_oracle(case):
+    dim, b, a, inside = case
+    given_vectors = _exact(b + a)
+
+    def oracle_pivots(vectors):
+        return list(_oracle_rref(SparseMatrix.from_columns(vectors, dim))[1])
+
+    assert pivot_columns(b, dim) == oracle_pivots(b)
+    assert pivot_columns(b + a, dim) == oracle_pivots(b + a)
+    # the rank identity rank(b) == rank(b | a) as the oracle reads it
+    assert span_leq(a, b, dim) == (len(oracle_pivots(b)) == len(oracle_pivots(b + a)))
+    if inside:
+        assert span_leq(a, b, dim)
+    assert _exact(b + a) == given_vectors
 
 
 # ---------------------------------------------------------------------------
