@@ -327,6 +327,14 @@ class TestTautologicalLes:
                                      rng.randint(1, 4))
             assert tautological_les(s).exact
 
+    def test_differential_not_squaring_to_zero_rejected(self):
+        # delta^0 a = b and delta^0 b = x, so delta^0 delta^0 a = x
+        c = make_complex([("e", 0), ("a", -1), ("b", 0), ("x", 1)], 1,
+                         {0: [("a", "b", 1), ("b", "x", 1)]})
+        s = make_split_complex(c, ["e"], "e")
+        with pytest.raises(ValueError):
+            tautological_les(s)
+
     def test_degree_window_limit(self):
         c = make_complex([("e", 0), ("x", MAX_DEGREE_WINDOW - 1)], 0, {})
         s = make_split_complex(c, ["e"], "e")
