@@ -282,6 +282,23 @@ def _graded_data(obj: S1Complex | FilteredPlusComplex) -> tuple[tuple[int, ...],
     return obj.degrees, obj.differential
 
 
+def check_degree_window(degrees: range) -> None:
+    """Refuse a window of more than MAX_DEGREE_WINDOW degrees."""
+    # len() of a range longer than sys.maxsize raises OverflowError
+    span = max(0, -((degrees.start - degrees.stop) // degrees.step))
+    if span > MAX_DEGREE_WINDOW:
+        raise ValueError(f"degree window {degrees.start}..{degrees.stop - 1} spans "
+                         f"{span} degrees, more than {MAX_DEGREE_WINDOW}")
+
+
+def group_by_degree(vectors: Sequence[Vector], degrees: Sequence[int]) -> dict[int, list[Vector]]:
+    """Homogeneous nonzero vectors by degree, read at each one's lowest index."""
+    out: dict[int, list[Vector]] = {}
+    for v in vectors:
+        out.setdefault(degrees[min(v)], []).append(v)
+    return out
+
+
 def cohomology(obj: S1Complex | FilteredPlusComplex,
                degrees: range | None = None,
                preferred: dict[int, list[Vector]] | None = None) -> dict[int, CohomologyGroup]:
@@ -291,17 +308,13 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
     representative cycles.  `preferred` optionally requests distinguished
     representatives (per degree) to head the chosen basis.  The cycles and
     boundaries of every degree come from one elimination of the differential.
+    A window of more than MAX_DEGREE_WINDOW degrees is refused before it.
     """
     degs, diff = _graded_data(obj)
+    if degrees is not None:
+        check_degree_window(degrees)
     kernel, image = kernel_and_image(diff)
-    cycles: dict[int, list[Vector]] = {}
-    for v in kernel:
-        d = degs[min(v)]
-        cycles.setdefault(d, []).append(v)
-    bounds: dict[int, list[Vector]] = {}
-    for v in image:
-        d = degs[min(v)]
-        bounds.setdefault(d, []).append(v)
+    cycles, bounds = group_by_degree(kernel, degs), group_by_degree(image, degs)
     out: dict[int, CohomologyGroup] = {}
     all_degrees = sorted(set(cycles) | set(bounds))
     for d in all_degrees:

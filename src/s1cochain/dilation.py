@@ -23,19 +23,20 @@ with the direct scan.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable
 
 from .complexes import (
-    MAX_DEGREE_WINDOW,
     FilteredPlusComplex,
     S1Complex,
     TruncationError,
     build_filtered_plus,
+    check_degree_window,
     cohomology,
-    induced_map,
+    group_by_degree,
     lift_family,
     shift,
 )
@@ -43,7 +44,8 @@ from .linalg import (
     SparseMatrix,
     Subquotient,
     Vector,
-    rank as matrix_rank,
+    kernel_and_image,
+    pivot_columns,
     solve,
     vis_zero,
     vrestrict,
@@ -170,16 +172,22 @@ class SplittingReport:
         return out
 
 
+def _zero_part_preserved(c: S1Complex, zset: set[int]) -> bool:
+    """delta^0 maps the zero-part generators into their span."""
+    return all(i in zset for i, j, _ in c.deltas[0].entries if j in zset)
+
+
+def _higher_on_zero_part(c: S1Complex, zset: set[int]) -> list[tuple[int, int]]:
+    """(r, generator index) for each entry of a delta^{r >= 1} on the zero part."""
+    return [(r, j) for r in range(1, c.truncation + 1)
+            for _, j, _ in c.deltas[r].entries if j in zset]
+
+
 def verify_splitting(s: SplitS1Complex) -> SplittingReport:
     c = s.complex
     zset = set(s.zero_indices)
-    names = [g.name for g in c.generators]
-    sub_ok = all(i in zset for i, j, _ in c.deltas[0].entries if j in zset)
-    higher_bad = []
-    for r in range(1, c.truncation + 1):
-        for _, j, _ in c.deltas[r].entries:
-            if j in zset:
-                higher_bad.append((r, names[j]))
+    sub_ok = _zero_part_preserved(c, zset)
+    higher_bad = [(r, c.generators[j].name) for r, j in _higher_on_zero_part(c, zset)]
     unit_zero_part = all(i in zset for i in s.unit)
     unit_deg0 = all(c.generators[i].degree == 0 for i in s.unit)
     cz = s.zero_part_complex()
@@ -530,21 +538,97 @@ def _reindex(v: Vector, n_from: int, n_to: int, where: dict[int, int]) -> Vector
     return out
 
 
-def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesReport:
-    """Exactness of ... -> H(F^N C_0) -> H(F^N C) -> H(F^N C_+) -> ... .
+def _homology_counts(f: FilteredPlusComplex, kernel: list[Vector], image: list[Vector]
+                     ) -> tuple[dict[int, list[Vector]], dict[int, int]]:
+    """The cycles of f by degree and dim H^d = |Z_d| - |B_d| per degree, given
+    kernel and image bases of f's differential.  Raises ValueError when a
+    boundary is not a cycle, i.e. the differential does not square to zero."""
+    for b in image:
+        if f.differential.apply(b):
+            raise ValueError("a boundary is not a cycle: the differential does not square to zero")
+    cycles, bounds = group_by_degree(kernel, f.degrees), group_by_degree(image, f.degrees)
+    dims = {d: len(cycles.get(d, ())) - len(bounds.get(d, ()))
+            for d in sorted(cycles.keys() | bounds.keys())}
+    return cycles, dims
 
-    Computes the three cohomologies, the induced inclusion/projection maps
-    and the connecting map, and checks ker = im (as ranks) at every node in
-    the degree window.
+
+def _induced_ranks(cycles: dict[int, list[Vector]], push: Callable[[Vector], Vector],
+                   target: FilteredPlusComplex, bounds: list[Vector], raise_by: int
+                   ) -> Counter[int]:
+    """Source degree d -> rank of H^d(source) -> H^{d+raise_by}(target)
+    induced by the chain map `push`, from one `pivot_columns` of
+    [B_tgt | push(Z_src)], B_tgt being the target's boundary basis.
+
+    Raises ValueError when a pushed cycle is not a cycle of the target in
+    degree d + raise_by.
     """
-    n_tr = s.truncation
-    c = s.complex
-    cz, cp = s.zero_part_complex(), s.plus_part_complex()
-    f_full = build_filtered_plus(c, n_tr)
-    h_full = cohomology(f_full)
-    h_zero, h_plus = (cohomology(build_filtered_plus(x, n_tr)) for x in (cz, cp))
+    images: list[Vector] = []
+    source_degree: list[int] = []
+    for d, zs in cycles.items():
+        for z in zs:
+            v = push(z)
+            if target.differential.apply(v) or any(target.degrees[i] != d + raise_by for i in v):
+                raise ValueError(f"a degree-{d} cycle maps to no cycle of degree {d + raise_by}")
+            images.append(v)
+            source_degree.append(d)
+    nb = len(bounds)
+    return Counter(source_degree[p - nb] for p in pivot_columns([*bounds, *images], target.dim)
+                   if p >= nb)
 
+
+def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesReport:
+    """Exactness of ... -> H(F^N C_0) -> H(F^N C) -> H(F^N C_+) -> H(F^N C_0)[1] -> ... .
+
+    Only dimensions and ranks leave this function, so it builds no
+    cohomology group.  Each complex gives its cycles Z and boundaries B from
+    one elimination of its differential, and dim H^d = |Z_d| - |B_d|.  C_0
+    carries no higher operators, so F^N(C_0) is N+1 u-shifted copies of
+    (C_0, delta^0), and its Z and B are those of delta^0, tiled.
+
+    For each chain map f (the inclusion, the projection, and the connecting
+    map H^d(C_+) -> H^{d+1}(C_0)) with f(B_src) in B_tgt, the image of H(src)
+    in H(tgt) is (f(Z_src) + B_tgt) / B_tgt, and the B_tgt basis is
+    independent, so
+
+        rank H^d(f) = rank [B_tgt | f(Z_src,d)] - |B_tgt|.
+
+    One `pivot_columns` of [B_tgt | f(Z_src)] over all degrees serves every
+    d: the degree blocks have disjoint supports, so the pivots split by
+    block, and each pivot at or beyond |B_tgt| counts for the degree of its
+    source cycle.  ker = im is then compared as ranks at every node of the
+    window.
+
+    The input must be a valid split: delta^0 preserves C_0 and the higher
+    operators vanish on it, which makes the three maps chain maps with
+    f(B_src) in B_tgt.  That is checked in O(nnz), and mat-vecs check that
+    every boundary is a cycle and every pushed cycle a cycle of the target;
+    each failure raises ValueError.  An explicit window of more than
+    MAX_DEGREE_WINDOW degrees is refused before any elimination.
+    """
+    if degrees is not None:
+        check_degree_window(degrees)
+    c = s.complex
     zi, pi, n = s.zero_indices, s.plus_indices, c.n
+    zset = set(zi)
+    if not _zero_part_preserved(c, zset) or _higher_on_zero_part(c, zset):
+        raise ValueError("not a split complex: delta^0 must preserve the zero part "
+                         "and the higher operators must vanish on it")
+    n_tr = s.truncation
+    cz, cp = s.zero_part_complex(), s.plus_part_complex()
+    f_zero, f_full, f_plus = (build_filtered_plus(x, n_tr) for x in (cz, c, cp))
+    z_zero, b_zero = ([f_zero.include_chain(v, p) for p in range(n_tr + 1) for v in vs]
+                      for vs in kernel_and_image(cz.deltas[0]))
+    z_full, b_full = kernel_and_image(f_full.differential)
+    z_plus, b_plus = kernel_and_image(f_plus.differential)
+    cyc_zero, dims_zero = _homology_counts(f_zero, z_zero, b_zero)
+    cyc_full, dims_full = _homology_counts(f_full, z_full, b_full)
+    cyc_plus, dims_plus = _homology_counts(f_plus, z_plus, b_plus)
+
+    if degrees is None:
+        all_deg = sorted(dims_full.keys() | dims_zero.keys() | dims_plus.keys())
+        degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
+        check_degree_window(degrees)
+
     # F^N(C_0) -> F^N(C) and F^N(C_+) -> F^N(C) (the tautological lift),
     # and back, each as one reindexing of generators
     inc_map = partial(_reindex, n_from=cz.n, n_to=n, where=dict(enumerate(zi)))
@@ -552,31 +636,15 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
     proj_map = partial(_reindex, n_from=n, n_to=cp.n, where={g: t for t, g in enumerate(pi)})
     to_zero = partial(_reindex, n_from=n, n_to=cz.n, where={g: t for t, g in enumerate(zi)})
 
-    if degrees is None:
-        all_deg = sorted(set(h_full) | set(h_zero) | set(h_plus))
-        degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
-    if len(degrees) > MAX_DEGREE_WINDOW:
-        raise ValueError(f"degree window {degrees.start}..{degrees.stop - 1} spans "
-                         f"{len(degrees)} degrees, more than {MAX_DEGREE_WINDOW}")
-
     def connecting(rep: Vector) -> Vector:
         return to_zero(f_full.differential.apply(lift_plus(rep)))
 
-    # kernel dimension = columns - rank; each degree's connecting map
-    # H^d(plus) -> H^{d+1}(zero) is built once and serves degrees d and d+1
-    conn_rank = {d: matrix_rank(induced_map(h_plus, h_zero, d, d + 1, connecting))
-                 for d in sorted({e for d in degrees for e in (d - 1, d)})}
+    r_iota = _induced_ranks(cyc_zero, inc_map, f_full, b_full, 0)
+    r_pi = _induced_ranks(cyc_full, proj_map, f_plus, b_plus, 0)
+    r_conn = _induced_ranks(cyc_plus, connecting, f_zero, b_zero, 1)
     nodes = []
     for d in degrees:
-        iota = induced_map(h_zero, h_full, d, d, inc_map)
-        pimat = induced_map(h_full, h_plus, d, d, proj_map)
-        r_iota, r_pi = matrix_rank(iota), matrix_rank(pimat)
-        nodes.append(LesNode(d, "full", r_iota, pimat.cols - r_pi))
-        # pimat lands in H^d(plus), the source of the connecting map at d
-        nodes.append(LesNode(d, "plus", r_pi, pimat.rows - conn_rank[d]))
-        nodes.append(LesNode(d, "zero", conn_rank[d - 1], iota.cols - r_iota))
-    return LesReport(n_tr,
-                     {d: g.dim for d, g in sorted(h_zero.items())},
-                     {d: g.dim for d, g in sorted(h_full.items())},
-                     {d: g.dim for d, g in sorted(h_plus.items())},
-                     tuple(nodes))
+        nodes.append(LesNode(d, "full", r_iota[d], dims_full.get(d, 0) - r_pi[d]))
+        nodes.append(LesNode(d, "plus", r_pi[d], dims_plus.get(d, 0) - r_conn[d]))
+        nodes.append(LesNode(d, "zero", r_conn[d - 1], dims_zero.get(d, 0) - r_iota[d]))
+    return LesReport(n_tr, dims_zero, dims_full, dims_plus, tuple(nodes))

@@ -1,11 +1,14 @@
 import random
 
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
+from s1cochain import linalg
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import (
+    MAX_DEGREE_WINDOW,
     TruncationError,
     build_filtered_plus,
     cohomology,
@@ -138,6 +141,19 @@ class TestCohomology:
         f = build_filtered_plus(c, 1)
         groups = cohomology(f, range(-1, 2))
         assert set(groups) == {-1, 0, 1}
+
+    @pytest.mark.parametrize("window", [range(-200_000, 200_000), range(10**9),
+                                        range(-10**20, 10**20), range(MAX_DEGREE_WINDOW + 1)])
+    def test_wide_degree_window_refused_before_elimination(self, window):
+        f = build_filtered_plus(milnor_model(2, 2, include_spheres=False).complex, 1)
+        with mock.patch.object(linalg, "_rref_rows", side_effect=AssertionError("eliminated")):
+            with pytest.raises(ValueError, match=str(MAX_DEGREE_WINDOW)):
+                cohomology(f, window)
+
+    def test_widest_degree_window_accepted(self):
+        f = build_filtered_plus(milnor_model(2, 2, include_spheres=False).complex, 1)
+        groups = cohomology(f, range(-MAX_DEGREE_WINDOW // 2, MAX_DEGREE_WINDOW // 2))
+        assert len(groups) == MAX_DEGREE_WINDOW
 
 
 class TestConstructions:

@@ -1,18 +1,27 @@
 import random
 
 from fractions import Fraction as F
+from functools import partial
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from s1cochain import linalg
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import (
     MAX_DEGREE_WINDOW,
     TruncationError,
     build_filtered_plus,
     cohomology,
+    induced_map,
     make_complex,
 )
 from s1cochain.dilation import (
+    LesNode,
+    LesReport,
+    _induced_ranks,
     delta_partial_k,
     delta_plus0_k,
     delta_plus_k,
@@ -26,9 +35,10 @@ from s1cochain.dilation import (
     tautological_les,
     verify_splitting,
 )
-from s1cochain.linalg import SparseMatrix, kernel_basis, vis_zero
+from s1cochain.linalg import SparseMatrix, Subquotient, kernel_basis, rank, vis_zero
 from s1cochain.randomized import random_split_complex
 from s1cochain.spectral import delta_k
+from s1cochain.tensor import tensor_split
 
 
 def unit_only_complex(n_tr=2):
@@ -344,6 +354,140 @@ class TestTautologicalLes:
         with pytest.raises(ValueError, match=str(MAX_DEGREE_WINDOW)):
             tautological_les(s, range(MAX_DEGREE_WINDOW + 1))
         assert len(tautological_les(s, range(MAX_DEGREE_WINDOW)).nodes) == 3 * MAX_DEGREE_WINDOW
+
+
+    def test_non_split_input_rejected(self):
+        # delta^0 y = w + x leaves the zero part {e, y, w}
+        c = make_complex([("e", 0), ("y", 0), ("w", 1), ("x", 1)], 1,
+                         {0: [("y", "w", 1), ("y", "x", 1)]})
+        s = make_split_complex(c, ["e", "y", "w"], "e")
+        with pytest.raises(ValueError, match="zero part"):
+            tautological_les(s)
+
+    def test_higher_operator_on_zero_part_rejected(self):
+        c = make_complex([("e", 0), ("y", 1), ("x", -1)], 1, {1: [("y", "x", 1)]})
+        s = make_split_complex(c, ["e", "y"], "e")
+        with pytest.raises(ValueError, match="zero part"):
+            tautological_les(s)
+
+    def test_connecting_map_off_degree_rejected(self):
+        # delta^0 x = e keeps the degree, so the connecting image of the
+        # degree-0 cycle x is no cycle of degree 1
+        c = make_complex([("e", 0), ("x", 0)], 0, {0: [("x", "e", 1)]})
+        s = make_split_complex(c, ["e"], "e")
+        with pytest.raises(ValueError, match="cycle of degree 1"):
+            tautological_les(s)
+
+    def test_pushed_non_cycle_rejected(self):
+        c = make_complex([("a", 0), ("b", 1)], 0, {0: [("a", "b", 1)]})
+        f = build_filtered_plus(c, 0)
+        with pytest.raises(ValueError, match="cycle of degree 0"):
+            _induced_ranks({0: [{1: F(1)}]}, lambda z: {0: F(1)}, f, [], 0)
+
+    @pytest.mark.parametrize("window", [range(MAX_DEGREE_WINDOW + 1), range(10**9),
+                                        range(-10**20, 10**20)])
+    def test_wide_window_refused_before_elimination(self, window):
+        s = milnor_model(2, 2, include_spheres=False)
+        with mock.patch.object(linalg, "_rref_rows", side_effect=AssertionError("eliminated")):
+            with pytest.raises(ValueError, match=str(MAX_DEGREE_WINDOW)):
+                tautological_les(s, window)
+
+    def test_builds_no_cohomology_group(self):
+        s = milnor_model(3, 4)
+        with mock.patch.object(Subquotient, "__init__", side_effect=AssertionError("built")):
+            assert tautological_les(s).exact
+
+    def test_six_eliminations(self):
+        s = tensor_split(milnor_model(2, 2), milnor_model(2, 3))
+        with mock.patch.object(linalg, "_rref_rows", wraps=linalg._rref_rows) as spy:
+            assert tautological_les(s).exact
+        # one kernel_and_image per complex, one pivot_columns per map
+        assert spy.call_count == 6
+
+
+# ---------------------------------------------------------------------------
+# oracle: the LES read from the three cohomology groups and the matrices of
+# the induced maps in their bases
+
+
+def _oracle_reindex(v, n_from, n_to, where):
+    out = {}
+    for idx, x in v.items():
+        p, g = divmod(idx, n_from)
+        t = where.get(g)
+        if t is not None:
+            out[p * n_to + t] = x
+    return out
+
+
+def _oracle_les(s, degrees=None):
+    n_tr = s.truncation
+    c = s.complex
+    cz, cp = s.zero_part_complex(), s.plus_part_complex()
+    f_full = build_filtered_plus(c, n_tr)
+    h_full = cohomology(f_full)
+    h_zero, h_plus = (cohomology(build_filtered_plus(x, n_tr)) for x in (cz, cp))
+    zi, pi, n = s.zero_indices, s.plus_indices, c.n
+    inc_map = partial(_oracle_reindex, n_from=cz.n, n_to=n, where=dict(enumerate(zi)))
+    lift_plus = partial(_oracle_reindex, n_from=cp.n, n_to=n, where=dict(enumerate(pi)))
+    proj_map = partial(_oracle_reindex, n_from=n, n_to=cp.n,
+                       where={g: t for t, g in enumerate(pi)})
+    to_zero = partial(_oracle_reindex, n_from=n, n_to=cz.n,
+                      where={g: t for t, g in enumerate(zi)})
+    if degrees is None:
+        all_deg = sorted(set(h_full) | set(h_zero) | set(h_plus))
+        degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
+
+    def connecting(rep):
+        return to_zero(f_full.differential.apply(lift_plus(rep)))
+
+    conn_rank = {d: rank(induced_map(h_plus, h_zero, d, d + 1, connecting))
+                 for d in sorted({e for d in degrees for e in (d - 1, d)})}
+    nodes = []
+    for d in degrees:
+        iota = induced_map(h_zero, h_full, d, d, inc_map)
+        pimat = induced_map(h_full, h_plus, d, d, proj_map)
+        r_iota, r_pi = rank(iota), rank(pimat)
+        nodes.append(LesNode(d, "full", r_iota, pimat.cols - r_pi))
+        nodes.append(LesNode(d, "plus", r_pi, pimat.rows - conn_rank[d]))
+        nodes.append(LesNode(d, "zero", conn_rank[d - 1], iota.cols - r_iota))
+    return LesReport(n_tr,
+                     {d: g.dim for d, g in sorted(h_zero.items())},
+                     {d: g.dim for d, g in sorted(h_full.items())},
+                     {d: g.dim for d, g in sorted(h_plus.items())},
+                     tuple(nodes))
+
+
+def assert_les_matches_oracle(s, degrees=None):
+    # repr also compares the order of the dims dicts, which the CLI prints
+    assert repr(tautological_les(s, degrees)) == repr(_oracle_les(s, degrees))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 8), st.integers(0, 3), st.integers(1, 4),
+       st.booleans())
+def test_les_matches_oracle_on_random_split_complexes(seed, n_plus, n_zero_extra, n_tr,
+                                                      killer):
+    s = random_split_complex(random.Random(seed), n_plus, n_zero_extra, n_tr,
+                             with_unit_killer=killer)
+    assert_les_matches_oracle(s)
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for m in range(1, 5) for k in range(1, m + 1)])
+def test_les_matches_oracle_on_milnor_models_with_spheres(k, m):
+    assert_les_matches_oracle(milnor_model(k, m))
+
+
+def test_les_matches_oracle_on_tensor_split():
+    assert_les_matches_oracle(tensor_split(milnor_model(2, 3), milnor_model(3, 3)))
+
+
+@pytest.mark.parametrize("window", [range(-40, 41), range(-1, 1), range(3, 4),
+                                    range(50, 53), range(-60, -57), range(0)])
+def test_les_matches_oracle_on_explicit_windows(window):
+    rng = random.Random(79)
+    for s in (milnor_model(3, 4), random_split_complex(rng, 6, 2, 3, with_unit_killer=True)):
+        assert_les_matches_oracle(s, window)
 
 
 class TestHierarchy:

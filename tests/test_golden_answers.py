@@ -4,8 +4,10 @@ One pass of the `fermat_spheres` and `product_pages` operations defined in
 `perfbench/workloads.py`, and of the `random_corpus` operations on every
 fifth input at the default seed (344 operations: every morphism operation,
 and the order, LES and E_infinity operations of 43 inputs), each answer's
-digest checked against `perfbench/golden.json`.  Both files are only read.
-A change that alters any basis, witness, page or order fails here.
+digest checked against `perfbench/golden.json`; then the LES of every one
+of the 215 `random_corpus` inputs, each after its `load`.  Both files are
+only read.  A change that alters any basis, witness, page, order or LES
+rank fails here.
 """
 
 from __future__ import annotations
@@ -55,3 +57,22 @@ def test_answers_match_golden_digests(workload):
         assert digests == golden["ops"]
     else:
         assert digests == {key: golden["ops"].get(key) for key in digests}
+
+
+def test_every_corpus_les_matches_golden_digest():
+    W = _workloads()
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["random_corpus"]
+    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
+    assert inputs.sha256 == golden["inputs_sha256"]
+    contexts: dict[int, dict] = {}
+    digests = {}
+    for op in inputs.ops:
+        if op.bucket not in ("load", "les"):
+            continue
+        ctx = contexts.setdefault(op.subject, {})
+        answer = op.run(ctx)
+        assert op.check(answer, ctx), op.key
+        if op.bucket == "les":
+            digests[op.key] = W.digest(op.canon(answer))
+    assert len(digests) == len(inputs.documents) == 215
+    assert digests == {key: golden["ops"][key] for key in digests}
