@@ -17,9 +17,9 @@ import click
 
 from . import brieskorn as bk
 from .complexes import (
-    MAX_DEGREE_WINDOW,
     MAX_TRUNCATION,
     build_filtered_plus,
+    check_degree_window,
     cohomology,
     truncate,
     verify_s1_relations,
@@ -108,9 +108,10 @@ def _parse_degree_window(text: str | None) -> range | None:
     except ValueError:
         _diag(f"bad degree window {text!r}; expected LO..HI")
         raise SystemExit(EXIT_INPUT_ERROR)
-    if len(window) > MAX_DEGREE_WINDOW:
-        _diag(f"degree window {text!r} spans {len(window)} degrees, "
-              f"more than {MAX_DEGREE_WINDOW}")
+    try:
+        check_degree_window(window)
+    except ValueError as exc:
+        _diag(str(exc))
         raise SystemExit(EXIT_INPUT_ERROR)
     return window
 

@@ -537,7 +537,8 @@ class TestCli:
         doc = run_cli("milnor", "--k", "2", "--m", "2").output
         half = MAX_DEGREE_WINDOW // 2
         for command in ("cohomology", "les"):
-            for window in ("-100000000..100000000", f"{-half}..{half}"):
+            for window in ("-100000000..100000000", f"{-half}..{half}",
+                           "-100000000000000000000..100000000000000000000"):
                 start = time.perf_counter()
                 res = run_cli(command, f"--degrees={window}", stdin=doc)
                 assert time.perf_counter() - start < 1.0
