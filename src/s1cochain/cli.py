@@ -185,7 +185,7 @@ def cohomology_cmd(file: str, level: int, degrees: str | None) -> None:
     for d, g in sorted(groups.items()):
         out[str(d)] = {
             "dim": g.dim,
-            "representatives": [filtered_chain_terms(f, rep)
+            "representatives": [filtered_chain_terms(s.complex, rep)
                                 for rep in g.representatives],
         }
     _emit({"level": level, "cohomology": out})
@@ -211,11 +211,11 @@ def zb(file: str, k: int) -> None:
         "b_dim": len(bs),
         "z_generators": [{
             "leading": chain_terms(c, w.leading),
-            "witness": filtered_chain_terms(f, w.filtered_vector(f)),
+            "witness": filtered_chain_terms(c, w.filtered_vector(f)),
         } for w in zs],
         "b_generators": [{
             "value": chain_terms(c, w.boundary_value or {}),
-            "primitive": filtered_chain_terms(f, w.filtered_vector(f)),
+            "primitive": filtered_chain_terms(c, w.filtered_vector(f)),
         } for w in bs],
     })
 
@@ -293,11 +293,9 @@ def _dilation_common(file: str, max_k: int | None, semi: bool) -> None:
     }
     if report.found and report.witness is not None:
         if semi:
-            fp = build_filtered_plus(s.plus_part_complex(), report.order)
-            payload["witness"] = {"closed_class": filtered_chain_terms(fp, report.witness)}
+            payload["witness"] = {"closed_class": filtered_chain_terms(s.plus_part, report.witness)}
         else:
-            f = build_filtered_plus(s.complex, report.order)
-            payload["witness"] = {"primitive": filtered_chain_terms(f, report.witness)}
+            payload["witness"] = {"primitive": filtered_chain_terms(s.complex, report.witness)}
     _emit(payload)
 
 

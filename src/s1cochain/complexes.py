@@ -201,22 +201,22 @@ def verify_s1_relations(c: S1Complex) -> S1ValidationReport:
 
 @dataclass(frozen=True)
 class FilteredPlusComplex:
-    """F^k of an N-truncated complex: basis pairs (generator, u-power).
+    """F^k of an N-truncated complex: basis pairs (generator g, u-power p).
 
-    Basis pairs are ordered power-major, so for k' <= k the pairs with power
-    <= k' form a prefix, and that prefix spans a subcomplex (the differential
-    never raises the power).  The pair (g, p) has total degree |g| - 2p.
+    Basis pairs are ordered power-major, the pair (g, p) at index p * n + g,
+    so for k' <= k the pairs with power <= k' form a prefix, and that prefix
+    spans a subcomplex (the differential never raises the power).  The pair
+    (g, p) has total degree |g| - 2p.
     """
 
     source: S1Complex
     level: int
-    basis: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...]
     differential: SparseMatrix
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return (self.level + 1) * self.source.n
 
     def index_of(self, gen_index: int, power: int) -> int:
         return power * self.source.n + gen_index
@@ -259,9 +259,8 @@ def lift_family(ops: Sequence[SparseMatrix], level: int) -> SparseMatrix:
 def build_filtered_plus(c: S1Complex, k: int) -> FilteredPlusComplex:
     """Assemble F^k with differential sum_r u^r delta^r (truncated at u^0)."""
     diff = lift_family(c.deltas, k)
-    basis = tuple((g, p) for p in range(k + 1) for g in range(c.n))
-    degrees = tuple(c.generators[g].degree - 2 * p for g, p in basis)
-    return FilteredPlusComplex(c, k, basis, degrees, diff)
+    degrees = tuple(g.degree - 2 * p for p in range(k + 1) for g in c.generators)
+    return FilteredPlusComplex(c, k, degrees, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +323,13 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
         sq = Subquotient(len(degs), cycles.get(d, []), bounds.get(d, []), preferred=pref)
         out[d] = CohomologyGroup(d, sq.dim, sq.basis, sq)
     if degrees is not None:
+        # the window degrees without cycles or boundaries share one zero group
+        empty = None
         for d in degrees:
             if d not in out:
-                sq = Subquotient(len(degs), [], [])
-                out[d] = CohomologyGroup(d, 0, (), sq)
+                if empty is None:
+                    empty = Subquotient(len(degs), [], [])
+                out[d] = CohomologyGroup(d, 0, (), empty)
     return out
 
 

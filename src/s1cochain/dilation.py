@@ -24,7 +24,7 @@ with the direct scan.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -64,11 +64,24 @@ class SplitS1Complex:
 
     `parts[i]` tags generator i as "zero" or "plus"; `unit` is a chain in
     ambient coordinates supported on the zero part.
+
+    The parts are built once, from the three fields, and never compared:
+    `zero_indices` and `plus_indices` list each part's generators in ambient
+    order; `zero_part` is C_0 with the structure (delta^0_0, 0, ..., 0);
+    `plus_part` is C_+ with the induced family (delta^0_+, delta^1_+, ...);
+    `connecting` holds the blocks delta^r_{+,0} : C_+ -> C_0; and
+    `unit_zero` is the unit in C_0's coordinates.
     """
 
     complex: S1Complex
     parts: tuple[str, ...]
     unit: Vector
+    zero_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    plus_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    zero_part: S1Complex = field(init=False, compare=False, repr=False)
+    plus_part: S1Complex = field(init=False, compare=False, repr=False)
+    connecting: tuple[SparseMatrix, ...] = field(init=False, compare=False, repr=False)
+    unit_zero: Vector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.parts) != self.complex.n:
@@ -78,49 +91,30 @@ class SplitS1Complex:
                 raise ValueError(f"unknown part tag {p!r}")
         if vis_zero(self.unit):
             raise ValueError("unit chain must be nonzero")
+        c = self.complex
+        zi = tuple(i for i, p in enumerate(self.parts) if p == ZERO_PART)
+        pi = tuple(i for i, p in enumerate(self.parts) if p == PLUS_PART)
+        zero = SparseMatrix.zero(len(zi), len(zi))
+        derived = {
+            "zero_indices": zi,
+            "plus_indices": pi,
+            "zero_part": S1Complex(tuple(c.generators[i] for i in zi), c.truncation,
+                                   (c.deltas[0].submatrix(zi, zi),) + (zero,) * c.truncation),
+            "plus_part": S1Complex(tuple(c.generators[i] for i in pi), c.truncation,
+                                   tuple(d.submatrix(pi, pi) for d in c.deltas)),
+            "connecting": tuple(d.submatrix(zi, pi) for d in c.deltas),
+            "unit_zero": vrestrict(self.unit, zi),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def truncation(self) -> int:
         return self.complex.truncation
 
-    @property
-    def zero_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parts) if p == ZERO_PART)
-
-    @property
-    def plus_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parts) if p == PLUS_PART)
-
-    # part complexes -----------------------------------------------------
-
-    def zero_part_complex(self) -> S1Complex:
-        """C_0 with the structure (delta^0_0, 0, ..., 0)."""
-        idx = self.zero_indices
-        gens = tuple(self.complex.generators[i] for i in idx)
-        d0 = self.complex.deltas[0].submatrix(idx, idx)
-        zero = SparseMatrix.zero(len(idx), len(idx))
-        return S1Complex(gens, self.truncation, (d0,) + (zero,) * self.truncation)
-
-    def plus_part_complex(self) -> S1Complex:
-        """C_+ with the induced family (delta^0_+, delta^1_+, ...)."""
-        idx = self.plus_indices
-        gens = tuple(self.complex.generators[i] for i in idx)
-        deltas = tuple(d.submatrix(idx, idx) for d in self.complex.deltas)
-        return S1Complex(gens, self.truncation, deltas)
-
-    def connecting_components(self) -> tuple[SparseMatrix, ...]:
-        """The blocks delta^r_{+,0} : C_+ -> C_0."""
-        zi, pi = self.zero_indices, self.plus_indices
-        return tuple(d.submatrix(zi, pi) for d in self.complex.deltas)
-
     def connecting_morphism(self) -> S1Morphism:
         """delta_{+,0} as a morphism C_+ -> C_0[1] (target structure -delta^0_0)."""
-        return S1Morphism(self.plus_part_complex(),
-                          shift(self.zero_part_complex(), 1),
-                          self.connecting_components())
-
-    def unit_in_zero_coordinates(self) -> Vector:
-        return vrestrict(self.unit, self.zero_indices)
+        return S1Morphism(self.plus_part, shift(self.zero_part, 1), self.connecting)
 
 
 def make_split_complex(c: S1Complex, zero_names: list[str],
@@ -190,12 +184,11 @@ def verify_splitting(s: SplitS1Complex) -> SplittingReport:
     higher_bad = [(r, c.generators[j].name) for r, j in _higher_on_zero_part(c, zset)]
     unit_zero_part = all(i in zset for i in s.unit)
     unit_deg0 = all(c.generators[i].degree == 0 for i in s.unit)
-    cz = s.zero_part_complex()
-    e0 = s.unit_in_zero_coordinates()
-    closed = vis_zero(cz.deltas[0].apply(e0)) if unit_zero_part else False
+    d0, e0 = s.zero_part.deltas[0], s.unit_zero
+    closed = vis_zero(d0.apply(e0)) if unit_zero_part else False
     nonexact = False
     if unit_zero_part and closed:
-        nonexact = solve(cz.deltas[0], e0) is None
+        nonexact = solve(d0, e0) is None
     return SplittingReport(sub_ok, not higher_bad, tuple(higher_bad),
                            unit_zero_part, unit_deg0, closed, nonexact)
 
@@ -213,13 +206,27 @@ def has_k_dilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     return (prim is not None), prim
 
 
-def _unit_first_h0(obj: S1Complex | FilteredPlusComplex, e: Vector) -> Subquotient | None:
-    """H^0 of obj with the class of e heading its deterministic basis, or
-    None when that class vanishes."""
-    sq = cohomology(obj, degrees=range(0, 1), preferred={0: [e]})[0].subquotient
-    if not sq.basis_sources or sq.basis_sources[0] != ("preferred", 0):
+def _zero_part_h0(s: SplitS1Complex, k: int
+                  ) -> tuple[Subquotient, list[tuple[int, Vector]]] | None:
+    """H^0(F^k C_0) read as (+)_p u^-p H^{2p}(C_0), from one `cohomology` of C_0.
+
+    Returns H^0(C_0) with [e] heading its basis, and the rest of the basis
+    of H^0(F^k C_0) as (u-power p, chain of F^k C_0) pairs: the degree-2p
+    basis of H(C_0), without [e], placed at u^-p.  None when [e] vanishes.
+
+    C_0 carries no higher operators, so F^k(C_0) is k+1 disjoint copies of
+    (C_0, delta^0).  Its kernel, its image and the pivots of [B | e | Z] are
+    those of C_0, block by block, so this is the basis that the cohomology
+    of F^k(C_0) itself, with e preferred, would choose.
+    """
+    groups = cohomology(s.zero_part, range(0, 2 * k + 1, 2), preferred={0: [s.unit_zero]})
+    h0 = groups[0].subquotient
+    if not h0.basis_sources or h0.basis_sources[0] != ("preferred", 0):
         return None
-    return sq
+    n0 = s.zero_part.n
+    rest = [(p, {p * n0 + i: x for i, x in z.items()}) for p in range(k + 1)
+            for z in (h0.basis[1:] if p == 0 else groups[2 * p].subquotient.basis)]
+    return h0, rest
 
 
 def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
@@ -227,11 +234,10 @@ def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
 
     The e-coordinate of the class in the deterministic basis of H^0(C_0).
     """
-    sq = _unit_first_h0(s.zero_part_complex(), s.unit_in_zero_coordinates())
-    if sq is None:
+    h0 = _zero_part_h0(s, 0)
+    if h0 is None:
         raise ValueError("unit class vanishes in H^0; not a valid split complex")
-    coords = sq.coordinates(vrestrict(v, s.zero_indices))
-    return coords[0]
+    return h0[0].coordinates(vrestrict(v, s.zero_indices))[0]
 
 
 def _solve_semidilation(s: SplitS1Complex, k: int, by_power: bool
@@ -241,21 +247,22 @@ def _solve_semidilation(s: SplitS1Complex, k: int, by_power: bool
     of H^0(F^k C_0), with delta_+ A = 0 and conn(A) - delta_0 w - sum c_j z_j
     = e u^0.  Returns the free-variables-zero solution (None if there is none
     or the unit class vanishes), A's indices and each column's u-power
-    (index // n for A and w, largest index // n_0 for c); `by_power` orders
-    the columns stably by (u-power, block, position)."""
-    fp = build_filtered_plus(s.plus_part_complex(), k)
-    fz = build_filtered_plus(s.zero_part_complex(), k)
-    conn_f = lift_family(s.connecting_components(), k)
+    (index // n for A and w, p for c); `by_power` orders the columns stably
+    by (u-power, block, position).  The c columns are H(C_0) tiled: the
+    degree-2p basis of H(C_0) at u^-p, from `_zero_part_h0`."""
+    fp = build_filtered_plus(s.plus_part, k)
+    fz = build_filtered_plus(s.zero_part, k)
+    conn_f = lift_family(s.connecting, k)
 
     a_idx = fp.indices_of_degree(-1)
     w_idx = fz.indices_of_degree(-1)
-    e_f = fz.include_chain(s.unit_in_zero_coordinates(), 0)
-    h0 = _unit_first_h0(fz, e_f)
+    e_f = fz.include_chain(s.unit_zero, 0)
+    h0 = _zero_part_h0(s, k)
     if h0 is None:
         return None, a_idx, []
-    complement = h0.basis[1:]
+    complement = [z for _, z in h0[1]]
     powers = ([i // fp.source.n for i in a_idx] + [i // fz.source.n for i in w_idx]
-              + [max(z) // fz.source.n for z in complement])
+              + [p for p, _ in h0[1]])
     order = sorted(range(len(powers)), key=powers.__getitem__) if by_power else range(len(powers))
     col = {j: t for t, j in enumerate(order)}
 
@@ -340,15 +347,15 @@ def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> Dilati
     In (u-power, block, position) column order the level-k system is the
     column prefix of the level-N one at u-power <= k, and the level-N rows
     it misses are zero there: a column of A or w at power p has rows at
-    powers <= p only.  C_0 carries no higher operators, so F^N(C_0) is block
-    diagonal by u-power, and so are its kernel and image bases.  A degree-0
-    cycle of block p joins the H^0 basis exactly when it is independent of
-    the boundaries, the unit and the earlier cycles of block p, the same at
-    level k as at level N: the level-k complement is the level-N complement
-    vectors of level <= k.  The RREF of a column prefix is the prefix of the
-    RREF, so the free-variables-zero solution solves level k exactly when
-    it is supported there.  The order is its largest u-power, every higher
-    level has a semi-dilation, and the witness is `has_k_semidilation`'s.
+    powers <= p only.  The complement is H(C_0), tiled: C_0 carries no
+    higher operators, so H^0(F^k C_0) is (+)_p u^-p H^{2p}(C_0), and its
+    non-unit basis at u^-p is the degree-2p basis of H(C_0) whatever the
+    level.  So the level-k complement is the level-N complement's columns
+    of power <= k, each at its power p.  The RREF of a column prefix is the
+    prefix of the RREF, so the free-variables-zero solution solves level k
+    exactly when it is supported there.  The order is its largest u-power,
+    every higher level has a semi-dilation, and the witness is
+    `has_k_semidilation`'s.
     """
     sol, _, powers = _solve_semidilation(s, _scan_level(s, max_k), by_power=True)
     if sol is None:
@@ -378,17 +385,17 @@ def _torsion_levels(s: SplitS1Complex, semi: bool
     adds only the u^{k+1} block, the y columns and the torsion rows.
     """
     n_tr = s.truncation
-    fp = build_filtered_plus(s.plus_part_complex(), n_tr)
-    fz = build_filtered_plus(s.zero_part_complex(), n_tr)
-    conn_f = lift_family(s.connecting_components(), n_tr)
-    e_f = fz.include_chain(s.unit_in_zero_coordinates(), 0)
+    fp = build_filtered_plus(s.plus_part, n_tr)
+    fz = build_filtered_plus(s.zero_part, n_tr)
+    conn_f = lift_family(s.connecting, n_tr)
+    e_f = fz.include_chain(s.unit_zero, 0)
 
     complement: list[Vector] = []
     if semi:
-        h0 = _unit_first_h0(fz, e_f)
+        h0 = _zero_part_h0(s, n_tr)
         if h0 is None:
             return None
-        complement = list(h0.basis[1:])
+        complement = [z for _, z in h0[1]]
 
     # x has total degree -1, so u^{k+1} x has degree 2k+1 and a primitive y
     # for it has degree 2k.  Unknown layout: [x | w | y | c].
@@ -412,8 +419,7 @@ def _torsion_levels(s: SplitS1Complex, semi: bool
     n_p = fp.source.n
 
     def feasible(k: int) -> tuple[bool, Vector | None]:
-        y_idx = [i for i in fp.indices_of_degree(2 * k)
-                 if fp.basis[i][1] <= n_tr - k - 1]
+        y_idx = [i for i in fp.indices_of_degree(2 * k) if i // n_p <= n_tr - k - 1]
         rows_torsion = fp.indices_of_degree(2 * k + 1)
         tpos = {idx: t for t, idx in enumerate(rows_torsion)}
         ny = len(y_idx)
@@ -457,7 +463,7 @@ def order_via_torsion(s: SplitS1Complex, semi: bool = False,
 
 def delta_plus_k(s: SplitS1Complex, k: int) -> DeltaKMap:
     """Delta^k of the plus part (C_+, delta_+)."""
-    return delta_k(s.plus_part_complex(), k)
+    return delta_k(s.plus_part, k)
 
 
 def delta_plus0_k(s: SplitS1Complex, k: int) -> PhiKMap:
@@ -476,7 +482,7 @@ def delta_partial_k(s: SplitS1Complex, restriction: SparseMatrix,
     `restriction` is the matrix of the map on the zero-part basis; D must
     carry trivial higher structure.
     """
-    cz = s.zero_part_complex()
+    cz = s.zero_part
     if (restriction.rows, restriction.cols) != (target.n, cz.n):
         raise ValueError("restriction matrix shape mismatch")
     for r in range(1, target.truncation + 1):
@@ -487,9 +493,8 @@ def delta_partial_k(s: SplitS1Complex, restriction: SparseMatrix,
             raise ValueError("restriction must have degree 0")
     if not ((restriction @ cz.deltas[0]) - (target.deltas[0] @ restriction)).is_zero():
         raise ValueError("restriction is not a cochain map")
-    conn = s.connecting_components()
-    composed = tuple(restriction @ m for m in conn)
-    morphism = S1Morphism(s.plus_part_complex(), shift(target, 1), composed)
+    composed = tuple(restriction @ m for m in s.connecting)
+    morphism = S1Morphism(s.plus_part, shift(target, 1), composed)
     rep = verify_morphism(morphism)
     if not rep.valid:
         raise AssertionError("composed connecting morphism failed verification")
@@ -614,7 +619,7 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
         raise ValueError("not a split complex: delta^0 must preserve the zero part "
                          "and the higher operators must vanish on it")
     n_tr = s.truncation
-    cz, cp = s.zero_part_complex(), s.plus_part_complex()
+    cz, cp = s.zero_part, s.plus_part
     f_zero, f_full, f_plus = (build_filtered_plus(x, n_tr) for x in (cz, c, cp))
     z_zero, b_zero = ([f_zero.include_chain(v, p) for p in range(n_tr + 1) for v in vs]
                       for vs in kernel_and_image(cz.deltas[0]))

@@ -23,7 +23,6 @@ from .complexes import (
     MAX_FILTERED_DIM,
     MAX_GENERATORS,
     MAX_TRUNCATION,
-    FilteredPlusComplex,
     Generator,
     S1Complex,
 )
@@ -269,9 +268,10 @@ def chain_terms(c: S1Complex, v: Vector) -> list[dict]:
             for i, x in sorted(v.items())]
 
 
-def filtered_chain_terms(f: FilteredPlusComplex, v: Vector) -> list[dict]:
+def filtered_chain_terms(c: S1Complex, v: Vector) -> list[dict]:
+    """The terms of a chain of F^k(c), index p * n + g naming generator g at u^-p."""
     out = []
     for idx, x in sorted(v.items()):
-        g, p = f.basis[idx]
-        out.append({"gen": f.source.generators[g].name, "power": p, "coeff": str(x)})
+        p, g = divmod(idx, c.n)
+        out.append({"gen": c.generators[g].name, "power": p, "coeff": str(x)})
     return out

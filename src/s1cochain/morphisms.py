@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from .complexes import (
     DegreeCheck,
-    FilteredPlusComplex,
     RelationCheck,
     S1Complex,
     TruncationError,
@@ -45,9 +44,7 @@ from .linalg import (
     Subquotient,
     Vector,
     kernel_and_image,
-    solve,
     span_leq,
-    vadd,
     vis_zero,
     vsub,
 )
@@ -291,40 +288,3 @@ def _delta_square_commutes(phi: S1Morphism, k: int, ts: FiltrationTower,
         return cod.coordinate_matrix(diffs).is_zero()
     except ValueError:
         return False
-
-
-def verify_filtration_preservation(phi: S1Morphism, level: int | None = None) -> bool:
-    """Diagnostic: [phi_S1] respects the u-power filtration on cohomology.
-
-    The block-triangular reconstruction of [phi_S1] from the quotient maps is
-    only defined up to non-canonical splittings, so the assertable content is
-    that classes supported in F^j map into classes supported in F^j.
-    """
-    n_tr = phi.truncation if level is None else level
-    ft = build_filtered_plus(phi.target, n_tr)
-    mat = filtered_morphism_matrix(phi, n_tr)
-    for j in range(n_tr + 1):
-        for grp in cohomology(build_filtered_plus(phi.source, j)).values():
-            for rep in grp.representatives:
-                # promote the F^j class to F^N (a prefix of the basis), push
-                # forward, and test that the image class has a representative
-                # supported inside F^j of the target
-                img = mat.apply(dict(rep))
-                if _representative_in_prefix(ft, img, (j + 1) * phi.target.n) is None:
-                    return False
-    return True
-
-
-def _representative_in_prefix(ft: FilteredPlusComplex, v: Vector,
-                              prefix_dim: int) -> Vector | None:
-    """A representative of [v] supported on the first prefix_dim coordinates."""
-    diff = ft.differential
-    # v - D w lies in the prefix iff the rows beyond the prefix cancel
-    rows = list(range(prefix_dim, ft.dim))
-    high = diff.submatrix(rows, list(range(ft.dim)))
-    rhs = {i - prefix_dim: x for i, x in v.items() if i >= prefix_dim}
-    w = solve(high, rhs)
-    if w is None:
-        return None
-    corrected = vadd(v, {i: -x for i, x in diff.apply(w).items()})
-    return corrected if all(i < prefix_dim for i in corrected) else None

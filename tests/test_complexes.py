@@ -155,6 +155,24 @@ class TestCohomology:
         groups = cohomology(f, range(-MAX_DEGREE_WINDOW // 2, MAX_DEGREE_WINDOW // 2))
         assert len(groups) == MAX_DEGREE_WINDOW
 
+    def test_empty_window_degrees_share_one_group(self):
+        f = build_filtered_plus(milnor_model(2, 2, include_spheres=False).complex, 1)
+        kernel, image = linalg.kernel_and_image(f.differential)
+        held = {f.degrees[min(v)] for v in kernel + image}
+        init = linalg.Subquotient.__init__
+        built = []
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        with mock.patch.object(linalg.Subquotient, "__init__", counting_init):
+            groups = cohomology(f, range(-5000, 5000))
+        assert len(groups) == 10_000
+        assert len(built) <= len(held) + 1
+        assert all(groups[d].dim == 0 and not groups[d].representatives
+                   for d in range(-5000, 5000) if d not in held)
+
 
 class TestConstructions:
     def test_truncate_drops_operators(self):

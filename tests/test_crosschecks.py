@@ -42,14 +42,14 @@ def _semidilation_via_quotient_images(s, k):
     pi_0 reading cohomology classes).
     """
     p = delta_plus0_k(s, k)
-    cz = s.zero_part_complex()
+    cz = s.zero_part
     zero_idx = s.zero_indices
     from s1cochain.morphisms import phi_value
     from s1cochain.spectral import z_space
 
     conn = s.connecting_morphism()
     for j in range(k + 1):
-        for w in z_space(s.plus_part_complex(), j):
+        for w in z_space(s.plus_part, j):
             val = phi_value(conn, w)
             # promote the zero-part chain back to ambient coordinates
             ambient = {zero_idx[i]: x for i, x in val.items()}
@@ -86,13 +86,12 @@ class TestSemidilationCharacterizations:
             k = kk - 1
             ok, witness = has_k_semidilation(s, k)
             assert ok
-            cp = s.plus_part_complex()
-            fp = build_filtered_plus(cp, k)
-            conn = s.connecting_components()
+            cp = s.plus_part
+            conn = s.connecting
             zero_idx = s.zero_indices
             total = {}
             for idx, x in witness.items():
-                g, p = fp.basis[idx]
+                p, g = divmod(idx, cp.n)
                 for r in range(0, min(p, s.truncation) + 1):
                     if p - r == 0:
                         img = conn[r].col(g)

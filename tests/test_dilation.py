@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s1cochain import linalg
+from s1cochain import dilation, linalg
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import (
     MAX_DEGREE_WINDOW,
+    FilteredPlusComplex,
+    S1Complex,
     TruncationError,
     build_filtered_plus,
     cohomology,
@@ -22,6 +24,7 @@ from s1cochain.dilation import (
     LesNode,
     LesReport,
     _induced_ranks,
+    _zero_part_h0,
     delta_partial_k,
     delta_plus0_k,
     delta_plus_k,
@@ -122,7 +125,7 @@ class TestHasKSemidilation:
         s = milnor_model(2, 2, include_spheres=False)
         ok, witness = has_k_semidilation(s, 1)
         assert ok
-        fp = build_filtered_plus(s.plus_part_complex(), 1)
+        fp = build_filtered_plus(s.plus_part, 1)
         assert vis_zero(fp.differential.apply(witness))
 
     def test_gap_between_semidilation_and_dilation(self):
@@ -215,8 +218,8 @@ class TestOperators:
         # [p1_check], which is sent to -2 [e]
         s = milnor_model(2, 2, include_spheres=False)
         p = delta_plus0_k(s, 1)
-        cz = s.zero_part_complex()
-        cp = s.plus_part_complex()
+        cz = s.zero_part
+        cp = s.plus_part
         assert p.domain.dim == 2
         assert p.rank == 1
         # read from the one rank elimination, also where the matrix is not square
@@ -240,12 +243,12 @@ class TestOperators:
     def test_delta_plus_matches_spectral_module(self):
         s = milnor_model(3, 3, include_spheres=False)
         dk_split = delta_plus_k(s, 1)
-        dk_direct = delta_k(s.plus_part_complex(), 1)
+        dk_direct = delta_k(s.plus_part, 1)
         assert dk_split.matrix == dk_direct.matrix
 
     def test_delta_partial_identity_matches(self):
         s = milnor_model(2, 2, include_spheres=False)
-        cz = s.zero_part_complex()
+        cz = s.zero_part
         ident = SparseMatrix.identity(cz.n)
         via_partial = delta_partial_k(s, ident, cz, 1)
         direct = delta_plus0_k(s, 1)
@@ -253,7 +256,7 @@ class TestOperators:
 
     def test_delta_partial_zero_map(self):
         s = milnor_model(2, 2, include_spheres=False)
-        cz = s.zero_part_complex()
+        cz = s.zero_part
         zero = SparseMatrix.zero(cz.n, cz.n)
         p = delta_partial_k(s, zero, cz, 1)
         assert p.matrix.is_zero()
@@ -262,7 +265,7 @@ class TestOperators:
         # target D = C_0 / <e>: project away the unit; the image class that
         # previously hit e becomes zero while the semi-dilation persists
         s = milnor_model(2, 2, include_spheres=False)
-        cz = s.zero_part_complex()
+        cz = s.zero_part
         e = cz.index_of("e")
         keep = [i for i in range(cz.n) if i != e]
         target = make_complex(
@@ -278,7 +281,7 @@ class TestOperators:
         c2 = make_complex([("e", 0), ("z", 0), ("w", 1)], 2,
                           {0: [("z", "w", 1)]})
         s2 = make_split_complex(c2, ["e", "z", "w"], "e")
-        cz2 = s2.zero_part_complex()
+        cz2 = s2.zero_part
         # degree violation
         bad_degree = SparseMatrix.from_entries(
             cz2.n, cz2.n, [(cz2.index_of("w"), cz2.index_of("e"), F(1))])
@@ -423,7 +426,7 @@ def _oracle_reindex(v, n_from, n_to, where):
 def _oracle_les(s, degrees=None):
     n_tr = s.truncation
     c = s.complex
-    cz, cp = s.zero_part_complex(), s.plus_part_complex()
+    cz, cp = s.zero_part, s.plus_part
     f_full = build_filtered_plus(c, n_tr)
     h_full = cohomology(f_full)
     h_zero, h_plus = (cohomology(build_filtered_plus(x, n_tr)) for x in (cz, cp))
@@ -516,7 +519,7 @@ def test_zero_part_cohomology_tensor_factorization():
     for _ in range(5):
         s = random_split_complex(rng, rng.randint(3, 7), rng.randint(1, 4),
                                  rng.randint(1, 4))
-        cz = s.zero_part_complex()
+        cz = s.zero_part
         base = {d: g.dim for d, g in cohomology(cz).items() if g.dim}
         f = build_filtered_plus(cz, s.truncation)
         full = {d: g.dim for d, g in cohomology(f).items() if g.dim}
@@ -525,3 +528,70 @@ def test_zero_part_cohomology_tensor_factorization():
             for d, m in base.items():
                 expected[d - 2 * p] = expected.get(d - 2 * p, 0) + m
         assert full == expected
+
+
+# ---------------------------------------------------------------------------
+# oracle: H^0(F^k C_0) with [e] first, from the cohomology of F^k(C_0) itself
+
+
+def _oracle_unit_first_h0(obj, e):
+    sq = cohomology(obj, degrees=range(0, 1), preferred={0: [e]})[0].subquotient
+    if not sq.basis_sources or sq.basis_sources[0] != ("preferred", 0):
+        return None
+    return sq
+
+
+def assert_h0_matches_oracle(s):
+    for k in range(s.truncation + 1):
+        fz = build_filtered_plus(s.zero_part, k)
+        old = _oracle_unit_first_h0(fz, fz.include_chain(s.unit_zero, 0))
+        new = _zero_part_h0(s, k)
+        assert (old is None) == (new is None)
+        if new is None:
+            continue
+        assert repr([z for _, z in new[1]]) == repr(list(old.basis[1:]))
+        assert [p for p, _ in new[1]] == [max(z) // s.zero_part.n for z in old.basis[1:]]
+        assert repr(new[0].basis) == repr(_oracle_unit_first_h0(s.zero_part, s.unit_zero).basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 8), st.integers(0, 3), st.integers(1, 4),
+       st.booleans())
+def test_zero_part_h0_matches_oracle_on_random_split_complexes(seed, n_plus, n_zero_extra,
+                                                               n_tr, killer):
+    assert_h0_matches_oracle(random_split_complex(random.Random(seed), n_plus, n_zero_extra,
+                                                  n_tr, with_unit_killer=killer))
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for m in range(1, 5) for k in range(1, m + 1)])
+def test_zero_part_h0_matches_oracle_on_milnor_models_with_spheres(k, m):
+    assert_h0_matches_oracle(milnor_model(k, m))
+
+
+def test_zero_part_h0_none_when_unit_exact_in_zero_part():
+    c = make_complex([("e", 0), ("f", -1), ("z", 2)], 2, {0: [("f", "e", 1)]})
+    s = make_split_complex(c, ["e", "f", "z"], "e")
+    assert _zero_part_h0(s, 2) is None
+    assert_h0_matches_oracle(s)
+
+
+@pytest.mark.parametrize("s", [milnor_model(3, 4), modified_milnor(2, 2),
+                               random_split_complex(random.Random(83), 6, 3, 3,
+                                                    with_unit_killer=True)])
+def test_split_routes_build_no_part_and_no_filtered_zero_part_cohomology(s):
+    real = dilation.cohomology
+
+    def cohomology_of_complexes_only(obj, *args, **kwargs):
+        if isinstance(obj, FilteredPlusComplex):
+            raise AssertionError("cohomology of a filtered complex")
+        return real(obj, *args, **kwargs)
+
+    expected = [order_of_semidilation(s), has_k_semidilation(s, s.truncation),
+                order_via_torsion(s), order_via_torsion(s, semi=True),
+                pi0_coordinate(s, s.unit), tautological_les(s)]
+    with mock.patch.object(S1Complex, "__post_init__", side_effect=AssertionError("built")), \
+            mock.patch.object(dilation, "cohomology", side_effect=cohomology_of_complexes_only):
+        got = [order_of_semidilation(s), has_k_semidilation(s, s.truncation),
+               order_via_torsion(s), order_via_torsion(s, semi=True),
+               pi0_coordinate(s, s.unit), tautological_les(s)]
+    assert repr(got) == repr(expected)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from s1cochain.brieskorn import milnor_model
-from s1cochain.complexes import make_complex, truncate, verify_s1_relations
+from s1cochain.complexes import lift_family, make_complex, truncate, verify_s1_relations
 from s1cochain.linalg import SparseMatrix
 from s1cochain.morphisms import (
     S1Morphism,
@@ -15,7 +15,6 @@ from s1cochain.morphisms import (
     identity_morphism,
     induced_cohomology_map,
     phi_k,
-    verify_filtration_preservation,
     verify_functoriality,
     verify_homotopy,
     verify_morphism,
@@ -244,9 +243,26 @@ class TestHomotopyInvariance:
         assert induced_cohomology_map(phi, 3) == induced_cohomology_map(psi, 3)
 
 
-def test_filtration_preservation_diagnostic():
+def _raises_no_u_power(ops, level):
+    """Every entry of the lift sends u-power p to a power q <= p."""
+    n_dst, n_src = ops[0].rows, ops[0].cols
+    return all(i // n_dst <= j // n_src for i, j, _ in lift_family(ops, level).entries)
+
+
+def test_lift_family_never_raises_the_u_power():
+    # why [phi_S1] maps classes of F^j into F^j: the lift is block lower
+    # triangular in the power-major order
     rng = random.Random(37)
-    c = random_s1_complex(rng, 6, 2)
-    d = random_s1_complex(rng, 6, 2)
-    phi = random_morphism(rng, c, d)
-    assert verify_filtration_preservation(phi)
+    for _ in range(5):
+        c = random_s1_complex(rng, 6, 3)
+        d = random_s1_complex(rng, 5, 3)
+        phi = random_morphism(rng, c, d)
+        for level in range(phi.truncation + 1):
+            assert _raises_no_u_power(phi.phis, level)
+    # a hand-made family with an entry in every order, into a target of
+    # another size: phi^r sends (j, p) to (i, p - r)
+    ops = tuple(SparseMatrix.from_entries(3, 2, [(r, r % 2, F(r + 1))]) for r in range(3))
+    lift = lift_family(ops, 2)
+    assert _raises_no_u_power(ops, 2)
+    assert lift.col(2 * 2 + 0) == {2 * 3 + 0: F(1), 0 * 3 + 2: F(3)}
+    assert lift.col(1 * 2 + 1) == {0 * 3 + 1: F(2)}

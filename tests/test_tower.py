@@ -199,7 +199,7 @@ def split_complexes(draw):
 def test_tower_and_order_match_the_references(s, data):
     level = data.draw(st.integers(0, s.truncation), label="level")
     _check_tower(s.complex, level)
-    _check_tower(s.plus_part_complex(), s.truncation)
+    _check_tower(s.plus_part, s.truncation)
     _check_orders(s, semi=False)
     _check_orders(s, semi=True)
     _check_pages(s.complex)
