@@ -98,9 +98,6 @@ class S1Complex:
                 return i
         raise KeyError(name)
 
-    def indices_of_degree(self, d: int) -> list[int]:
-        return [i for i, g in enumerate(self.generators) if g.degree == d]
-
 
 def make_complex(generators: list[tuple[str, int]], truncation: int,
                  ops: dict[int, list[tuple[str, str, object]]]) -> S1Complex:
@@ -230,9 +227,6 @@ class FilteredPlusComplex:
         n = self.source.n
         return {i - power * n: x for i, x in v.items() if i // n == power}
 
-    def indices_of_degree(self, d: int) -> list[int]:
-        return [i for i, dd in enumerate(self.degrees) if dd == d]
-
 
 def lift_family(ops: Sequence[SparseMatrix], level: int) -> SparseMatrix:
     """sum_r u^r ops[r] as a matrix F^level(source) -> F^level(target).
@@ -254,6 +248,27 @@ def lift_family(ops: Sequence[SparseMatrix], level: int) -> SparseMatrix:
             for i, j, v in ops[r].entries:
                 ent.append((q * n_dst + i, p * n_src + j, v))
     return SparseMatrix.from_entries((level + 1) * n_dst, (level + 1) * n_src, ent)
+
+
+def lift_degree(ops: Sequence[SparseMatrix], level: int, degrees: Sequence[int],
+                d: int) -> SparseMatrix:
+    """The columns of `lift_family(ops, level)` whose source pair has total
+    degree d, every other column left empty; same shape, same indices.
+
+    The source pair (j, p) has degree degrees[j] - 2p, so an entry
+    (i, j, v) of ops[r] meets d at one power p at most and lands at
+    (i, p - r): this costs the nonzeros of ops, where the whole lift costs
+    level + 1 times them.  A negative level lifts nothing.
+    """
+    size = max(level + 1, 0)
+    n_dst, n_src = ops[0].rows, ops[0].cols
+    ent = []
+    for r, op in enumerate(ops[:size]):
+        for i, j, v in op.entries:
+            p, odd = divmod(degrees[j] - d, 2)
+            if not odd and r <= p <= level:
+                ent.append(((p - r) * n_dst + i, p * n_src + j, v))
+    return SparseMatrix.from_entries(size * n_dst, size * n_src, ent)
 
 
 def build_filtered_plus(c: S1Complex, k: int) -> FilteredPlusComplex:

@@ -37,7 +37,7 @@ from .complexes import (
     check_degree_window,
     cohomology,
     group_by_degree,
-    lift_family,
+    lift_degree,
     shift,
 )
 from .linalg import (
@@ -49,7 +49,6 @@ from .linalg import (
     solve,
     vis_zero,
     vrestrict,
-    vpromote,
 )
 from .morphisms import PhiKMap, S1Morphism, phi_k, verify_morphism
 from .spectral import DeltaKMap, delta_k
@@ -197,12 +196,22 @@ def verify_splitting(s: SplitS1Complex) -> SplittingReport:
 # dilation / semi-dilation at a fixed level
 
 
-def has_k_dilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
-    """Is the unit exact in F^k of the full complex?  Returns the primitive."""
+def _check_level(s: SplitS1Complex, k: int) -> None:
+    """Refuse a level outside 0..N, and a unit off degree 0: every order
+    system reads the unit from its degree-0 rows only."""
+    if k < 0:
+        raise ValueError("level must be non-negative")
     if k > s.truncation:
         raise TruncationError(f"level {k} exceeds truncation {s.truncation}")
-    f = build_filtered_plus(s.complex, k)
-    prim = solve(f.differential, f.include_chain(s.unit, 0))
+    if any(s.complex.generators[i].degree for i in s.unit):
+        raise ValueError("unit chain is not of pure degree 0")
+
+
+def has_k_dilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
+    """Is the unit exact in F^k of the full complex?  Returns the primitive,
+    solved from the degree -1 columns of F^k's differential alone."""
+    _check_level(s, k)
+    prim = solve(lift_degree(s.complex.deltas, k, s.complex.degrees, -1), s.unit)
     return (prim is not None), prim
 
 
@@ -241,56 +250,48 @@ def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
 
 
 def _solve_semidilation(s: SplitS1Complex, k: int, by_power: bool
-                        ) -> tuple[Vector | None, list[int], list[int]]:
+                        ) -> tuple[Vector | None, list[int]]:
     """Solve the level-k system in [A | w | c]: A of total degree -1 in
-    F^k(C_+), w in C_0 absorbing exact ambiguity, c along the non-unit part
-    of H^0(F^k C_0), with delta_+ A = 0 and conn(A) - delta_0 w - sum c_j z_j
-    = e u^0.  Returns the free-variables-zero solution (None if there is none
-    or the unit class vanishes), A's indices and each column's u-power
-    (index // n for A and w, p for c); `by_power` orders the columns stably
-    by (u-power, block, position).  The c columns are H(C_0) tiled: the
-    degree-2p basis of H(C_0) at u^-p, from `_zero_part_h0`."""
-    fp = build_filtered_plus(s.plus_part, k)
-    fz = build_filtered_plus(s.zero_part, k)
-    conn_f = lift_family(s.connecting, k)
-
-    a_idx = fp.indices_of_degree(-1)
-    w_idx = fz.indices_of_degree(-1)
-    e_f = fz.include_chain(s.unit_zero, 0)
+    F^k(C_+), w of degree -1 in F^k(C_0) absorbing exact ambiguity, c along
+    the non-unit part of H^0(F^k C_0), with delta_+ A = 0 and conn(A) -
+    delta_0 w - sum c_j z_j = e u^0.  Returns the free-variables-zero
+    solution (None if there is none or the unit class vanishes) and each
+    column's u-power; `by_power` orders the columns stably by (u-power,
+    block, position).  A sits at its F^k(C_+) index, w after all of those
+    at its F^k(C_0) index, and the rows are F^k(C_+)'s, then F^k(C_0)'s;
+    the other degrees' columns stay empty and are never pivots.  The c
+    columns come last, H(C_0) tiled: the degree-2p basis of H(C_0) at
+    u^-p, from `_zero_part_h0`."""
+    _check_level(s, k)
     h0 = _zero_part_h0(s, k)
     if h0 is None:
-        return None, a_idx, []
-    complement = [z for _, z in h0[1]]
-    powers = ([i // fp.source.n for i in a_idx] + [i // fz.source.n for i in w_idx]
+        return None, []
+    cp, cz = s.plus_part, s.zero_part
+    na, nw = (k + 1) * cp.n, (k + 1) * cz.n
+    powers = ([j // cp.n for j in range(na)] + [j // cz.n for j in range(nw)]
               + [p for p, _ in h0[1]])
     order = sorted(range(len(powers)), key=powers.__getitem__) if by_power else range(len(powers))
     col = {j: t for t, j in enumerate(order)}
 
-    rows_closed = fp.indices_of_degree(0)
-    rows_target = fz.indices_of_degree(0)
-    na, nw = len(a_idx), len(w_idx)
-    off = len(rows_closed)
-    ent = [(i, col[j], v) for i, j, v in fp.differential.submatrix(rows_closed, a_idx).entries]
-    ent += [(off + i, col[j], v)
-            for i, j, v in conn_f.submatrix(rows_target, a_idx).entries]
-    ent += [(off + i, col[na + j], -v)
-            for i, j, v in fz.differential.submatrix(rows_target, w_idx).entries]
-    ent += [(off + i, col[na + nw + jj], -v) for jj, z in enumerate(complement)
-            for i, v in vrestrict(z, rows_target).items()]
-    system = SparseMatrix.from_entries(off + len(rows_target), len(col), ent)
-    rhs = {off + i: x for i, x in vrestrict(e_f, rows_target).items()}
-    return solve(system, rhs), a_idx, [powers[j] for j in order]
+    ent = [(i, col[j], v) for i, j, v in lift_degree(cp.deltas, k, cp.degrees, -1).entries]
+    ent += [(na + i, col[j], v)
+            for i, j, v in lift_degree(s.connecting, k, cp.degrees, -1).entries]
+    ent += [(na + i, col[na + j], -v)
+            for i, j, v in lift_degree(cz.deltas, k, cz.degrees, -1).entries]
+    ent += [(na + i, col[na + nw + jj], -v) for jj, (_, z) in enumerate(h0[1])
+            for i, v in z.items()]
+    system = SparseMatrix.from_entries(na + nw, len(col), ent)
+    rhs = {na + i: x for i, x in s.unit_zero.items()}
+    return solve(system, rhs), [powers[j] for j in order]
 
 
 def has_k_semidilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     """Can a closed A of F^k(C_+) connect to a class projecting to [e]?
     Returns A in ambient F^k(C_+) coordinates of the plus part."""
-    if k > s.truncation:
-        raise TruncationError(f"level {k} exceeds truncation {s.truncation}")
-    sol, a_idx, _ = _solve_semidilation(s, k, by_power=False)
+    sol, _ = _solve_semidilation(s, k, by_power=False)
     if sol is None:
         return False, None
-    return True, vpromote({j: x for j, x in sol.items() if j < len(a_idx)}, a_idx)
+    return True, {j: x for j, x in sol.items() if j < (k + 1) * s.plus_part.n}
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +330,14 @@ def order_of_dilation(s: SplitS1Complex, max_k: int | None = None) -> DilationRe
     """The least k at which the unit is exact in F^k, from the one level
     test `has_k_dilation` at the scan level.
 
-    F^k is the column prefix of F^N's first (k+1)n indices, its differential
-    F^N's leading block, and F^N's pivot columns inside it a basis of its
-    column span.  The free-variables-zero solution is the one combination
-    of pivot columns giving e, so e is exact in F^k exactly when it is
-    supported there: the order is its largest index // n, it is the witness
+    The degree -1 columns of F^k are those of F^N at u-power <= k, a prefix
+    of F^N's power-major columns, and the rows of F^N they miss are zero
+    there: a column at power p has rows at powers <= p only.  So the
+    level-k block is the leading block of the level-N one, and F^N's pivot
+    columns inside the prefix are a basis of its span.  The
+    free-variables-zero solution is the one combination of pivot columns
+    giving e, so e is exact in F^k exactly when it is supported there: the
+    order is its largest index // n, it is the witness
     `has_k_dilation(s, order)` returns, and e stays exact at higher levels.
     """
     prim = has_k_dilation(s, _scan_level(s, max_k))[1]
@@ -344,10 +348,10 @@ def order_of_dilation(s: SplitS1Complex, max_k: int | None = None) -> DilationRe
 def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> DilationReport:
     """The least k with a k-semi-dilation, from one `solve` of level N.
 
-    In (u-power, block, position) column order the level-k system is the
-    column prefix of the level-N one at u-power <= k, and the level-N rows
-    it misses are zero there: a column of A or w at power p has rows at
-    powers <= p only.  The complement is H(C_0), tiled: C_0 carries no
+    In (u-power, block, position) column order the degree -1 columns of A
+    and w at level k are the level-N ones at u-power <= k, a column prefix,
+    and the level-N rows they miss are zero there: a column at power p has
+    rows at powers <= p only.  The complement is H(C_0), tiled: C_0 carries no
     higher operators, so H^0(F^k C_0) is (+)_p u^-p H^{2p}(C_0), and its
     non-unit basis at u^-p is the degree-2p basis of H(C_0) whatever the
     level.  So the level-k complement is the level-N complement's columns
@@ -357,7 +361,7 @@ def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> Dilati
     every higher level has a semi-dilation, and the witness is
     `has_k_semidilation`'s.
     """
-    sol, _, powers = _solve_semidilation(s, _scan_level(s, max_k), by_power=True)
+    sol, powers = _solve_semidilation(s, _scan_level(s, max_k), by_power=True)
     if sol is None:
         return DilationReport("semidilation", s.truncation, None, None)
     order = powers[max(sol)]
@@ -379,17 +383,15 @@ def _torsion_levels(s: SplitS1Complex, semi: bool
     is the truncated shadow of torsion on the untruncated module and makes
     this route agree with the direct scan at every level.
 
-    Everything that does not depend on k (F^N of both parts, the lifted
-    connecting map, the closed and target blocks, the non-unit part of
-    H^0(F^N C_0) and the right-hand side) is built once, here.  Each level
-    adds only the u^{k+1} block, the y columns and the torsion rows.
+    The unknowns are [x | w | y | c], x at its F^N(C_+) index and w after
+    all of those at its F^N(C_0) index; the rows are F^N(C_+)'s (x closed),
+    F^N(C_0)'s (x connects to e), then F^N(C_+)'s (u^{k+1} x is exact).
+    The degree -1 blocks of x and w, the non-unit part of H^0(F^N C_0) and
+    the right-hand side are built once, here; each level adds u^{k+1} x and
+    the y columns, the degree-2k block of F^{N-k-1}(C_+)'s differential.
     """
     n_tr = s.truncation
-    fp = build_filtered_plus(s.plus_part, n_tr)
-    fz = build_filtered_plus(s.zero_part, n_tr)
-    conn_f = lift_family(s.connecting, n_tr)
-    e_f = fz.include_chain(s.unit_zero, 0)
-
+    _check_level(s, n_tr)
     complement: list[Vector] = []
     if semi:
         h0 = _zero_part_h0(s, n_tr)
@@ -397,48 +399,35 @@ def _torsion_levels(s: SplitS1Complex, semi: bool
             return None
         complement = [z for _, z in h0[1]]
 
-    # x has total degree -1, so u^{k+1} x has degree 2k+1 and a primitive y
-    # for it has degree 2k.  Unknown layout: [x | w | y | c].
-    x_idx = fp.indices_of_degree(-1)
-    w_idx = fz.indices_of_degree(-1)
-    rows_closed = fp.indices_of_degree(0)
-    rows_target = fz.indices_of_degree(0)
-    nx, nw = len(x_idx), len(w_idx)
-    off1 = len(rows_closed)
-    off2 = off1 + len(rows_target)
+    cp, cz = s.plus_part, s.zero_part
+    # x and w take the first nxw columns, the closed and target rows the first nxw rows
+    nx = (n_tr + 1) * cp.n
+    nxw = nx + (n_tr + 1) * cz.n
     # block 1: delta_+ x = 0
-    base = list(fp.differential.submatrix(rows_closed, x_idx).entries)
+    base = list(lift_degree(cp.deltas, n_tr, cp.degrees, -1).entries)
     # block 2: conn(x) - delta_0 w - sum c_j z_j = e
-    for i, j, v in conn_f.submatrix(rows_target, x_idx).entries:
-        base.append((off1 + i, j, v))
-    for i, j, v in fz.differential.submatrix(rows_target, w_idx).entries:
-        base.append((off1 + i, nx + j, -v))
-    c_block = [(off1 + i, jj, -v) for jj, z in enumerate(complement)
-               for i, v in vrestrict(z, rows_target).items()]
-    rhs = {off1 + i: x for i, x in vrestrict(e_f, rows_target).items()}
-    n_p = fp.source.n
+    base += [(nx + i, j, v) for i, j, v in lift_degree(s.connecting, n_tr, cp.degrees, -1).entries]
+    base += [(nx + i, nx + j, -v)
+             for i, j, v in lift_degree(cz.deltas, n_tr, cz.degrees, -1).entries]
+    c_block = [(nx + i, jj, -v) for jj, z in enumerate(complement) for i, v in z.items()]
+    rhs = {nx + i: x for i, x in s.unit_zero.items()}
+    # x has total degree -1: the pair (g, p) with |g| = 2p - 1
+    x_pairs = [(g, (d + 1) // 2) for g, d in enumerate(cp.degrees)
+               if d % 2 and 0 <= (d + 1) // 2 <= n_tr]
 
     def feasible(k: int) -> tuple[bool, Vector | None]:
-        y_idx = [i for i in fp.indices_of_degree(2 * k) if i // n_p <= n_tr - k - 1]
-        rows_torsion = fp.indices_of_degree(2 * k + 1)
-        tpos = {idx: t for t, idx in enumerate(rows_torsion)}
-        ny = len(y_idx)
-        ent = base + [(i, nx + nw + ny + jj, v) for i, jj, v in c_block]
-        # block 3: u^{k+1} x - delta_+ y = 0; u^{k+1} lowers the u-power
-        # by k+1 and drops what falls below u^0
-        drop = (k + 1) * n_p
-        for j, idx in enumerate(x_idx):
-            if idx >= drop:
-                ent.append((off2 + tpos[idx - drop], j, Fraction(1)))
-        for j, idx in enumerate(y_idx):
-            for i, v in fp.differential.col(idx).items():
-                if i in tpos:
-                    ent.append((off2 + tpos[i], nx + nw + j, -v))
-        sys = SparseMatrix.from_entries(off2 + len(rows_torsion), nx + nw + ny + len(complement), ent)
+        # block 3: u^{k+1} x - delta_+ y = 0, where y has degree 2k; u^{k+1}
+        # lowers the u-power by k+1 and drops what falls below u^0
+        y = lift_degree(cp.deltas, n_tr - k - 1, cp.degrees, 2 * k)
+        ent = base + [(i, nxw + y.cols + jj, v) for i, jj, v in c_block]
+        ent += [(nxw + (p - k - 1) * cp.n + g, p * cp.n + g, Fraction(1))
+                for g, p in x_pairs if p > k]
+        ent += [(nxw + i, nxw + j, -v) for i, j, v in y.entries]
+        sys = SparseMatrix.from_entries(nxw + nx, nxw + y.cols + len(complement), ent)
         sol = solve(sys, rhs)
         if sol is None:
             return False, None
-        return True, vpromote({j: x for j, x in sol.items() if j < nx}, x_idx)
+        return True, {j: x for j, x in sol.items() if j < nx}
 
     return feasible
 

@@ -130,11 +130,6 @@ def vrestrict(v: Vector, indices: Sequence[int]) -> Vector:
     return out
 
 
-def vpromote(v: Vector, indices: Sequence[int]) -> Vector:
-    """Inverse of vrestrict: position -> old index."""
-    return {indices[i]: x for i, x in v.items()}
-
-
 # ---------------------------------------------------------------------------
 # sparse matrices
 

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s1cochain import linalg
 from s1cochain.brieskorn import milnor_model
@@ -13,12 +15,15 @@ from s1cochain.complexes import (
     build_filtered_plus,
     cohomology,
     direct_sum,
+    lift_degree,
+    lift_family,
     make_complex,
     shift,
     truncate,
     verify_s1_relations,
 )
-from s1cochain.randomized import random_s1_complex
+from s1cochain.linalg import SparseMatrix
+from s1cochain.randomized import random_morphism, random_s1_complex, random_split_complex
 
 
 def single_generator():
@@ -209,3 +214,31 @@ def test_random_complexes_always_valid():
 def test_duplicate_generator_names_rejected():
     with pytest.raises(ValueError):
         make_complex([("x", 0), ("x", 1)], 0, {})
+
+
+def _family_and_degrees(kind, rng, n, n_tr):
+    """An operator family of each kind with its source generators' degrees."""
+    if kind == "deltas":
+        c = random_s1_complex(rng, n, n_tr)
+        return c.deltas, c.degrees
+    if kind == "phis":
+        c = random_s1_complex(rng, n, n_tr)
+        return random_morphism(rng, c, random_s1_complex(rng, n + 1, n_tr)).phis, c.degrees
+    s = random_split_complex(rng, n, 2, n_tr, with_unit_killer=True)
+    return s.connecting, s.plus_part.degrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["deltas", "phis", "connecting"]), st.integers(0, 2**32),
+       st.integers(1, 6), st.integers(0, 3))
+def test_lift_degree_is_the_degree_d_columns_of_lift_family(kind, seed, n, n_tr):
+    ops, degrees = _family_and_degrees(kind, random.Random(seed), n, n_tr)
+    n_src = ops[0].cols
+    for level in range(n_tr + 1):
+        full = lift_family(ops, level)
+        for d in {g - 2 * p for g in degrees for p in range(level + 1)}:
+            kept = tuple((i, j, v) for i, j, v in full.entries
+                         if degrees[j % n_src] - 2 * (j // n_src) == d)
+            assert lift_degree(ops, level, degrees, d) == SparseMatrix(full.rows, full.cols, kept)
+    for d in set(degrees):
+        assert lift_degree(ops, -1, degrees, d) == SparseMatrix.zero(0, 0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s1cochain import dilation, linalg
+from s1cochain import complexes, dilation, linalg
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import (
     MAX_DEGREE_WINDOW,
@@ -112,6 +112,14 @@ class TestHasKDilation:
     def test_level_above_truncation(self):
         with pytest.raises(TruncationError):
             has_k_dilation(unit_only_complex(1), 2)
+
+
+@pytest.mark.parametrize("level,error,message", [(-1, ValueError, "level must be non-negative"),
+                                                 (2, TruncationError, "exceeds truncation")])
+@pytest.mark.parametrize("level_test", [has_k_dilation, has_k_semidilation])
+def test_level_tests_refuse_a_level_outside_0_to_n(level_test, level, error, message):
+    with pytest.raises(error, match=message):
+        level_test(unit_only_complex(1), level)
 
 
 class TestHasKSemidilation:
@@ -594,4 +602,40 @@ def test_split_routes_build_no_part_and_no_filtered_zero_part_cohomology(s):
         got = [order_of_semidilation(s), has_k_semidilation(s, s.truncation),
                order_via_torsion(s), order_via_torsion(s, semi=True),
                pi0_coordinate(s, s.unit), tautological_les(s)]
+    assert repr(got) == repr(expected)
+
+
+def _off_degree_unit():
+    """A split complex whose unit e + z has a degree-2 term."""
+    c = make_complex([("e", 0), ("z", 2), ("x", -1)], 1, {0: [("x", "e", 1)]})
+    return make_split_complex(c, ["e", "z"], {0: F(1), 1: F(1)})
+
+
+@pytest.mark.parametrize("route", [
+    partial(has_k_dilation, k=0), partial(has_k_semidilation, k=0), order_of_dilation,
+    order_of_semidilation, order_via_torsion, partial(order_via_torsion, semi=True)])
+def test_every_order_route_refuses_a_unit_off_degree_zero(route):
+    s = _off_degree_unit()
+    assert not verify_splitting(s).unit_degree_zero
+    with pytest.raises(ValueError, match="unit chain is not of pure degree 0"):
+        route(s)
+
+
+def _order_routes(s):
+    return [has_k_dilation(s, s.truncation), has_k_semidilation(s, s.truncation),
+            order_of_dilation(s), order_of_semidilation(s),
+            order_via_torsion(s), order_via_torsion(s, semi=True)]
+
+
+@pytest.mark.parametrize("s", [milnor_model(3, 4),
+                               random_split_complex(random.Random(83), 6, 3, 3,
+                                                    with_unit_killer=True)])
+def test_order_routes_build_no_whole_lift(s):
+    expected = _order_routes(s)
+    assert any(rep.found for rep in expected[2:])
+    with mock.patch.object(complexes, "lift_family", side_effect=AssertionError("lift")), \
+            mock.patch.object(dilation, "build_filtered_plus",
+                              side_effect=AssertionError("filtered")), \
+            mock.patch.object(SparseMatrix, "submatrix", side_effect=AssertionError("slice")):
+        got = _order_routes(s)
     assert repr(got) == repr(expected)
