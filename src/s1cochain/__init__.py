@@ -15,12 +15,10 @@ The package computes, over Q with no floating point anywhere:
 """
 
 from .linalg import (
-    QQ,
     Membership,
     SparseMatrix,
     Subquotient,
     Vector,
-    image_basis,
     kernel_basis,
     rank,
     rref,
@@ -44,15 +42,11 @@ from .spectral import (
     FiltrationTower,
     LerayPage,
     WitnessedCycle,
-    b_basis,
-    b_space,
     delta_k,
     e_infinity,
     filtration_tower,
     leray_page,
     leray_pages,
-    z_basis,
-    z_space,
 )
 from .morphisms import (
     PhiKMap,

@@ -221,18 +221,14 @@ def is_adc_certified(exponents: tuple[int, ...] | list[int],
     """Positivity of all SFT degrees mu + n - 3 for periods within the bound.
 
     This is a bounded-period certificate of asymptotic dynamical convexity,
-    not a proof: families beyond the bound are not inspected.
+    not a proof: families beyond the bound are not inspected.  The families
+    and the default bound are `global_min_cz`'s, which refuses a bound below
+    the minimal principal period, where no family would be inspected.
     """
-    data = BrieskornData(tuple(exponents))
-    periods = principal_periods(exponents)
-    if period_bound is None:
-        period_bound = 4 * max(p.period for p in periods) if periods else 0
-    degs = []
-    for fam in orbit_families(exponents, period_bound):
-        sft = min_cz(exponents, fam) + data.n - 3
-        degs.append((fam.principal.period, fam.count, sft))
-    certified = all(d > 0 for _, _, d in degs)
-    return AdcCertificate(certified, period_bound, tuple(degs))
+    n = BrieskornData(tuple(exponents)).n
+    g = global_min_cz(exponents, period_bound)
+    degs = tuple((fam.principal.period, fam.count, v + n - 3) for fam, v in g.families)
+    return AdcCertificate(all(d > 0 for _, _, d in degs), g.period_bound, degs)
 
 
 @dataclass(frozen=True)

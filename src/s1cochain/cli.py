@@ -99,20 +99,20 @@ def _load_valid(path: str) -> SplitS1Complex:
     return s
 
 
-def _parse_degree_window(text: str | None) -> range | None:
+def _window(ctx: click.Context, param: click.Parameter, text: str | None) -> range | None:
+    """Parse a LO..HI option into a range.  A malformed or overlong window
+    is refused with exit 2, and click names the option in the message."""
     if text is None:
         return None
     try:
         lo, hi = text.split("..")
         window = range(int(lo), int(hi) + 1)
     except ValueError:
-        _diag(f"bad degree window {text!r}; expected LO..HI")
-        raise SystemExit(EXIT_INPUT_ERROR)
+        raise click.BadParameter(f"bad window {text!r}; expected LO..HI") from None
     try:
         check_degree_window(window)
     except ValueError as exc:
-        _diag(str(exc))
-        raise SystemExit(EXIT_INPUT_ERROR)
+        raise click.BadParameter(str(exc)) from None
     return window
 
 
@@ -171,11 +171,11 @@ def check(file: str) -> None:
 @click.argument("file", default="-")
 @click.option("--level", type=int, default=0, show_default=True,
               help="Filtration level k: cohomology of F^k.")
-@click.option("--degrees", type=str, default=None, help="Degree window LO..HI.")
-def cohomology_cmd(file: str, level: int, degrees: str | None) -> None:
+@click.option("--degrees", "window", type=str, default=None, callback=_window,
+              help="Degree window LO..HI.")
+def cohomology_cmd(file: str, level: int, window: range | None) -> None:
     """Per-degree cohomology dimensions and representative cycles."""
     s = _load_valid(file)
-    window = _parse_degree_window(degrees)
     if not 0 <= level <= s.truncation:
         _diag(f"level {level} outside [0, {s.truncation}]")
         raise SystemExit(EXIT_INPUT_ERROR)
@@ -186,7 +186,7 @@ def cohomology_cmd(file: str, level: int, degrees: str | None) -> None:
         out[str(d)] = {
             "dim": g.dim,
             "representatives": [filtered_chain_terms(s.complex, rep)
-                                for rep in g.representatives],
+                                for rep in g.basis],
         }
     _emit({"level": level, "cohomology": out})
 
@@ -317,11 +317,11 @@ def semidilation(file: str, max_k: int | None) -> None:
 
 @main.command()
 @click.argument("file", default="-")
-@click.option("--degrees", type=str, default=None, help="Degree window LO..HI.")
-def les(file: str, degrees: str | None) -> None:
+@click.option("--degrees", "window", type=str, default=None, callback=_window,
+              help="Degree window LO..HI.")
+def les(file: str, window: range | None) -> None:
     """Exactness report for the tautological long exact sequence."""
     s = _load_valid(file)
-    window = _parse_degree_window(degrees)
     try:
         report = tautological_les(s, window)
     except ValueError as exc:
@@ -500,17 +500,17 @@ def _one_dilation_exponents(n: int) -> list[int]:
 
 
 @reproduce.command("corollary-1dilation")
-@click.option("--n-range", type=str, default="3..10", show_default=True)
-def corollary_1dilation(n_range: str) -> None:
+@click.option("--n-range", "window", type=str, default="3..10", show_default=True,
+              callback=_window)
+def corollary_1dilation(window: range) -> None:
     """Minimal-index certification of the one-dilation exponent family.
 
     Checks, per n: the index-growth value f at the minimal principal period
     equals n-1, f never dips below it, and the predicted order is 1.
     """
-    window = _parse_degree_window(n_range)
-    assert window is not None
     if window and window[-1] > MAX_ONE_DILATION_N:
-        _diag(f"--n-range {n_range!r}: n above the limit {MAX_ONE_DILATION_N}")
+        _diag(f"--n-range {window.start}..{window[-1]}: n above the limit "
+              f"{MAX_ONE_DILATION_N}")
         raise SystemExit(EXIT_INPUT_ERROR)
     rows = []
     ok_all = True

@@ -87,11 +87,6 @@ class S1Complex:
     def degrees(self) -> tuple[int, ...]:
         return tuple(g.degree for g in self.generators)
 
-    def delta(self, r: int) -> SparseMatrix:
-        if not 0 <= r <= self.truncation:
-            raise TruncationError(f"delta^{r} beyond truncation {self.truncation}")
-        return self.deltas[r]
-
     def index_of(self, name: str) -> int:
         for i, g in enumerate(self.generators):
             if g.name == name:
@@ -282,14 +277,6 @@ def build_filtered_plus(c: S1Complex, k: int) -> FilteredPlusComplex:
 # cohomology
 
 
-@dataclass(frozen=True)
-class CohomologyGroup:
-    degree: int
-    dim: int
-    representatives: tuple[Vector, ...]
-    subquotient: Subquotient
-
-
 def _graded_data(obj: S1Complex | FilteredPlusComplex) -> tuple[tuple[int, ...], SparseMatrix]:
     if isinstance(obj, S1Complex):
         return obj.degrees, obj.deltas[0]
@@ -315,28 +302,26 @@ def group_by_degree(vectors: Sequence[Vector], degrees: Sequence[int]) -> dict[i
 
 def cohomology(obj: S1Complex | FilteredPlusComplex,
                degrees: range | None = None,
-               preferred: dict[int, list[Vector]] | None = None) -> dict[int, CohomologyGroup]:
+               preferred: dict[int, list[Vector]] | None = None) -> dict[int, Subquotient]:
     """Per-degree cohomology of (C, delta^0) or of a filtered complex.
 
-    Returns {degree: group} with exact dimensions and deterministic
-    representative cycles.  `preferred` optionally requests distinguished
-    representatives (per degree) to head the chosen basis.  The cycles and
-    boundaries of every degree come from one elimination of the differential.
-    A window of more than MAX_DEGREE_WINDOW degrees is refused before it.
+    Returns {degree: cycles/boundaries}, each a `Subquotient` whose `basis`
+    holds deterministic representative cycles.  `preferred` optionally
+    requests distinguished representatives (per degree) to head the chosen
+    basis.  The cycles and boundaries of every degree come from one
+    elimination of the differential.  A window of more than
+    MAX_DEGREE_WINDOW degrees is refused before it.
     """
     degs, diff = _graded_data(obj)
     if degrees is not None:
         check_degree_window(degrees)
     kernel, image = kernel_and_image(diff)
     cycles, bounds = group_by_degree(kernel, degs), group_by_degree(image, degs)
-    out: dict[int, CohomologyGroup] = {}
-    all_degrees = sorted(set(cycles) | set(bounds))
-    for d in all_degrees:
-        if degrees is not None and d not in degrees:
-            continue
-        pref = (preferred or {}).get(d, [])
-        sq = Subquotient(len(degs), cycles.get(d, []), bounds.get(d, []), preferred=pref)
-        out[d] = CohomologyGroup(d, sq.dim, sq.basis, sq)
+    out: dict[int, Subquotient] = {}
+    for d in sorted(set(cycles) | set(bounds)):
+        if degrees is None or d in degrees:
+            out[d] = Subquotient(len(degs), cycles.get(d, []), bounds.get(d, []),
+                                 preferred=(preferred or {}).get(d, []))
     if degrees is not None:
         # the window degrees without cycles or boundaries share one zero group
         empty = None
@@ -344,23 +329,23 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
             if d not in out:
                 if empty is None:
                     empty = Subquotient(len(degs), [], [])
-                out[d] = CohomologyGroup(d, 0, (), empty)
+                out[d] = empty
     return out
 
 
-def induced_map(src: dict[int, CohomologyGroup], dst: dict[int, CohomologyGroup],
+def induced_map(src: dict[int, Subquotient], dst: dict[int, Subquotient],
                 d_src: int, d_dst: int, push: Callable[[Vector], Vector]) -> SparseMatrix:
     """Matrix of H^{d_src}(src) -> H^{d_dst}(dst) induced by the chain map
     `push`, in the deterministic bases; a degree missing from dst has no
     cohomology, so every image there must be zero."""
     grp = src.get(d_src)
-    images = [push(rep) for rep in grp.representatives] if grp else []
+    images = [push(rep) for rep in grp.basis] if grp else []
     tgt = dst.get(d_dst)
     if tgt is None:
         if any(images):
             raise AssertionError("class image in missing degree")
         return SparseMatrix.zero(0, len(images))
-    return tgt.subquotient.coordinate_matrix(images)
+    return tgt.coordinate_matrix(images)
 
 
 # ---------------------------------------------------------------------------

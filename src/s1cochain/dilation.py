@@ -50,7 +50,7 @@ from .linalg import (
     vis_zero,
     vrestrict,
 )
-from .morphisms import PhiKMap, S1Morphism, phi_k, verify_morphism
+from .morphisms import PhiKMap, S1Morphism, compose, phi_k, verify_morphism
 from .spectral import DeltaKMap, delta_k
 
 ZERO_PART = "zero"
@@ -91,6 +91,8 @@ class SplitS1Complex:
         if vis_zero(self.unit):
             raise ValueError("unit chain must be nonzero")
         c = self.complex
+        if not all(0 <= i < c.n for i in self.unit):
+            raise ValueError(f"unit chain index outside the generators 0..{c.n - 1}")
         zi = tuple(i for i, p in enumerate(self.parts) if p == ZERO_PART)
         pi = tuple(i for i, p in enumerate(self.parts) if p == PLUS_PART)
         zero = SparseMatrix.zero(len(zi), len(zi))
@@ -229,12 +231,12 @@ def _zero_part_h0(s: SplitS1Complex, k: int
     of F^k(C_0) itself, with e preferred, would choose.
     """
     groups = cohomology(s.zero_part, range(0, 2 * k + 1, 2), preferred={0: [s.unit_zero]})
-    h0 = groups[0].subquotient
+    h0 = groups[0]
     if not h0.basis_sources or h0.basis_sources[0] != ("preferred", 0):
         return None
     n0 = s.zero_part.n
     rest = [(p, {p * n0 + i: x for i, x in z.items()}) for p in range(k + 1)
-            for z in (h0.basis[1:] if p == 0 else groups[2 * p].subquotient.basis)]
+            for z in (h0.basis[1:] if p == 0 else groups[2 * p].basis)]
     return h0, rest
 
 
@@ -432,14 +434,12 @@ def _torsion_levels(s: SplitS1Complex, semi: bool
     return feasible
 
 
-def order_via_torsion(s: SplitS1Complex, semi: bool = False,
-                      max_k: int | None = None) -> DilationReport:
+def order_via_torsion(s: SplitS1Complex, semi: bool = False) -> DilationReport:
     """Independent order detection through u-torsion of the connecting class."""
     kind = "semidilation" if semi else "dilation"
-    n_tr = _scan_level(s, max_k)
     feasible = _torsion_levels(s, semi)
     if feasible is not None:
-        for k in range(n_tr + 1):
+        for k in range(s.truncation + 1):
             ok, w = feasible(k)
             if ok:
                 return DilationReport(kind, s.truncation, k, w, route="torsion")
@@ -468,26 +468,16 @@ def delta_partial_k(s: SplitS1Complex, restriction: SparseMatrix,
                     target: S1Complex, k: int) -> PhiKMap:
     """Post-compose Delta^k_{+,0} with a degree-0 cochain map C_0 -> D.
 
-    `restriction` is the matrix of the map on the zero-part basis; D must
-    carry trivial higher structure.
+    `restriction` is the matrix of the map on the zero-part basis, taken as
+    the morphism C_0[1] -> D[1] with no higher components; ValueError when
+    it is not one.  D must carry trivial higher structure, as `phi_k`
+    requires of the composite's target.
     """
-    cz = s.zero_part
-    if (restriction.rows, restriction.cols) != (target.n, cz.n):
-        raise ValueError("restriction matrix shape mismatch")
-    for r in range(1, target.truncation + 1):
-        if not target.deltas[r].is_zero():
-            raise ValueError("target of the restriction must have trivial higher structure")
-    for i, j, _ in restriction.entries:
-        if target.generators[i].degree != cz.generators[j].degree:
-            raise ValueError("restriction must have degree 0")
-    if not ((restriction @ cz.deltas[0]) - (target.deltas[0] @ restriction)).is_zero():
-        raise ValueError("restriction is not a cochain map")
-    composed = tuple(restriction @ m for m in s.connecting)
-    morphism = S1Morphism(s.plus_part, shift(target, 1), composed)
-    rep = verify_morphism(morphism)
-    if not rep.valid:
-        raise AssertionError("composed connecting morphism failed verification")
-    return phi_k(morphism, k)
+    zeros = (SparseMatrix.zero(target.n, s.zero_part.n),) * s.truncation
+    outer = S1Morphism(shift(s.zero_part, 1), shift(target, 1), (restriction, *zeros))
+    if not verify_morphism(outer).valid:
+        raise ValueError("restriction is not a degree-0 cochain map C_0 -> D")
+    return phi_k(compose(outer, s.connecting_morphism()), k)
 
 
 # ---------------------------------------------------------------------------

@@ -215,9 +215,12 @@ def dumps(s: SplitS1Complex) -> str:
 
 
 def loads(text: str) -> SplitS1Complex:
+    """Parse a document from text.  Text that is not JSON, nests deeper than
+    the parser recurses, or holds an integer literal beyond CPython's
+    digit limit raises DocumentError at "$"."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError("$", f"not valid JSON: {exc}") from exc
     return document_to_split_complex(doc)
 

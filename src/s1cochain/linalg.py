@@ -55,8 +55,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-QQ = Fraction
-
 Vector = dict[int, Fraction]
 
 # Fractions are immutable, so eliminations share this one instance.
@@ -245,9 +243,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def nnz(self) -> int:
-        return len(self.entries)
 
     # algebra ------------------------------------------------------------
 
@@ -496,14 +491,9 @@ def kernel_basis(m: SparseMatrix) -> list[Vector]:
     return _kernel_of_reduced(rows, pivots, m.cols)
 
 
-def image_basis(m: SparseMatrix) -> list[Vector]:
-    """Basis of the column space: the original columns at the pivot indices."""
-    _, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
-    return [m.col(p) for p in pivots]
-
-
 def kernel_and_image(m: SparseMatrix) -> tuple[list[Vector], list[Vector]]:
-    """`kernel_basis(m)` and `image_basis(m)`, read from one elimination."""
+    """`kernel_basis(m)` and a basis of the column space, the original
+    columns at the pivot indices, read from one elimination."""
     rows, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
     return _kernel_of_reduced(rows, pivots, m.cols), [m.col(p) for p in pivots]
 
@@ -566,14 +556,14 @@ class Subquotient:
             raise DimensionError("generator index out of ambient range") from None
         if len(pivots) != self.rank_z:
             raise ValueError("b_gens/preferred not contained in span(z_gens)")
-        b_basis = [combined[p] for p in pivots if p < nb]
-        self.rank_b = self._nb_basis = len(b_basis)
+        b_indep = [combined[p] for p in pivots if p < nb]
+        self.rank_b = self._nb_basis = len(b_indep)
         self.basis = tuple(combined[p] for p in pivots if p >= nb)
         self.basis_sources = tuple(("preferred", p - nb) if p < nb + np_ else ("z", p - nb - np_)
                                    for p in pivots if p >= nb)
         self.dim = len(self.basis)
         assert self.dim == self.rank_z - self.rank_b
-        self._solver = [*b_basis, *self.basis]
+        self._solver = [*b_indep, *self.basis]
 
     def _reduce(self, vectors: Sequence[Vector]) -> tuple[SparseMatrix, bool]:
         """The coordinate matrix of `vectors` and whether all of them lie in Z.

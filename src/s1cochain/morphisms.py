@@ -78,9 +78,6 @@ class S1Morphism:
     def truncation(self) -> int:
         return self.source.truncation
 
-    def phi(self, r: int) -> SparseMatrix:
-        return self.phis[r]
-
 
 @dataclass(frozen=True)
 class S1Homotopy:
@@ -168,16 +165,12 @@ def homotopy_deformation(phi: S1Morphism, hs: tuple[SparseMatrix, ...]) -> tuple
 # the assembled map on filtered complexes
 
 
-def filtered_morphism_matrix(phi: S1Morphism, level: int) -> SparseMatrix:
-    """phi_S1 = sum u^r phi^r as a matrix F^level(source) -> F^level(target)."""
-    return lift_family(phi.phis, level)
-
-
 def induced_cohomology_map(phi: S1Morphism, level: int) -> dict[int, SparseMatrix]:
-    """Matrices of [phi_S1] on H(F^level) in the deterministic bases."""
+    """Matrices of [phi_S1] on H(F^level) in the deterministic bases, phi_S1
+    being `lift_family(phi.phis, level)`."""
     fs = build_filtered_plus(phi.source, level)
     ft = build_filtered_plus(phi.target, level)
-    mat = filtered_morphism_matrix(phi, level)
+    mat = lift_family(phi.phis, level)
     hs = cohomology(fs)
     ht = cohomology(ft)
     return {d: induced_map(hs, ht, d, d, mat.apply) for d in hs}
@@ -252,12 +245,15 @@ def verify_functoriality(phi: S1Morphism) -> FunctorialityReport:
     Containments are span inclusions (rank identities); the commuting square
     compares phi^0(Delta^k alpha) with Delta^k(phi^0 alpha) inside
     Z_0(target)/B_{k-1}(target), where the target witness is transported by
-    the assembled filtered morphism.
+    the assembled filtered morphism.  That is lifted once, at the top level:
+    the lift never raises the u-power, so on a witness of level k-1 it acts
+    as the lift at level k-1.
     """
     src, dst = phi.source, phi.target
     phi0 = phi.phis[0]
     level = phi.truncation // 2
     ts, td = filtration_tower(src, level), filtration_tower(dst, level)
+    fmat = lift_family(phi.phis, level)
     z_cont, b_cont, squares = [], [], []
     for k in range(0, level + 1):
         z_cont.append((k, span_leq([phi0.apply(v) for v in ts.z_vectors(k)],
@@ -265,16 +261,15 @@ def verify_functoriality(phi: S1Morphism) -> FunctorialityReport:
         b_cont.append((k, span_leq([phi0.apply(v) for v in ts.b_vectors(k)],
                                    td.b_vectors(k), dst.n)))
         if k >= 1:
-            squares.append((k, _delta_square_commutes(phi, k, ts, td)))
+            squares.append((k, _delta_square_commutes(phi, k, ts, td, fmat)))
     return FunctorialityReport(tuple(z_cont), tuple(b_cont), tuple(squares))
 
 
 def _delta_square_commutes(phi: S1Morphism, k: int, ts: FiltrationTower,
-                           td: FiltrationTower) -> bool:
+                           td: FiltrationTower, fmat: SparseMatrix) -> bool:
     src, dst = phi.source, phi.target
     phi0 = phi.phis[0]
     cod = Subquotient(dst.n, td.z_vectors(0), td.b_vectors(k - 1))
-    fmat = filtered_morphism_matrix(phi, k - 1)
     fs, ft = ts.filtered, td.filtered
     diffs = []
     for w in ts.z(k - 1):

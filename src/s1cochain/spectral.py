@@ -177,25 +177,6 @@ def filtration_tower(c: S1Complex, level: int) -> FiltrationTower:
     return FiltrationTower(build_filtered_plus(c, level))
 
 
-def z_space(c: S1Complex, k: int) -> list[WitnessedCycle]:
-    """Basis of Z_k with witnesses: the u^-k block of ker(delta_S1 on F^k)."""
-    return filtration_tower(c, k).z(k)
-
-
-def b_space(c: S1Complex, k: int) -> list[WitnessedCycle]:
-    """Basis of B_k with primitives A: delta_S1(A) lies at u^0, so A is in
-    the kernel of the positive-power rows of the differential of F^k."""
-    return filtration_tower(c, k).b(k)
-
-
-def z_basis(c: S1Complex, k: int) -> list[Vector]:
-    return filtration_tower(c, k).z_vectors(k)
-
-
-def b_basis(c: S1Complex, k: int) -> list[Vector]:
-    return filtration_tower(c, k).b_vectors(k)
-
-
 def delta_value(c: S1Complex, w: WitnessedCycle) -> Vector:
     """Chain-level Delta^{k+1} of a Z_k witness: sum_{i>=1} delta^i(alpha_{k+1-i})."""
     return w.value(c.deltas, w.level + 1)
@@ -254,12 +235,13 @@ def delta_k(c: S1Complex, k: int) -> DeltaKMap:
 def perturbed_witness(c: S1Complex, w: WitnessedCycle, kernel_index: int = 0) -> WitnessedCycle:
     """Another witness family for the same leading term, if one exists.
 
-    Adds a closed element of F^{level} with zero leading block; used to test
-    that Delta^k and Phi^k do not depend on the witness choice.
+    Adds a closed element of F^{level} with zero leading block, a closed
+    vector of the tower below that level; used to test that Delta^k and
+    Phi^k do not depend on the witness choice.
     """
-    f = build_filtered_plus(c, w.level)
-    kern = kernel_basis(f.differential)
-    candidates = [v for v in kern if vis_zero(f.power_component(v, w.level))]
+    t = filtration_tower(c, w.level)
+    f = t.filtered
+    candidates = [v for lv, v in t._closed if lv < w.level]
     if not candidates:
         return w
     extra = candidates[kernel_index % len(candidates)]

@@ -42,7 +42,7 @@ from s1cochain.randomized import (
     random_s1_complex,
     random_split_complex,
 )
-from s1cochain.spectral import b_basis, delta_k, e_infinity, z_basis
+from s1cochain.spectral import delta_k, e_infinity, filtration_tower
 from s1cochain.tensor import tensor_split
 
 
@@ -223,8 +223,8 @@ def test_criterion_5b_inclusion_chain(corpus):
     for s in corpus:
         c = s.complex
         n_tr = c.truncation
-        bs = [b_basis(c, k) for k in range(n_tr + 1)]
-        zs = [z_basis(c, k) for k in range(n_tr + 1)]
+        bs = [filtration_tower(c, k).b_vectors(k) for k in range(n_tr + 1)]
+        zs = [filtration_tower(c, k).z_vectors(k) for k in range(n_tr + 1)]
         for k in range(n_tr):
             assert span_leq(bs[k], bs[k + 1], c.n)
             assert span_leq(zs[k + 1], zs[k], c.n)
@@ -244,9 +244,10 @@ def test_criterion_5c_ker_im_coker_identities(corpus):
         c = s.complex
         for k in range(1, c.truncation // 2 + 1):
             dk = delta_k(c, k)
-            assert dk.kernel_dim == qdim(z_basis(c, k), b_basis(c, 0), c.n)
-            assert dk.rank == qdim(b_basis(c, k), b_basis(c, k - 1), c.n)
-            assert dk.coker_dim == qdim(z_basis(c, 0), b_basis(c, k), c.n)
+            t0, t1, tk = (filtration_tower(c, j) for j in (0, k - 1, k))
+            assert dk.kernel_dim == qdim(tk.z_vectors(k), t0.b_vectors(0), c.n)
+            assert dk.rank == qdim(tk.b_vectors(k), t1.b_vectors(k - 1), c.n)
+            assert dk.coker_dim == qdim(t0.z_vectors(0), tk.b_vectors(k), c.n)
             checked += 1
     report(f"ACCEPTANCE 5c (ker/im/coker of Delta^k, {checked} maps): PASS")
 

@@ -214,6 +214,13 @@ class TestAdcCertificate:
             assert not cert.certified
             assert cert.minimal_sft_degree == 0
 
+    def test_bound_below_minimal_period_rejected(self):
+        # the minimal principal period of (2,3,3,3) is 3: a bound of 2
+        # would inspect no family and certify vacuously
+        with pytest.raises(ValueError, match="minimal principal period"):
+            is_adc_certified([2, 3, 3, 3], 2)
+        assert is_adc_certified([2, 3, 3, 3], 3).sft_degrees
+
 
 class TestPredictedOrder:
     def test_constant_vectors(self):

@@ -137,9 +137,9 @@ class TestCohomology:
     def test_representatives_are_cycles_not_boundaries(self):
         c = milnor_model(2, 2).complex
         for g in cohomology(c).values():
-            for rep in g.representatives:
+            for rep in g.basis:
                 assert c.deltas[0].apply(rep) == {}
-            assert g.dim == len(g.representatives)
+            assert g.dim == len(g.basis)
 
     def test_filtered_cohomology_degree_window(self):
         c = milnor_model(2, 2).complex
@@ -175,7 +175,7 @@ class TestCohomology:
             groups = cohomology(f, range(-5000, 5000))
         assert len(groups) == 10_000
         assert len(built) <= len(held) + 1
-        assert all(groups[d].dim == 0 and not groups[d].representatives
+        assert all(groups[d].dim == 0 and not groups[d].basis
                    for d in range(-5000, 5000) if d not in held)
 
 

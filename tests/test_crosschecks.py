@@ -45,11 +45,11 @@ def _semidilation_via_quotient_images(s, k):
     cz = s.zero_part
     zero_idx = s.zero_indices
     from s1cochain.morphisms import phi_value
-    from s1cochain.spectral import z_space
+    from s1cochain.spectral import filtration_tower
 
     conn = s.connecting_morphism()
     for j in range(k + 1):
-        for w in z_space(s.plus_part, j):
+        for w in filtration_tower(s.plus_part, j).z(j):
             val = phi_value(conn, w)
             # promote the zero-part chain back to ambient coordinates
             ambient = {zero_idx[i]: x for i, x in val.items()}

@@ -93,6 +93,12 @@ class TestVerifySplitting:
         for k, m in [(1, 1), (2, 3), (3, 4), (2, 2)]:
             assert verify_splitting(milnor_model(k, m)).valid
 
+    @pytest.mark.parametrize("index", [5, 1, -1])
+    def test_unit_index_outside_the_generators_rejected(self, index):
+        c = make_complex([("e", 0)], 1, {})
+        with pytest.raises(ValueError, match="unit chain index"):
+            make_split_complex(c, ["e"], {index: F(1)})
+
 
 class TestHasKDilation:
     def test_immediate_vanishing(self):
@@ -543,7 +549,7 @@ def test_zero_part_cohomology_tensor_factorization():
 
 
 def _oracle_unit_first_h0(obj, e):
-    sq = cohomology(obj, degrees=range(0, 1), preferred={0: [e]})[0].subquotient
+    sq = cohomology(obj, degrees=range(0, 1), preferred={0: [e]})[0]
     if not sq.basis_sources or sq.basis_sources[0] != ("preferred", 0):
         return None
     return sq

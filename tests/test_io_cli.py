@@ -307,6 +307,21 @@ def test_parsers_raise_only_document_errors(parse, sample, data):
         pass
 
 
+@settings(max_examples=200, deadline=timedelta(milliseconds=500))
+@given(text=st.text(alphabet='[]{}",:0123456789-e ', max_size=60)
+       # deep nesting, and integer literals past the interpreter's digit limit
+       | st.builds(str.__mul__, st.sampled_from(["[", '{"a":', '[{"x":']),
+                   st.integers(0, 100_000))
+       | st.builds(lambda n: '{"truncation": ' + "9" * n + "}", st.integers(1, 6000))
+       | st.builds(lambda doc, cut: doc[:cut], st.just(json.dumps(sample_doc())),
+                   st.integers(0, 400)))
+def test_loads_raises_only_document_errors_on_text(text):
+    try:
+        loads(text)
+    except DocumentError as exc:
+        assert exc.path.startswith("$")
+
+
 def run_cli(*args, stdin=None):
     # click >= 8.2 separates stderr by default
     return CliRunner().invoke(main, list(args), input=stdin)
@@ -454,10 +469,29 @@ class TestCli:
         assert payload["pass"]
         assert [r["n"] for r in payload["rows"]] == [3, 4, 5]
 
+    def test_reproduce_corollary_bad_range_names_the_option(self):
+        res = run_cli("reproduce", "corollary-1dilation", "--n-range", "3-5")
+        assert res.exit_code == 2
+        assert "--n-range" in res.stderr and "degree window" not in res.stderr
+
     def test_threads_flag_removed(self):
         res = run_cli("--threads", "2", "brieskorn", "periods", "2,2")
         assert res.exit_code == 2
         assert "--threads" in res.stderr
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 100_000, id="nested-100000"),
+        pytest.param(json.dumps(sample_doc()).replace('"degree": 0', '"degree": ' + "9" * 5000, 1),
+                     id="5000-digit-degree")])
+    def test_malformed_json_exit_2_fast(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for args in (("check", str(path)), ("check",)):
+            start = time.perf_counter()
+            res = run_cli(*args, stdin=text)
+            assert time.perf_counter() - start < 1.0
+            assert res.exit_code == 2
+            assert "parse error at $: not valid JSON" in res.stderr
 
     def test_oversized_truncation_exit_2_fast(self, tmp_path):
         doc = {"schema_version": "1", "truncation": 100_000_000,
@@ -595,7 +629,7 @@ class TestCli:
 
     def test_brieskorn_bound_below_minimal_period_exit_2(self):
         # the minimal principal period of (2,3,3,3) is 3
-        for command in ("cz", "predict"):
+        for command in ("cz", "adc", "predict"):
             res = run_cli("brieskorn", command, "2,3,3,3", "--bound", "2")
             assert res.exit_code == 2
             assert "minimal principal period" in res.stderr

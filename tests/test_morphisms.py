@@ -10,7 +10,6 @@ from s1cochain.linalg import SparseMatrix
 from s1cochain.morphisms import (
     S1Morphism,
     compose,
-    filtered_morphism_matrix,
     homotopy_deformation,
     identity_morphism,
     induced_cohomology_map,
@@ -119,8 +118,8 @@ class TestCompose:
             phi = random_morphism(rng, b, c)
             comp = compose(phi, psi)
             assert verify_morphism(comp).valid
-            lhs = filtered_morphism_matrix(comp, 3)
-            rhs = filtered_morphism_matrix(phi, 3) @ filtered_morphism_matrix(psi, 3)
+            lhs = lift_family(comp.phis, 3)
+            rhs = lift_family(phi.phis, 3) @ lift_family(psi.phis, 3)
             assert lhs == rhs
 
 

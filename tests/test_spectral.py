@@ -14,16 +14,13 @@ from s1cochain.complexes import (
 from s1cochain.linalg import kernel_basis, span_leq, vis_zero
 from s1cochain.randomized import random_s1_complex
 from s1cochain.spectral import (
-    b_basis,
-    b_space,
     delta_k,
     delta_value,
     e_infinity,
+    filtration_tower,
     leray_page,
     perturbed_witness,
     reduced_page_map,
-    z_basis,
-    z_space,
 )
 
 
@@ -34,7 +31,7 @@ def all_zero_complex(n_tr=3):
 class TestZSpace:
     def test_level_zero_is_delta0_kernel(self):
         c = milnor_model(2, 2).complex
-        z0 = z_basis(c, 0)
+        z0 = filtration_tower(c, 0).z_vectors(0)
         k0 = kernel_basis(c.deltas[0])
         assert len(z0) == len(k0)
         assert span_leq(z0, k0, c.n) and span_leq(k0, z0, c.n)
@@ -42,36 +39,36 @@ class TestZSpace:
     def test_all_deltas_zero_z_is_everything(self):
         c = all_zero_complex()
         for k in range(c.truncation + 1):
-            assert len(z_basis(c, k)) == c.n
+            assert len(filtration_tower(c, k).z_vectors(k)) == c.n
 
     def test_milnor_33_hand_membership(self):
         # delta0 p0_check = 6e + p1_hat is nonzero, so p0_check is not even
         # in Z_0; p2_check is in Z_1 with witness alpha_1 = -p1_check
         c = milnor_model(3, 3, include_spheres=False).complex
         p0c, p2c = c.index_of("p0_check"), c.index_of("p2_check")
-        z0 = z_basis(c, 0)
-        z1 = z_basis(c, 1)
+        z0 = filtration_tower(c, 0).z_vectors(0)
+        z1 = filtration_tower(c, 1).z_vectors(1)
         assert not span_leq([{p0c: F(1)}], z0, c.n)
         assert span_leq([{p2c: F(1)}], z1, c.n)
-        wit = [w for w in z_space(c, 1) if w.leading == {p2c: F(1)}]
+        wit = [w for w in filtration_tower(c, 1).z(1) if w.leading == {p2c: F(1)}]
         assert wit and wit[0].alphas[1] == {c.index_of("p1_check"): F(-1)}
 
     def test_witnesses_certify(self):
         c = milnor_model(3, 4, include_spheres=False).complex
         for k in range(c.truncation + 1):
             f = build_filtered_plus(c, k)
-            for w in z_space(c, k):
+            for w in filtration_tower(c, k).z(k):
                 assert vis_zero(f.differential.apply(w.filtered_vector(f)))
 
     def test_level_above_truncation(self):
         with pytest.raises(TruncationError):
-            z_space(all_zero_complex(2), 3)
+            filtration_tower(all_zero_complex(2), 3).z(3)
 
 
 class TestBSpace:
     def test_level_zero_is_image(self):
         c = milnor_model(2, 2).complex
-        b0 = b_basis(c, 0)
+        b0 = filtration_tower(c, 0).b_vectors(0)
         e, p1h = c.index_of("e"), c.index_of("p1_hat")
         assert len(b0) == 1
         assert span_leq([{e: F(2), p1h: F(1)}], b0, c.n)
@@ -79,28 +76,29 @@ class TestBSpace:
     def test_all_deltas_zero_b_is_zero(self):
         c = all_zero_complex()
         for k in range(c.truncation + 1):
-            assert b_basis(c, k) == []
+            assert filtration_tower(c, k).b_vectors(k) == []
 
     def test_unit_chain_witness_from_model(self):
         # e enters B_{k-1} with the explicit alternating primitive
         for k, m in [(2, 2), (3, 3), (3, 4)]:
             c = milnor_model(k, m, include_spheres=False).complex
             e = c.index_of("e")
-            assert not span_leq([{e: F(1)}], b_basis(c, k - 2), c.n) if k >= 2 else True
-            assert span_leq([{e: F(1)}], b_basis(c, k - 1), c.n)
+            if k >= 2:
+                assert not span_leq([{e: F(1)}], filtration_tower(c, k - 2).b_vectors(k - 2), c.n)
+            assert span_leq([{e: F(1)}], filtration_tower(c, k - 1).b_vectors(k - 1), c.n)
 
     def test_primitives_certify(self):
         c = milnor_model(2, 3, include_spheres=False).complex
         for k in range(c.truncation + 1):
             f = build_filtered_plus(c, k)
-            for w in b_space(c, k):
+            for w in filtration_tower(c, k).b(k):
                 image = f.differential.apply(w.filtered_vector(f))
                 assert image == f.include_chain(w.boundary_value, 0)
 
 
 def _chain_respected(c):
-    spaces = [b_basis(c, k) for k in range(c.truncation + 1)]
-    zpaces = [z_basis(c, k) for k in range(c.truncation + 1)]
+    spaces = [filtration_tower(c, k).b_vectors(k) for k in range(c.truncation + 1)]
+    zpaces = [filtration_tower(c, k).z_vectors(k) for k in range(c.truncation + 1)]
     n_tr = c.truncation
     for k in range(n_tr):
         assert span_leq(spaces[k], spaces[k + 1], c.n)          # B_k <= B_{k+1}
@@ -129,8 +127,9 @@ class TestInclusionChain:
         s = random_split_complex(random.Random(10_005), 8, 1, 2)
         c = s.complex
         assert c.truncation == 2
-        assert span_leq(b_basis(c, 1), z_basis(c, 1), c.n)
-        assert not span_leq(b_basis(c, 2), z_basis(c, 2), c.n)
+        t1, t2 = filtration_tower(c, 1), filtration_tower(c, 2)
+        assert span_leq(t1.b_vectors(1), t1.z_vectors(1), c.n)
+        assert not span_leq(t2.b_vectors(2), t2.z_vectors(2), c.n)
 
 
 class TestDeltaK:
@@ -201,10 +200,10 @@ def _check_delta_identities(c, k):
 
     dk = delta_k(c, k)
     n = c.n
-    zk = z_basis(c, k)
-    b0 = b_basis(c, 0)
-    bk = b_basis(c, k)
-    bk1 = b_basis(c, k - 1)
+    zk = filtration_tower(c, k).z_vectors(k)
+    b0 = filtration_tower(c, 0).b_vectors(0)
+    bk = filtration_tower(c, k).b_vectors(k)
+    bk1 = filtration_tower(c, k - 1).b_vectors(k - 1)
 
     def quotient_dim(z, b):
         return (rank(SparseMatrix.from_columns(list(b) + list(z), n))
@@ -212,7 +211,7 @@ def _check_delta_identities(c, k):
 
     assert dk.kernel_dim == quotient_dim(zk, b0)
     assert dk.rank == quotient_dim(bk, bk1)
-    assert dk.coker_dim == quotient_dim(z_basis(c, 0), bk)
+    assert dk.coker_dim == quotient_dim(filtration_tower(c, 0).z_vectors(0), bk)
 
 
 class TestLerayPages:
@@ -304,6 +303,7 @@ def _check_page_recursion(c, k):
         return (rank(SparseMatrix.from_columns(list(b) + list(z), n))
                 - rank(SparseMatrix.from_columns(list(b), n)))
 
-    lhs = quotient_dim(z_basis(c, k), b_basis(c, k))
+    tk = filtration_tower(c, k)
+    lhs = quotient_dim(tk.z_vectors(k), tk.b_vectors(k))
     rhs = len(kernel_basis(mat)) - rank(mat)
     assert lhs == rhs
