@@ -15,7 +15,6 @@ The package computes, over Q with no floating point anywhere:
 """
 
 from .linalg import (
-    Membership,
     SparseMatrix,
     Subquotient,
     Vector,

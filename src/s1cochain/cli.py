@@ -508,15 +508,17 @@ def corollary_1dilation(window: range) -> None:
     Checks, per n: the index-growth value f at the minimal principal period
     equals n-1, f never dips below it, and the predicted order is 1.
     """
-    if window and window[-1] > MAX_ONE_DILATION_N:
-        _diag(f"--n-range {window.start}..{window[-1]}: n above the limit "
+    ns = range(max(window.start, 3), window.stop)
+    if not ns:
+        _diag(f"--n-range {window.start}..{window.stop - 1}: holds no n >= 3")
+        raise SystemExit(EXIT_INPUT_ERROR)
+    if ns[-1] > MAX_ONE_DILATION_N:
+        _diag(f"--n-range {window.start}..{ns[-1]}: n above the limit "
               f"{MAX_ONE_DILATION_N}")
         raise SystemExit(EXIT_INPUT_ERROR)
     rows = []
     ok_all = True
-    for n in window:
-        if n < 3:
-            continue
+    for n in ns:
         exps = _one_dilation_exponents(n)
         tmin = min(p.period for p in bk.principal_periods(exps))
         f_min = bk.f_of_t(exps, tmin)

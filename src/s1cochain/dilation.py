@@ -38,6 +38,7 @@ from .complexes import (
     cohomology,
     group_by_degree,
     lift_degree,
+    lift_family,
     shift,
 )
 from .linalg import (
@@ -121,6 +122,9 @@ class SplitS1Complex:
 def make_split_complex(c: S1Complex, zero_names: list[str],
                        unit: str | Vector) -> SplitS1Complex:
     zset = set(zero_names)
+    unknown = sorted(zset - {g.name for g in c.generators})
+    if unknown:
+        raise ValueError(f"zero-part names {unknown} name no generator")
     parts = tuple(ZERO_PART if g.name in zset else PLUS_PART for g in c.generators)
     if isinstance(unit, str):
         unit_vec: Vector = {c.index_of(unit): Fraction(1)}
@@ -374,31 +378,32 @@ def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> Dilati
 # the u-torsion route
 
 
-def _torsion_levels(s: SplitS1Complex, semi: bool
-                    ) -> Callable[[int], tuple[bool, Vector | None]] | None:
-    """The u-torsion test as a function of the level k, or None when the
-    unit class vanishes in H^0(F^N C_0) and the semi test fails at every k.
+def order_via_torsion(s: SplitS1Complex, semi: bool = False) -> DilationReport:
+    """Independent order detection through u-torsion of the connecting class.
 
     The test at level k: a closed x in F^N(C_+) with connecting class [e]
     (or pi_0-image [e]) such that u^{k+1} x is exact, with primitive inside
     F^{N-k-1}(C_+).  Restricting the primitive to the lower filtration level
     is the truncated shadow of torsion on the untruncated module and makes
-    this route agree with the direct scan at every level.
+    this route agree with the direct scan at every level.  The order is the
+    first feasible k; the semi test fails at every k when the unit class
+    vanishes in H^0(F^N C_0).
 
     The unknowns are [x | w | y | c], x at its F^N(C_+) index and w after
     all of those at its F^N(C_0) index; the rows are F^N(C_+)'s (x closed),
     F^N(C_0)'s (x connects to e), then F^N(C_+)'s (u^{k+1} x is exact).
     The degree -1 blocks of x and w, the non-unit part of H^0(F^N C_0) and
-    the right-hand side are built once, here; each level adds u^{k+1} x and
-    the y columns, the degree-2k block of F^{N-k-1}(C_+)'s differential.
+    the right-hand side are built once; each level adds u^{k+1} x and the
+    y columns, the degree-2k block of F^{N-k-1}(C_+)'s differential.
     """
+    kind = "semidilation" if semi else "dilation"
     n_tr = s.truncation
     _check_level(s, n_tr)
     complement: list[Vector] = []
     if semi:
         h0 = _zero_part_h0(s, n_tr)
         if h0 is None:
-            return None
+            return DilationReport(kind, n_tr, None, None, route="torsion")
         complement = [z for _, z in h0[1]]
 
     cp, cz = s.plus_part, s.zero_part
@@ -417,7 +422,7 @@ def _torsion_levels(s: SplitS1Complex, semi: bool
     x_pairs = [(g, (d + 1) // 2) for g, d in enumerate(cp.degrees)
                if d % 2 and 0 <= (d + 1) // 2 <= n_tr]
 
-    def feasible(k: int) -> tuple[bool, Vector | None]:
+    for k in range(n_tr + 1):
         # block 3: u^{k+1} x - delta_+ y = 0, where y has degree 2k; u^{k+1}
         # lowers the u-power by k+1 and drops what falls below u^0
         y = lift_degree(cp.deltas, n_tr - k - 1, cp.degrees, 2 * k)
@@ -427,23 +432,10 @@ def _torsion_levels(s: SplitS1Complex, semi: bool
         ent += [(nxw + i, nxw + j, -v) for i, j, v in y.entries]
         sys = SparseMatrix.from_entries(nxw + nx, nxw + y.cols + len(complement), ent)
         sol = solve(sys, rhs)
-        if sol is None:
-            return False, None
-        return True, {j: x for j, x in sol.items() if j < nx}
-
-    return feasible
-
-
-def order_via_torsion(s: SplitS1Complex, semi: bool = False) -> DilationReport:
-    """Independent order detection through u-torsion of the connecting class."""
-    kind = "semidilation" if semi else "dilation"
-    feasible = _torsion_levels(s, semi)
-    if feasible is not None:
-        for k in range(s.truncation + 1):
-            ok, w = feasible(k)
-            if ok:
-                return DilationReport(kind, s.truncation, k, w, route="torsion")
-    return DilationReport(kind, s.truncation, None, None, route="torsion")
+        if sol is not None:
+            return DilationReport(kind, n_tr, k, {j: x for j, x in sol.items() if j < nx},
+                                  route="torsion")
+    return DilationReport(kind, n_tr, None, None, route="torsion")
 
 
 # ---------------------------------------------------------------------------
@@ -613,19 +605,13 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
         degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
         check_degree_window(degrees)
 
-    # F^N(C_0) -> F^N(C) and F^N(C_+) -> F^N(C) (the tautological lift),
-    # and back, each as one reindexing of generators
+    # F^N(C_0) -> F^N(C) and F^N(C) -> F^N(C_+), each as one reindexing of
+    # generators; the connecting map is the lift of the blocks delta^r_{+,0}
     inc_map = partial(_reindex, n_from=cz.n, n_to=n, where=dict(enumerate(zi)))
-    lift_plus = partial(_reindex, n_from=cp.n, n_to=n, where=dict(enumerate(pi)))
     proj_map = partial(_reindex, n_from=n, n_to=cp.n, where={g: t for t, g in enumerate(pi)})
-    to_zero = partial(_reindex, n_from=n, n_to=cz.n, where={g: t for t, g in enumerate(zi)})
-
-    def connecting(rep: Vector) -> Vector:
-        return to_zero(f_full.differential.apply(lift_plus(rep)))
-
     r_iota = _induced_ranks(cyc_zero, inc_map, f_full, b_full, 0)
     r_pi = _induced_ranks(cyc_full, proj_map, f_plus, b_plus, 0)
-    r_conn = _induced_ranks(cyc_plus, connecting, f_zero, b_zero, 1)
+    r_conn = _induced_ranks(cyc_plus, lift_family(s.connecting, n_tr).apply, f_zero, b_zero, 1)
     nodes = []
     for d in degrees:
         nodes.append(LesNode(d, "full", r_iota[d], dims_full.get(d, 0) - r_pi[d]))

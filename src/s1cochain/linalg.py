@@ -38,9 +38,9 @@ B basis and quotient basis are independent columns, so the elimination of
 only, makes every basis column a pivot.  The pivot rows then hold the
 unique coordinates of every v_t, and v_t lies in Z exactly when no other
 row holds its column.  `Subquotient.coordinate_matrix` reads the matrix of
-a map into Z/B this way; `membership` and `coordinates` are the case of one
-vector.  The coordinates are the unique solution that `solve` would find
-vector by vector, so they are the same numbers.
+a map into Z/B this way; `coordinates` is the case of one vector.  The
+coordinates are the unique solution that `solve` would find vector by
+vector, so they are the same numbers.
 
 Each matrix builds its column view (column -> (row, value) pairs) on first
 use and keeps it; `apply`, `@`, `col` and `columns` read it.  `from_entries`
@@ -513,18 +513,6 @@ def _column(m: SparseMatrix) -> tuple[Fraction, ...]:
     return tuple(row[0] for row in m.to_dense())
 
 
-@dataclass(frozen=True)
-class Membership:
-    """Outcome of reducing a vector against a subquotient Z/B."""
-
-    in_z: bool
-    coords: tuple[Fraction, ...] | None
-
-    @property
-    def in_b(self) -> bool:
-        return bool(self.in_z and self.coords is not None and not any(self.coords))
-
-
 class Subquotient:
     """A subquotient Z/B of an ambient Q-vector space.
 
@@ -565,8 +553,9 @@ class Subquotient:
         assert self.dim == self.rank_z - self.rank_b
         self._solver = [*b_indep, *self.basis]
 
-    def _reduce(self, vectors: Sequence[Vector]) -> tuple[SparseMatrix, bool]:
-        """The coordinate matrix of `vectors` and whether all of them lie in Z.
+    def coordinate_matrix(self, images: Sequence[Vector]) -> SparseMatrix:
+        """Column t holds the quotient coordinates of images[t]; raises
+        ValueError when an image is not in Z.
 
         One elimination of the rows of [B basis | quotient basis | v_1 ... v_m],
         with pivots in the solver columns only.  Those columns are
@@ -574,37 +563,20 @@ class Subquotient:
         column s + t the unique coefficient of solver column r in v_t.  v_t
         lies in Z exactly when no other row holds column s + t.
         """
-        if not vectors:
-            return SparseMatrix.zero(self.dim, 0), True
+        if not images:
+            return SparseMatrix.zero(self.dim, 0)
         s = len(self._solver)
         reduced, pivots = _rref_rows(
-            _column_rows([*self._solver, *vectors], self.ambient_dim), s)
+            _column_rows([*self._solver, *images], self.ambient_dim), s)
         assert len(pivots) == s
+        if any(reduced[s:]):
+            raise ValueError("vector is not in Z")
         ent = tuple((j, c - s, x) for j, row in enumerate(reduced[self._nb_basis:s])
                     for c, x in sorted(row.items()) if c >= s)
-        return SparseMatrix(self.dim, len(vectors), ent), not any(reduced[s:])
-
-    def coordinate_matrix(self, images: Sequence[Vector]) -> SparseMatrix:
-        """Column j holds the quotient coordinates of images[j], all read from
-        one elimination; raises ValueError when an image is not in Z."""
-        mat, in_z = self._reduce(images)
-        if not in_z:
-            raise ValueError("vector is not in Z")
-        return mat
-
-    def membership(self, v: Vector) -> Membership:
-        mat, in_z = self._reduce([v])
-        return Membership(True, _column(mat)) if in_z else Membership(False, None)
+        return SparseMatrix(self.dim, len(images), ent)
 
     def coordinates(self, v: Vector) -> tuple[Fraction, ...]:
         return _column(self.coordinate_matrix([v]))
-
-    def class_vector(self, coords: Sequence[object]) -> Vector:
-        """Chain-level representative of the class with the given coordinates."""
-        out: Vector = {}
-        for j, c in enumerate(coords):
-            out = vadd(out, vscale(c, self.basis[j]))
-        return out
 
     def dims_by(self, grading: Sequence[int]) -> dict[int, int]:
         """Quotient dimension per value of a grading on the ambient basis."""

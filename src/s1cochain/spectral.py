@@ -292,20 +292,20 @@ class LerayPage:
         return {d: m for d, m in sorted(out.items()) if m}
 
 
-def _pages(c: S1Complex, tower: FiltrationTower, indices: dict[int, bool]) -> list[LerayPage]:
-    """Page k+1 for each k in `indices`, with its differential where
-    indices[k] is true; one `Subquotient` per distinct column pair."""
+def _pages(c: S1Complex, tower: FiltrationTower, indices: Sequence[int]) -> list[LerayPage]:
+    """Page k+1 for each k in `indices`, with its differential when
+    2(k+1) <= truncation; one `Subquotient` per distinct column pair."""
     n_tr = c.truncation
     pairs = {(min(i, k), min(k, n_tr - i)) for k in indices for i in range(n_tr + 1)}
     z_wits = {j: tower.z(j) for j in {zi for zi, _ in pairs}}
     quotients = {(zi, bi): _quotient_with_witnesses(c, z_wits[zi], tower.b_vectors(bi))
                  for zi, bi in pairs}
     out = []
-    for k, with_differential in indices.items():
+    for k in indices:
         columns = [PageColumn(i, *quotients[min(i, k), min(k, n_tr - i)])
                    for i in range(n_tr + 1)]
         diffs: dict[int, SparseMatrix] = {}
-        if with_differential:
+        if 2 * (k + 1) <= n_tr:
             for i in range(0, n_tr - k):  # target column i, source column i+k+1
                 # column i+k+1 > k holds Z_k, so its witnesses have level k
                 images = [delta_value(c, w) for w in columns[i + k + 1].witnesses]
@@ -319,14 +319,13 @@ def leray_page(c: S1Complex, k: int) -> LerayPage:
     n_tr = c.truncation
     if k > n_tr:
         raise TruncationError(f"page index {k} exceeds truncation {n_tr}")
-    return _pages(c, filtration_tower(c, k), {k: 2 * (k + 1) <= n_tr})[0]
+    return _pages(c, filtration_tower(c, k), [k])[0]
 
 
 def leray_pages(c: S1Complex) -> list[LerayPage]:
     """Every page, `leray_pages(c)[k] == leray_page(c, k)`, from one tower of F^N."""
     n_tr = c.truncation
-    return _pages(c, filtration_tower(c, n_tr),
-                  {k: 2 * (k + 1) <= n_tr for k in range(n_tr + 1)})
+    return _pages(c, filtration_tower(c, n_tr), range(n_tr + 1))
 
 
 def e_infinity(c: S1Complex) -> LerayPage:

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import re
 
 from fractions import Fraction as F
 from functools import partial
@@ -38,7 +40,15 @@ from s1cochain.dilation import (
     tautological_les,
     verify_splitting,
 )
-from s1cochain.linalg import SparseMatrix, Subquotient, kernel_basis, rank, vis_zero
+from s1cochain.linalg import (
+    SparseMatrix,
+    Subquotient,
+    kernel_basis,
+    rank,
+    vadd,
+    vis_zero,
+    vscale,
+)
 from s1cochain.randomized import random_split_complex
 from s1cochain.spectral import delta_k
 from s1cochain.tensor import tensor_split
@@ -244,8 +254,10 @@ class TestOperators:
                if w.leading == {cp.index_of("p1_check"): F(1)}]
         assert len(col) == 1
         coords = p.matrix.col(col[0])
-        val = p.codomain.class_vector(
-            [coords.get(i, F(0)) for i in range(p.codomain.dim)])
+        # the class with these coordinates, summed over the quotient basis
+        val = {}
+        for i, x in coords.items():
+            val = vadd(val, vscale(x, p.codomain.basis[i]))
         assert val == {cz.index_of("e"): F(-2)}
 
     def test_delta_plus_zero_when_delta1_plus_zero(self):
@@ -640,8 +652,82 @@ def test_order_routes_build_no_whole_lift(s):
     expected = _order_routes(s)
     assert any(rep.found for rep in expected[2:])
     with mock.patch.object(complexes, "lift_family", side_effect=AssertionError("lift")), \
+            mock.patch.object(dilation, "lift_family", side_effect=AssertionError("lift")), \
             mock.patch.object(dilation, "build_filtered_plus",
                               side_effect=AssertionError("filtered")), \
             mock.patch.object(SparseMatrix, "submatrix", side_effect=AssertionError("slice")):
         got = _order_routes(s)
     assert repr(got) == repr(expected)
+
+
+def _unit_exact_in_zero_part():
+    """A split complex whose unit class vanishes in H^0(C_0)."""
+    c = make_complex([("e", 0), ("f", -1), ("z", 2)], 2, {0: [("f", "e", 1)]})
+    return make_split_complex(c, ["e", "f", "z"], "e")
+
+
+def _degree_minus_one_lifts(route, s):
+    """How many degree -1 blocks one call of `route(s)` lifts."""
+    degrees = []
+    real = dilation.lift_degree
+
+    def spy(ops, level, gen_degrees, d):
+        degrees.append(d)
+        return real(ops, level, gen_degrees, d)
+
+    with mock.patch.object(dilation, "lift_degree", spy):
+        route(s)
+    return degrees.count(-1)
+
+
+@pytest.mark.parametrize("semi", [False, True])
+@pytest.mark.parametrize("n_tr", range(5))
+def test_torsion_route_lifts_its_degree_minus_one_blocks_once(n_tr, semi):
+    # x closed, x connects to e, and w: three blocks, whatever the number of levels
+    route = partial(order_via_torsion, semi=semi)
+    for s in (milnor_model(3, 4, truncation=n_tr),
+              random_split_complex(random.Random(n_tr), 6, 3, n_tr),
+              random_split_complex(random.Random(n_tr), 6, 3, n_tr, with_unit_killer=True)):
+        assert _degree_minus_one_lifts(route, s) == 3
+
+
+def test_torsion_semi_route_lifts_nothing_when_the_unit_vanishes():
+    s = _unit_exact_in_zero_part()
+    assert _degree_minus_one_lifts(partial(order_via_torsion, semi=True), s) == 0
+    assert order_via_torsion(s, semi=True).order is None
+
+
+_DIRECT_SCAN = ("has_k_dilation", "has_k_semidilation", "_solve_semidilation",
+                "order_of_dilation", "order_of_semidilation")
+
+
+def _assert_torsion_orders_match_scan_without_it(s):
+    expected = [order_of_dilation(s).order, order_of_semidilation(s).order]
+    with contextlib.ExitStack() as stack:
+        for name in _DIRECT_SCAN:
+            stack.enter_context(mock.patch.object(dilation, name,
+                                                  side_effect=AssertionError(name)))
+        got = [order_via_torsion(s).order, order_via_torsion(s, semi=True).order]
+    assert got == expected
+
+
+def test_torsion_route_runs_without_the_direct_scan_on_milnor_34():
+    _assert_torsion_orders_match_scan_without_it(milnor_model(3, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 8), st.integers(0, 3), st.integers(1, 4),
+       st.booleans())
+def test_torsion_route_runs_without_the_direct_scan_on_random_split_complexes(
+        seed, n_plus, n_zero_extra, n_tr, killer):
+    _assert_torsion_orders_match_scan_without_it(
+        random_split_complex(random.Random(seed), n_plus, n_zero_extra, n_tr,
+                             with_unit_killer=killer))
+
+
+@pytest.mark.parametrize("names", [["e", "typo"], ["E"]])
+def test_make_split_complex_refuses_a_name_that_names_no_generator(names):
+    c = make_complex([("e", 0), ("x", -1)], 1, {0: [("x", "e", 1)]})
+    bad = sorted(set(names) - {"e"})
+    with pytest.raises(ValueError, match=re.escape(f"zero-part names {bad} name no generator")):
+        make_split_complex(c, names, "e")

@@ -1,4 +1,5 @@
-"""Every name a package module imports is referenced in that module."""
+"""Every name a package module imports is referenced in that module, and
+every private helper the package defines is referenced somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,49 @@ def test_no_unused_import(path):
 
 def test_an_unused_import_is_caught():
     assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == ["os", "b"]
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _private(node: ast.AST) -> bool:
+    return (isinstance(node, _DEFS) and node.name.startswith("_")
+            and not node.name.startswith("__"))
+
+
+def _orphaned_private(sources: list[str]) -> list[str]:
+    """The `_`-prefixed module-level functions and classes, and the
+    `_`-prefixed methods of module-level classes, whose name no source
+    references as a name or an attribute."""
+    trees = [ast.parse(src) for src in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            defined += [node.name] if _private(node) else []
+            if isinstance(node, ast.ClassDef):
+                defined += [m.name for m in node.body if _private(m)]
+    used = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    return [name for name in defined if name not in used]
+
+
+def test_no_orphaned_private_helper():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert _orphaned_private(sources) == []
+
+
+def test_an_orphaned_private_helper_is_caught():
+    source = ("def _used(): pass\n"
+              "def _orphan(): pass\n"
+              "class _Kept:\n"
+              "    def __init__(self): self._called()\n"
+              "    def _called(self): pass\n"
+              "    def _unread(self): pass\n"
+              "_used(); _Kept()\n")
+    assert _orphaned_private([source]) == ["_orphan", "_unread"]
+    assert _orphaned_private([source, "_orphan\nx._unread\n"]) == []

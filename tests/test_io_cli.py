@@ -620,7 +620,10 @@ class TestCli:
     def test_reproduce_bounds_exit_2_fast(self):
         for args in (("theorem-a", "--max", str(MAX_TRUNCATION // 2 + 1)),
                      ("theorem-a", "--max", "0"),
-                     ("corollary-1dilation", "--n-range", f"3..{MAX_ONE_DILATION_N + 1}")):
+                     ("corollary-1dilation", "--n-range", f"3..{MAX_ONE_DILATION_N + 1}"),
+                     # windows that hold no n >= 3 would certify nothing
+                     ("corollary-1dilation", "--n-range", "1..2"),
+                     ("corollary-1dilation", "--n-range", "5..3")):
             start = time.perf_counter()
             res = run_cli("reproduce", *args)
             assert time.perf_counter() - start < 1.0
