@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, factorial
+from math import factorial, lcm
 
 from .complexes import (
     MAX_FILTERED_DIM,
@@ -43,10 +43,6 @@ from .linalg import SparseMatrix
 # output at 100,000 for 2,3,3,3).  It admits the default bound 110,880 of
 # the one-dilation exponents (2, ..., n, n) up to n = 12.
 MAX_PERIOD_BOUND = 120_000
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -104,16 +100,11 @@ def principal_periods(exponents: tuple[int, ...] | list[int]) -> list[PrincipalP
     data = BrieskornData(tuple(exponents))
     lcms: set[int] = set()
     for a in data.exponents:
-        lcms |= {a} | {_lcm(a, t) for t in lcms}
+        lcms |= {a} | {lcm(a, t) for t in lcms}
     out = []
     for t in sorted(lcms):
         idx = data.divisor_indices(t)
-        if len(idx) < 2:
-            continue
-        l = 1
-        for i in idx:
-            l = _lcm(l, data.exponents[i])
-        if l == t:
+        if len(idx) >= 2 and lcm(*(data.exponents[i] for i in idx)) == t:
             out.append(PrincipalPeriod(t, idx))
     return out
 
@@ -124,15 +115,9 @@ def min_cz(exponents: tuple[int, ...] | list[int], family: OrbitFamily) -> int:
     a = data.exponents
     it = set(family.principal.indices)
     nt = family.total_period
-    s = 0
-    for i, ai in enumerate(a):
-        if i in it:
-            if nt % ai:
-                raise ValueError("family indices must divide the total period")
-            s += 2 * (nt // ai)
-        else:
-            s += 2 * (nt // ai)  # floor division
-    return s + (data.n + 1) - 2 * len(it) - 2 * nt + 2
+    if any(nt % ai for i, ai in enumerate(a) if i in it):
+        raise ValueError("family indices must divide the total period")
+    return 2 * sum(nt // ai for ai in a) + (data.n + 1) - 2 * len(it) - 2 * nt + 2
 
 
 def f_of_t(exponents: tuple[int, ...] | list[int], t: int) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -32,7 +33,6 @@ from .dilation import (
     verify_splitting,
 )
 from .io_json import (
-    DocumentError,
     chain_terms,
     dumps,
     filtered_chain_terms,
@@ -67,6 +67,17 @@ def _write_output(text: str, output: str) -> None:
         _diag(f"wrote {output}")
 
 
+@contextmanager
+def _refused(prefix: str = ""):
+    """Exit 2 with `prefix` and the message when the library refuses an
+    input by raising ValueError (a DocumentError or TruncationError too)."""
+    try:
+        yield
+    except ValueError as exc:
+        _diag(prefix + str(exc))
+        raise SystemExit(EXIT_INPUT_ERROR) from None
+
+
 def _read_document(path: str) -> SplitS1Complex:
     try:
         if path == "-":
@@ -77,11 +88,8 @@ def _read_document(path: str) -> SplitS1Complex:
     except OSError as exc:
         _diag(f"cannot read {path}: {exc}")
         raise SystemExit(EXIT_INPUT_ERROR)
-    try:
+    with _refused("parse error at "):
         return loads(text)
-    except DocumentError as exc:
-        _diag(f"parse error at {exc.path}: {exc.message}")
-        raise SystemExit(EXIT_INPUT_ERROR)
 
 
 def _load_valid(path: str) -> SplitS1Complex:
@@ -90,11 +98,8 @@ def _load_valid(path: str) -> SplitS1Complex:
     spl = verify_splitting(s)
     if not rel.valid or not spl.valid:
         _diag("document parsed but the complex is not valid:")
-        for line in rel.summary().splitlines():
-            if "VIOLATED" in line:
-                _diag("  " + line)
-        for v in spl.violations():
-            _diag("  " + v)
+        for line in rel.violations() + spl.violations():
+            _diag("  " + line)
         raise SystemExit(EXIT_PROPERTY_FAILURE)
     return s
 
@@ -117,24 +122,18 @@ def _window(ctx: click.Context, param: click.Parameter, text: str | None) -> ran
 
 
 def _parse_exponents(text: str) -> list[int]:
-    try:
+    with _refused(f"bad exponent list {text!r}: "):
         exps = [int(x) for x in text.split(",")]
         bk.BrieskornData(tuple(exps))
         return exps
-    except ValueError as exc:
-        _diag(f"bad exponent list {text!r}: {exc}")
-        raise SystemExit(EXIT_INPUT_ERROR)
 
 
 def _bounded(fn, exps: list[int], bound: int | None):
     """fn(exps, bound), exiting 2 when fn rejects the bound, explicit or
     default, such as one below the minimal principal period or one above
     MAX_PERIOD_BOUND."""
-    try:
+    with _refused(f"--bound {'(default)' if bound is None else bound}: "):
         return fn(exps, bound)
-    except ValueError as exc:
-        _diag(f"--bound {'(default)' if bound is None else bound}: {exc}")
-        raise SystemExit(EXIT_INPUT_ERROR)
 
 
 @click.group()
@@ -176,10 +175,8 @@ def check(file: str) -> None:
 def cohomology_cmd(file: str, level: int, window: range | None) -> None:
     """Per-degree cohomology dimensions and representative cycles."""
     s = _load_valid(file)
-    if not 0 <= level <= s.truncation:
-        _diag(f"level {level} outside [0, {s.truncation}]")
-        raise SystemExit(EXIT_INPUT_ERROR)
-    f = build_filtered_plus(s.complex, level)
+    with _refused("--level: "):
+        f = build_filtered_plus(s.complex, level)
     groups = cohomology(f, window)
     out = {}
     for d, g in sorted(groups.items()):
@@ -197,11 +194,9 @@ def cohomology_cmd(file: str, level: int, window: range | None) -> None:
 def zb(file: str, k: int) -> None:
     """Dimensions and witnesses of the filtration spaces Z_k and B_k."""
     s = _load_valid(file)
-    if not 0 <= k <= s.truncation:
-        _diag(f"k={k} outside [0, {s.truncation}]")
-        raise SystemExit(EXIT_INPUT_ERROR)
     c = s.complex
-    tower = filtration_tower(c, k)
+    with _refused("--k: "):
+        tower = filtration_tower(c, k)
     f = tower.filtered
     zs = tower.z(k)
     bs = tower.b(k)
@@ -226,11 +221,8 @@ def zb(file: str, k: int) -> None:
 def delta_cmd(file: str, k: int) -> None:
     """The structural map Delta^k with kernel/image/cokernel dimensions."""
     s = _load_valid(file)
-    if k < 1 or 2 * k > s.truncation:
-        _diag(f"Delta^{k} needs k >= 1 and truncation >= {2 * k} "
-              f"(have {s.truncation})")
-        raise SystemExit(EXIT_INPUT_ERROR)
-    dk = delta_k(s.complex, k)
+    with _refused("--k: "):
+        dk = delta_k(s.complex, k)
     _emit({
         "k": k,
         "domain_dim": dk.domain.dim,
@@ -252,10 +244,8 @@ def pages(file: str, level: int | None) -> None:
     s = _load_valid(file)
     c = s.complex
     if level is not None:
-        if level > c.truncation:
-            _diag(f"requested truncation {level} exceeds the document's {c.truncation}")
-            raise SystemExit(EXIT_INPUT_ERROR)
-        c = truncate(c, level)
+        with _refused("--n: "):
+            c = truncate(c, level)
     out = []
     for k, page in enumerate(leray_pages(c)):
         entry = {
@@ -322,11 +312,8 @@ def semidilation(file: str, max_k: int | None) -> None:
 def les(file: str, window: range | None) -> None:
     """Exactness report for the tautological long exact sequence."""
     s = _load_valid(file)
-    try:
+    with _refused():
         report = tautological_les(s, window)
-    except ValueError as exc:
-        _diag(str(exc))
-        raise SystemExit(EXIT_INPUT_ERROR)
     _emit({
         "level": report.level,
         "exact": report.exact,
@@ -353,11 +340,8 @@ def tensor_cmd(file_a: str, file_b: str, output: str) -> None:
     """Koszul tensor product of two split complexes."""
     a = _load_valid(file_a)
     b = _load_valid(file_b)
-    try:
+    with _refused():
         prod = tensor_split(a, b)
-    except ValueError as exc:
-        _diag(str(exc))
-        raise SystemExit(EXIT_INPUT_ERROR)
     _write_output(dumps(prod), output)
 
 
@@ -372,11 +356,8 @@ def tensor_cmd(file_a: str, file_b: str, output: str) -> None:
 @click.option("-o", "--output", type=str, default="-")
 def milnor(k: int, m: int, truncation: int | None, spheres: bool, output: str) -> None:
     """The split model complex of the degree-k Fermat hypersurface."""
-    try:
+    with _refused():
         s = bk.milnor_model(k, m, truncation=truncation, include_spheres=spheres)
-    except ValueError as exc:
-        _diag(str(exc))
-        raise SystemExit(EXIT_INPUT_ERROR)
     _write_output(dumps(s), output)
 
 

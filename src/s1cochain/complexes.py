@@ -13,7 +13,9 @@ acts by lowering the u-power and truncating at u^0.
 product of two operator families.  The relation above, and in
 `s1cochain.morphisms` the morphism and homotopy relations and composition,
 are all read from it; `RelationCheck.of` and `DegreeCheck.of_family` name
-the entries of a residual and of a degree-shift violation for every family.
+the entries of a residual and of a degree-shift violation for every family,
+and `S1ValidationReport` carries both for complexes, morphisms and
+homotopies alike.
 """
 
 from __future__ import annotations
@@ -162,6 +164,8 @@ class DegreeCheck:
 
 @dataclass(frozen=True)
 class S1ValidationReport:
+    """The relation and degree-shift checks of one operator family."""
+
     relation_checks: tuple[RelationCheck, ...]
     degree_checks: tuple[DegreeCheck, ...]
 
@@ -170,14 +174,13 @@ class S1ValidationReport:
         return (all(c.ok for c in self.relation_checks)
                 and all(c.ok for c in self.degree_checks))
 
-    def summary(self) -> str:
-        lines = []
-        for c in self.degree_checks:
-            lines.append(f"degree shift of delta^{c.r} (1-2r): {'ok' if c.ok else 'VIOLATED ' + str(c.violations[:3])}")
-        for c in self.relation_checks:
-            lines.append(f"relation sum_(i+j={c.k}) delta^i delta^j = 0: "
-                         f"{'ok' if c.ok else 'VIOLATED ' + str(c.residual_entries[:3])}")
-        return "\n".join(lines)
+    def violations(self) -> list[str]:
+        """One line per failed check, the degree shifts first."""
+        return ([f"degree shift of delta^{c.r} (1-2r): VIOLATED {c.violations[:3]}"
+                 for c in self.degree_checks if not c.ok]
+                + [f"relation sum_(i+j={c.k}) delta^i delta^j = 0: "
+                   f"VIOLATED {c.residual_entries[:3]}"
+                   for c in self.relation_checks if not c.ok])
 
 
 def verify_s1_relations(c: S1Complex) -> S1ValidationReport:
@@ -355,7 +358,8 @@ def induced_map(src: dict[int, Subquotient], dst: dict[int, Subquotient],
 def truncate(c: S1Complex, new_truncation: int) -> S1Complex:
     """Forget the operators above a lower truncation level."""
     if new_truncation > c.truncation:
-        raise TruncationError("cannot extend a truncation")
+        raise TruncationError(f"truncation {new_truncation} exceeds the complex's "
+                              f"{c.truncation}")
     return S1Complex(c.generators, new_truncation, c.deltas[: new_truncation + 1])
 
 

@@ -75,17 +75,14 @@ def _degree_preserving_change_of_basis(rng: random.Random,
             a, b = rng.sample(idx, 2)
             transvections.append((a, b, _rand_coeff(rng)))
 
-    def elementary(a: int, b: int, c: Fraction) -> SparseMatrix:
-        return SparseMatrix.from_entries(
-            n, n, [(i, i, Fraction(1)) for i in range(n)] + [(a, b, c)])
-
-    p = SparseMatrix.identity(n)
+    # right-multiplying by I + c e_a e_b^T adds c times column a to column b
+    p = [{i: Fraction(1)} for i in range(n)]
     for a, b, c in transvections:
-        p = p @ elementary(a, b, c)
-    q = SparseMatrix.identity(n)
+        p[b] = vadd(p[b], vscale(c, p[a]))
+    q = [{i: Fraction(1)} for i in range(n)]
     for a, b, c in reversed(transvections):
-        q = q @ elementary(a, b, -c)
-    return p, q
+        q[b] = vadd(q[b], vscale(-c, q[a]))
+    return SparseMatrix.from_columns(p, n), SparseMatrix.from_columns(q, n)
 
 
 def _matched_pairing_delta0(rng: random.Random, degrees: tuple[int, ...],

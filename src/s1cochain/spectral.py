@@ -224,7 +224,8 @@ def delta_k(c: S1Complex, k: int) -> DeltaKMap:
     if k < 1:
         raise ValueError("Delta^k is defined for k >= 1")
     if 2 * k > c.truncation:
-        raise TruncationError(f"Delta^{k} needs truncation >= {2 * k}")
+        raise TruncationError(f"Delta^{k} needs truncation >= {2 * k} "
+                              f"(have {c.truncation})")
     t = filtration_tower(c, k - 1)
     dom_sq, dom_wits = _quotient_with_witnesses(c, t.z(k - 1), t.b_vectors(0))
     cod_sq = Subquotient(c.n, t.z_vectors(0), t.b_vectors(k - 1))

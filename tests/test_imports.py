@@ -1,5 +1,6 @@
-"""Every name a package module imports is referenced in that module, and
-every private helper the package defines is referenced somewhere in it."""
+"""Every name a package module imports is referenced in that module, every
+private helper the package defines is referenced somewhere in it, and the
+CLI turns the library's refusals into exit 2 in one place only."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,57 @@ def test_an_orphaned_private_helper_is_caught():
               "_used(); _Kept()\n")
     assert _orphaned_private([source]) == ["_orphan", "_unread"]
     assert _orphaned_private([source, "_orphan\nx._unread\n"]) == []
+
+
+# What a handler catches when it catches a refusal of the library.
+_REFUSALS = {"ValueError", "DocumentError", "TruncationError", "Exception", "BaseException"}
+
+
+def _caught(handler: ast.ExceptHandler) -> set[str]:
+    if handler.type is None:
+        return {"BaseException"}
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", "") for t in types}
+
+
+def _exits(node: ast.AST) -> bool:
+    """`raise SystemExit(...)` or a call of `sys.exit`."""
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "SystemExit"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "exit" and getattr(node.func.value, "id", "") == "sys")
+
+
+def _refusals_outside_refused(source: str) -> list[str]:
+    """The module-level functions other than `_refused` with an `except`
+    handler that catches a ValueError and exits."""
+    out = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name != "_refused" and any(
+                isinstance(h, ast.ExceptHandler) and _caught(h) & _REFUSALS
+                and any(_exits(n) for n in ast.walk(h)) for h in ast.walk(fn)):
+            out.append(fn.name)
+    return out
+
+
+def test_cli_refuses_only_through_refused():
+    assert _refusals_outside_refused((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_a_second_refusal_path_is_caught():
+    source = ("def _refused():\n"
+              "    try: yield\n"
+              "    except ValueError as exc: raise SystemExit(2) from None\n"
+              "def tuple_handler():\n"
+              "    try: f()\n"
+              "    except (KeyError, io_json.DocumentError): raise SystemExit\n"
+              "def via_sys_exit():\n"
+              "    try: f()\n"
+              "    except ValueError:\n"
+              "        if g(): sys.exit(2)\n"
+              "def other_errors():\n"
+              "    try: f()\n"
+              "    except OSError: raise SystemExit(2)\n"
+              "    except ValueError: raise click.BadParameter('x')\n")
+    assert _refusals_outside_refused(source) == ["tuple_handler", "via_sys_exit"]

@@ -2,6 +2,7 @@ import json
 import time
 from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -322,6 +323,20 @@ def test_loads_raises_only_document_errors_on_text(text):
         assert exc.path.startswith("$")
 
 
+# The stderr of a command on `cli_fixtures/broken.json`, whose operators
+# violate degree shifts at two orders and relations at every k.
+BROKEN_STDERR = """\
+document parsed but the complex is not valid:
+  degree shift of delta^1 (1-2r): VIOLATED (('x', 'z'),)
+  degree shift of delta^2 (1-2r): VIOLATED (('z', 'x'),)
+  relation sum_(i+j=0) delta^i delta^j = 0: VIOLATED (('x', 'z', Fraction(-2, 3)),)
+  relation sum_(i+j=1) delta^i delta^j = 0: VIOLATED (('x', 'x', Fraction(10, 1)), \
+('y', 'y', Fraction(29, 3)), ('z', 'z', Fraction(-1, 3)))
+  relation sum_(i+j=2) delta^i delta^j = 0: VIOLATED (('y', 'x', Fraction(7, 12)), \
+('z', 'x', Fraction(5, 1)), ('x', 'y', Fraction(1, 2)))
+"""
+
+
 def run_cli(*args, stdin=None):
     # click >= 8.2 separates stderr by default
     return CliRunner().invoke(main, list(args), input=stdin)
@@ -550,12 +565,25 @@ class TestCli:
         assert str(MAX_GENERATORS) in res.stderr
 
     def test_out_of_range_levels_exit_2(self):
+        # the library's refusal, after the flag's name
         doc = run_cli("milnor", "--k", "2", "--m", "2").output
-        assert run_cli("cohomology", "--level", "-1", stdin=doc).exit_code == 2
-        assert run_cli("cohomology", "--level", "99", stdin=doc).exit_code == 2
-        assert run_cli("zb", "--k", "-1", stdin=doc).exit_code == 2
-        assert run_cli("delta", "--k", "0", stdin=doc).exit_code == 2
-        assert run_cli("delta", "--k", "7", stdin=doc).exit_code == 2
+        for args in (("cohomology", "--level", "-1"), ("cohomology", "--level", "99"),
+                     ("zb", "--k", "-1"), ("zb", "--k", "9"), ("delta", "--k", "0"),
+                     ("delta", "--k", "3"), ("delta", "--k", "7"), ("pages", "--n", "9")):
+            res = run_cli(*args, stdin=doc)
+            assert res.exit_code == 2
+            assert res.stderr.startswith(args[1] + ": ")
+            assert res.stdout == ""
+        res = run_cli("delta", "--k", "3", stdin=doc)
+        assert res.stderr == "--k: Delta^3 needs truncation >= 6 (have 4)\n"
+        res = run_cli("pages", "--n", "9", stdin=doc)
+        assert res.stderr == "--n: truncation 9 exceeds the complex's 4\n"
+
+    def test_invalid_document_stderr_is_pinned(self):
+        broken = Path(__file__).parent / "cli_fixtures" / "broken.json"
+        res = run_cli("dilation", str(broken))
+        assert res.exit_code == 1
+        assert res.stderr == BROKEN_STDERR
 
     def test_pages_out_of_range_n_exit_2_fast(self):
         doc = run_cli("milnor", "--k", "2", "--m", "2").output

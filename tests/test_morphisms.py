@@ -3,11 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import lift_family, make_complex, truncate, verify_s1_relations
-from s1cochain.linalg import SparseMatrix
+from s1cochain.linalg import SparseMatrix, Subquotient, vsub
 from s1cochain.morphisms import (
+    S1Homotopy,
     S1Morphism,
     compose,
     homotopy_deformation,
@@ -20,10 +23,18 @@ from s1cochain.morphisms import (
     zero_morphism,
 )
 from s1cochain.randomized import (
+    _allowed_pairs,
+    _rand_coeff,
     random_endomorphism_pair,
     random_homotopy_blocks,
     random_morphism,
     random_s1_complex,
+)
+from s1cochain.spectral import (
+    WitnessedCycle,
+    _split_filtered_vector,
+    delta_value,
+    filtration_tower,
 )
 
 
@@ -76,7 +87,19 @@ class TestVerify:
         phi0 = SparseMatrix.from_entries(1, 1, [(0, 0, F(1))])
         bad = S1Morphism(a, b, (phi0, SparseMatrix.zero(1, 1)))
         rep = verify_morphism(bad)
-        assert not rep.degree_checks[0][1]
+        assert not rep.degree_checks[0].ok
+        assert rep.degree_checks[0].violations == (("x", "y"),)
+        assert not rep.valid
+
+    def test_homotopy_degree_violation_names_pairs(self):
+        a = make_complex([("x", 0)], 1, {})
+        b = make_complex([("y", 0)], 1, {})
+        # h^0 must have degree -1; x -> y has degree 0
+        h0 = SparseMatrix.from_entries(1, 1, [(0, 0, F(1))])
+        phi = zero_morphism(a, b)
+        rep = verify_homotopy(S1Homotopy((phi, phi), (h0, SparseMatrix.zero(1, 1))))
+        assert [(c.r, c.ok, c.violations) for c in rep.degree_checks] == [
+            (0, False, (("x", "y"),)), (1, True, ())]
         assert not rep.valid
 
     def test_broken_homotopy_detected(self):
@@ -202,6 +225,14 @@ class TestFunctoriality:
         phi = S1Morphism(c, d, (y_to_v, zero_d, zero_d))
         assert verify_functoriality(phi).squares == ((1, False),)
 
+    def test_target_with_failing_relations_raises(self):
+        # delta^0 a = b, delta^0 b = c: the boundary value b is not closed
+        d = make_complex([("a", 0), ("b", 1), ("c", 2)], 2,
+                         {0: [("a", "b", 1), ("b", "c", 1)]})
+        c = make_complex([("x", 0)], 2, {})
+        with pytest.raises(ValueError):
+            verify_functoriality(zero_morphism(c, d))
+
     def test_random_morphisms(self):
         rng = random.Random(17)
         for _ in range(5):
@@ -218,6 +249,57 @@ class TestFunctoriality:
             assert verify_morphism(deformed).valid
             assert verify_homotopy(hom).valid
             assert verify_functoriality(deformed).valid
+
+
+def _reference_squares(phi):
+    """The squares as decided through Z_0/B_{k-1}: the differences must have
+    zero quotient coordinates, and one outside Z_0 fails the square."""
+    src, dst = phi.source, phi.target
+    level = phi.truncation // 2
+    ts, td = filtration_tower(src, level), filtration_tower(dst, level)
+    fmat = lift_family(phi.phis, level)
+    out = []
+    for k in range(1, level + 1):
+        cod = Subquotient(dst.n, td.z_vectors(0), td.b_vectors(k - 1))
+        diffs = []
+        for w in ts.z(k - 1):
+            left = phi.phis[0].apply(delta_value(src, w))
+            image_chain = fmat.apply(w.filtered_vector(ts.filtered))
+            alphas = _split_filtered_vector(td.filtered, image_chain, k - 1)
+            diffs.append(vsub(left, delta_value(dst, WitnessedCycle(k - 1, alphas))))
+        try:
+            out.append((k, cod.coordinate_matrix(diffs).is_zero()))
+        except ValueError:
+            out.append((k, False))
+    return tuple(out)
+
+
+def _graded_noise(rng, phi, r):
+    """phi with phi^r replaced by random entries of degree -2r; breaking
+    phi^0 or phi^1 can move a difference into Z_0 but outside B_0."""
+    src, dst = phi.source, phi.target
+    ent = [(i, j, _rand_coeff(rng)) for i, j in _allowed_pairs(src.degrees, dst.degrees, -2 * r)
+           if rng.random() < 0.5]
+    block = SparseMatrix.from_entries(dst.n, src.n, ent)
+    return S1Morphism(src, dst, tuple(block if t == r else m for t, m in enumerate(phi.phis)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["valid", "graded", "ungraded"]))
+def test_squares_match_the_quotient_route(seed, kind):
+    rng = random.Random(seed)
+    n_tr = rng.randint(2, 4)
+    a = random_s1_complex(rng, rng.randint(4, 9), n_tr)
+    b = random_s1_complex(rng, rng.randint(4, 9), n_tr)
+    phi = random_morphism(rng, a, b)
+    if kind == "graded":
+        phi = _graded_noise(rng, phi, rng.randint(0, 1))
+    elif kind == "ungraded":
+        noise = SparseMatrix.from_entries(b.n, a.n, [
+            (rng.randrange(b.n), rng.randrange(a.n), _rand_coeff(rng)) for _ in range(3)])
+        r = rng.randint(0, 1)
+        phi = S1Morphism(a, b, tuple(m + noise if t == r else m for t, m in enumerate(phi.phis)))
+    assert verify_functoriality(phi).squares == _reference_squares(phi)
 
 
 class TestHomotopyInvariance:

@@ -64,9 +64,9 @@ def _reference_verify_morphism(phi):
     dst_names = [g.name for g in dst.generators]
     degree_checks = []
     for r, m in enumerate(phi.phis):
-        ok = all(dst.generators[i].degree - src.generators[j].degree == -2 * r
-                 for i, j, _ in m.entries)
-        degree_checks.append((r, ok))
+        bad = tuple((src_names[j], dst_names[i]) for i, j, _ in m.entries
+                    if dst.generators[i].degree - src.generators[j].degree != -2 * r)
+        degree_checks.append((r, not bad, bad))
     checks = []
     for k in range(phi.truncation + 1):
         total = SparseMatrix.zero(dst.n, src.n)
@@ -85,9 +85,9 @@ def _reference_verify_homotopy(h):
     dst_names = [g.name for g in dst.generators]
     degree_checks = []
     for r, m in enumerate(h.hs):
-        ok = all(dst.generators[i].degree - src.generators[j].degree == -2 * r - 1
-                 for i, j, _ in m.entries)
-        degree_checks.append((r, ok))
+        bad = tuple((src_names[j], dst_names[i]) for i, j, _ in m.entries
+                    if dst.generators[i].degree - src.generators[j].degree != -2 * r - 1)
+        degree_checks.append((r, not bad, bad))
     checks = []
     for k in range(phi.truncation + 1):
         total = phi.phis[k] - psi.phis[k]
@@ -250,9 +250,10 @@ def _reference_random_split_complex(rng, n_plus, n_zero_extra, truncation,
 
 
 def _report_fields(report):
-    """A report as plain data: (k, ok, residual entries) and degree checks."""
+    """A report as plain data: (k, ok, residual entries) and
+    (r, ok, violating pairs)."""
     return ([(c.k, c.ok, c.residual_entries) for c in report.relation_checks],
-            list(report.degree_checks))
+            [(c.r, c.ok, c.violations) for c in report.degree_checks])
 
 
 def _noise(rng, rows, cols, count):
