@@ -6,31 +6,45 @@ here is exact: scalars are `fractions.Fraction`, vectors are sparse dicts
 ``{index: Fraction}`` with no stored zeros, and matrices are canonical
 row-major triplet lists.  No floating point is accepted anywhere.
 
-Every elimination computes the reduced row echelon form (RREF), which is
-unique for a fixed column order.  Which row supplies a pivot is therefore a
-free choice that cannot change any result: pivot columns, reduced rows,
-kernel and image bases, `solve` witnesses and subquotient coordinates are a
-deterministic function of the input.
+Every answer is read from the reduced row echelon form (RREF), or from its
+pivot columns alone, and the RREF is unique for a fixed column order.
+Which row supplies a pivot is therefore a free choice that cannot change
+any result: pivot columns, reduced rows, kernel and image bases, `solve`
+witnesses and subquotient coordinates are a deterministic function of the
+input.
 
-The elimination is column-indexed.  It keeps, for every column that occurs,
-the set of not-yet-pivot rows holding it, built in O(nnz).  It visits only
-those columns, in increasing order, takes a pivot row from the column's set,
-and subtracts it from exactly the rows in that set, updating the sets on
-fill-in and cancellation.  Back-substitution then clears each pivot column
-from the pivot rows above it, found through an index of pivot rows by pivot
-column built once.  Empty columns and rows that do not hold a column cost
-nothing, so the work follows the nonzeros, not rows x columns.
+Inside an elimination the rows are primitive integer vectors, and `Fraction`
+appears only at the boundary.  A row that enters is scaled by the lcm of its
+denominators and its content is divided out.  Clearing column c of a row
+with entry f by a pivot row with pivot value a replaces the row by
+(a/g) row - (f/g) pivot row, g = gcd(a, f), and divides its content out
+again; each pivot row keeps its integer pivot value beside it.  On output
+each RREF nonzero becomes one `Fraction(v, pivot value)`, so no `Fraction`
+arithmetic runs in a row update, and callers see the same exact rationals.
 
-Eliminations see the nonempty rows only, one dict per row that holds an
-entry; an empty row can neither supply a pivot nor change one, so the RREF
-is the same.  A matrix hands over its own rows (`solve` adds the rows in the
-support of the right-hand side).  Vectors take one path, with no matrix
-built: `_column_rows` turns them into the rows of the matrix whose columns
-they are, range-checking every index.  `pivot_columns` eliminates those
-rows; `span_leq`, the filtration tower and `Subquotient`'s construction ask
-their span questions through it, and `Subquotient` reduces vectors over the
-same rows.  `kernel_and_image` reads a kernel basis and the pivot columns
-from a single elimination, for callers that need both.
+The elimination has one kernel, the forward pass `_echelon`, which every
+elimination enters.  It is column-indexed: it keeps, for every column that
+occurs, the set of not-yet-pivot rows holding it, built in O(nnz), visits
+only those columns, in increasing order, takes a pivot row from the
+column's set, and clears the column from exactly the rows in that set,
+updating the sets on fill-in and cancellation.  `pivot_columns`, `rank` and
+`span_leq` need only the pivots and stop there, with no back-substitution
+and no `Fraction` made.  `_rref_rows` adds the back-substitution, for
+`rref`, `solve`, `kernel_basis`, `kernel_and_image` and
+`Subquotient.coordinate_matrix`: it clears each pivot column from the pivot
+rows above it, found through an index of pivot rows by pivot column built
+once.  Empty columns and rows that do not hold a column cost nothing, so
+the work follows the nonzeros, not rows x columns.
+
+Eliminations see the nonempty rows only; an empty row can neither supply a
+pivot nor change one, so the RREF is the same.  A matrix hands over its own
+rows (`solve` adds the rows in the support of the right-hand side).
+Vectors take one path, with no matrix built: `_column_rows` turns them into
+the integer rows of the matrix whose columns they are, range-checking every
+index.  `span_leq`, the filtration tower and `Subquotient`'s construction
+ask their span questions through `pivot_columns`, and `Subquotient` reduces
+vectors over the same rows.  `kernel_and_image` reads a kernel basis and
+the pivot columns from a single elimination, for callers that need both.
 
 A subquotient Z/B reduces any number of vectors in one elimination.  Its
 B basis and quotient basis are independent columns, so the elimination of
@@ -53,6 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Vector = dict[int, Fraction]
@@ -315,11 +330,37 @@ class SparseMatrix:
 # elimination
 
 
-def _rref_rows(rows: list[dict[int, Fraction]], cols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduce the dict rows to RREF over the columns < cols, in place.
+def _primitive(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """The primitive integer row on the line of a rational row: scaled by the
+    lcm of its denominators, with its content divided out and its zeros
+    dropped."""
+    if len(row) == 1:
+        # most rows hold one entry, whose primitive row is its sign
+        (k, x), = row.items()
+        p = x.numerator
+        return {k: 1 if p > 0 else -1} if p else {}
+    ratios = [x.as_integer_ratio() for x in row.values()]
+    d = lcm(*[q for _, q in ratios])
+    if d == 1:
+        out = {k: p for k, (p, _) in zip(row, ratios) if p}
+    else:
+        out = {k: p * (d // q) for k, (p, q) in zip(row, ratios) if p}
+    g = gcd(*out.values())
+    if g > 1:
+        for k in out:
+            out[k] //= g
+    return out
 
-    Returns the same row dicts reordered, pivot rows in pivot order followed
-    by the rows left empty, and the strictly increasing pivot columns.
+
+def _echelon(rows: list[dict[int, int]], cols: int) -> tuple[list[int], list[int], list[int]]:
+    """The forward pass: reduce the integer rows to echelon form over the
+    columns < cols, in place.
+
+    Returns the strictly increasing pivot columns, the index in `rows` of
+    each pivot row and its positive integer pivot value, which is left out
+    of the row's dict.  A row below a pivot becomes (a/g) row - (f/g) pivot
+    row, where a is the pivot value, f the row's entry and g = gcd(a, f),
+    and its content is divided out again, so every row stays primitive.
     """
     # column -> rows holding it that are not pivot rows yet; O(nnz) to build.
     # A fill-in column is always a column of the pivot row that causes it,
@@ -331,8 +372,7 @@ def _rref_rows(rows: list[dict[int, Fraction]], cols: int) -> tuple[list[dict[in
             index.setdefault(c, set()).add(i)
     pivots: list[int] = []
     prows: list[int] = []
-    # A pivot row's own pivot entry (1 after scaling) is left out until the
-    # end, so that subtracting a pivot row never touches its pivot column.
+    pvals: list[int] = []
     for c in sorted(index):
         if c >= cols:
             break
@@ -344,69 +384,110 @@ def _rref_rows(rows: list[dict[int, Fraction]], cols: int) -> tuple[list[dict[in
         prow = rows[p]
         for k in prow:
             index[k].discard(p)
-        pval = prow.pop(c)
-        if pval != 1:
-            inv = _ONE / pval
+        a = prow.pop(c)
+        if a < 0:
+            a = -a
             for k in prow:
-                prow[k] *= inv
+                prow[k] = -prow[k]
         for i in holders:
             row = rows[i]
             f = row.pop(c)
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            if s != 1:
+                for k in row:
+                    row[k] *= s
             for k, v in prow.items():
                 if k in row:
-                    s = row[k] - f * v
-                    if s:
-                        row[k] = s
+                    x = row[k] - t * v
+                    if x:
+                        row[k] = x
                     else:
                         del row[k]
                         index[k].discard(i)
                 else:
-                    row[k] = -f * v
+                    row[k] = -t * v
                     index[k].add(i)
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    for k in row:
+                        row[k] //= g
         holders.clear()
         pivots.append(c)
         prows.append(p)
-    # Back-substitution, last pivot first.  When a pivot row is subtracted,
-    # its later pivot columns are already cleared, so it holds no pivot
-    # column and the index of pivot rows by pivot column stays exact.
+        pvals.append(a)
+    return pivots, prows, pvals
+
+
+def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[Vector], list[int]]:
+    """The RREF over the columns < cols of the primitive integer rows.
+
+    Returns the rows as `Fraction` dicts, pivot rows in pivot order (1 at the
+    pivot) followed by the other rows, which hold columns >= cols only, up
+    to a scale; and the strictly increasing pivot columns.
+    """
+    pivots, prows, pvals = _echelon(rows, cols)
+    # Back-substitution, last pivot first, with the same integer row update;
+    # a pivot row above scales its pivot value with its row, and a/g > 0
+    # keeps that value positive.  When a
+    # pivot row is subtracted, its later pivot columns are already cleared,
+    # so it holds no pivot column and the index of pivot rows (by pivot
+    # order) by pivot column stays exact.
     above: dict[int, list[int]] = {c: [] for c in pivots}
-    for p in prows:
+    for j, p in enumerate(prows):
         for k in rows[p]:
             if k in above:
-                above[k].append(p)
-    for c, p in zip(reversed(pivots), reversed(prows)):
-        prow = rows[p]
+                above[k].append(j)
+    for j in reversed(range(len(pivots))):
+        c, prow, a = pivots[j], rows[prows[j]], pvals[j]
         for i in above[c]:
-            row = rows[i]
+            row = rows[prows[i]]
             f = row.pop(c)
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            if s != 1:
+                for k in row:
+                    row[k] *= s
+                pvals[i] *= s
             for k, v in prow.items():
                 if k in row:
-                    s = row[k] - f * v
-                    if s:
-                        row[k] = s
+                    x = row[k] - t * v
+                    if x:
+                        row[k] = x
                     else:
                         del row[k]
                 else:
-                    row[k] = -f * v
-    out = []
-    for c, p in zip(pivots, prows):
-        rows[p][c] = _ONE
-        out.append(rows[p])
+                    row[k] = -t * v
+            g = gcd(pvals[i], *row.values())
+            if g != 1:
+                for k in row:
+                    row[k] //= g
+                pvals[i] //= g
+    out: list[Vector] = []
+    for c, p, a in zip(pivots, prows, pvals):
+        row = {k: Fraction(v, a) for k, v in rows[p].items()}
+        row[c] = _ONE
+        out.append(row)
     pset = set(prows)
-    out += [row for i, row in enumerate(rows) if i not in pset]
+    out += [{k: Fraction(v) for k, v in row.items()}
+            for i, row in enumerate(rows) if i not in pset]
     return out, pivots
 
 
-def _nonempty_rows(m: SparseMatrix) -> dict[int, dict[int, Fraction]]:
-    """Row index -> row dict, for the rows of m that hold an entry."""
-    out: dict[int, dict[int, Fraction]] = {}
+def _matrix_rows(m: SparseMatrix, rhs: Vector | None = None) -> list[dict[int, int]]:
+    """The rows of m that hold an entry, as primitive integer rows; with
+    `rhs`, the rows of [m | rhs]."""
+    rows: dict[int, dict[int, Fraction]] = {}
     last = -1
     for r, c, v in m.entries:
         if r != last:
-            out[r] = row = {}
+            rows[r] = row = {}
             last = r
         row[c] = v
-    return out
+    for i, x in (rhs or {}).items():
+        rows.setdefault(i, {})[m.cols] = x
+    return [_primitive(row) for row in rows.values()]
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
@@ -416,35 +497,35 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
     deterministic function of the input, whichever row supplies each pivot.
     Row r of the result is the r-th pivot row; the zero rows come last.
     """
-    rows, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
+    rows, pivots = _rref_rows(_matrix_rows(m), m.cols)
     # only the pivot rows can be nonzero
     ent = tuple((r, c, row[c]) for r, row in enumerate(rows[:len(pivots)]) for c in sorted(row))
     return SparseMatrix(m.rows, m.cols, ent), tuple(pivots)
 
 
-def _column_rows(vectors: Sequence[Vector], dim: int) -> list[dict[int, Fraction]]:
-    """The nonempty rows of the dim-row matrix whose columns are `vectors`."""
+def _column_rows(vectors: Sequence[Vector], dim: int) -> list[dict[int, int]]:
+    """The nonempty rows of the dim-row matrix whose columns are `vectors`,
+    as primitive integer rows."""
     rows: dict[int, dict[int, Fraction]] = {}
     for c, v in enumerate(vectors):
         for r, x in v.items():
             if not 0 <= r < dim:
                 raise DimensionError("vector index out of ambient range")
-            if x:
-                row = rows.get(r)
-                if row is None:
-                    rows[r] = row = {}
-                row[c] = x
-    return list(rows.values())
+            row = rows.get(r)
+            if row is None:
+                rows[r] = row = {}
+            row[c] = x
+    return [_primitive(row) for row in rows.values()]
 
 
 def pivot_columns(vectors: Sequence[Vector], dim: int) -> list[int]:
     """Pivot columns of the matrix whose columns are `vectors`: the first
     vector of each rank increase, read without building the matrix."""
-    return _rref_rows(_column_rows(vectors, dim), len(vectors))[1]
+    return _echelon(_column_rows(vectors, dim), len(vectors))[0]
 
 
 def rank(m: SparseMatrix) -> int:
-    return len(_rref_rows(list(_nonempty_rows(m).values()), m.cols)[1])
+    return len(_echelon(_matrix_rows(m), m.cols)[0])
 
 
 def solve(m: SparseMatrix, b: Vector) -> Vector | None:
@@ -456,14 +537,8 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     for i in b:
         if not 0 <= i < m.rows:
             raise DimensionError("right-hand side index out of range")
-    rows = _nonempty_rows(m)
     aug = m.cols
-    for i, x in b.items():
-        row = rows.get(i)
-        if row is None:
-            rows[i] = row = {}
-        row[aug] = x
-    rows, pivots = _rref_rows(list(rows.values()), m.cols + 1)
+    rows, pivots = _rref_rows(_matrix_rows(m, b), aug + 1)
     if pivots and pivots[-1] == aug:
         return None
     x: Vector = {}
@@ -474,8 +549,7 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     return x
 
 
-def _kernel_of_reduced(rows: list[dict[int, Fraction]], pivots: list[int],
-                      cols: int) -> list[Vector]:
+def _kernel_of_reduced(rows: list[Vector], pivots: list[int], cols: int) -> list[Vector]:
     pivset = set(pivots)
     free: dict[int, Vector] = {f: {f: _ONE} for f in range(cols) if f not in pivset}
     for row, p in zip(rows, pivots):
@@ -487,14 +561,14 @@ def _kernel_of_reduced(rows: list[dict[int, Fraction]], pivots: list[int],
 
 def kernel_basis(m: SparseMatrix) -> list[Vector]:
     """Deterministic basis of ker(m), one vector per free column."""
-    rows, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
+    rows, pivots = _rref_rows(_matrix_rows(m), m.cols)
     return _kernel_of_reduced(rows, pivots, m.cols)
 
 
 def kernel_and_image(m: SparseMatrix) -> tuple[list[Vector], list[Vector]]:
     """`kernel_basis(m)` and a basis of the column space, the original
     columns at the pivot indices, read from one elimination."""
-    rows, pivots = _rref_rows(list(_nonempty_rows(m).values()), m.cols)
+    rows, pivots = _rref_rows(_matrix_rows(m), m.cols)
     return _kernel_of_reduced(rows, pivots, m.cols), [m.col(p) for p in pivots]
 
 

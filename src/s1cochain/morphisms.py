@@ -21,7 +21,8 @@ Both relations and the composite (phi . psi)^k = sum_{i+j=k} phi^i psi^j
 are degree-k parts of products of families, `complexes.family_product`.
 A homotopy is checked through its deformation: phi - (h delta + partial h)
 must equal psi.  Both checks return the `S1ValidationReport` of a complex,
-which names the entries of each failed relation and degree shift.  Phi^k
+which names the entries of each failed relation and degree shift, and words
+its lines for phi^r (shift -2r) and h^r (shift -1-2r).  Phi^k
 and Delta^k evaluate a witness the same way, `WitnessedCycle.value`.
 """
 
@@ -118,7 +119,8 @@ def verify_morphism(phi: S1Morphism) -> S1ValidationReport:
         RelationCheck.of(k, family_product(phi.phis, src.deltas, k)
                          - family_product(dst.deltas, phi.phis, k), src, dst)
         for k in range(phi.truncation + 1))
-    return S1ValidationReport(checks, DegreeCheck.of_family(phi.phis, src, dst, 0))
+    return S1ValidationReport(checks, DegreeCheck.of_family(phi.phis, src, dst, 0),
+                              "phi", "sum_(i+j={k}) phi^i delta^j - partial^j phi^i = 0")
 
 
 def verify_homotopy(h: S1Homotopy) -> S1ValidationReport:
@@ -129,7 +131,8 @@ def verify_homotopy(h: S1Homotopy) -> S1ValidationReport:
     deformed, _ = homotopy_deformation(phi, h.hs)
     checks = tuple(RelationCheck.of(k, deformed.phis[k] - psi.phis[k], src, dst)
                    for k in range(phi.truncation + 1))
-    return S1ValidationReport(checks, DegreeCheck.of_family(h.hs, src, dst, -1))
+    return S1ValidationReport(checks, DegreeCheck.of_family(h.hs, src, dst, -1), "h",
+                              "phi^{k} - psi^{k} = sum_(i+j={k}) h^i delta^j + partial^j h^i")
 
 
 def compose(outer: S1Morphism, inner: S1Morphism) -> S1Morphism:

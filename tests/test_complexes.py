@@ -151,7 +151,7 @@ class TestCohomology:
                                         range(-10**20, 10**20), range(MAX_DEGREE_WINDOW + 1)])
     def test_wide_degree_window_refused_before_elimination(self, window):
         f = build_filtered_plus(milnor_model(2, 2, include_spheres=False).complex, 1)
-        with mock.patch.object(linalg, "_rref_rows", side_effect=AssertionError("eliminated")):
+        with mock.patch.object(linalg, "_echelon", side_effect=AssertionError("eliminated")):
             with pytest.raises(ValueError, match=str(MAX_DEGREE_WINDOW)):
                 cohomology(f, window)
 

@@ -417,7 +417,7 @@ class TestTautologicalLes:
                                         range(-10**20, 10**20)])
     def test_wide_window_refused_before_elimination(self, window):
         s = milnor_model(2, 2, include_spheres=False)
-        with mock.patch.object(linalg, "_rref_rows", side_effect=AssertionError("eliminated")):
+        with mock.patch.object(linalg, "_echelon", side_effect=AssertionError("eliminated")):
             with pytest.raises(ValueError, match=str(MAX_DEGREE_WINDOW)):
                 tautological_les(s, window)
 
@@ -428,7 +428,7 @@ class TestTautologicalLes:
 
     def test_six_eliminations(self):
         s = tensor_split(milnor_model(2, 2), milnor_model(2, 3))
-        with mock.patch.object(linalg, "_rref_rows", wraps=linalg._rref_rows) as spy:
+        with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as spy:
             assert tautological_les(s).exact
         # one kernel_and_image per complex, one pivot_columns per map
         assert spy.call_count == 6

@@ -299,6 +299,19 @@ def _oracle_rref_rows(rows, cols):
     return rows, pivots
 
 
+def _oracle_echelon(rows, cols):
+    """The oracle in the forward kernel's place: Gauss-Jordan over Fraction
+    copies of the integer rows, written back as the kernel leaves them,
+    primitive and with each pivot entry set aside as the pivot value.  The
+    rows are then already reduced, so the back-substitution finds nothing
+    to clear."""
+    reduced, pivots = _oracle_rref_rows([{k: F(v) for k, v in row.items()} for row in rows],
+                                        cols)
+    rows[:] = [linalg._primitive(row) for row in reduced]
+    pvals = [rows[r].pop(c) for r, c in enumerate(pivots)]
+    return pivots, list(range(len(pivots))), pvals
+
+
 def _oracle_rref(m):
     rows, pivots = _oracle_rref_rows(m.row_dicts(), m.cols)
     ent = [(r, c, row[c]) for r, row in enumerate(rows) for c in sorted(row)]
@@ -394,7 +407,7 @@ def test_kernel_matches_gauss_jordan_oracle(system):
     # The row-order contract solve and kernel_basis read: the r-th row is
     # the r-th pivot row, holding 1 at its pivot and no other pivot column;
     # the remaining rows are empty.
-    rows, piv = linalg._rref_rows(m.row_dicts(), m.cols)
+    rows, piv = linalg._rref_rows([linalg._primitive(r) for r in m.row_dicts()], m.cols)
     assert len(rows) == m.rows and tuple(piv) == pivots
     for r, p in enumerate(piv):
         assert rows[r][p] == 1
@@ -420,7 +433,7 @@ def test_subquotient_membership_matches_oracle(system, data):
             return _exact(s.basis), None
 
     got = reduce()
-    with mock.patch.object(linalg, "_rref_rows", _oracle_rref_rows):
+    with mock.patch.object(linalg, "_echelon", _oracle_echelon):
         assert got == reduce()
 
     # The batched reduction against the oracle's solve of the solver
@@ -481,6 +494,65 @@ def test_pivot_columns_and_span_leq_match_oracle(case):
     if inside:
         assert span_leq(a, b, dim)
     assert _exact(b + a) == given_vectors
+
+
+# ---------------------------------------------------------------------------
+# one elimination kernel, Fraction at its boundary
+
+
+_M = dense([[1, 2, 0, 1], [2, 4, 1, 0], [0, 0, 3, F(1, 2)]])
+_Z = _M.columns()
+_SQ = Subquotient(_M.rows, _Z, [_Z[0]])
+
+
+@pytest.mark.parametrize("entry, calls", [
+    (lambda: rref(_M), 1),
+    (lambda: rank(_M), 1),
+    (lambda: solve(_M, {0: F(1), 2: F(2, 3)}), 1),
+    (lambda: kernel_basis(_M), 1),
+    (lambda: kernel_and_image(_M), 1),
+    (lambda: pivot_columns(_Z, _M.rows), 1),
+    (lambda: span_leq(_Z[:1], _Z[1:], _M.rows), 1),
+    (lambda: Subquotient(_M.rows, _Z, [_Z[0]]), 2),
+    (lambda: _SQ.coordinate_matrix([_Z[3], _Z[2]]), 1),
+], ids=["rref", "rank", "solve", "kernel_basis", "kernel_and_image", "pivot_columns",
+        "span_leq", "Subquotient", "coordinate_matrix"])
+def test_every_elimination_enters_the_forward_kernel(entry, calls):
+    with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as spy:
+        entry()
+    assert spy.call_count == calls
+
+
+@st.composite
+def _row_denominators(draw):
+    """A system whose rows carry different denominators, row by row."""
+    m, b = draw(_system())
+    dens = draw(st.lists(st.one_of(st.integers(1, 9), st.integers(1, 2 ** 110)),
+                         min_size=m.rows, max_size=m.rows))
+    scaled = SparseMatrix.from_entries(m.rows, m.cols,
+                                       [(r, c, v / dens[r]) for r, c, v in m.entries])
+    return scaled, {i: x / dens[i] for i, x in b.items()}
+
+
+def _fractions(values):
+    return all(type(v) is F for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_system(), _row_denominators()), st.data())
+def test_every_scalar_leaving_linalg_is_a_fraction(system, data):
+    m, b = system
+    red, _ = rref(m)
+    assert _fractions(v for _, _, v in red.entries)
+    x = solve(m, b)
+    assert x is None or _fractions(x.values())
+    kernel, image = kernel_and_image(m)
+    assert all(_fractions(v.values()) for v in kernel_basis(m) + kernel + image)
+    rows, _ = linalg._rref_rows(linalg._matrix_rows(m, b), m.cols)
+    assert all(_fractions(row.values()) for row in rows)
+    s = Subquotient(m.rows, m.columns(), image[:1])
+    images = [m.apply(v) for v in data.draw(st.lists(_vectors(m.cols), max_size=3))]
+    assert _fractions(v for _, _, v in s.coordinate_matrix(images).entries)
 
 
 # ---------------------------------------------------------------------------

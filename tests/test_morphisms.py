@@ -53,6 +53,9 @@ class TestVerify:
         rep = verify_morphism(bad)
         assert not rep.valid
         assert not rep.relation_checks[0].ok
+        assert rep.violations() == [
+            "relation sum_(i+j=0) phi^i delta^j - partial^j phi^i = 0: "
+            "VIOLATED (('x', 'v', Fraction(1, 1)),)"]
 
     def test_subcomplex_inclusion_milnor(self):
         # the span of e, p1_check, p1_hat is closed under every operator
@@ -90,6 +93,7 @@ class TestVerify:
         assert not rep.degree_checks[0].ok
         assert rep.degree_checks[0].violations == (("x", "y"),)
         assert not rep.valid
+        assert rep.violations() == ["degree shift of phi^0 (-2r): VIOLATED (('x', 'y'),)"]
 
     def test_homotopy_degree_violation_names_pairs(self):
         a = make_complex([("x", 0)], 1, {})
@@ -101,6 +105,7 @@ class TestVerify:
         assert [(c.r, c.ok, c.violations) for c in rep.degree_checks] == [
             (0, False, (("x", "y"),)), (1, True, ())]
         assert not rep.valid
+        assert rep.violations() == ["degree shift of h^0 (-1-2r): VIOLATED (('x', 'y'),)"]
 
     def test_broken_homotopy_detected(self):
         rng = random.Random(43)
@@ -113,6 +118,8 @@ class TestVerify:
             from s1cochain.morphisms import S1Homotopy
             wrong = S1Homotopy((base, base), hom.hs)
             assert not verify_homotopy(wrong).valid
+            assert all(line.startswith("relation phi^") and " - psi^" in line
+                       for line in verify_homotopy(wrong).violations())
 
 
 class TestCompose:
