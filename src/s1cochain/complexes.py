@@ -143,18 +143,11 @@ class RelationCheck:
 @dataclass(frozen=True)
 class DegreeCheck:
     """The entries of the order-r member of a family, named (source
-    generator, target generator), that do not shift degree by
-    shift - 2r, `shift` being the family's shift at order 0."""
+    generator, target generator), that do not shift degree as required."""
 
     r: int
-    shift: int
     ok: bool
     violations: tuple[tuple[str, str], ...]
-
-    @property
-    def rule(self) -> str:
-        """The required shift as a formula in r, such as `1-2r` or `-2r`."""
-        return f"{self.shift}-2r" if self.shift else "-2r"
 
     @staticmethod
     def of_family(mats: Sequence[SparseMatrix], source: S1Complex, target: S1Complex,
@@ -165,19 +158,21 @@ class DegreeCheck:
         for r, m in enumerate(mats):
             bad = tuple((src[j].name, dst[i].name) for i, j, _ in m.entries
                         if dst[i].degree - src[j].degree != shift - 2 * r)
-            out.append(DegreeCheck(r, shift, not bad, bad))
+            out.append(DegreeCheck(r, not bad, bad))
         return tuple(out)
 
 
 @dataclass(frozen=True)
 class S1ValidationReport:
     """The relation and degree-shift checks of one operator family, with the
-    family's symbol and its degree-k relation (`{k}` marks the degree) for
-    the lines of `violations`."""
+    family's symbol, its required degree shift as a formula in r and its
+    degree-k relation (`{k}` marks the degree) for the lines of
+    `violations`."""
 
     relation_checks: tuple[RelationCheck, ...]
     degree_checks: tuple[DegreeCheck, ...]
     symbol: str
+    rule: str
     relation: str
 
     @property
@@ -187,7 +182,7 @@ class S1ValidationReport:
 
     def violations(self) -> list[str]:
         """One line per failed check, the degree shifts first."""
-        return ([f"degree shift of {self.symbol}^{c.r} ({c.rule}): VIOLATED {c.violations[:3]}"
+        return ([f"degree shift of {self.symbol}^{c.r} ({self.rule}): VIOLATED {c.violations[:3]}"
                  for c in self.degree_checks if not c.ok]
                 + [f"relation {self.relation.format(k=c.k)}: "
                    f"VIOLATED {c.residual_entries[:3]}"
@@ -199,7 +194,7 @@ def verify_s1_relations(c: S1Complex) -> S1ValidationReport:
     relation_checks = tuple(RelationCheck.of(k, family_product(c.deltas, c.deltas, k), c, c)
                             for k in range(c.truncation + 1))
     return S1ValidationReport(relation_checks, DegreeCheck.of_family(c.deltas, c, c, 1),
-                              "delta", "sum_(i+j={k}) delta^i delta^j = 0")
+                              "delta", "1-2r", "sum_(i+j={k}) delta^i delta^j = 0")
 
 
 # ---------------------------------------------------------------------------

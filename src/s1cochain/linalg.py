@@ -334,17 +334,9 @@ def _primitive(row: Mapping[int, Fraction]) -> dict[int, int]:
     """The primitive integer row on the line of a rational row: scaled by the
     lcm of its denominators, with its content divided out and its zeros
     dropped."""
-    if len(row) == 1:
-        # most rows hold one entry, whose primitive row is its sign
-        (k, x), = row.items()
-        p = x.numerator
-        return {k: 1 if p > 0 else -1} if p else {}
     ratios = [x.as_integer_ratio() for x in row.values()]
     d = lcm(*[q for _, q in ratios])
-    if d == 1:
-        out = {k: p for k, (p, _) in zip(row, ratios) if p}
-    else:
-        out = {k: p * (d // q) for k, (p, q) in zip(row, ratios) if p}
+    out = {k: p * (d // q) for k, (p, q) in zip(row, ratios) if p}
     g = gcd(*out.values())
     if g > 1:
         for k in out:

@@ -120,7 +120,7 @@ def verify_morphism(phi: S1Morphism) -> S1ValidationReport:
                          - family_product(dst.deltas, phi.phis, k), src, dst)
         for k in range(phi.truncation + 1))
     return S1ValidationReport(checks, DegreeCheck.of_family(phi.phis, src, dst, 0),
-                              "phi", "sum_(i+j={k}) phi^i delta^j - partial^j phi^i = 0")
+                              "phi", "-2r", "sum_(i+j={k}) phi^i delta^j - partial^j phi^i = 0")
 
 
 def verify_homotopy(h: S1Homotopy) -> S1ValidationReport:
@@ -131,7 +131,7 @@ def verify_homotopy(h: S1Homotopy) -> S1ValidationReport:
     deformed, _ = homotopy_deformation(phi, h.hs)
     checks = tuple(RelationCheck.of(k, deformed.phis[k] - psi.phis[k], src, dst)
                    for k in range(phi.truncation + 1))
-    return S1ValidationReport(checks, DegreeCheck.of_family(h.hs, src, dst, -1), "h",
+    return S1ValidationReport(checks, DegreeCheck.of_family(h.hs, src, dst, -1), "h", "-1-2r",
                               "phi^{k} - psi^{k} = sum_(i+j={k}) h^i delta^j + partial^j h^i")
 
 
