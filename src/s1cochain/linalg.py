@@ -30,11 +30,15 @@ column's set, and clears the column from exactly the rows in that set,
 updating the sets on fill-in and cancellation.  `pivot_columns`, `rank` and
 `span_leq` need only the pivots and stop there, with no back-substitution
 and no `Fraction` made.  `_rref_rows` adds the back-substitution, for
-`rref`, `solve`, `kernel_basis`, `kernel_and_image` and
+`rref`, `kernel_basis`, `kernel_and_image` and
 `Subquotient.coordinate_matrix`: it clears each pivot column from the pivot
 rows above it, found through an index of pivot rows by pivot column built
 once.  Empty columns and rows that do not hold a column cost nothing, so
-the work follows the nonzeros, not rows x columns.
+the work follows the nonzeros, not rows x columns.  `solve` reads only the
+augmented column of [m | b]: it back-substitutes that column alone over the
+echelon rows, last pivot first, x_p = (b_r - sum row[c] x_c) / a_r over the
+later pivot columns c, with every free variable zero.  That is the solution
+the RREF gives, so the witness is the same.
 
 Eliminations see the nonempty rows only; an empty row can neither supply a
 pivot nor change one, so the RREF is the same.  A matrix hands over its own
@@ -56,10 +60,17 @@ a map into Z/B this way; `coordinates` is the case of one vector.  The
 coordinates are the unique solution that `solve` would find vector by
 vector, so they are the same numbers.
 
-Each matrix builds its column view (column -> (row, value) pairs) on first
-use and keeps it; `apply`, `@`, `col` and `columns` read it.  `from_entries`
-stores the first value at a position as it is and adds only repeated
-positions, dropping a sum that cancels.
+Each matrix builds one column view on first use and keeps it: the
+(row, integer) pairs of every column over a single common denominator D,
+the lcm of the entries' denominators.  `apply(v)` scales v by the lcm d of
+its denominators, accumulates plain integer products and makes one
+`Fraction(y, D d)` per output nonzero; `@` does the same per output entry,
+and `col` and `columns` read the view too.  A vector that maps to zero
+makes no `Fraction` at all, which is the common case of the checks that
+only ask whether a mat-vec vanishes.  `entries`, equality, hashing and
+`repr` do not see the view.  `from_entries` stores the first value at a
+position as it is and adds only repeated positions, dropping a sum that
+cancels.
 """
 
 from __future__ import annotations
@@ -236,25 +247,29 @@ class SparseMatrix:
         return out
 
     @cached_property
-    def _by_col(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-        """Column view: column -> its (row, value) pairs in row order.
+    def _int_cols(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+        """Column view over one common denominator: (D, column -> its
+        (row, integer) pairs in row order), each entry being integer / D,
+        with D the lcm of the entries' denominators.
 
         Built on first use and kept on the instance, which is immutable;
         fields, equality, hashing and repr do not see it.
         """
-        acc: dict[int, list[tuple[int, Fraction]]] = {}
-        for r, c, v in self.entries:
-            acc.setdefault(c, []).append((r, v))
-        return {c: tuple(lst) for c, lst in acc.items()}
+        ratios = [v.as_integer_ratio() for _, _, v in self.entries]
+        den = lcm(*[q for _, q in ratios])
+        acc: dict[int, list[tuple[int, int]]] = {}
+        for (r, c, _), (p, q) in zip(self.entries, ratios):
+            acc.setdefault(c, []).append((r, p * (den // q)))
+        return den, acc
 
     def col(self, j: int) -> Vector:
         if not 0 <= j < self.cols:
             raise DimensionError(f"column {j} out of range")
-        return dict(self._by_col.get(j, ()))
+        den, by_col = self._int_cols
+        return {r: Fraction(x, den) for r, x in by_col.get(j, ())}
 
     def columns(self) -> list[Vector]:
-        by_col = self._by_col
-        return [dict(by_col.get(j, ())) for j in range(self.cols)]
+        return [self.col(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -283,40 +298,40 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ")
-        by_col = self._by_col
-        acc: dict[tuple[int, int], Fraction] = {}
-        for r, c, v in other.entries:
-            # column c of the product picks up v * (column r of self)
-            for rr, vv in by_col.get(r, ()):
-                key = (rr, c)
-                if key in acc:
-                    s = acc[key] + vv * v
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-                else:
-                    acc[key] = vv * v
-        ent = tuple((r, c, acc[(r, c)]) for r, c in sorted(acc))
+        den, by_col = self._int_cols
+        oden, other_cols = other._int_cols
+        acc: dict[tuple[int, int], int] = {}
+        for c, pairs in other_cols.items():
+            # column c of the product is the sum of w * (column r of self)
+            for r, w in pairs:
+                for rr, vv in by_col.get(r, ()):
+                    key = (rr, c)
+                    acc[key] = acc.get(key, 0) + vv * w
+        den *= oden
+        ent = tuple((r, c, Fraction(s, den)) for (r, c), s in sorted(acc.items()) if s)
         return SparseMatrix(self.rows, other.cols, ent)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times sparse column vector."""
-        by_col = self._by_col
-        out: Vector = {}
+        den, by_col = self._int_cols
+        # d is the lcm of the denominators seen so far; a new one rescales
+        # the integer sums onto the new lcm
+        d = 1
+        out: dict[int, int] = {}
         for c, x in v.items():
             if c >= self.cols:
                 raise DimensionError("vector index out of range")
+            p, q = x.as_integer_ratio()
+            if d % q:
+                s = q // gcd(d, q)
+                d *= s
+                for r in out:
+                    out[r] *= s
+            x = p * (d // q)
             for r, m in by_col.get(c, ()):
-                if r in out:
-                    s = out[r] + m * x
-                    if s:
-                        out[r] = s
-                    else:
-                        del out[r]
-                else:
-                    out[r] = m * x
-        return out
+                out[r] = out.get(r, 0) + m * x
+        den *= d
+        return {r: Fraction(y, den) for r, y in out.items() if y}
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "SparseMatrix":
         rpos = {idx: p for p, idx in enumerate(row_indices)}
@@ -536,15 +551,21 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
         if not 0 <= i < m.rows:
             raise DimensionError("right-hand side index out of range")
     aug = m.cols
-    rows, pivots = _rref_rows(_matrix_rows(m, b), aug + 1)
+    rows = _matrix_rows(m, b)
+    pivots, prows, pvals = _echelon(rows, aug + 1)
     if pivots and pivots[-1] == aug:
         return None
+    # the augmented column alone, last pivot first; free variables are zero
     x: Vector = {}
-    for r, p in enumerate(pivots):
-        v = rows[r].get(aug)
-        if v:
-            x[p] = v
-    return x
+    for p, i, a in zip(reversed(pivots), reversed(prows), reversed(pvals)):
+        row = rows[i]
+        y = Fraction(row.get(aug, 0))
+        for c, v in row.items():
+            if c in x:
+                y -= v * x[c]
+        if y:
+            x[p] = y / a
+    return {p: x[p] for p in pivots if p in x}
 
 
 def _kernel_of_reduced(rows: list[Vector], pivots: list[int], cols: int) -> list[Vector]:

@@ -60,6 +60,17 @@ class TestVerify:
     def test_milnor_model_valid(self):
         assert verify_s1_relations(milnor_model(2, 2).complex).valid
 
+    def test_relation_over_a_common_denominator(self):
+        # delta^0 delta^0 x = (1/2)(2) z + (1/3)(-3) z = 0
+        ops = [("x", "y", F(1, 2)), ("x", "w", F(1, 3)), ("y", "z", 2), ("w", "z", -3)]
+        gens = [("x", 0), ("y", 1), ("w", 1), ("z", 2)]
+        assert verify_s1_relations(make_complex(gens, 0, {0: ops})).valid
+        # a 1/2 in place of the 1/3 breaks it: the residual is z -> 1 - 3/2
+        broken = make_complex(gens, 0, {0: [("x", "w", F(1, 2)), *ops[::2], ops[3]]})
+        rep = verify_s1_relations(broken)
+        assert not rep.valid
+        assert rep.relation_checks[0].residual_entries == (("x", "z", F(-1, 2)),)
+
 
 class TestFilteredPlus:
     def test_level_zero_is_delta0(self):

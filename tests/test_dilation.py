@@ -25,6 +25,7 @@ from s1cochain.complexes import (
 from s1cochain.dilation import (
     LesNode,
     LesReport,
+    _homology_counts,
     _induced_ranks,
     _zero_part_h0,
     delta_partial_k,
@@ -43,6 +44,7 @@ from s1cochain.dilation import (
 from s1cochain.linalg import (
     SparseMatrix,
     Subquotient,
+    kernel_and_image,
     kernel_basis,
     rank,
     vadd,
@@ -91,6 +93,12 @@ class TestVerifySplitting:
         assert not rep.valid
         assert (1, "e") in rep.higher_violations
         assert any("delta^1" in v for v in rep.violations())
+
+    def test_unit_not_closed_flagged_over_a_common_denominator(self):
+        c = make_complex([("e", 0), ("x", 1)], 0, {0: [("e", "x", F(1, 2))]})
+        rep = verify_splitting(make_split_complex(c, ["e", "x"], "e"))
+        assert not rep.valid
+        assert not rep.unit_closed
 
     def test_exact_unit_flagged(self):
         c = make_complex([("e", 0), ("f", -1)], 0, {0: [("f", "e", 1)]})
@@ -412,6 +420,22 @@ class TestTautologicalLes:
         f = build_filtered_plus(c, 0)
         with pytest.raises(ValueError, match="cycle of degree 0"):
             _induced_ranks({0: [{1: F(1)}]}, lambda z: {0: F(1)}, f, [], 0)
+
+    def test_pushed_non_cycle_rejected_over_a_common_denominator(self):
+        # a 3/2 in the differential and 1/2, 1/3 in the vectors: D > 1
+        c = make_complex([("a", 0), ("b", 1)], 0, {0: [("a", "b", F(3, 2))]})
+        f = build_filtered_plus(c, 0)
+        with pytest.raises(ValueError, match="cycle of degree 0"):
+            _induced_ranks({0: [{1: F(1, 2)}]}, lambda z: {0: F(1, 3)}, f, [], 0)
+
+    def test_boundary_that_is_not_a_cycle_rejected(self):
+        # delta^0 delta^0 x = (1/2)(2/3) z, not 0
+        c = make_complex([("x", 0), ("y", 1), ("z", 2)], 0,
+                         {0: [("x", "y", F(1, 2)), ("y", "z", F(2, 3))]})
+        f = build_filtered_plus(c, 0)
+        kernel, image = kernel_and_image(f.differential)
+        with pytest.raises(ValueError, match="a boundary is not a cycle"):
+            _homology_counts(f, kernel, image)
 
     @pytest.mark.parametrize("window", [range(MAX_DEGREE_WINDOW + 1), range(10**9),
                                         range(-10**20, 10**20)])

@@ -596,3 +596,77 @@ def test_column_view_leaves_equality_hash_and_repr_alone():
 def test_col_out_of_range():
     with pytest.raises(DimensionError):
         dense([[1]]).col(1)
+
+
+# ---------------------------------------------------------------------------
+# integer column view: one common denominator per matrix, one Fraction per
+# output nonzero
+
+
+def _reference_apply(m, x):
+    out = {}
+    for r, c, v in m.entries:
+        if c in x:
+            out[r] = out.get(r, F(0)) + v * x[c]
+    return {r: s for r, s in out.items() if s}
+
+
+def _reference_matmul(a, b):
+    acc = {}
+    for r, k, v in a.entries:
+        for kk, c, w in b.entries:
+            if kk == k:
+                acc[(r, c)] = acc.get((r, c), F(0)) + v * w
+    return SparseMatrix.from_entries(a.rows, b.cols, [(r, c, s) for (r, c), s in acc.items()])
+
+
+@st.composite
+def _cancelling(draw):
+    """A matrix, often with a column appended that is a rational multiple s
+    of another, and a vector; with the extra column the vector may hold the
+    pair (t, -t/s) on the two columns, whose terms cancel in every row."""
+    m = draw(_matrices())
+    x = draw(_vectors(m.cols))
+    if m.cols and draw(st.booleans()):
+        j = draw(st.integers(0, m.cols - 1))
+        s = draw(_coeffs.filter(bool))
+        m = SparseMatrix.from_entries(m.rows, m.cols + 1, list(m.entries) + [
+            (r, m.cols, s * v) for r, c, v in m.entries if c == j])
+        if draw(st.booleans()):
+            t = draw(_coeffs.filter(bool))
+            x = {j: t, m.cols - 1: -t / s}
+    return m, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cancelling(), st.data())
+def test_integer_column_view_matches_fraction_sums(system, data):
+    m, x = system
+    twin = SparseMatrix.from_entries(m.rows, m.cols, m.entries)
+    with mock.patch.object(linalg, "Fraction", wraps=F) as made:
+        got = m.apply(x)
+    assert got == _reference_apply(m, x)
+    assert all(type(v) is F for v in got.values())
+    # a vector that maps to zero makes no Fraction at all
+    assert made.call_count == len(got)
+    other = data.draw(_matrices().map(lambda o: SparseMatrix.from_entries(
+        m.cols, o.cols, [(r, c, v) for r, c, v in o.entries if r < m.cols])))
+    product = m @ other
+    assert product == _reference_matmul(m, other)
+    assert all(type(v) is F for _, _, v in product.entries)
+    cols = m.columns()
+    assert cols == [m.col(j) for j in range(m.cols)]
+    assert cols == [{r: v for r, c, v in m.entries if c == j} for j in range(m.cols)]
+    with pytest.raises(DimensionError):
+        m.apply({m.cols: F(1, 2)})
+    # the view built above is invisible to equality, hashing and repr
+    assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+
+
+def test_integer_column_view_of_empty_shapes():
+    for rows, cols in [(0, 3), (3, 0), (0, 0)]:
+        z = SparseMatrix.zero(rows, cols)
+        assert z.apply({}) == {}
+        assert z.columns() == [{}] * cols
+        assert z @ SparseMatrix.zero(cols, 2) == SparseMatrix.zero(rows, 2)
+    assert SparseMatrix.zero(0, 3).apply({2: F(1, 2)}) == {}

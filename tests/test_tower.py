@@ -15,6 +15,11 @@ check that the one-solve semi-dilation order replaced.
 """
 
 import random
+import subprocess
+import sys
+
+from fractions import Fraction as F
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +29,7 @@ from click.testing import CliRunner
 
 from s1cochain import cli, dilation, spectral
 from s1cochain.brieskorn import milnor_model
-from s1cochain.complexes import build_filtered_plus
+from s1cochain.complexes import build_filtered_plus, make_complex
 from s1cochain.dilation import (
     DilationReport,
     has_k_dilation,
@@ -246,3 +251,38 @@ def test_one_tower_per_page_set_and_two_solves_per_order(monkeypatch):
     levels.clear()
     assert order_of_semidilation(s, max_k=1).order is None
     assert len(solves) == 1 and not levels
+
+
+# ---------------------------------------------------------------------------
+# the tower's own checks, over entries with a common denominator D > 1
+
+
+def _rational_pair():
+    """x -> y with coefficient 2/3, at every u-power of F^1."""
+    return make_complex([("x", 0), ("y", 1)], 1, {0: [("x", "y", F(2, 3))]})
+
+
+def test_tower_rejects_a_kernel_vector_that_is_not_closed(monkeypatch):
+    # (x, 0) maps to (2/3)(y, 0) times 1/2, not 0
+    monkeypatch.setattr(spectral, "kernel_basis", lambda m: [{0: F(1, 2)}])
+    with pytest.raises(AssertionError, match="kernel vector .* not closed"):
+        filtration_tower(_rational_pair(), 1).z(0)
+
+
+def test_tower_rejects_a_boundary_value_beyond_u_power_0(monkeypatch):
+    # (x, 1) maps to (2/3)(y, 1) times 1/2: u-power 1, not 0
+    monkeypatch.setattr(spectral, "kernel_basis", lambda m: [{2: F(1, 2)}])
+    with pytest.raises(AssertionError, match="boundary value does not lie at u-power 0"):
+        filtration_tower(_rational_pair(), 1).b(1)
+
+
+def test_tower_checks_survive_python_O():
+    """Both tower checks are explicit raises, so `python -O` keeps them."""
+    here = Path(__file__).resolve()
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here}::test_tower_rejects_a_kernel_vector_that_is_not_closed",
+         f"{here}::test_tower_rejects_a_boundary_value_beyond_u_power_0"],
+        cwd=here.parent.parent, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "2 passed" in out.stdout
