@@ -543,7 +543,9 @@ def _induced_ranks(cycles: dict[int, list[Vector]], push: Callable[[Vector], Vec
     for d, zs in cycles.items():
         for z in zs:
             v = push(z)
-            if target.differential.apply(v) or any(target.degrees[i] != d + raise_by for i in v):
+            # an empty push is a cycle of every degree
+            if v and (target.differential.apply(v)
+                      or any(target.degrees[i] != d + raise_by for i in v)):
                 raise ValueError(f"a degree-{d} cycle maps to no cycle of degree {d + raise_by}")
             images.append(v)
             source_degree.append(d)

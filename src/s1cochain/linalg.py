@@ -48,7 +48,8 @@ the integer rows of the matrix whose columns they are, range-checking every
 index.  `span_leq`, the filtration tower and `Subquotient`'s construction
 ask their span questions through `pivot_columns`, and `Subquotient` reduces
 vectors over the same rows.  `kernel_and_image` reads a kernel basis and
-the pivot columns from a single elimination, for callers that need both.
+the pivot columns from a single elimination, for callers that need both,
+and copies the image columns out of the matrix's own entries.
 
 A subquotient Z/B reduces any number of vectors in one elimination.  Its
 B basis and quotient basis are independent columns, so the elimination of
@@ -588,7 +589,11 @@ def kernel_and_image(m: SparseMatrix) -> tuple[list[Vector], list[Vector]]:
     """`kernel_basis(m)` and a basis of the column space, the original
     columns at the pivot indices, read from one elimination."""
     rows, pivots = _rref_rows(_matrix_rows(m), m.cols)
-    return _kernel_of_reduced(rows, pivots, m.cols), [m.col(p) for p in pivots]
+    image: dict[int, Vector] = {p: {} for p in pivots}
+    for r, c, v in m.entries:
+        if c in image:
+            image[c][r] = v
+    return _kernel_of_reduced(rows, pivots, m.cols), list(image.values())
 
 
 def span_leq(a: Sequence[Vector], b: Sequence[Vector], dim: int) -> bool:

@@ -55,7 +55,7 @@ from .spectral import (
     FiltrationTower,
     QuotientMapRanks,
     WitnessedCycle,
-    _quotient_with_witnesses,
+    _quotients_with_witnesses,
     _split_filtered_vector,
     delta_value,
     filtration_tower,
@@ -160,11 +160,10 @@ def homotopy_deformation(phi: S1Morphism, hs: tuple[SparseMatrix, ...]) -> tuple
 def induced_cohomology_map(phi: S1Morphism, level: int) -> dict[int, SparseMatrix]:
     """Matrices of [phi_S1] on H(F^level) in the deterministic bases, phi_S1
     being `lift_family(phi.phis, level)`."""
-    fs = build_filtered_plus(phi.source, level)
-    ft = build_filtered_plus(phi.target, level)
     mat = lift_family(phi.phis, level)
-    hs = cohomology(fs)
-    ht = cohomology(ft)
+    hs = cohomology(build_filtered_plus(phi.source, level))
+    # an endomorphism has one complex, so one cohomology
+    ht = hs if phi.target == phi.source else cohomology(build_filtered_plus(phi.target, level))
     return {d: induced_map(hs, ht, d, d, mat.apply) for d in hs}
 
 
@@ -208,7 +207,7 @@ def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
             val = phi_value(phi, w)
             if not vis_zero(val):
                 cum.append(val)
-    dom, dom_wits = _quotient_with_witnesses(src, t.z(k), t.b_vectors(0))
+    [(dom, dom_wits)] = _quotients_with_witnesses(t, k, [t.b_vectors(0)])
     cod = Subquotient(dst.n, cycles, cum)
     mat = cod.coordinate_matrix([phi_value(phi, w) for w in dom_wits])
     return PhiKMap(k, dom, cod, mat, dom_wits, tuple(cum))
@@ -246,7 +245,8 @@ def verify_functoriality(phi: S1Morphism) -> FunctorialityReport:
     src, dst = phi.source, phi.target
     phi0 = phi.phis[0]
     level = phi.truncation // 2
-    ts, td = filtration_tower(src, level), filtration_tower(dst, level)
+    ts = filtration_tower(src, level)
+    td = ts if dst == src else filtration_tower(dst, level)
     if level >= 1 and any(dst.deltas[0].apply(b) for b in td.b_vectors(level - 1)):
         raise ValueError("the target's relations fail: a boundary value is not "
                          "delta^0-closed")

@@ -20,28 +20,43 @@ All spaces are kept as spanning sets inside the ambient complex so that the
 inclusion chain and the kernel/image/cokernel identities are literal rank
 assertions.
 
-Every level is read from F^N (`filtration_tower`).  F^j is the column
-prefix of F^N's first (j+1)n indices, and its differential is F^N's leading
-block, since a column at u-power p has rows at u-powers <= p only.  The RREF
-of a column prefix is the prefix of the RREF.  A kernel vector has a 1 at
-its free column and otherwise entries at smaller pivot columns, so ker F^j
-is the kernel vectors of F^N whose largest index, their free column, lies in
-the prefix.  Z_j is read from those at u-power exactly j; their u^-j blocks
-are independent, each holding a 1 at its free column where the others hold
-0.  The primitives of B_j are likewise a prefix of the kernel of F^N's rows
-at positive u-power, and the pivots of a column prefix of their boundary
-values are the pivots in the prefix, so B_j's basis is the prefix of B_N's.
-Every vector and witness is the one a separate elimination of F^j gives.
+Every level is read from one kernel elimination of F^N
+(`filtration_tower`).  F^j is the column prefix of F^N's first (j+1)n
+indices, and its differential is F^N's leading block, since a column at
+u-power p has rows at u-powers <= p only.  The RREF of a column prefix is
+the prefix of the RREF.  A kernel vector has a 1 at its free column and
+otherwise entries at smaller pivot columns, so ker F^j is the kernel vectors
+of F^N whose largest index, their free column, lies in the prefix.  Z_j is
+read from those at u-power exactly j; their u^-j blocks are independent,
+each holding a 1 at its free column where the others hold 0.
+
+The primitives of B are the kernel of F^N's rows at positive u-power, and
+that kernel is fixed by the first one, by the block-Toeplitz structure of a
+filtered complex (McCleary, *A User's Guide to Spectral Sequences*, ch. 2).
+Those rows are empty at u-power 0, and their block (q, p) is delta^{p-q},
+which is F^{N-1}'s block (q-1, p-1).  So their RREF has no pivot at u-power
+0 and is F^{N-1}'s RREF moved up one u-power: the kernel is {g: 1} for
+every generator g, then the closed vectors of level < N raised one u-power
+(index + n), in the same order and with the same entries.  A primitive's
+boundary value lies at u-power 0, and the tower keeps the primitives at the
+`pivot_columns` of those values.  The primitives of B_j are a
+prefix of these, and the pivots of a column prefix are the pivots in the
+prefix, so B_j's basis is the prefix of B_N's.  Every vector and witness is
+the one a separate elimination of F^j, and of its rows at positive u-power,
+gives.
 
 Column i of page k+1 is u^-i Z_{min(i,k)}/B_{min(k,N-i)}, so only 28 of the
 49 (page, column) pairs are distinct at N = 6, and a set of pages builds one
 `Subquotient` per distinct pair: `leray_pages` from one tower of F^N,
-`leray_page(c, k)` from F^k.
+`leray_page(c, k)` from F^k.  A `WitnessedCycle` is built only for a Z_j
+vector that a quotient keeps in its basis, once for all the quotients of
+Z_j in a page set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -113,9 +128,15 @@ def _split_filtered_vector(f: FilteredPlusComplex, v: Vector, level: int) -> tup
 class FiltrationTower:
     """Z_j and B_j with witnesses for every level j <= filtered.level.
 
-    Each half runs on first use: Z one kernel elimination of F^level, B one
-    of its rows at positive u-power and `pivot_columns` of the boundary values.
-    A vector's level is the u-power of its free column, max index // n.
+    One kernel elimination of F^level serves both, run on first use.  Z_j
+    is read from the closed vectors of level j.  B's primitives are the
+    kernel of F^level's rows at positive u-power, and that kernel needs no
+    elimination of its own: those rows are empty at u-power 0, and their
+    block (q, p), delta^{p-q}, is F^{level-1}'s block (q-1, p-1).  So the
+    kernel is every generator at u-power 0, then the closed vectors below
+    level raised one u-power.  B keeps the primitives at the
+    `pivot_columns` of their boundary values.  A vector's level is the
+    u-power of its free column, max index // n.
     """
 
     filtered: FilteredPlusComplex
@@ -134,31 +155,38 @@ class FiltrationTower:
         """(level, boundary value in C, primitive) of the chosen primitives."""
         f = self.filtered
         n = f.source.n
-        high = SparseMatrix.from_entries(
-            f.dim, f.dim, ((i, j, v) for i, j, v in f.differential.entries if i >= n))
+        # the kernel of the rows at positive u-power, in kernel_basis' order
+        one = Fraction(1)
+        prims = [(0, {g: one}) for g in range(n)]
+        prims += [(lv + 1, {i + n: x for i, x in v.items()})
+                  for lv, v in self._closed if lv < f.level]
         pairs = []
-        for a in kernel_basis(high):
+        for lv, a in prims:
             image = f.differential.apply(a)
             if any(i >= n for i in image):
                 raise AssertionError("a boundary value does not lie at u-power 0")
             if image:
-                pairs.append((max(a) // n, image, a))
+                pairs.append((lv, image, a))
         return [pairs[i] for i in pivot_columns([p[1] for p in pairs], n)]
 
     def _check(self, j: int) -> None:
         if not 0 <= j <= self.filtered.level:
             raise ValueError(f"level {j} outside the tower [0, {self.filtered.level}]")
 
+    def _witness(self, j: int, v: Vector) -> WitnessedCycle:
+        return WitnessedCycle(j, _split_filtered_vector(self.filtered, v, j))
+
+    def _level_closed(self, j: int) -> list[Vector]:
+        self._check(j)
+        return [v for lv, v in self._closed if lv == j]
+
     def z(self, j: int) -> list[WitnessedCycle]:
         """Basis of Z_j with witnesses: the closed vectors of level j."""
-        self._check(j)
-        return [WitnessedCycle(j, _split_filtered_vector(self.filtered, v, j))
-                for lv, v in self._closed if lv == j]
+        return [self._witness(j, v) for v in self._level_closed(j)]
 
     def z_vectors(self, j: int) -> list[Vector]:
         """The leading terms of `z(j)`."""
-        self._check(j)
-        return [self.filtered.power_component(v, j) for lv, v in self._closed if lv == j]
+        return [self.filtered.power_component(v, j) for v in self._level_closed(j)]
 
     def b(self, j: int) -> list[WitnessedCycle]:
         """Basis of B_j with primitives: the chosen primitives of level <= j."""
@@ -212,11 +240,17 @@ class DeltaKMap(QuotientMapRanks):
     domain_witnesses: tuple[WitnessedCycle, ...]
 
 
-def _quotient_with_witnesses(c: S1Complex, z_wits: list[WitnessedCycle], b_vecs: list[Vector]
-                             ) -> tuple[Subquotient, tuple[WitnessedCycle, ...]]:
-    sq = Subquotient(c.n, [w.leading for w in z_wits], b_vecs)
-    assert all(kind == "z" for kind, _ in sq.basis_sources)
-    return sq, tuple(z_wits[i] for _, i in sq.basis_sources)
+def _quotients_with_witnesses(tower: FiltrationTower, j: int, b_spans: Sequence[list[Vector]]
+                              ) -> list[tuple[Subquotient, tuple[WitnessedCycle, ...]]]:
+    """Z_j/span(b) for each b in b_spans, with one witness for each Z_j
+    vector that a quotient keeps in its basis, shared between the quotients."""
+    z_vecs = tower.z_vectors(j)
+    sqs = [Subquotient(tower.filtered.source.n, z_vecs, b) for b in b_spans]
+    assert all(kind == "z" for sq in sqs for kind, _ in sq.basis_sources)
+    closed = tower._level_closed(j)
+    kept = {i for sq in sqs for _, i in sq.basis_sources}
+    wits = {i: tower._witness(j, closed[i]) for i in kept}
+    return [(sq, tuple(wits[i] for _, i in sq.basis_sources)) for sq in sqs]
 
 
 def delta_k(c: S1Complex, k: int) -> DeltaKMap:
@@ -227,7 +261,7 @@ def delta_k(c: S1Complex, k: int) -> DeltaKMap:
         raise TruncationError(f"Delta^{k} needs truncation >= {2 * k} "
                               f"(have {c.truncation})")
     t = filtration_tower(c, k - 1)
-    dom_sq, dom_wits = _quotient_with_witnesses(c, t.z(k - 1), t.b_vectors(0))
+    [(dom_sq, dom_wits)] = _quotients_with_witnesses(t, k - 1, [t.b_vectors(0)])
     cod_sq = Subquotient(c.n, t.z_vectors(0), t.b_vectors(k - 1))
     mat = cod_sq.coordinate_matrix([delta_value(c, w) for w in dom_wits])
     return DeltaKMap(k, dom_sq, cod_sq, mat, dom_wits)
@@ -298,9 +332,11 @@ def _pages(c: S1Complex, tower: FiltrationTower, indices: Sequence[int]) -> list
     2(k+1) <= truncation; one `Subquotient` per distinct column pair."""
     n_tr = c.truncation
     pairs = {(min(i, k), min(k, n_tr - i)) for k in indices for i in range(n_tr + 1)}
-    z_wits = {j: tower.z(j) for j in {zi for zi, _ in pairs}}
-    quotients = {(zi, bi): _quotient_with_witnesses(c, z_wits[zi], tower.b_vectors(bi))
-                 for zi, bi in pairs}
+    quotients = {}
+    for zi in {zi for zi, _ in pairs}:
+        bis = sorted(bi for z, bi in pairs if z == zi)
+        built = _quotients_with_witnesses(tower, zi, [tower.b_vectors(bi) for bi in bis])
+        quotients.update(((zi, bi), q) for bi, q in zip(bis, built))
     out = []
     for k in indices:
         columns = [PageColumn(i, *quotients[min(i, k), min(k, n_tr - i)])
@@ -343,5 +379,5 @@ def reduced_page_map(c: S1Complex, k: int) -> tuple[Subquotient, SparseMatrix]:
     if 2 * k > c.truncation:
         raise TruncationError(f"page map {k} needs truncation >= {2 * k}")
     t = filtration_tower(c, k - 1)
-    sq, wits = _quotient_with_witnesses(c, t.z(k - 1), t.b_vectors(k - 1))
+    [(sq, wits)] = _quotients_with_witnesses(t, k - 1, [t.b_vectors(k - 1)])
     return sq, sq.coordinate_matrix([delta_value(c, w) for w in wits])

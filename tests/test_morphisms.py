@@ -1,11 +1,13 @@
 import random
 
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s1cochain import morphisms
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import lift_family, make_complex, truncate, verify_s1_relations
 from s1cochain.linalg import SparseMatrix, Subquotient, vsub
@@ -354,3 +356,21 @@ def test_lift_family_never_raises_the_u_power():
     assert _raises_no_u_power(ops, 2)
     assert lift.col(2 * 2 + 0) == {2 * 3 + 0: F(1), 0 * 3 + 2: F(3)}
     assert lift.col(1 * 2 + 1) == {0 * 3 + 1: F(2)}
+
+
+def test_an_endomorphism_computes_its_complex_once():
+    c = milnor_model(2, 2).complex
+    d = milnor_model(2, 3).complex
+    assert c != d and c.truncation == d.truncation
+    with mock.patch.object(morphisms, "cohomology", wraps=morphisms.cohomology) as coh, \
+            mock.patch.object(morphisms, "filtration_tower",
+                              wraps=morphisms.filtration_tower) as towers:
+        induced_cohomology_map(identity_morphism(c), 2)
+        verify_functoriality(identity_morphism(c))
+        assert (coh.call_count, towers.call_count) == (1, 1)
+        coh.reset_mock()
+        towers.reset_mock()
+        # two complexes, each computed once
+        induced_cohomology_map(zero_morphism(c, d), 2)
+        verify_functoriality(zero_morphism(c, d))
+        assert (coh.call_count, towers.call_count) == (2, 2)

@@ -2,11 +2,14 @@
 
 `_reference_z_space` and `_reference_b_space` are the per-level
 constructions that `filtration_tower` replaced, kept here verbatim as an
-oracle: each builds F^k and eliminates it on its own.  The tower reads every
-level from one elimination of F^level, and must give the same bases and the
-same witnesses, compared by `repr` so that even the order of the dict
-entries is checked.  `_reference_leray_page` builds one `Subquotient` per
-column of one page, and `leray_pages` must give the same pages.
+oracle: each builds F^k and eliminates it on its own, and the B space also
+eliminates F^k's rows at positive u-power.  The tower reads every level from
+one elimination of F^level, B's primitives included, and must give the same
+bases and the same witnesses, compared by `repr` so that even the order of
+the dict entries is checked.  `_reference_leray_page` builds one
+`Subquotient` per column of one page, with every Z witness of the column's
+level, and `leray_pages`, which builds only the quotient's witnesses, must
+give the same pages.
 `order_of_dilation` and `order_of_semidilation` must equal a scan of
 `has_k_dilation` and `has_k_semidilation` for every `max_k`, and the level
 test must fail below the order and hold at every level from the order up.
@@ -38,13 +41,13 @@ from s1cochain.dilation import (
     order_of_semidilation,
 )
 from s1cochain.io_json import dumps
-from s1cochain.linalg import SparseMatrix, kernel_basis, rref, vis_zero
+from s1cochain.linalg import SparseMatrix, Subquotient, kernel_basis, rref, vis_zero
 from s1cochain.randomized import random_split_complex
 from s1cochain.spectral import (
     LerayPage,
     PageColumn,
     WitnessedCycle,
-    _quotient_with_witnesses,
+    delta_k,
     delta_value,
     e_infinity,
     filtration_tower,
@@ -130,7 +133,9 @@ def _reference_leray_page(c, k, with_differential=None):
     for i in range(n_tr + 1):
         zi = min(i, k)
         bi = min(k, n_tr - i)
-        sq, wits = _quotient_with_witnesses(c, z_wits[zi], b_vecs[bi])
+        # every Z witness built, then the quotient's picked out
+        sq = Subquotient(c.n, [w.leading for w in z_wits[zi]], b_vecs[bi])
+        wits = [z_wits[zi][j] for _, j in sq.basis_sources]
         columns.append(PageColumn(i, sq, tuple(wits)))
     diffs = {}
     if with_differential:
@@ -253,6 +258,31 @@ def test_one_tower_per_page_set_and_two_solves_per_order(monkeypatch):
     assert len(solves) == 1 and not levels
 
 
+def test_a_tower_runs_one_kernel_elimination(monkeypatch):
+    c = milnor_model(3, 3).complex
+    kernels = _counting(monkeypatch, spectral, "kernel_basis")
+    for level in range(c.truncation + 1):
+        tower = filtration_tower(c, level)
+        for j in range(level + 1):
+            tower.z(j)
+            tower.b(j)
+        assert len(kernels) == 1
+        kernels.clear()
+
+
+def test_pages_and_delta_build_witnesses_only_for_quotient_bases(monkeypatch):
+    # one witness per Z_j vector that some quotient of Z_j keeps, shared
+    # between those quotients
+    c = milnor_model(3, 3).complex
+    wits = _counting(monkeypatch, spectral, "WitnessedCycle")
+    for pages in (lambda: [leray_page(c, 2)], lambda: leray_pages(c)):
+        kept = {id(w) for page in pages() for col in page.columns for w in col.witnesses}
+        assert len(wits) == len(kept)
+        wits.clear()
+    dk = delta_k(c, 3)
+    assert len(wits) == len(dk.domain_witnesses) < dk.domain.rank_z
+
+
 # ---------------------------------------------------------------------------
 # the tower's own checks, over entries with a common denominator D > 1
 
@@ -270,10 +300,13 @@ def test_tower_rejects_a_kernel_vector_that_is_not_closed(monkeypatch):
 
 
 def test_tower_rejects_a_boundary_value_beyond_u_power_0(monkeypatch):
-    # (x, 1) maps to (2/3)(y, 1) times 1/2: u-power 1, not 0
-    monkeypatch.setattr(spectral, "kernel_basis", lambda m: [{2: F(1, 2)}])
+    # B's primitives raise the closed vectors of level 0 to u-power 1; a
+    # "closed" (x, 0) times 1/2 is not closed, and raised to (x, 1) it maps
+    # to (2/3)(y, 1) times 1/2: u-power 1, not 0
+    tower = filtration_tower(_rational_pair(), 1)
+    monkeypatch.setitem(tower.__dict__, "_closed", [(0, {0: F(1, 2)})])
     with pytest.raises(AssertionError, match="boundary value does not lie at u-power 0"):
-        filtration_tower(_rational_pair(), 1).b(1)
+        tower.b(1)
 
 
 def test_tower_checks_survive_python_O():
