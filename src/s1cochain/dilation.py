@@ -221,8 +221,11 @@ def has_k_dilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     return (prim is not None), prim
 
 
-def _zero_part_h0(s: SplitS1Complex, k: int
-                  ) -> tuple[Subquotient, list[tuple[int, Vector]]] | None:
+# H^0(C_0), and the rest of a basis of H^0(F^k C_0) as (u-power, chain) pairs
+_ZeroPartH0 = tuple[Subquotient, list[tuple[int, Vector]]]
+
+
+def _zero_part_h0(s: SplitS1Complex, k: int) -> _ZeroPartH0 | None:
     """H^0(F^k C_0) read as (+)_p u^-p H^{2p}(C_0), from one `cohomology` of C_0.
 
     Returns H^0(C_0) with [e] heading its basis, and the rest of the basis
@@ -255,7 +258,7 @@ def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
     return h0[0].coordinates(vrestrict(v, s.zero_indices))[0]
 
 
-def _solve_semidilation(s: SplitS1Complex, k: int, by_power: bool
+def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0 | None, by_power: bool
                         ) -> tuple[Vector | None, list[int]]:
     """Solve the level-k system in [A | w | c]: A of total degree -1 in
     F^k(C_+), w of degree -1 in F^k(C_0) absorbing exact ambiguity, c along
@@ -267,15 +270,16 @@ def _solve_semidilation(s: SplitS1Complex, k: int, by_power: bool
     at its F^k(C_0) index, and the rows are F^k(C_+)'s, then F^k(C_0)'s;
     the other degrees' columns stay empty and are never pivots.  The c
     columns come last, H(C_0) tiled: the degree-2p basis of H(C_0) at
-    u^-p, from `_zero_part_h0`."""
-    _check_level(s, k)
-    h0 = _zero_part_h0(s, k)
+    u^-p, read from `h0`, the result of `_zero_part_h0` at level k or
+    above.  The per-degree bases do not depend on the level, so the level-k
+    list is the part of a higher level's with u-power <= k."""
     if h0 is None:
         return None, []
+    rest = [(p, z) for p, z in h0[1] if p <= k]
     cp, cz = s.plus_part, s.zero_part
     na, nw = (k + 1) * cp.n, (k + 1) * cz.n
     powers = ([j // cp.n for j in range(na)] + [j // cz.n for j in range(nw)]
-              + [p for p, _ in h0[1]])
+              + [p for p, _ in rest])
     order = sorted(range(len(powers)), key=powers.__getitem__) if by_power else range(len(powers))
     col = {j: t for t, j in enumerate(order)}
 
@@ -284,20 +288,27 @@ def _solve_semidilation(s: SplitS1Complex, k: int, by_power: bool
             for i, j, v in lift_degree(s.connecting, k, cp.degrees, -1).entries]
     ent += [(na + i, col[na + j], -v)
             for i, j, v in lift_degree(cz.deltas, k, cz.degrees, -1).entries]
-    ent += [(na + i, col[na + nw + jj], -v) for jj, (_, z) in enumerate(h0[1])
+    ent += [(na + i, col[na + nw + jj], -v) for jj, (_, z) in enumerate(rest)
             for i, v in z.items()]
     system = SparseMatrix.from_entries(na + nw, len(col), ent)
     rhs = {na + i: x for i, x in s.unit_zero.items()}
     return solve(system, rhs), [powers[j] for j in order]
 
 
+def _semidilation_witness(s: SplitS1Complex, k: int, h0: _ZeroPartH0 | None) -> Vector | None:
+    """`has_k_semidilation`'s A, or None; `h0` as in `_solve_semidilation`."""
+    sol, _ = _solve_semidilation(s, k, h0, by_power=False)
+    if sol is None:
+        return None
+    return {j: x for j, x in sol.items() if j < (k + 1) * s.plus_part.n}
+
+
 def has_k_semidilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     """Can a closed A of F^k(C_+) connect to a class projecting to [e]?
     Returns A in ambient F^k(C_+) coordinates of the plus part."""
-    sol, _ = _solve_semidilation(s, k, by_power=False)
-    if sol is None:
-        return False, None
-    return True, {j: x for j, x in sol.items() if j < (k + 1) * s.plus_part.n}
+    _check_level(s, k)
+    prim = _semidilation_witness(s, k, _zero_part_h0(s, k))
+    return (prim is not None), prim
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +376,17 @@ def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> Dilati
     prefix of the RREF, so the free-variables-zero solution solves level k
     exactly when it is supported there.  The order is its largest u-power,
     every higher level has a semi-dilation, and the witness is
-    `has_k_semidilation`'s.
+    `has_k_semidilation`'s, solved over the same H(C_0), read once.
     """
-    sol, powers = _solve_semidilation(s, _scan_level(s, max_k), by_power=True)
+    level = _scan_level(s, max_k)
+    _check_level(s, level)
+    h0 = _zero_part_h0(s, level)
+    sol, powers = _solve_semidilation(s, level, h0, by_power=True)
     if sol is None:
         return DilationReport("semidilation", s.truncation, None, None)
     order = powers[max(sol)]
-    return DilationReport("semidilation", s.truncation, order, has_k_semidilation(s, order)[1])
+    return DilationReport("semidilation", s.truncation, order,
+                          _semidilation_witness(s, order, h0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,17 @@ any result: pivot columns, reduced rows, kernel and image bases, `solve`
 witnesses and subquotient coordinates are a deterministic function of the
 input.
 
-Inside an elimination the rows are primitive integer vectors, and `Fraction`
-appears only at the boundary.  A row that enters is scaled by the lcm of its
-denominators and its content is divided out.  Clearing column c of a row
-with entry f by a pivot row with pivot value a replaces the row by
-(a/g) row - (f/g) pivot row, g = gcd(a, f), and divides its content out
-again; each pivot row keeps its integer pivot value beside it.  On output
-each RREF nonzero becomes one `Fraction(v, pivot value)`, so no `Fraction`
-arithmetic runs in a row update, and callers see the same exact rationals.
+Inside an elimination the rows are integer vectors, and `Fraction` appears
+only at the boundary.  A row enters scaled by the lcm of its own
+denominators, built in one pass over the input with no `Fraction` row in
+between; its content is not divided out.  Each row lies on the line of its
+rational row, and the RREF, the pivots and every answer read from them are
+invariant under scaling a row.  Clearing column c of a row with entry f by
+a pivot row with pivot value a replaces the row by (a/g) row - (f/g) pivot
+row, g = gcd(a, f), and divides its content out; each pivot row keeps its
+integer pivot value beside it.  On output each RREF nonzero becomes one
+`Fraction(v, pivot value)`, so no `Fraction` arithmetic runs in a row
+update, and callers see the same exact rationals.
 
 The elimination has one kernel, the forward pass `_echelon`, which every
 elimination enters.  It is column-indexed: it keeps, for every column that
@@ -346,26 +349,6 @@ class SparseMatrix:
 # elimination
 
 
-def _primitive(row: Mapping[int, Fraction]) -> dict[int, int]:
-    """The primitive integer row on the line of a rational row: scaled by the
-    lcm of its denominators, with its content divided out and its zeros
-    dropped."""
-    if len(row) == 1:
-        # a one-entry row is its sign; 47-93% of the rows that enter an
-        # elimination on the benchmark workloads hold one entry
-        (k, x), = row.items()
-        p = x.numerator
-        return {k: 1 if p > 0 else -1} if p else {}
-    ratios = [x.as_integer_ratio() for x in row.values()]
-    d = lcm(*[q for _, q in ratios])
-    out = {k: p * (d // q) for k, (p, q) in zip(row, ratios) if p}
-    g = gcd(*out.values())
-    if g > 1:
-        for k in out:
-            out[k] //= g
-    return out
-
-
 def _echelon(rows: list[dict[int, int]], cols: int) -> tuple[list[int], list[int], list[int]]:
     """The forward pass: reduce the integer rows to echelon form over the
     columns < cols, in place.
@@ -374,7 +357,8 @@ def _echelon(rows: list[dict[int, int]], cols: int) -> tuple[list[int], list[int
     each pivot row and its positive integer pivot value, which is left out
     of the row's dict.  A row below a pivot becomes (a/g) row - (f/g) pivot
     row, where a is the pivot value, f the row's entry and g = gcd(a, f),
-    and its content is divided out again, so every row stays primitive.
+    and its content is divided out, so every row an update touches is
+    primitive; a row no update touches keeps the scale it entered with.
     """
     # column -> rows holding it that are not pivot rows yet; O(nnz) to build.
     # A fill-in column is always a column of the pivot row that causes it,
@@ -435,7 +419,7 @@ def _echelon(rows: list[dict[int, int]], cols: int) -> tuple[list[int], list[int
 
 
 def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[Vector], list[int]]:
-    """The RREF over the columns < cols of the primitive integer rows.
+    """The RREF over the columns < cols of the integer rows.
 
     Returns the rows as `Fraction` dicts, pivot rows in pivot order (1 at the
     pivot) followed by the other rows, which hold columns >= cols only, up
@@ -490,18 +474,31 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[Vector], lis
 
 
 def _matrix_rows(m: SparseMatrix, rhs: Vector | None = None) -> list[dict[int, int]]:
-    """The rows of m that hold an entry, as primitive integer rows; with
-    `rhs`, the rows of [m | rhs]."""
-    rows: dict[int, dict[int, Fraction]] = {}
+    """The rows of m that hold an entry, as integer rows, each scaled by the
+    lcm of its own denominators; with `rhs`, the rows of [m | rhs].
+
+    One pass over the entries, which come row by row: d is the lcm of the
+    current row's denominators so far, and a new one rescales the row's
+    integers onto the new lcm, as in `SparseMatrix.apply`.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    dens: dict[int, int] = {}
     last = -1
-    for r, c, v in m.entries:
+    for r, c, x in m.entries:
+        p, q = x.as_integer_ratio()
         if r != last:
-            rows[r] = row = {}
+            rows[r] = row = {c: p}
+            dens[r] = d = q
             last = r
-        row[c] = v
-    for i, x in (rhs or {}).items():
-        rows.setdefault(i, {})[m.cols] = x
-    return [_primitive(row) for row in rows.values()]
+            continue
+        if d % q:
+            s = q // gcd(d, q)
+            d *= s
+            dens[r] = d
+            for k in row:
+                row[k] *= s
+        row[c] = p * (d // q)
+    return _join_columns(rows, dens, [rhs] if rhs else [], m.cols, m.rows)
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
@@ -517,19 +514,43 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
     return SparseMatrix(m.rows, m.cols, ent), tuple(pivots)
 
 
-def _column_rows(vectors: Sequence[Vector], dim: int) -> list[dict[int, int]]:
-    """The nonempty rows of the dim-row matrix whose columns are `vectors`,
-    as primitive integer rows."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for c, v in enumerate(vectors):
+def _join_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
+                  vectors: Sequence[Vector], first: int, dim: int) -> list[dict[int, int]]:
+    """Join `vectors` to the integer rows `rows` as the columns first,
+    first + 1, ... of a dim-row matrix, and return the nonempty rows.
+
+    `dens` holds each row's lcm of denominators so far; an entry p/q of a
+    row with lcm d is stored as p (d / q), and a new denominator rescales
+    the row's integers onto the new lcm.  An index is range-checked when
+    its row is made; a stored zero makes no entry.
+    """
+    for c, v in enumerate(vectors, first):
         for r, x in v.items():
-            if not 0 <= r < dim:
-                raise DimensionError("vector index out of ambient range")
+            p, q = x.as_integer_ratio()
             row = rows.get(r)
             if row is None:
-                rows[r] = row = {}
-            row[c] = x
-    return [_primitive(row) for row in rows.values()]
+                if not 0 <= r < dim:
+                    raise DimensionError("vector index out of ambient range")
+                if p:
+                    rows[r] = {c: p}
+                    dens[r] = q
+            elif p:
+                d = dens[r]
+                if d % q:
+                    s = q // gcd(d, q)
+                    d *= s
+                    dens[r] = d
+                    for k in row:
+                        row[k] *= s
+                row[c] = p * (d // q)
+    return list(rows.values())
+
+
+def _column_rows(vectors: Sequence[Vector], dim: int) -> list[dict[int, int]]:
+    """The nonempty rows of the dim-row matrix whose columns are `vectors`,
+    as integer rows, each scaled by the lcm of its own denominators, built
+    in one pass over the vectors."""
+    return _join_columns({}, {}, vectors, 0, dim)
 
 
 def pivot_columns(vectors: Sequence[Vector], dim: int) -> list[int]:

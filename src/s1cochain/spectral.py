@@ -154,19 +154,21 @@ class FiltrationTower:
     def _exact(self) -> list[tuple[int, Vector, Vector]]:
         """(level, boundary value in C, primitive) of the chosen primitives."""
         f = self.filtered
+        d = f.differential
         n = f.source.n
-        # the kernel of the rows at positive u-power, in kernel_basis' order
+        # the kernel of the rows at positive u-power, in kernel_basis' order;
+        # a generator's value is its column of d, which has rows at u-power 0
+        # only, as a column at u-power p has rows at u-powers <= p
         one = Fraction(1)
-        prims = [(0, {g: one}) for g in range(n)]
-        prims += [(lv + 1, {i + n: x for i, x in v.items()})
-                  for lv, v in self._closed if lv < f.level]
-        pairs = []
-        for lv, a in prims:
-            image = f.differential.apply(a)
-            if any(i >= n for i in image):
-                raise AssertionError("a boundary value does not lie at u-power 0")
-            if image:
-                pairs.append((lv, image, a))
+        pairs = [(0, d.col(g), {g: one}) for g in range(n)]
+        for lv, v in self._closed:
+            if lv < f.level:
+                a = {i + n: x for i, x in v.items()}
+                image = d.apply(a)
+                if any(i >= n for i in image):
+                    raise AssertionError("a boundary value does not lie at u-power 0")
+                pairs.append((lv + 1, image, a))
+        pairs = [p for p in pairs if p[1]]
         return [pairs[i] for i in pivot_columns([p[1] for p in pairs], n)]
 
     def _check(self, j: int) -> None:

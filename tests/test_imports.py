@@ -1,6 +1,7 @@
 """Every name a package module imports is referenced in that module, every
-private helper the package defines is referenced somewhere in it, and the
-CLI turns the library's refusals into exit 2 in one place only."""
+private helper the package defines is referenced somewhere in it, the
+CLI turns the library's refusals into exit 2 in one place only, and every
+elimination takes its rows from one of the two integer row builders."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,80 @@ def test_a_second_refusal_path_is_caught():
               "    except OSError: raise SystemExit(2)\n"
               "    except ValueError: raise click.BadParameter('x')\n")
     assert _refusals_outside_refused(source) == ["tuple_handler", "via_sys_exit"]
+
+
+# The elimination kernel and the builders of the integer rows it takes.
+_KERNEL = {"_echelon", "_rref_rows"}
+_ROW_BUILDERS = {"_column_rows", "_matrix_rows"}
+
+
+def _called(node: ast.AST) -> str:
+    """The name a call calls, plain or as an attribute; "" otherwise."""
+    if not isinstance(node, ast.Call):
+        return ""
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+
+
+def _rows_off_the_builders(source: str) -> list[str]:
+    """"function:line" of each kernel call whose rows are neither a builder's
+    call, nor a name the enclosing function binds only to builder calls,
+    nor, inside a kernel function, that function's own parameter."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        built, other = set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                simple = (isinstance(node, ast.Assign) and len(targets) == 1
+                          and isinstance(targets[0], ast.Name))
+                (built if simple and _called(node.value) in _ROW_BUILDERS else other).update(names)
+            elif isinstance(node, (ast.For, ast.comprehension, ast.With)):
+                other.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                             and isinstance(n.ctx, ast.Store))
+        params = {a.arg for a in fn.args.args} if fn.name in _KERNEL else set()
+        for call in ast.walk(fn):
+            if _called(call) not in _KERNEL:
+                continue
+            rows = call.args[0] if call.args else next(
+                (k.value for k in call.keywords if k.arg == "rows"), None)
+            if not (_called(rows) in _ROW_BUILDERS
+                    or isinstance(rows, ast.Name) and (rows.id in built - other
+                                                       or rows.id in params)):
+                out.append(f"{fn.name}:{call.lineno}")
+    return out
+
+
+def test_every_elimination_takes_builder_rows():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert [bad for src in sources for bad in _rows_off_the_builders(src)] == []
+    # the check has calls to look at: every entry of linalg makes one
+    calls = [n for src in sources for n in ast.walk(ast.parse(src)) if _called(n) in _KERNEL]
+    assert len(calls) >= 8
+
+
+def test_rows_from_elsewhere_are_caught():
+    source = ("def _rref_rows(rows, cols):\n"
+              "    return _echelon(rows, cols)\n"
+              "def direct(m):\n"
+              "    return _echelon(_matrix_rows(m), m.cols)\n"
+              "def bound(m, b):\n"
+              "    rows = _matrix_rows(m, b)\n"
+              "    return _rref_rows(rows, m.cols + 1)\n"
+              "def copied(m):\n"
+              "    return _echelon([dict(r) for r in _matrix_rows(m)], m.cols)\n"
+              "def rebound(vs, n):\n"
+              "    rows = _column_rows(vs, n)\n"
+              "    rows = [r for r in rows if r]\n"
+              "    return linalg._rref_rows(rows, len(vs))\n"
+              "def passed_on(rows, n):\n"
+              "    return _echelon(rows, n)\n"
+              "def keyword(m):\n"
+              "    return _echelon(rows=_matrix_rows(m), cols=m.cols)\n"
+              "def keyword_copied(m):\n"
+              "    return _echelon(cols=m.cols, rows=list(_matrix_rows(m)))\n")
+    assert _rows_off_the_builders(source) == [
+        "copied:9", "rebound:13", "passed_on:15", "keyword_copied:19"]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -299,6 +300,14 @@ def _oracle_rref_rows(rows, cols):
     return rows, pivots
 
 
+def _primitive(row):
+    """The primitive integer row on the line of a rational row."""
+    d = lcm(*(x.denominator for x in row.values()))
+    out = {k: int(x * d) for k, x in row.items() if x}
+    g = gcd(*out.values())
+    return {k: v // g for k, v in out.items()}
+
+
 def _oracle_echelon(rows, cols):
     """The oracle in the forward kernel's place: Gauss-Jordan over Fraction
     copies of the integer rows, written back as the kernel leaves them,
@@ -307,7 +316,7 @@ def _oracle_echelon(rows, cols):
     to clear."""
     reduced, pivots = _oracle_rref_rows([{k: F(v) for k, v in row.items()} for row in rows],
                                         cols)
-    rows[:] = [linalg._primitive(row) for row in reduced]
+    rows[:] = [_primitive(row) for row in reduced]
     pvals = [rows[r].pop(c) for r, c in enumerate(pivots)]
     return pivots, list(range(len(pivots))), pvals
 
@@ -326,6 +335,13 @@ def _oracle_solve(m, b):
     if pivots and pivots[-1] == m.cols:
         return None
     return {p: rows[r][m.cols] for r, p in enumerate(pivots) if rows[r].get(m.cols)}
+
+
+def _oracle_coordinates(s, u):
+    """The quotient coordinates of u in s from the oracle's solve of the
+    solver matrix, or None when u is not in Z."""
+    sol = _oracle_solve(SparseMatrix.from_columns(s._solver, s.ambient_dim), u)
+    return None if sol is None else tuple(sol.get(s._nb_basis + j, F(0)) for j in range(s.dim))
 
 
 def _oracle_kernel_basis(m):
@@ -406,9 +422,10 @@ def test_kernel_matches_gauss_jordan_oracle(system):
 
     # The row-order contract solve and kernel_basis read: the r-th row is
     # the r-th pivot row, holding 1 at its pivot and no other pivot column;
-    # the remaining rows are empty.
-    rows, piv = linalg._rref_rows([linalg._primitive(r) for r in m.row_dicts()], m.cols)
-    assert len(rows) == m.rows and tuple(piv) == pivots
+    # the remaining rows are empty.  Only the rows of m that hold an entry
+    # enter.
+    rows, piv = linalg._rref_rows(linalg._matrix_rows(m), m.cols)
+    assert len(rows) == len({r for r, _, _ in m.entries}) and tuple(piv) == pivots
     for r, p in enumerate(piv):
         assert rows[r][p] == 1
         assert not set(rows[r]) & (set(piv) - {p})
@@ -441,9 +458,7 @@ def test_subquotient_membership_matches_oracle(system, data):
     s = Subquotient(m.rows, z, b)
     expected = []
     for u in vs:
-        sol = _oracle_solve(SparseMatrix.from_columns(s._solver, s.ambient_dim), u)
-        coords = None if sol is None else tuple(
-            sol.get(s._nb_basis + j, F(0)) for j in range(s.dim))
+        coords = _oracle_coordinates(s, u)
         expected.append(coords)
         if coords is None:
             with pytest.raises(ValueError, match="vector is not in Z"):
@@ -553,6 +568,95 @@ def test_every_scalar_leaving_linalg_is_a_fraction(system, data):
     s = Subquotient(m.rows, m.columns(), image[:1])
     images = [m.apply(v) for v in data.draw(st.lists(_vectors(m.cols), max_size=3))]
     assert _fractions(v for _, _, v in s.coordinate_matrix(images).entries)
+
+
+# ---------------------------------------------------------------------------
+# integer rows, built in one pass
+
+
+def _scaled(rows):
+    """Each rational row times the lcm of its own denominators."""
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row.values()))
+        out.append([(k, int(x * d)) for k, x in row.items()])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_system(), _row_denominators()))
+def test_each_integer_row_is_its_rational_row_times_its_lcm(system):
+    m, b = system
+    by_row: dict[int, dict[int, F]] = {}
+    for r, c, v in m.entries:
+        by_row.setdefault(r, {})[c] = v
+    expected = _scaled(by_row.values())
+    for i, x in b.items():
+        by_row.setdefault(i, {})[m.cols] = x
+    expected_rhs = _scaled(by_row.values())
+    # as columns, b last: its entries join rows built from the other columns
+    by_col: dict[int, dict[int, F]] = {}
+    for c, v in enumerate([*m.columns(), b]):
+        for r, x in v.items():
+            by_col.setdefault(r, {})[c] = x
+    got = [linalg._matrix_rows(m), linalg._matrix_rows(m, b),
+           linalg._column_rows([*m.columns(), b], m.rows)]
+    assert [[list(row.items()) for row in rows] for rows in got] == [
+        expected, expected_rhs, _scaled(by_col.values())]
+    assert all(type(v) is int for rows in got for row in rows for v in row.values())
+
+
+# Integer rows beside fractional ones (lcm 6 and 36), and a right-hand side
+# whose denominators 5, 70, 20, 7 and 11 divide no row's lcm.
+_MIXED = dense([[1, 2, 0, 0], [F(1, 2), F(1, 3), 1, 0], [0, 3, 5, F(3, 4)],
+                [2, 0, 0, 1], [F(1, 6), 0, F(1, 9), F(1, 4)]])
+_INSIDE = _MIXED.apply({0: F(1, 5), 2: F(2, 7), 3: F(1, 35)})
+_OUTSIDE = vadd(_INSIDE, {4: F(1, 11)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.just((_MIXED, _INSIDE)), st.just((_MIXED, _OUTSIDE)), _row_denominators()),
+       st.integers(1, 2 ** 70))
+def test_solve_and_coordinates_over_mixed_denominators_match_oracle(system, den):
+    m, b = system
+    b = {i: x / den for i, x in b.items()}
+    x = solve(m, b)
+    assert _exact([x]) == _exact([_oracle_solve(m, b)])
+    if x is not None:
+        assert m.apply(x) == b
+    s = Subquotient(m.rows, m.columns(), m.columns()[:1])
+    images = [m.apply({j: F(1, j + 2)}) for j in range(m.cols)]
+    coords = [_oracle_coordinates(s, u) for u in [*images, b]]
+    mat = s.coordinate_matrix(images)
+    assert [tuple(mat.to_dense()[i][j] for i in range(s.dim)) for j in range(mat.cols)] \
+        == coords[:-1]
+    if coords[-1] is None:
+        with pytest.raises(ValueError, match="vector is not in Z"):
+            s.coordinates(b)
+    else:
+        assert s.coordinates(b) == coords[-1]
+
+
+def test_mixed_denominator_cases_are_both_answers():
+    assert solve(_MIXED, _INSIDE) is not None
+    assert solve(_MIXED, _OUTSIDE) is None
+
+
+@pytest.mark.parametrize("late", [{3: F(1)}, {0: F(1, 3), 3: F(1, 2)}, {-1: F(1)}],
+                         ids=["past-the-end", "beside-a-known-row", "negative"])
+def test_an_index_out_of_range_in_a_later_vector_is_refused(late):
+    # the earlier vectors make rows 0..2 of the 3 ambient rows
+    with pytest.raises(DimensionError):
+        pivot_columns([{0: F(1)}, {1: F(1, 2), 2: F(2)}, late], 3)
+    with pytest.raises(DimensionError):
+        _SQ.coordinate_matrix([_Z[1], late])
+
+
+def test_a_stored_zero_enters_no_row():
+    assert pivot_columns([{0: F(0)}, {0: F(1), 1: F(0)}], 2) == [1]
+    assert linalg._column_rows([{0: F(0)}, {1: F(0)}], 2) == []
+    assert solve(dense([[2]]), {0: F(0)}) == {}
+    assert linalg._matrix_rows(dense([[2], [0]]), {0: F(0), 1: F(0)}) == [{0: 2}]
 
 
 # ---------------------------------------------------------------------------

@@ -248,14 +248,15 @@ def test_one_tower_per_page_set_and_two_solves_per_order(monkeypatch):
     assert res.exit_code == 0
     assert [level for _, level in towers] == [c.truncation]
 
+    # the scan's solve and the witness's read H(C_0) once, at the scan level
     solves = _counting(monkeypatch, dilation, "solve")
-    levels = _counting(monkeypatch, dilation, "has_k_semidilation")
+    h0s = _counting(monkeypatch, dilation, "_zero_part_h0")
     assert order_of_semidilation(s).order == 2
-    assert len(solves) == 2 and [k for _, k in levels] == [2]
+    assert len(solves) == 2 and [k for _, k in h0s] == [c.truncation]
     solves.clear()
-    levels.clear()
+    h0s.clear()
     assert order_of_semidilation(s, max_k=1).order is None
-    assert len(solves) == 1 and not levels
+    assert len(solves) == 1 and [k for _, k in h0s] == [1]
 
 
 def test_a_tower_runs_one_kernel_elimination(monkeypatch):
