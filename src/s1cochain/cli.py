@@ -197,7 +197,6 @@ def zb(file: str, k: int) -> None:
     c = s.complex
     with _refused("--k: "):
         tower = filtration_tower(c, k)
-    f = tower.filtered
     zs = tower.z(k)
     bs = tower.b(k)
     _emit({
@@ -206,11 +205,11 @@ def zb(file: str, k: int) -> None:
         "b_dim": len(bs),
         "z_generators": [{
             "leading": chain_terms(c, w.leading),
-            "witness": filtered_chain_terms(c, w.filtered_vector(f)),
+            "witness": filtered_chain_terms(c, w.chain),
         } for w in zs],
         "b_generators": [{
             "value": chain_terms(c, w.boundary_value or {}),
-            "primitive": filtered_chain_terms(c, w.filtered_vector(f)),
+            "primitive": filtered_chain_terms(c, w.chain),
         } for w in bs],
     })
 

@@ -347,13 +347,14 @@ def induced_map(src: dict[int, Subquotient], dst: dict[int, Subquotient],
                 d_src: int, d_dst: int, push: Callable[[Vector], Vector]) -> SparseMatrix:
     """Matrix of H^{d_src}(src) -> H^{d_dst}(dst) induced by the chain map
     `push`, in the deterministic bases; a degree missing from dst has no
-    cohomology, so every image there must be zero."""
+    cohomology, so every image there must be zero.  ValueError when an image
+    is not a cycle of dst, as when `push` is not a chain map."""
     grp = src.get(d_src)
     images = [push(rep) for rep in grp.basis] if grp else []
     tgt = dst.get(d_dst)
     if tgt is None:
         if any(images):
-            raise AssertionError("class image in missing degree")
+            raise ValueError("vector is not in Z: its degree has no cohomology")
         return SparseMatrix.zero(0, len(images))
     return tgt.coordinate_matrix(images)
 

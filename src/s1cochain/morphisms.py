@@ -23,7 +23,10 @@ A homotopy is checked through its deformation: phi - (h delta + partial h)
 must equal psi.  Both checks return the `S1ValidationReport` of a complex,
 which names the entries of each failed relation and degree shift, and words
 its lines for phi^r (shift -2r) and h^r (shift -1-2r).  Phi^k
-and Delta^k evaluate a witness the same way, `WitnessedCycle.value`.
+and Delta^k evaluate a witness the same way, `WitnessedCycle.value`, and
+take their domains and witnesses from `FiltrationTower.quotients`.  The
+functoriality square moves a witness's chain by the lifted morphism, which
+gives the target's witness as a chain of F^{k-1} directly.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ from .spectral import (
     FiltrationTower,
     QuotientMapRanks,
     WitnessedCycle,
-    _quotients_with_witnesses,
-    _split_filtered_vector,
     delta_value,
     filtration_tower,
 )
@@ -207,7 +208,7 @@ def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
             val = phi_value(phi, w)
             if not vis_zero(val):
                 cum.append(val)
-    [(dom, dom_wits)] = _quotients_with_witnesses(t, k, [t.b_vectors(0)])
+    [(dom, dom_wits)] = t.quotients(k, [t.b_vectors(0)])
     cod = Subquotient(dst.n, cycles, cum)
     mat = cod.coordinate_matrix([phi_value(phi, w) for w in dom_wits])
     return PhiKMap(k, dom, cod, mat, dom_wits, tuple(cum))
@@ -266,12 +267,9 @@ def _delta_square_commutes(phi: S1Morphism, k: int, ts: FiltrationTower,
                            td: FiltrationTower, fmat: SparseMatrix) -> bool:
     src, dst = phi.source, phi.target
     phi0 = phi.phis[0]
-    fs, ft = ts.filtered, td.filtered
     diffs = []
     for w in ts.z(k - 1):
         left = phi0.apply(delta_value(src, w))
-        image_chain = fmat.apply(w.filtered_vector(fs))
-        alphas = _split_filtered_vector(ft, image_chain, k - 1)
-        right = delta_value(dst, WitnessedCycle(k - 1, alphas))
+        right = delta_value(dst, WitnessedCycle(k - 1, fmat.apply(w.chain), dst.n))
         diffs.append(vsub(left, right))
     return span_leq(diffs, td.b_vectors(k - 1), dst.n)

@@ -48,9 +48,11 @@ gives.
 Column i of page k+1 is u^-i Z_{min(i,k)}/B_{min(k,N-i)}, so only 28 of the
 49 (page, column) pairs are distinct at N = 6, and a set of pages builds one
 `Subquotient` per distinct pair: `leray_pages` from one tower of F^N,
-`leray_page(c, k)` from F^k.  A `WitnessedCycle` is built only for a Z_j
-vector that a quotient keeps in its basis, once for all the quotients of
-Z_j in a page set.
+`leray_page(c, k)` from F^k.  A witness, `WitnessedCycle`, is the tower's
+own vector of F^j, a closed kernel vector for Z_j or a primitive for B_j,
+and its alphas are views of that chain.  `FiltrationTower.quotients` builds
+a witness only for a Z_j vector that a quotient keeps in its basis, once
+for all the quotients of Z_j in a page set.
 """
 
 from __future__ import annotations
@@ -79,49 +81,45 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class WitnessedCycle:
-    """A vector of C together with the full chain certifying its membership.
+    """A vector of C with the chain of F^level that certifies its membership.
 
-    For Z_k: alphas = (alpha_0, ..., alpha_k) with
-    delta_S1(sum u^-i alpha_{k-i}) = 0 and leading term alpha_0.
-    For B_k: the same shape, with boundary_value = delta_S1(sum u^-i alpha_{k-i})
-    lying in C.
+    `chain` is sum_i u^-i alpha_{level-i}, indexed power-major, (g, p) at
+    p * n + g for the n generators of C.  For Z_k it is closed and its
+    leading term alpha_0 is its block at u-power k; for B_k,
+    boundary_value = delta_S1(chain) lies in C.
     """
 
     level: int
-    alphas: tuple[Vector, ...]
+    chain: Vector
+    n: int
     boundary_value: Vector | None = None
+
+    def _by_power(self) -> list[Vector]:
+        """The chain's blocks at u-powers 0, ..., level, as chains of C."""
+        blocks: list[Vector] = [{} for _ in range(self.level + 1)]
+        for i, x in self.chain.items():
+            p, g = divmod(i, self.n)
+            blocks[p][g] = x
+        return blocks
+
+    @property
+    def alphas(self) -> tuple[Vector, ...]:
+        """(alpha_0, ..., alpha_level), alpha_j the block at u-power level - j."""
+        return tuple(reversed(self._by_power()))
 
     @property
     def leading(self) -> Vector:
         return self.alphas[0]
 
     def value(self, ops: Sequence[SparseMatrix], top: int) -> Vector:
-        """sum_j ops[top - j](alpha_j), summed for j = level down to 0; an
-        order beyond the family contributes nothing."""
+        """sum_p ops[top - level + p] of the block at u-power p, summed for
+        p = 0 up to level; an order beyond the family contributes nothing."""
         out: Vector = {}
-        for j in range(self.level, -1, -1):
-            a = self.alphas[j]
-            if a and top - j < len(ops):
-                out = vadd(out, ops[top - j].apply(a))
+        for p, a in enumerate(self._by_power()):
+            r = top - self.level + p
+            if a and r < len(ops):
+                out = vadd(out, ops[r].apply(a))
         return out
-
-    def filtered_vector(self, f: FilteredPlusComplex) -> Vector:
-        """Assemble sum u^-i alpha_{k-i} in the basis of F^level."""
-        out: Vector = {}
-        for j, a in enumerate(self.alphas):
-            power = self.level - j
-            for i, x in a.items():
-                out[f.index_of(i, power)] = x
-        return out
-
-
-def _split_filtered_vector(f: FilteredPlusComplex, v: Vector, level: int) -> tuple[Vector, ...]:
-    """Decompose a vector of F^level into (alpha_0, ..., alpha_level), keeping v's order."""
-    parts: tuple[Vector, ...] = tuple({} for _ in range(level + 1))
-    for i, x in v.items():
-        p, g = divmod(i, f.source.n)
-        parts[level - p][g] = x
-    return parts
 
 
 @dataclass(frozen=True)
@@ -175,16 +173,14 @@ class FiltrationTower:
         if not 0 <= j <= self.filtered.level:
             raise ValueError(f"level {j} outside the tower [0, {self.filtered.level}]")
 
-    def _witness(self, j: int, v: Vector) -> WitnessedCycle:
-        return WitnessedCycle(j, _split_filtered_vector(self.filtered, v, j))
-
     def _level_closed(self, j: int) -> list[Vector]:
         self._check(j)
         return [v for lv, v in self._closed if lv == j]
 
     def z(self, j: int) -> list[WitnessedCycle]:
         """Basis of Z_j with witnesses: the closed vectors of level j."""
-        return [self._witness(j, v) for v in self._level_closed(j)]
+        n = self.filtered.source.n
+        return [WitnessedCycle(j, v, n) for v in self._level_closed(j)]
 
     def z_vectors(self, j: int) -> list[Vector]:
         """The leading terms of `z(j)`."""
@@ -193,13 +189,27 @@ class FiltrationTower:
     def b(self, j: int) -> list[WitnessedCycle]:
         """Basis of B_j with primitives: the chosen primitives of level <= j."""
         self._check(j)
-        return [WitnessedCycle(j, _split_filtered_vector(self.filtered, a, j), boundary_value=value)
+        n = self.filtered.source.n
+        return [WitnessedCycle(j, a, n, boundary_value=value)
                 for lv, value, a in self._exact if lv <= j]
 
     def b_vectors(self, j: int) -> list[Vector]:
         """The boundary values of `b(j)`."""
         self._check(j)
         return [value for lv, value, _ in self._exact if lv <= j]
+
+    def quotients(self, j: int, b_spans: Sequence[list[Vector]]
+                  ) -> list[tuple[Subquotient, tuple[WitnessedCycle, ...]]]:
+        """Z_j/span(b) for each b in b_spans, with one witness for each Z_j
+        vector that a quotient keeps in its basis, shared between the quotients."""
+        n = self.filtered.source.n
+        z_vecs = self.z_vectors(j)
+        sqs = [Subquotient(n, z_vecs, b) for b in b_spans]
+        assert all(kind == "z" for sq in sqs for kind, _ in sq.basis_sources)
+        closed = self._level_closed(j)
+        kept = {i for sq in sqs for _, i in sq.basis_sources}
+        wits = {i: WitnessedCycle(j, closed[i], n) for i in kept}
+        return [(sq, tuple(wits[i] for _, i in sq.basis_sources)) for sq in sqs]
 
 
 def filtration_tower(c: S1Complex, level: int) -> FiltrationTower:
@@ -242,19 +252,6 @@ class DeltaKMap(QuotientMapRanks):
     domain_witnesses: tuple[WitnessedCycle, ...]
 
 
-def _quotients_with_witnesses(tower: FiltrationTower, j: int, b_spans: Sequence[list[Vector]]
-                              ) -> list[tuple[Subquotient, tuple[WitnessedCycle, ...]]]:
-    """Z_j/span(b) for each b in b_spans, with one witness for each Z_j
-    vector that a quotient keeps in its basis, shared between the quotients."""
-    z_vecs = tower.z_vectors(j)
-    sqs = [Subquotient(tower.filtered.source.n, z_vecs, b) for b in b_spans]
-    assert all(kind == "z" for sq in sqs for kind, _ in sq.basis_sources)
-    closed = tower._level_closed(j)
-    kept = {i for sq in sqs for _, i in sq.basis_sources}
-    wits = {i: tower._witness(j, closed[i]) for i in kept}
-    return [(sq, tuple(wits[i] for _, i in sq.basis_sources)) for sq in sqs]
-
-
 def delta_k(c: S1Complex, k: int) -> DeltaKMap:
     """The structural map Delta^k; requires 2k <= truncation."""
     if k < 1:
@@ -263,7 +260,7 @@ def delta_k(c: S1Complex, k: int) -> DeltaKMap:
         raise TruncationError(f"Delta^{k} needs truncation >= {2 * k} "
                               f"(have {c.truncation})")
     t = filtration_tower(c, k - 1)
-    [(dom_sq, dom_wits)] = _quotients_with_witnesses(t, k - 1, [t.b_vectors(0)])
+    [(dom_sq, dom_wits)] = t.quotients(k - 1, [t.b_vectors(0)])
     cod_sq = Subquotient(c.n, t.z_vectors(0), t.b_vectors(k - 1))
     mat = cod_sq.coordinate_matrix([delta_value(c, w) for w in dom_wits])
     return DeltaKMap(k, dom_sq, cod_sq, mat, dom_wits)
@@ -277,15 +274,11 @@ def perturbed_witness(c: S1Complex, w: WitnessedCycle, kernel_index: int = 0) ->
     Phi^k do not depend on the witness choice.
     """
     t = filtration_tower(c, w.level)
-    f = t.filtered
     candidates = [v for lv, v in t._closed if lv < w.level]
     if not candidates:
         return w
     extra = candidates[kernel_index % len(candidates)]
-    full = w.filtered_vector(f)
-    perturbed = vadd(full, extra)
-    return WitnessedCycle(w.level, _split_filtered_vector(f, perturbed, w.level),
-                          boundary_value=w.boundary_value)
+    return WitnessedCycle(w.level, vadd(w.chain, extra), w.n, boundary_value=w.boundary_value)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +330,7 @@ def _pages(c: S1Complex, tower: FiltrationTower, indices: Sequence[int]) -> list
     quotients = {}
     for zi in {zi for zi, _ in pairs}:
         bis = sorted(bi for z, bi in pairs if z == zi)
-        built = _quotients_with_witnesses(tower, zi, [tower.b_vectors(bi) for bi in bis])
+        built = tower.quotients(zi, [tower.b_vectors(bi) for bi in bis])
         quotients.update(((zi, bi), q) for bi, q in zip(bis, built))
     out = []
     for k in indices:
@@ -378,8 +371,10 @@ def reduced_page_map(c: S1Complex, k: int) -> tuple[Subquotient, SparseMatrix]:
     Its cohomology reproduces Z_k/B_k degreewise, which is the page-recursion
     property of the abstract spectral sequence.
     """
+    if k < 1:
+        raise ValueError("the page map Z_{k-1}/B_{k-1} -> Z_{k-1}/B_{k-1} is defined for k >= 1")
     if 2 * k > c.truncation:
         raise TruncationError(f"page map {k} needs truncation >= {2 * k}")
     t = filtration_tower(c, k - 1)
-    [(sq, wits)] = _quotients_with_witnesses(t, k - 1, [t.b_vectors(k - 1)])
+    [(sq, wits)] = t.quotients(k - 1, [t.b_vectors(k - 1)])
     return sq, sq.coordinate_matrix([delta_value(c, w) for w in wits])

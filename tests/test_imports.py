@@ -1,5 +1,6 @@
-"""Every name a package module imports is referenced in that module, every
-private helper the package defines is referenced somewhere in it, the
+"""Every name a package module imports is referenced in that module, no
+package module imports another's private name, every private helper the
+package defines is referenced somewhere in it, the
 CLI turns the library's refusals into exit 2 in one place only, and every
 elimination takes its rows from one of the two integer row builders."""
 
@@ -31,6 +32,28 @@ def test_no_unused_import(path):
 
 def test_an_unused_import_is_caught():
     assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == ["os", "b"]
+
+
+def _private_imports(source: str) -> list[str]:
+    """The `_`-prefixed names imported from a module of the package."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "s1cochain")
+            for a in node.names if a.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_private_import(path):
+    assert _private_imports(path.read_text()) == []
+
+
+def test_a_private_import_is_caught():
+    source = ("from __future__ import annotations\n"
+              "from functools import _lru_cache_wrapper\n"
+              "from .spectral import WitnessedCycle, _split as split\n"
+              "from . import _tracer\n"
+              "from s1cochain.linalg import _echelon\n")
+    assert _private_imports(source) == ["_split", "_tracer", "_echelon"]
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -58,7 +58,7 @@ class TestZSpace:
         for k in range(c.truncation + 1):
             f = build_filtered_plus(c, k)
             for w in filtration_tower(c, k).z(k):
-                assert vis_zero(f.differential.apply(w.filtered_vector(f)))
+                assert vis_zero(f.differential.apply(w.chain))
 
     def test_level_above_truncation(self):
         with pytest.raises(TruncationError):
@@ -92,7 +92,7 @@ class TestBSpace:
         for k in range(c.truncation + 1):
             f = build_filtered_plus(c, k)
             for w in filtration_tower(c, k).b(k):
-                image = f.differential.apply(w.filtered_vector(f))
+                image = f.differential.apply(w.chain)
                 assert image == f.include_chain(w.boundary_value, 0)
 
 
@@ -253,6 +253,12 @@ class TestLerayPages:
             c = random_s1_complex(rng, rng.randint(4, 9), rng.randint(2, 4))
             for k in range(1, c.truncation // 2 + 1):
                 _check_page_recursion(c, k)
+
+    def test_page_map_refuses_k_below_one(self):
+        c = milnor_model(2, 3).complex
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="page map .* defined for k >= 1"):
+                reduced_page_map(c, k)
 
     def test_page_differential_squares_to_zero(self):
         c = milnor_model(2, 2, truncation=4, include_spheres=False).complex

@@ -10,6 +10,10 @@ the dict entries is checked.  `_reference_leray_page` builds one
 `Subquotient` per column of one page, with every Z witness of the column's
 level, and `leray_pages`, which builds only the quotient's witnesses, must
 give the same pages.
+`_reference_alphas` splits a witness's chain into its alphas by
+`power_component`, and `_reference_value` sums a value over them for
+j = level down to 0; `alphas`, `leading` and `WitnessedCycle.value` must
+agree with them, dict order included.
 `order_of_dilation` and `order_of_semidilation` must equal a scan of
 `has_k_dilation` and `has_k_semidilation` for every `max_k`, and the level
 test must fail below the order and hold at every level from the order up.
@@ -41,7 +45,7 @@ from s1cochain.dilation import (
     order_of_semidilation,
 )
 from s1cochain.io_json import dumps
-from s1cochain.linalg import SparseMatrix, Subquotient, kernel_basis, rref, vis_zero
+from s1cochain.linalg import SparseMatrix, Subquotient, kernel_basis, rref, vadd, vis_zero
 from s1cochain.randomized import random_split_complex
 from s1cochain.spectral import (
     LerayPage,
@@ -62,10 +66,6 @@ from test_acceptance import _corpus
 # reference: one elimination of F^k per level k
 
 
-def _split_filtered_vector(f, v, level):
-    return tuple(f.power_component(v, level - j) for j in range(level + 1))
-
-
 def _independent_by_leading(pairs, dim):
     mat = SparseMatrix.from_columns([p[0] for p in pairs], dim)
     _, pivots = rref(mat)
@@ -81,8 +81,8 @@ def _reference_z_space(c, k):
     out = []
     for i in chosen:
         full = pairs[i][1]
-        w = WitnessedCycle(k, _split_filtered_vector(f, full, k))
-        assert vis_zero(f.differential.apply(w.filtered_vector(f)))
+        w = WitnessedCycle(k, full, c.n)
+        assert vis_zero(f.differential.apply(w.chain))
         out.append(w)
     return out
 
@@ -103,8 +103,8 @@ def _reference_b_space(c, k):
     out = []
     for i in chosen:
         value_c, a = pairs[i]
-        w = WitnessedCycle(k, _split_filtered_vector(f, a, k), boundary_value=value_c)
-        assert f.differential.apply(w.filtered_vector(f)) == f.include_chain(value_c, 0)
+        w = WitnessedCycle(k, a, n, boundary_value=value_c)
+        assert f.differential.apply(w.chain) == f.include_chain(value_c, 0)
         out.append(w)
     return out
 
@@ -145,6 +145,21 @@ def _reference_leray_page(c, k, with_differential=None):
     return LerayPage(k, n_tr, tuple(columns), diffs)
 
 
+def _reference_alphas(f, w):
+    """(alpha_0, ..., alpha_level): the chain's block at u-power level - j."""
+    return tuple(f.power_component(w.chain, w.level - j) for j in range(w.level + 1))
+
+
+def _reference_value(alphas, ops, top):
+    """sum_j ops[top - j](alpha_j), summed for j = level down to 0."""
+    out = {}
+    for j in range(len(alphas) - 1, -1, -1):
+        a = alphas[j]
+        if a and top - j < len(ops):
+            out = vadd(out, ops[top - j].apply(a))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the checks
 
@@ -161,6 +176,19 @@ def _check_tower(c, level):
         tower.z(level + 1)
     with pytest.raises(ValueError):
         tower.b(-1)
+
+
+def _check_witness_views(c):
+    tower = filtration_tower(c, c.truncation)
+    f = tower.filtered
+    for j in range(c.truncation + 1):
+        for w in tower.z(j) + tower.b(j):
+            alphas = _reference_alphas(f, w)
+            assert repr(w.alphas) == repr(alphas)
+            assert repr(w.leading) == repr(alphas[0])
+            for top in (w.level, w.level + 1):
+                ref = _reference_value(alphas, c.deltas, top)
+                assert repr(w.value(c.deltas, top)) == repr(ref)
 
 
 def _check_orders(s, semi):
@@ -213,6 +241,18 @@ def test_tower_and_order_match_the_references(s, data):
     _check_orders(s, semi=False)
     _check_orders(s, semi=True)
     _check_pages(s.complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_complexes())
+def test_witness_views_match_the_split_form(s):
+    _check_witness_views(s.complex)
+    _check_witness_views(s.plus_part)
+
+
+def test_witness_views_on_milnor_models():
+    for k, m in [(2, 2), (2, 3), (3, 3), (3, 4)]:
+        _check_witness_views(milnor_model(k, m).complex)
 
 
 def test_tower_and_order_on_the_corpus():
