@@ -37,9 +37,9 @@ from .complexes import (
     verify_s1_relations,
 )
 from .spectral import (
-    DeltaKMap,
     FiltrationTower,
     LerayPage,
+    QuotientMap,
     WitnessedCycle,
     delta_k,
     e_infinity,
@@ -48,7 +48,6 @@ from .spectral import (
     leray_pages,
 )
 from .morphisms import (
-    PhiKMap,
     S1Homotopy,
     S1Morphism,
     compose,

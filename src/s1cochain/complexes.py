@@ -246,13 +246,15 @@ def lift_family(ops: Sequence[SparseMatrix], level: int) -> SparseMatrix:
     if level < 0:
         raise ValueError("level must be non-negative")
     n_dst, n_src = ops[0].rows, ops[0].cols
+    # no position repeats and no entry is zero, so sorting is all the
+    # canonical form needs; the same holds in lift_degree
     ent = []
     for p in range(level + 1):  # source power
         for r in range(0, min(p, n_tr) + 1):  # target power p - r
             q = p - r
             for i, j, v in ops[r].entries:
                 ent.append((q * n_dst + i, p * n_src + j, v))
-    return SparseMatrix.from_entries((level + 1) * n_dst, (level + 1) * n_src, ent)
+    return SparseMatrix((level + 1) * n_dst, (level + 1) * n_src, tuple(sorted(ent)))
 
 
 def lift_degree(ops: Sequence[SparseMatrix], level: int, degrees: Sequence[int],
@@ -273,7 +275,7 @@ def lift_degree(ops: Sequence[SparseMatrix], level: int, degrees: Sequence[int],
             p, odd = divmod(degrees[j] - d, 2)
             if not odd and r <= p <= level:
                 ent.append(((p - r) * n_dst + i, p * n_src + j, v))
-    return SparseMatrix.from_entries(size * n_dst, size * n_src, ent)
+    return SparseMatrix(size * n_dst, size * n_src, tuple(sorted(ent)))
 
 
 def build_filtered_plus(c: S1Complex, k: int) -> FilteredPlusComplex:

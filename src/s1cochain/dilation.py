@@ -51,8 +51,8 @@ from .linalg import (
     vis_zero,
     vrestrict,
 )
-from .morphisms import PhiKMap, S1Morphism, compose, phi_k, verify_morphism
-from .spectral import DeltaKMap, delta_k
+from .morphisms import S1Morphism, compose, phi_k, verify_morphism
+from .spectral import QuotientMap, delta_k
 
 ZERO_PART = "zero"
 PLUS_PART = "plus"
@@ -457,12 +457,12 @@ def order_via_torsion(s: SplitS1Complex, semi: bool = False) -> DilationReport:
 # the operator family on the split pieces
 
 
-def delta_plus_k(s: SplitS1Complex, k: int) -> DeltaKMap:
+def delta_plus_k(s: SplitS1Complex, k: int) -> QuotientMap:
     """Delta^k of the plus part (C_+, delta_+)."""
     return delta_k(s.plus_part, k)
 
 
-def delta_plus0_k(s: SplitS1Complex, k: int) -> PhiKMap:
+def delta_plus0_k(s: SplitS1Complex, k: int) -> QuotientMap:
     """Delta^k_{+,0} : ker Delta^k_+ -> coker Delta^{k-1}_{+,0}.
 
     This is the quotient-map construction applied to the connecting morphism
@@ -472,7 +472,7 @@ def delta_plus0_k(s: SplitS1Complex, k: int) -> PhiKMap:
 
 
 def delta_partial_k(s: SplitS1Complex, restriction: SparseMatrix,
-                    target: S1Complex, k: int) -> PhiKMap:
+                    target: S1Complex, k: int) -> QuotientMap:
     """Post-compose Delta^k_{+,0} with a degree-0 cochain map C_0 -> D.
 
     `restriction` is the matrix of the map on the zero-part basis, taken as

@@ -323,8 +323,8 @@ class SparseMatrix:
         d = 1
         out: dict[int, int] = {}
         for c, x in v.items():
-            if c >= self.cols:
-                raise DimensionError("vector index out of range")
+            if not 0 <= c < self.cols:
+                raise DimensionError(f"vector index {c} out of range")
             p, q = x.as_integer_ratio()
             if d % q:
                 s = q // gcd(d, q)

@@ -56,7 +56,7 @@ from .linalg import (
 )
 from .spectral import (
     FiltrationTower,
-    QuotientMapRanks,
+    QuotientMap,
     WitnessedCycle,
     delta_value,
     filtration_tower,
@@ -172,18 +172,6 @@ def induced_cohomology_map(phi: S1Morphism, level: int) -> dict[int, SparseMatri
 # Phi^k for targets with trivial higher structure
 
 
-@dataclass(frozen=True)
-class PhiKMap(QuotientMapRanks):
-    """Phi^k : Z_k/B_0 (source) -> H(target) / (im Phi^0 + ... + im Phi^{k-1})."""
-
-    k: int
-    domain: Subquotient
-    codomain: Subquotient
-    matrix: SparseMatrix
-    domain_witnesses: tuple[WitnessedCycle, ...]
-    accumulated_images: tuple[Vector, ...]
-
-
 def _require_trivial_target(phi: S1Morphism) -> None:
     for r in range(1, phi.truncation + 1):
         if not phi.target.deltas[r].is_zero():
@@ -195,8 +183,11 @@ def phi_value(phi: S1Morphism, w: WitnessedCycle) -> Vector:
     return w.value(phi.phis, w.level)
 
 
-def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
-    """The quotient map Phi^k; requires 2k <= truncation and a plain target."""
+def phi_k(phi: S1Morphism, k: int) -> QuotientMap:
+    """Phi^k : Z_k/B_0 (source) -> H(target) / (im Phi^0 + ... + im Phi^{k-1});
+    requires 2k <= truncation and a plain target."""
+    if k < 0:
+        raise ValueError("Phi^k is defined for k >= 0")
     _require_trivial_target(phi)
     if 2 * k > phi.truncation:
         raise TruncationError(f"Phi^{k} needs truncation >= {2 * k}")
@@ -211,7 +202,7 @@ def phi_k(phi: S1Morphism, k: int) -> PhiKMap:
     [(dom, dom_wits)] = t.quotients(k, [t.b_vectors(0)])
     cod = Subquotient(dst.n, cycles, cum)
     mat = cod.coordinate_matrix([phi_value(phi, w) for w in dom_wits])
-    return PhiKMap(k, dom, cod, mat, dom_wits, tuple(cum))
+    return QuotientMap(k, dom, cod, mat, dom_wits)
 
 
 # ---------------------------------------------------------------------------

@@ -222,11 +222,16 @@ def delta_value(c: S1Complex, w: WitnessedCycle) -> Vector:
     return w.value(c.deltas, w.level + 1)
 
 
-class QuotientMapRanks:
-    """Rank, kernel and cokernel dimension of `matrix`, from one elimination."""
+@dataclass(frozen=True)
+class QuotientMap:
+    """A map of subquotients whose columns are the codomain coordinates of
+    the domain witnesses' values: Delta^k, Phi^k or the reduced page map."""
 
-    matrix: SparseMatrix
+    k: int
+    domain: Subquotient
     codomain: Subquotient
+    matrix: SparseMatrix
+    domain_witnesses: tuple[WitnessedCycle, ...]
 
     @cached_property
     def rank(self) -> int:
@@ -241,18 +246,7 @@ class QuotientMapRanks:
         return self.codomain.dim - self.rank
 
 
-@dataclass(frozen=True)
-class DeltaKMap(QuotientMapRanks):
-    """Delta^k : Z_{k-1}/B_0 -> Z_0/B_{k-1} in deterministic quotient bases."""
-
-    k: int
-    domain: Subquotient
-    codomain: Subquotient
-    matrix: SparseMatrix
-    domain_witnesses: tuple[WitnessedCycle, ...]
-
-
-def delta_k(c: S1Complex, k: int) -> DeltaKMap:
+def delta_k(c: S1Complex, k: int) -> QuotientMap:
     """The structural map Delta^k; requires 2k <= truncation."""
     if k < 1:
         raise ValueError("Delta^k is defined for k >= 1")
@@ -263,17 +257,19 @@ def delta_k(c: S1Complex, k: int) -> DeltaKMap:
     [(dom_sq, dom_wits)] = t.quotients(k - 1, [t.b_vectors(0)])
     cod_sq = Subquotient(c.n, t.z_vectors(0), t.b_vectors(k - 1))
     mat = cod_sq.coordinate_matrix([delta_value(c, w) for w in dom_wits])
-    return DeltaKMap(k, dom_sq, cod_sq, mat, dom_wits)
+    return QuotientMap(k, dom_sq, cod_sq, mat, dom_wits)
 
 
-def perturbed_witness(c: S1Complex, w: WitnessedCycle, kernel_index: int = 0) -> WitnessedCycle:
+def perturbed_witness(t: FiltrationTower, w: WitnessedCycle, kernel_index: int = 0
+                      ) -> WitnessedCycle:
     """Another witness family for the same leading term, if one exists.
 
     Adds a closed element of F^{level} with zero leading block, a closed
-    vector of the tower below that level; used to test that Delta^k and
-    Phi^k do not depend on the witness choice.
+    vector of `t` below that level; used to test that Delta^k and Phi^k do
+    not depend on the witness choice.  Those vectors are the same, in the
+    same order, in every tower of level >= w.level.
     """
-    t = filtration_tower(c, w.level)
+    t._check(w.level)
     candidates = [v for lv, v in t._closed if lv < w.level]
     if not candidates:
         return w
@@ -348,6 +344,8 @@ def _pages(c: S1Complex, tower: FiltrationTower, indices: Sequence[int]) -> list
 
 def leray_page(c: S1Complex, k: int) -> LerayPage:
     """Assemble page k+1 from F^k, with its differential when 2(k+1) <= truncation."""
+    if k < 0:
+        raise ValueError("page k+1 is defined for k >= 0")
     n_tr = c.truncation
     if k > n_tr:
         raise TruncationError(f"page index {k} exceeds truncation {n_tr}")
@@ -365,7 +363,7 @@ def e_infinity(c: S1Complex) -> LerayPage:
     return leray_page(c, c.truncation)
 
 
-def reduced_page_map(c: S1Complex, k: int) -> tuple[Subquotient, SparseMatrix]:
+def reduced_page_map(c: S1Complex, k: int) -> QuotientMap:
     """The induced endomorphism of Z_{k-1}/B_{k-1} squaring to zero.
 
     Its cohomology reproduces Z_k/B_k degreewise, which is the page-recursion
@@ -377,4 +375,4 @@ def reduced_page_map(c: S1Complex, k: int) -> tuple[Subquotient, SparseMatrix]:
         raise TruncationError(f"page map {k} needs truncation >= {2 * k}")
     t = filtration_tower(c, k - 1)
     [(sq, wits)] = t.quotients(k - 1, [t.b_vectors(k - 1)])
-    return sq, sq.coordinate_matrix([delta_value(c, w) for w in wits])
+    return QuotientMap(k, sq, sq, sq.coordinate_matrix([delta_value(c, w) for w in wits]), wits)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s1cochain import complexes, dilation, linalg
+from s1cochain import complexes, dilation, linalg, morphisms
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import (
     MAX_DEGREE_WINDOW,
@@ -52,7 +52,8 @@ from s1cochain.linalg import (
     vscale,
 )
 from s1cochain.randomized import random_split_complex
-from s1cochain.spectral import delta_k
+from s1cochain.morphisms import phi_k
+from s1cochain.spectral import QuotientMap, delta_k, leray_page, reduced_page_map
 from s1cochain.tensor import tensor_split
 
 
@@ -144,6 +145,48 @@ class TestHasKDilation:
 def test_level_tests_refuse_a_level_outside_0_to_n(level_test, level, error, message):
     with pytest.raises(error, match=message):
         level_test(unit_only_complex(1), level)
+
+
+def _lift_called(*args):
+    raise AssertionError("an order entry point lifted an order it should refuse")
+
+
+@pytest.mark.parametrize("entry,message", [
+    (lambda s: delta_k(s.complex, -1), r"Delta\^k is defined for k >= 1"),
+    (lambda s: reduced_page_map(s.complex, -1), r"page map .* defined for k >= 1"),
+    (lambda s: phi_k(s.connecting_morphism(), -1), r"Phi\^k is defined for k >= 0"),
+    (lambda s: leray_page(s.complex, -1), r"page k\+1 is defined for k >= 0"),
+    (lambda s: delta_plus_k(s, -1), r"Delta\^k is defined for k >= 1"),
+    (lambda s: delta_plus0_k(s, -1), r"Phi\^k is defined for k >= 0"),
+    (lambda s: has_k_dilation(s, -1), "level must be non-negative"),
+    (lambda s: has_k_semidilation(s, -1), "level must be non-negative"),
+    (lambda s: order_of_dilation(s, max_k=-1), "max_k must be non-negative"),
+    (lambda s: order_of_semidilation(s, max_k=-1), "max_k must be non-negative"),
+], ids=["delta_k", "reduced_page_map", "phi_k", "leray_page", "delta_plus_k",
+        "delta_plus0_k", "has_k_dilation", "has_k_semidilation", "order_of_dilation",
+        "order_of_semidilation"])
+def test_order_entry_points_refuse_a_negative_order_by_name(monkeypatch, entry, message):
+    # the lifts raise where each module looks them up, so the refusal must
+    # come from the entry point before anything is lifted
+    for module in (complexes, morphisms, dilation):
+        for name in ("lift_family", "lift_degree"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _lift_called)
+    with pytest.raises(ValueError, match=message):
+        entry(milnor_model(2, 2, include_spheres=False))
+
+
+def test_quotient_map_constructors_return_quotient_maps():
+    s = milnor_model(2, 2, include_spheres=False)
+    cz = s.zero_part
+    maps = [delta_k(s.complex, 1), reduced_page_map(s.complex, 1),
+            phi_k(s.connecting_morphism(), 1), delta_plus_k(s, 1), delta_plus0_k(s, 1),
+            delta_partial_k(s, SparseMatrix.identity(cz.n), cz, 1)]
+    for m in maps:
+        assert type(m) is QuotientMap
+        assert m.matrix.cols == m.domain.dim == len(m.domain_witnesses)
+        assert m.kernel_dim + m.rank == m.domain.dim
+        assert m.coker_dim + m.rank == m.codomain.dim
 
 
 class TestHasKSemidilation:

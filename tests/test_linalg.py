@@ -201,6 +201,13 @@ def test_span_leq_rank_identity():
     assert not span_leq(b, a, 2)
 
 
+def test_apply_refuses_an_index_outside_the_columns():
+    m = dense([[1, 2], [3, 4]])
+    for v in ({-1: F(1)}, {-3: F(1), 0: F(1)}, {2: F(1)}):
+        with pytest.raises(DimensionError, match="out of range"):
+            m.apply(v)
+
+
 def test_span_leq_rejects_out_of_range_vector():
     for a, b in (([vec({2: 1})], [vec({0: 1})]), ([], [vec({-1: 1})])):
         with pytest.raises(DimensionError):

@@ -186,7 +186,7 @@ class TestPhiK:
 
     def test_witness_independence(self):
         from s1cochain.morphisms import phi_value
-        from s1cochain.spectral import perturbed_witness
+        from s1cochain.spectral import filtration_tower, perturbed_witness
 
         rng = random.Random(9)
         c = random_s1_complex(rng, 7, 4)
@@ -194,11 +194,15 @@ class TestPhiK:
                          {0: [("d0", "d1", 1)]})
         phi = random_morphism(rng, c, d)
         p = phi_k(phi, 1)
+        t = filtration_tower(c, 1)
+        changed = 0
         for j, w in enumerate(p.domain_witnesses):
-            w2 = perturbed_witness(c, w, kernel_index=1)
+            w2 = perturbed_witness(t, w, kernel_index=1)
+            changed += w2 != w
             val2 = phi_value(phi, w2)
             assert p.codomain.coordinates(val2) == tuple(
                 p.matrix.col(j).get(i, F(0)) for i in range(p.codomain.dim))
+        assert changed
 
 
 def _strip_higher_target_identity(c):

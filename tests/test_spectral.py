@@ -178,16 +178,23 @@ class TestDeltaK:
                 _check_delta_identities(c, kk)
 
     def test_witness_independence(self):
+        # a k = 1 witness has level 0 and no closed vector below it to add,
+        # so k = 2 is needed for a perturbation to change anything
         rng = random.Random(3)
+        changed = 0
         for _ in range(5):
-            c = random_s1_complex(rng, rng.randint(4, 9), rng.randint(2, 4))
-            dk = delta_k(c, 1)
-            for j, w in enumerate(dk.domain_witnesses):
-                w2 = perturbed_witness(c, w, kernel_index=rng.randint(0, 5))
-                assert w2.leading == w.leading
-                val2 = delta_value(c, w2)
-                assert dk.codomain.coordinates(val2) == tuple(
-                    dk.matrix.col(j).get(i, F(0)) for i in range(dk.codomain.dim))
+            c = random_s1_complex(rng, rng.randint(4, 9), 4)
+            t = filtration_tower(c, c.truncation)
+            for k in (1, 2):
+                dk = delta_k(c, k)
+                for j, w in enumerate(dk.domain_witnesses):
+                    w2 = perturbed_witness(t, w, kernel_index=rng.randint(0, 5))
+                    changed += w2 != w
+                    assert w2.leading == w.leading
+                    val2 = delta_value(c, w2)
+                    assert dk.codomain.coordinates(val2) == tuple(
+                        dk.matrix.col(j).get(i, F(0)) for i in range(dk.codomain.dim))
+        assert changed
 
     def test_truncation_guard(self):
         c = all_zero_complex(3)
@@ -301,7 +308,8 @@ class TestLerayPages:
 def _check_page_recursion(c, k):
     from s1cochain.linalg import SparseMatrix, rank
 
-    sq, mat = reduced_page_map(c, k)
+    page_map = reduced_page_map(c, k)
+    sq, mat = page_map.domain, page_map.matrix
     assert (mat @ mat).is_zero()
     n = c.n
 

@@ -311,6 +311,22 @@ def test_a_tower_runs_one_kernel_elimination(monkeypatch):
         kernels.clear()
 
 
+def test_perturbed_witness_reads_the_callers_tower(monkeypatch):
+    # one kernel elimination per tower and none per perturbation; every
+    # tower of level >= the witness's gives the same perturbed witness
+    c = milnor_model(2, 3, truncation=4, include_spheres=False).complex
+    kernels = _counting(monkeypatch, spectral, "kernel_basis")
+    low, top = filtration_tower(c, 1), filtration_tower(c, c.truncation)
+    wits = low.z(1)
+    perturbed = [spectral.perturbed_witness(low, w, i) for i, w in enumerate(wits)]
+    assert len(kernels) == 1
+    assert perturbed == [spectral.perturbed_witness(top, w, i) for i, w in enumerate(wits)]
+    assert len(kernels) == 2
+    assert any(p != w for p, w in zip(perturbed, wits))
+    with pytest.raises(ValueError, match="outside the tower"):
+        spectral.perturbed_witness(filtration_tower(c, 0), wits[0])
+
+
 def test_pages_and_delta_build_witnesses_only_for_quotient_bases(monkeypatch):
     # one witness per Z_j vector that some quotient of Z_j keeps, shared
     # between those quotients
