@@ -265,8 +265,10 @@ def lift_degree(ops: Sequence[SparseMatrix], level: int, degrees: Sequence[int],
     The source pair (j, p) has degree degrees[j] - 2p, so an entry
     (i, j, v) of ops[r] meets d at one power p at most and lands at
     (i, p - r): this costs the nonzeros of ops, where the whole lift costs
-    level + 1 times them.  A negative level lifts nothing.
+    level + 1 times them.  A negative level lifts nothing; one past the truncation raises.
     """
+    if level >= len(ops):
+        raise TruncationError(f"level {level} exceeds truncation {len(ops) - 1}")
     size = max(level + 1, 0)
     n_dst, n_src = ops[0].rows, ops[0].cols
     ent = []

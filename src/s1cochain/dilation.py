@@ -26,11 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from .complexes import (
-    FilteredPlusComplex,
     S1Complex,
     TruncationError,
     build_filtered_plus,
@@ -49,7 +47,6 @@ from .linalg import (
     pivot_columns,
     solve,
     vis_zero,
-    vrestrict,
 )
 from .morphisms import S1Morphism, compose, phi_k, verify_morphism
 from .spectral import QuotientMap, delta_k
@@ -65,12 +62,15 @@ class SplitS1Complex:
     `parts[i]` tags generator i as "zero" or "plus"; `unit` is a chain in
     ambient coordinates supported on the zero part.
 
-    The parts are built once, from the three fields, and never compared:
+    The split is the one reader of the partition.  Its derived fields are
+    built once, in one pass over each operator's entries, and never compared:
     `zero_indices` and `plus_indices` list each part's generators in ambient
-    order; `zero_part` is C_0 with the structure (delta^0_0, 0, ..., 0);
-    `plus_part` is C_+ with the induced family (delta^0_+, delta^1_+, ...);
-    `connecting` holds the blocks delta^r_{+,0} : C_+ -> C_0; and
-    `unit_zero` is the unit in C_0's coordinates.
+    order, `positions` maps a generator to its place in its part, `zero_part`
+    is C_0 with (delta^0_0, 0, ..., 0), `plus_part` is C_+ with (delta^0_+,
+    delta^1_+, ...), `connecting` holds the blocks delta^r_{+,0} : C_+ -> C_0,
+    `unit_zero` is the unit in C_0's coordinates, and `outside` lists the
+    entries (r, row, column) that fit no block, the splitting's violations,
+    in operator then entry order.
     """
 
     complex: S1Complex
@@ -78,9 +78,11 @@ class SplitS1Complex:
     unit: Vector
     zero_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
     plus_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    positions: dict[int, int] = field(init=False, compare=False, repr=False)
     zero_part: S1Complex = field(init=False, compare=False, repr=False)
     plus_part: S1Complex = field(init=False, compare=False, repr=False)
     connecting: tuple[SparseMatrix, ...] = field(init=False, compare=False, repr=False)
+    outside: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
     unit_zero: Vector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -94,18 +96,35 @@ class SplitS1Complex:
         c = self.complex
         if not all(0 <= i < c.n for i in self.unit):
             raise ValueError(f"unit chain index outside the generators 0..{c.n - 1}")
-        zi = tuple(i for i, p in enumerate(self.parts) if p == ZERO_PART)
-        pi = tuple(i for i, p in enumerate(self.parts) if p == PLUS_PART)
-        zero = SparseMatrix.zero(len(zi), len(zi))
+        zero = [p == ZERO_PART for p in self.parts]
+        zi = tuple(i for i in range(c.n) if zero[i])
+        pi = tuple(i for i in range(c.n) if not zero[i])
+        pos = {i: t for part in (zi, pi) for t, i in enumerate(part)}
+        # each part keeps the ambient order, so every block stays row-major
+        zero_block, plus_blocks, conn_blocks, outside = [], [], [], []
+        for r, d in enumerate(c.deltas):
+            plus, conn = [], []
+            for i, j, v in d.entries:
+                if not zero[j]:
+                    (conn if zero[i] else plus).append((pos[i], pos[j], v))
+                elif r == 0 and zero[i]:
+                    zero_block.append((pos[i], pos[j], v))
+                else:
+                    outside.append((r, i, j))
+            plus_blocks.append(SparseMatrix(len(pi), len(pi), tuple(plus)))
+            conn_blocks.append(SparseMatrix(len(zi), len(pi), tuple(conn)))
         derived = {
             "zero_indices": zi,
             "plus_indices": pi,
+            "positions": pos,
             "zero_part": S1Complex(tuple(c.generators[i] for i in zi), c.truncation,
-                                   (c.deltas[0].submatrix(zi, zi),) + (zero,) * c.truncation),
+                                   (SparseMatrix(len(zi), len(zi), tuple(zero_block)),)
+                                   + (SparseMatrix.zero(len(zi), len(zi)),) * c.truncation),
             "plus_part": S1Complex(tuple(c.generators[i] for i in pi), c.truncation,
-                                   tuple(d.submatrix(pi, pi) for d in c.deltas)),
-            "connecting": tuple(d.submatrix(zi, pi) for d in c.deltas),
-            "unit_zero": vrestrict(self.unit, zi),
+                                   tuple(plus_blocks)),
+            "connecting": tuple(conn_blocks),
+            "outside": tuple(outside),
+            "unit_zero": {pos[i]: x for i, x in self.unit.items() if zero[i]},
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -121,15 +140,15 @@ class SplitS1Complex:
 
 def make_split_complex(c: S1Complex, zero_names: list[str],
                        unit: str | Vector) -> SplitS1Complex:
+    index = {g.name: i for i, g in enumerate(c.generators)}
     zset = set(zero_names)
-    unknown = sorted(zset - {g.name for g in c.generators})
+    unknown = sorted(zset - index.keys())
     if unknown:
         raise ValueError(f"zero-part names {unknown} name no generator")
+    if isinstance(unit, str) and unit not in index:
+        raise ValueError(f"unit name {unit!r} names no generator")
     parts = tuple(ZERO_PART if g.name in zset else PLUS_PART for g in c.generators)
-    if isinstance(unit, str):
-        unit_vec: Vector = {c.index_of(unit): Fraction(1)}
-    else:
-        unit_vec = dict(unit)
+    unit_vec = {index[unit]: Fraction(1)} if isinstance(unit, str) else dict(unit)
     return SplitS1Complex(c, parts, unit_vec)
 
 
@@ -171,23 +190,12 @@ class SplittingReport:
         return out
 
 
-def _zero_part_preserved(c: S1Complex, zset: set[int]) -> bool:
-    """delta^0 maps the zero-part generators into their span."""
-    return all(i in zset for i, j, _ in c.deltas[0].entries if j in zset)
-
-
-def _higher_on_zero_part(c: S1Complex, zset: set[int]) -> list[tuple[int, int]]:
-    """(r, generator index) for each entry of a delta^{r >= 1} on the zero part."""
-    return [(r, j) for r in range(1, c.truncation + 1)
-            for _, j, _ in c.deltas[r].entries if j in zset]
-
-
 def verify_splitting(s: SplitS1Complex) -> SplittingReport:
+    """The splitting axioms, the operators' violations read from `s.outside`."""
     c = s.complex
-    zset = set(s.zero_indices)
-    sub_ok = _zero_part_preserved(c, zset)
-    higher_bad = [(r, c.generators[j].name) for r, j in _higher_on_zero_part(c, zset)]
-    unit_zero_part = all(i in zset for i in s.unit)
+    sub_ok = all(r for r, _, _ in s.outside)
+    higher_bad = [(r, c.generators[j].name) for r, _, j in s.outside if r]
+    unit_zero_part = all(s.parts[i] == ZERO_PART for i in s.unit)
     unit_deg0 = all(c.generators[i].degree == 0 for i in s.unit)
     d0, e0 = s.zero_part.deltas[0], s.unit_zero
     closed = vis_zero(d0.apply(e0)) if unit_zero_part else False
@@ -248,14 +256,18 @@ def _zero_part_h0(s: SplitS1Complex, k: int) -> _ZeroPartH0 | None:
 
 
 def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
-    """pi_0 of a closed degree-0 chain of C_0 (ambient plus-zero coordinates).
+    """pi_0 of a closed degree-0 chain of C_0, in ambient coordinates.
 
     The e-coordinate of the class in the deterministic basis of H^0(C_0).
+    ValueError when an index of v is not a zero-part generator.
     """
+    bad = sorted(i for i in v if not (0 <= i < s.complex.n and s.parts[i] == ZERO_PART))
+    if bad:
+        raise ValueError(f"indices {bad} are not zero-part generators")
     h0 = _zero_part_h0(s, 0)
     if h0 is None:
         raise ValueError("unit class vanishes in H^0; not a valid split complex")
-    return h0[0].coordinates(vrestrict(v, s.zero_indices))[0]
+    return h0[0].coordinates({s.positions[i]: x for i, x in v.items()})[0]
 
 
 def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0 | None, by_power: bool
@@ -516,39 +528,27 @@ class LesReport:
         return all(n.exact for n in self.nodes)
 
 
-def _reindex(v: Vector, n_from: int, n_to: int, where: dict[int, int]) -> Vector:
-    """Carry v between filtered complexes with n_from and n_to generators,
-    sending generator g to where[g] at the same u-power; generators not in
-    `where` are dropped."""
-    out: Vector = {}
-    for idx, x in v.items():
-        p, g = divmod(idx, n_from)
-        t = where.get(g)
-        if t is not None:
-            out[p * n_to + t] = x
-    return out
-
-
-def _homology_counts(f: FilteredPlusComplex, kernel: list[Vector], image: list[Vector]
-                     ) -> tuple[dict[int, list[Vector]], dict[int, int]]:
-    """The cycles of f by degree and dim H^d = |Z_d| - |B_d| per degree, given
-    kernel and image bases of f's differential.  Raises ValueError when a
-    boundary is not a cycle, i.e. the differential does not square to zero."""
+def _homology_counts(differential: SparseMatrix, degrees: tuple[int, ...], kernel: list[Vector],
+                     image: list[Vector]) -> tuple[dict[int, list[Vector]], dict[int, int]]:
+    """The cycles by degree and dim H^d = |Z_d| - |B_d| per degree, given the
+    degree of each basis vector and kernel and image bases of the differential.
+    Raises ValueError when a boundary is not a cycle: d does not square to zero."""
     for b in image:
-        if f.differential.apply(b):
+        if differential.apply(b):
             raise ValueError("a boundary is not a cycle: the differential does not square to zero")
-    cycles, bounds = group_by_degree(kernel, f.degrees), group_by_degree(image, f.degrees)
+    cycles, bounds = group_by_degree(kernel, degrees), group_by_degree(image, degrees)
     dims = {d: len(cycles.get(d, ())) - len(bounds.get(d, ()))
             for d in sorted(cycles.keys() | bounds.keys())}
     return cycles, dims
 
 
 def _induced_ranks(cycles: dict[int, list[Vector]], push: Callable[[Vector], Vector],
-                   target: FilteredPlusComplex, bounds: list[Vector], raise_by: int
-                   ) -> Counter[int]:
+                   differential: SparseMatrix, degrees: tuple[int, ...],
+                   bounds: list[Vector], raise_by: int) -> Counter[int]:
     """Source degree d -> rank of H^d(source) -> H^{d+raise_by}(target)
     induced by the chain map `push`, from one `pivot_columns` of
-    [B_tgt | push(Z_src)], B_tgt being the target's boundary basis.
+    [B_tgt | push(Z_src)], B_tgt being the boundary basis of the target,
+    which has the given differential and basis degrees.
 
     Raises ValueError when a pushed cycle is not a cycle of the target in
     degree d + raise_by.
@@ -559,13 +559,13 @@ def _induced_ranks(cycles: dict[int, list[Vector]], push: Callable[[Vector], Vec
         for z in zs:
             v = push(z)
             # an empty push is a cycle of every degree
-            if v and (target.differential.apply(v)
-                      or any(target.degrees[i] != d + raise_by for i in v)):
+            if v and (differential.apply(v)
+                      or any(degrees[i] != d + raise_by for i in v)):
                 raise ValueError(f"a degree-{d} cycle maps to no cycle of degree {d + raise_by}")
             images.append(v)
             source_degree.append(d)
     nb = len(bounds)
-    return Counter(source_degree[p - nb] for p in pivot_columns([*bounds, *images], target.dim)
+    return Counter(source_degree[p - nb] for p in pivot_columns([*bounds, *images], len(degrees))
                    if p >= nb)
 
 
@@ -578,8 +578,11 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
     carries no higher operators, so F^N(C_0) is N+1 u-shifted copies of
     (C_0, delta^0), and its Z and B are those of delta^0, tiled.
 
-    For each chain map f (the inclusion, the projection, and the connecting
-    map H^d(C_+) -> H^{d+1}(C_0)) with f(B_src) in B_tgt, the image of H(src)
+    F^N(C) is read in the basis [F^N(C_0) | F^N(C_+)], a permutation of its
+    own, where its differential is [[D_0, K], [0, D_+]] with K the lift of
+    the blocks delta^r_{+,0}.  So the inclusion keeps every index, the
+    projection drops the first block, and the connecting map is K.  For
+    each of these chain maps f, with f(B_src) in B_tgt, the image of H(src)
     in H(tgt) is (f(Z_src) + B_tgt) / B_tgt, and the B_tgt basis is
     independent, so
 
@@ -592,43 +595,45 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
     window.
 
     The input must be a valid split: delta^0 preserves C_0 and the higher
-    operators vanish on it, which makes the three maps chain maps with
-    f(B_src) in B_tgt.  That is checked in O(nnz), and mat-vecs check that
-    every boundary is a cycle and every pushed cycle a cycle of the target;
-    each failure raises ValueError.  An explicit window of more than
-    MAX_DEGREE_WINDOW degrees is refused before any elimination.
+    operators vanish on it, i.e. the split's `outside` is empty, which makes
+    the block form F^N(C)'s differential.  Mat-vecs check that every boundary
+    is a cycle and every pushed cycle a cycle of the target; each failure
+    raises ValueError.  An explicit window of more than MAX_DEGREE_WINDOW
+    degrees is refused before any elimination.
     """
     if degrees is not None:
         check_degree_window(degrees)
-    c = s.complex
-    zi, pi, n = s.zero_indices, s.plus_indices, c.n
-    zset = set(zi)
-    if not _zero_part_preserved(c, zset) or _higher_on_zero_part(c, zset):
+    if s.outside:
         raise ValueError("not a split complex: delta^0 must preserve the zero part "
                          "and the higher operators must vanish on it")
     n_tr = s.truncation
-    cz, cp = s.zero_part, s.plus_part
-    f_zero, f_full, f_plus = (build_filtered_plus(x, n_tr) for x in (cz, c, cp))
+    f_zero, f_plus = (build_filtered_plus(x, n_tr) for x in (s.zero_part, s.plus_part))
+    conn = lift_family(s.connecting, n_tr)
+    d_zero, d_plus = f_zero.differential, f_plus.differential
+    nz, deg_full = d_zero.rows, f_zero.degrees + f_plus.degrees
+    # no position repeats and no entry is zero, so sorting is the canonical form
+    d_full = SparseMatrix(len(deg_full), len(deg_full), tuple(sorted(
+        [*d_zero.entries, *((i, nz + j, v) for i, j, v in conn.entries),
+         *((nz + i, nz + j, v) for i, j, v in d_plus.entries)])))
     z_zero, b_zero = ([f_zero.include_chain(v, p) for p in range(n_tr + 1) for v in vs]
-                      for vs in kernel_and_image(cz.deltas[0]))
-    z_full, b_full = kernel_and_image(f_full.differential)
-    z_plus, b_plus = kernel_and_image(f_plus.differential)
-    cyc_zero, dims_zero = _homology_counts(f_zero, z_zero, b_zero)
-    cyc_full, dims_full = _homology_counts(f_full, z_full, b_full)
-    cyc_plus, dims_plus = _homology_counts(f_plus, z_plus, b_plus)
+                      for vs in kernel_and_image(s.zero_part.deltas[0]))
+    z_full, b_full = kernel_and_image(d_full)
+    z_plus, b_plus = kernel_and_image(d_plus)
+    cyc_zero, dims_zero = _homology_counts(d_zero, f_zero.degrees, z_zero, b_zero)
+    cyc_full, dims_full = _homology_counts(d_full, deg_full, z_full, b_full)
+    cyc_plus, dims_plus = _homology_counts(d_plus, f_plus.degrees, z_plus, b_plus)
 
     if degrees is None:
         all_deg = sorted(dims_full.keys() | dims_zero.keys() | dims_plus.keys())
         degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
         check_degree_window(degrees)
 
-    # F^N(C_0) -> F^N(C) and F^N(C) -> F^N(C_+), each as one reindexing of
-    # generators; the connecting map is the lift of the blocks delta^r_{+,0}
-    inc_map = partial(_reindex, n_from=cz.n, n_to=n, where=dict(enumerate(zi)))
-    proj_map = partial(_reindex, n_from=n, n_to=cp.n, where={g: t for t, g in enumerate(pi)})
-    r_iota = _induced_ranks(cyc_zero, inc_map, f_full, b_full, 0)
-    r_pi = _induced_ranks(cyc_full, proj_map, f_plus, b_plus, 0)
-    r_conn = _induced_ranks(cyc_plus, lift_family(s.connecting, n_tr).apply, f_zero, b_zero, 1)
+    def project(v: Vector) -> Vector:
+        return {i - nz: x for i, x in v.items() if i >= nz}
+
+    r_iota = _induced_ranks(cyc_zero, dict, d_full, deg_full, b_full, 0)
+    r_pi = _induced_ranks(cyc_full, project, d_plus, f_plus.degrees, b_plus, 0)
+    r_conn = _induced_ranks(cyc_plus, conn.apply, d_zero, f_zero.degrees, b_zero, 1)
     nodes = []
     for d in degrees:
         nodes.append(LesNode(d, "full", r_iota[d], dims_full.get(d, 0) - r_pi[d]))

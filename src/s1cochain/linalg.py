@@ -148,16 +148,6 @@ def vis_zero(v: Vector) -> bool:
     return not v
 
 
-def vrestrict(v: Vector, indices: Sequence[int]) -> Vector:
-    """Reindex v onto the subspace spanned by `indices` (old index -> position)."""
-    pos = {idx: p for p, idx in enumerate(indices)}
-    out: Vector = {}
-    for i, x in v.items():
-        if i in pos:
-            out[pos[i]] = x
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sparse matrices
 
@@ -176,6 +166,8 @@ class SparseMatrix:
     entries: tuple[tuple[int, int, Fraction], ...]
 
     def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise DimensionError(f"negative shape {self.rows}x{self.cols}")
         last = None
         for r, c, v in self.entries:
             if not (0 <= r < self.rows and 0 <= c < self.cols):

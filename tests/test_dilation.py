@@ -385,6 +385,17 @@ class TestPi0:
         assert pi0_coordinate(s, mixed) == F(3)
 
 
+    @pytest.mark.parametrize("extra", [lambda n: {0: F(1), n - 1: F(1)},
+                                       lambda n: {10**6: F(1)}, lambda n: {-1: F(1)}],
+                             ids=["plus-generator", "past-the-end", "negative"])
+    def test_index_off_the_zero_part_refused(self, extra):
+        s = milnor_model(2, 3)
+        v = extra(s.complex.n)
+        assert s.parts[s.complex.n - 1] == "plus"
+        with pytest.raises(ValueError, match="not zero-part generators"):
+            pi0_coordinate(s, v)
+
+
 class TestTautologicalLes:
     def test_no_plus_part_degenerates(self):
         c = make_complex([("e", 0), ("z", 2)], 2, {})
@@ -462,14 +473,15 @@ class TestTautologicalLes:
         c = make_complex([("a", 0), ("b", 1)], 0, {0: [("a", "b", 1)]})
         f = build_filtered_plus(c, 0)
         with pytest.raises(ValueError, match="cycle of degree 0"):
-            _induced_ranks({0: [{1: F(1)}]}, lambda z: {0: F(1)}, f, [], 0)
+            _induced_ranks({0: [{1: F(1)}]}, lambda z: {0: F(1)}, f.differential, f.degrees, [], 0)
 
     def test_pushed_non_cycle_rejected_over_a_common_denominator(self):
         # a 3/2 in the differential and 1/2, 1/3 in the vectors: D > 1
         c = make_complex([("a", 0), ("b", 1)], 0, {0: [("a", "b", F(3, 2))]})
         f = build_filtered_plus(c, 0)
         with pytest.raises(ValueError, match="cycle of degree 0"):
-            _induced_ranks({0: [{1: F(1, 2)}]}, lambda z: {0: F(1, 3)}, f, [], 0)
+            _induced_ranks({0: [{1: F(1, 2)}]}, lambda z: {0: F(1, 3)}, f.differential, f.degrees,
+                           [], 0)
 
     def test_boundary_that_is_not_a_cycle_rejected(self):
         # delta^0 delta^0 x = (1/2)(2/3) z, not 0
@@ -478,7 +490,7 @@ class TestTautologicalLes:
         f = build_filtered_plus(c, 0)
         kernel, image = kernel_and_image(f.differential)
         with pytest.raises(ValueError, match="a boundary is not a cycle"):
-            _homology_counts(f, kernel, image)
+            _homology_counts(f.differential, f.degrees, kernel, image)
 
     @pytest.mark.parametrize("window", [range(MAX_DEGREE_WINDOW + 1), range(10**9),
                                         range(-10**20, 10**20)])
@@ -798,3 +810,109 @@ def test_make_split_complex_refuses_a_name_that_names_no_generator(names):
     bad = sorted(set(names) - {"e"})
     with pytest.raises(ValueError, match=re.escape(f"zero-part names {bad} name no generator")):
         make_split_complex(c, names, "e")
+
+
+def test_make_split_complex_refuses_a_unit_name_that_names_no_generator():
+    c = make_complex([("e", 0), ("x", -1)], 1, {0: [("x", "e", 1)]})
+    with pytest.raises(ValueError, match="unit name 'nope' names no generator"):
+        make_split_complex(c, ["e"], "nope")
+
+
+# ---------------------------------------------------------------------------
+# oracle: the split's blocks as slices of the operators, and its violations
+# as two re-scans of delta^0 and of the higher operators
+
+
+def _oracle_split(s):
+    c = s.complex
+    zi = [i for i, p in enumerate(s.parts) if p == "zero"]
+    pi = [i for i, p in enumerate(s.parts) if p == "plus"]
+    zset = set(zi)
+    nz = len(zi)
+    zero_deltas = (c.deltas[0].submatrix(zi, zi),) + (SparseMatrix.zero(nz, nz),) * c.truncation
+    plus_deltas = tuple(d.submatrix(pi, pi) for d in c.deltas)
+    connecting = tuple(d.submatrix(zi, pi) for d in c.deltas)
+    unit_zero = {zi.index(i): x for i, x in s.unit.items() if i in zset}
+    preserved = all(i in zset for i, j, _ in c.deltas[0].entries if j in zset)
+    higher = [(r, j) for r in range(1, c.truncation + 1)
+              for _, j, _ in c.deltas[r].entries if j in zset]
+    return zero_deltas, plus_deltas, connecting, unit_zero, preserved, higher
+
+
+def assert_split_matches_oracle(s):
+    zero_deltas, plus_deltas, connecting, unit_zero, preserved, higher = _oracle_split(s)
+    assert s.zero_part.deltas == zero_deltas
+    assert s.plus_part.deltas == plus_deltas
+    assert s.connecting == connecting
+    assert repr(s.unit_zero) == repr(unit_zero)
+    for part in (s.zero_indices, s.plus_indices):
+        assert [s.positions[i] for i in part] == list(range(len(part)))
+    assert all(r for r, _, _ in s.outside) == preserved
+    assert [(r, j) for r, _, j in s.outside if r] == higher
+    # every entry of outside is a delta^r entry, and delta^0's leave C_0
+    for r, i, j in s.outside:
+        assert s.complex.deltas[r].row_dicts()[i].get(j)
+        assert s.parts[j] == "zero" and (r or s.parts[i] == "plus")
+    rep = verify_splitting(s)
+    assert rep.subcomplex_ok == preserved
+    assert rep.higher_violations == tuple((r, s.complex.generators[j].name) for r, j in higher)
+
+
+def _retagged(s, rng):
+    """The same complex and unit under random part tags: mostly no split."""
+    parts = tuple(rng.choice(["zero", "plus"]) for _ in s.parts)
+    return dilation.SplitS1Complex(s.complex, parts, s.unit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 8), st.integers(0, 3), st.integers(1, 4),
+       st.booleans())
+def test_split_matches_oracle_on_random_split_complexes(seed, n_plus, n_zero_extra, n_tr,
+                                                        killer):
+    rng = random.Random(seed)
+    s = random_split_complex(rng, n_plus, n_zero_extra, n_tr, with_unit_killer=killer)
+    assert not s.outside
+    assert_split_matches_oracle(s)
+    assert_split_matches_oracle(_retagged(s, rng))
+
+
+def test_split_matches_oracle_on_edge_cases():
+    c = make_complex([("e", 0), ("x", -1), ("y", 0), ("z", 1)], 2, {})
+    rng = random.Random(89)
+    s = random_split_complex(rng, 5, 2, 3, with_unit_killer=True)
+    every_zero = dilation.SplitS1Complex(s.complex, ("zero",) * s.complex.n, s.unit)
+    every_plus = dilation.SplitS1Complex(s.complex, ("plus",) * s.complex.n, s.unit)
+    subjects = [unit_only_complex(), unit_only_complex(0), every_zero, every_plus,
+                make_split_complex(c, ["e", "y"], "e"), make_split_complex(c, ["e"], "e"),
+                milnor_model(3, 4), modified_milnor(2, 2), _off_degree_unit()]
+    for subject in subjects:
+        assert_split_matches_oracle(subject)
+    assert every_zero.outside
+    assert every_plus.outside == ()
+    assert every_zero.plus_part.n == 0 and every_plus.zero_part.n == 0
+
+
+def test_making_a_split_slices_no_operator():
+    rng = random.Random(97)
+    with mock.patch.object(SparseMatrix, "submatrix", side_effect=AssertionError("slice")):
+        subjects = [milnor_model(3, 4), random_split_complex(rng, 6, 3, 3, with_unit_killer=True),
+                    tensor_split(milnor_model(2, 2), milnor_model(2, 3))]
+    for s in subjects:
+        assert_split_matches_oracle(s)
+
+
+@pytest.mark.parametrize("s", [milnor_model(3, 4), tensor_split(milnor_model(2, 2),
+                                                                 milnor_model(2, 3)),
+                               random_split_complex(random.Random(101), 6, 3, 3,
+                                                    with_unit_killer=True)])
+def test_les_builds_no_filtered_whole_complex(s):
+    real = dilation.build_filtered_plus
+
+    def parts_only(c, k):
+        if c is s.complex:
+            raise AssertionError("F^N of the whole complex")
+        return real(c, k)
+
+    with mock.patch.object(dilation, "build_filtered_plus", side_effect=parts_only):
+        got = tautological_les(s)
+    assert repr(got) == repr(_oracle_les(s))

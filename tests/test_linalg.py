@@ -208,6 +208,14 @@ def test_apply_refuses_an_index_outside_the_columns():
             m.apply(v)
 
 
+@pytest.mark.parametrize("make", [lambda: SparseMatrix(-1, 2, ()),
+                                  lambda: SparseMatrix.zero(-1, 3),
+                                  lambda: SparseMatrix.zero(2, -1)])
+def test_a_negative_shape_is_refused(make):
+    with pytest.raises(DimensionError, match="negative shape"):
+        make()
+
+
 def test_span_leq_rejects_out_of_range_vector():
     for a, b in (([vec({2: 1})], [vec({0: 1})]), ([], [vec({-1: 1})])):
         with pytest.raises(DimensionError):
