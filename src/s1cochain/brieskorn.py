@@ -43,6 +43,9 @@ from .linalg import SparseMatrix
 # output at 100,000 for 2,3,3,3).  It admits the default bound 110,880 of
 # the one-dilation exponents (2, ..., n, n) up to n = 12.
 MAX_PERIOD_BOUND = 120_000
+# k pairwise coprime exponents have 2^k - k - 1 principal periods: about a
+# second for the first 15 primes.  The one-dilation vectors up to n = 12 have 11.
+MAX_DISTINCT_EXPONENTS = 15
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,9 @@ class BrieskornData:
             raise ValueError("need at least two exponents (n >= 1)")
         if any(a < 2 for a in self.exponents):
             raise ValueError("all exponents must be >= 2")
+        distinct = len(set(self.exponents))
+        if distinct > MAX_DISTINCT_EXPONENTS:
+            raise ValueError(f"{distinct} distinct exponents exceed the limit {MAX_DISTINCT_EXPONENTS}")
 
     @property
     def n(self) -> int:

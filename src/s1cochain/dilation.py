@@ -43,6 +43,7 @@ from .linalg import (
     SparseMatrix,
     Subquotient,
     Vector,
+    as_q,
     kernel_and_image,
     pivot_columns,
     solve,
@@ -96,6 +97,9 @@ class SplitS1Complex:
         c = self.complex
         if not all(0 <= i < c.n for i in self.unit):
             raise ValueError(f"unit chain index outside the generators 0..{c.n - 1}")
+        # as_q refuses a float coefficient with TypeError
+        if not all(as_q(x) for x in self.unit.values()):
+            raise ValueError("zero coefficient stored in the unit chain")
         zero = [p == ZERO_PART for p in self.parts]
         zi = tuple(i for i in range(c.n) if zero[i])
         pi = tuple(i for i in range(c.n) if not zero[i])
@@ -158,52 +162,40 @@ def make_split_complex(c: S1Complex, zero_names: list[str],
 
 @dataclass(frozen=True)
 class SplittingReport:
-    subcomplex_ok: bool
-    higher_vanish_ok: bool
-    higher_violations: tuple[tuple[int, str], ...]
-    unit_in_zero_part: bool
-    unit_degree_zero: bool
-    unit_closed: bool
-    unit_nonexact: bool
+    """One line per failed splitting axiom, in `verify_splitting`'s order."""
+
+    lines: tuple[str, ...]
 
     @property
     def valid(self) -> bool:
-        return (self.subcomplex_ok and self.higher_vanish_ok
-                and self.unit_in_zero_part and self.unit_degree_zero
-                and self.unit_closed and self.unit_nonexact)
+        return not self.lines
 
     def violations(self) -> list[str]:
-        out = []
-        if not self.subcomplex_ok:
-            out.append("delta^0 does not preserve the zero part")
-        if not self.higher_vanish_ok:
-            out.extend(f"delta^{r} nonzero on zero-part generator {name}"
-                       for r, name in self.higher_violations)
-        if not self.unit_in_zero_part:
-            out.append("unit chain is not supported on the zero part")
-        if not self.unit_degree_zero:
-            out.append("unit chain is not of pure degree 0")
-        if not self.unit_closed:
-            out.append("unit chain is not closed")
-        if not self.unit_nonexact:
-            out.append("unit class vanishes in H^0 of the zero part")
-        return out
+        return list(self.lines)
 
 
 def verify_splitting(s: SplitS1Complex) -> SplittingReport:
-    """The splitting axioms, the operators' violations read from `s.outside`."""
+    """delta^0 preserves C_0 and the higher operators vanish on it (read from
+    `s.outside`); the unit is a closed, non-exact degree-0 chain of C_0, and
+    one that is not closed has no class, so its class is reported vanishing."""
     c = s.complex
-    sub_ok = all(r for r, _, _ in s.outside)
-    higher_bad = [(r, c.generators[j].name) for r, _, j in s.outside if r]
-    unit_zero_part = all(s.parts[i] == ZERO_PART for i in s.unit)
-    unit_deg0 = all(c.generators[i].degree == 0 for i in s.unit)
+    lines = []
+    if not all(r for r, _, _ in s.outside):
+        lines.append("delta^0 does not preserve the zero part")
+    lines += [f"delta^{r} nonzero on zero-part generator {c.generators[j].name}"
+              for r, _, j in s.outside if r]
+    in_zero = all(s.parts[i] == ZERO_PART for i in s.unit)
+    if not in_zero:
+        lines.append("unit chain is not supported on the zero part")
+    if any(c.generators[i].degree for i in s.unit):
+        lines.append("unit chain is not of pure degree 0")
     d0, e0 = s.zero_part.deltas[0], s.unit_zero
-    closed = vis_zero(d0.apply(e0)) if unit_zero_part else False
-    nonexact = False
-    if unit_zero_part and closed:
-        nonexact = solve(d0, e0) is None
-    return SplittingReport(sub_ok, not higher_bad, tuple(higher_bad),
-                           unit_zero_part, unit_deg0, closed, nonexact)
+    closed = in_zero and vis_zero(d0.apply(e0))
+    if not closed:
+        lines.append("unit chain is not closed")
+    if not closed or solve(d0, e0) is not None:
+        lines.append("unit class vanishes in H^0 of the zero part")
+    return SplittingReport(tuple(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +443,10 @@ def order_via_torsion(s: SplitS1Complex, semi: bool = False) -> DilationReport:
 
     for k in range(n_tr + 1):
         # block 3: u^{k+1} x - delta_+ y = 0, where y has degree 2k; u^{k+1}
-        # lowers the u-power by k+1 and drops what falls below u^0
-        y = lift_degree(cp.deltas, n_tr - k - 1, cp.degrees, 2 * k)
+        # lowers the u-power by k+1 and drops what falls below u^0, all of x
+        # at k = N, where y would lie in the empty F^{-1}: no y block there
+        y = (lift_degree(cp.deltas, n_tr - k - 1, cp.degrees, 2 * k) if k < n_tr
+             else SparseMatrix.zero(0, 0))
         ent = base + [(i, nxw + y.cols + jj, v) for i, jj, v in c_block]
         ent += [(nxw + (p - k - 1) * cp.n + g, p * cp.n + g, Fraction(1))
                 for g, p in x_pairs if p > k]
@@ -528,18 +522,20 @@ class LesReport:
         return all(n.exact for n in self.nodes)
 
 
-def _homology_counts(differential: SparseMatrix, degrees: tuple[int, ...], kernel: list[Vector],
-                     image: list[Vector]) -> tuple[dict[int, list[Vector]], dict[int, int]]:
-    """The cycles by degree and dim H^d = |Z_d| - |B_d| per degree, given the
-    degree of each basis vector and kernel and image bases of the differential.
-    Raises ValueError when a boundary is not a cycle: d does not square to zero."""
+def _homology_counts(differential: SparseMatrix, degrees: tuple[int, ...]
+                     ) -> tuple[dict[int, list[Vector]], list[Vector], dict[int, int]]:
+    """The cycles by degree, the boundary basis and dim H^d = |Z_d| - |B_d|
+    per degree, from one elimination of the differential, given the degree
+    of each basis vector.  Raises ValueError when a boundary is not a cycle:
+    d does not square to zero."""
+    kernel, image = kernel_and_image(differential)
     for b in image:
         if differential.apply(b):
             raise ValueError("a boundary is not a cycle: the differential does not square to zero")
     cycles, bounds = group_by_degree(kernel, degrees), group_by_degree(image, degrees)
     dims = {d: len(cycles.get(d, ())) - len(bounds.get(d, ()))
             for d in sorted(cycles.keys() | bounds.keys())}
-    return cycles, dims
+    return cycles, image, dims
 
 
 def _induced_ranks(cycles: dict[int, list[Vector]], push: Callable[[Vector], Vector],
@@ -574,9 +570,7 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
 
     Only dimensions and ranks leave this function, so it builds no
     cohomology group.  Each complex gives its cycles Z and boundaries B from
-    one elimination of its differential, and dim H^d = |Z_d| - |B_d|.  C_0
-    carries no higher operators, so F^N(C_0) is N+1 u-shifted copies of
-    (C_0, delta^0), and its Z and B are those of delta^0, tiled.
+    one elimination of its differential, and dim H^d = |Z_d| - |B_d|.
 
     F^N(C) is read in the basis [F^N(C_0) | F^N(C_+)], a permutation of its
     own, where its differential is [[D_0, K], [0, D_+]] with K the lift of
@@ -615,13 +609,9 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
     d_full = SparseMatrix(len(deg_full), len(deg_full), tuple(sorted(
         [*d_zero.entries, *((i, nz + j, v) for i, j, v in conn.entries),
          *((nz + i, nz + j, v) for i, j, v in d_plus.entries)])))
-    z_zero, b_zero = ([f_zero.include_chain(v, p) for p in range(n_tr + 1) for v in vs]
-                      for vs in kernel_and_image(s.zero_part.deltas[0]))
-    z_full, b_full = kernel_and_image(d_full)
-    z_plus, b_plus = kernel_and_image(d_plus)
-    cyc_zero, dims_zero = _homology_counts(d_zero, f_zero.degrees, z_zero, b_zero)
-    cyc_full, dims_full = _homology_counts(d_full, deg_full, z_full, b_full)
-    cyc_plus, dims_plus = _homology_counts(d_plus, f_plus.degrees, z_plus, b_plus)
+    cyc_zero, b_zero, dims_zero = _homology_counts(d_zero, f_zero.degrees)
+    cyc_full, b_full, dims_full = _homology_counts(d_full, deg_full)
+    cyc_plus, b_plus, dims_plus = _homology_counts(d_plus, f_plus.degrees)
 
     if degrees is None:
         all_deg = sorted(dims_full.keys() | dims_zero.keys() | dims_plus.keys())

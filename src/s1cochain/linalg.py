@@ -89,6 +89,7 @@ Vector = dict[int, Fraction]
 
 # Fractions are immutable, so eliminations share this one instance.
 _ONE = Fraction(1)
+_NO_FLOATS = "floating point values are not allowed; use Fraction or int"
 
 
 class DimensionError(ValueError):
@@ -98,7 +99,7 @@ class DimensionError(ValueError):
 def as_q(x: object) -> Fraction:
     """Coerce an int / Fraction / rational string to Fraction, rejecting floats."""
     if isinstance(x, float):
-        raise TypeError("floating point values are not allowed; use Fraction or int")
+        raise TypeError(_NO_FLOATS)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
@@ -174,6 +175,8 @@ class SparseMatrix:
                 raise DimensionError(f"entry ({r},{c}) out of range {self.rows}x{self.cols}")
             if not v:
                 raise ValueError("zero coefficient stored in SparseMatrix")
+            if isinstance(v, float):
+                raise TypeError(_NO_FLOATS)
             if last is not None and (r, c) <= last:
                 raise ValueError("entries not in canonical row-major order")
             last = (r, c)
@@ -201,16 +204,12 @@ class SparseMatrix:
         return SparseMatrix(rows, cols, items)
 
     @staticmethod
-    def from_dense(data: Sequence[Sequence[object]], cols: int | None = None) -> "SparseMatrix":
-        nrows = len(data)
-        ncols = cols if cols is not None else (len(data[0]) if data else 0)
-        ent = []
-        for r, row in enumerate(data):
-            if len(row) != ncols:
-                raise DimensionError("ragged dense matrix")
-            for c, x in enumerate(row):
-                ent.append((r, c, x))
-        return SparseMatrix.from_entries(nrows, ncols, ent)
+    def from_dense(data: Sequence[Sequence[object]]) -> "SparseMatrix":
+        ncols = len(data[0]) if data else 0
+        if any(len(row) != ncols for row in data):
+            raise DimensionError("ragged dense matrix")
+        return SparseMatrix.from_entries(len(data), ncols, [
+            (r, c, x) for r, row in enumerate(data) for c, x in enumerate(row)])
 
     @staticmethod
     def from_columns(columns: Sequence[Vector], rows: int) -> "SparseMatrix":
@@ -656,7 +655,7 @@ class Subquotient:
         if len(pivots) != self.rank_z:
             raise ValueError("b_gens/preferred not contained in span(z_gens)")
         b_indep = [combined[p] for p in pivots if p < nb]
-        self.rank_b = self._nb_basis = len(b_indep)
+        self.rank_b = len(b_indep)
         self.basis = tuple(combined[p] for p in pivots if p >= nb)
         self.basis_sources = tuple(("preferred", p - nb) if p < nb + np_ else ("z", p - nb - np_)
                                    for p in pivots if p >= nb)
@@ -682,7 +681,7 @@ class Subquotient:
         assert len(pivots) == s
         if any(reduced[s:]):
             raise ValueError("vector is not in Z")
-        ent = tuple((j, c - s, x) for j, row in enumerate(reduced[self._nb_basis:s])
+        ent = tuple((j, c - s, x) for j, row in enumerate(reduced[self.rank_b:s])
                     for c, x in sorted(row.items()) if c >= s)
         return SparseMatrix(self.dim, len(images), ent)
 

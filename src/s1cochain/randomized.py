@@ -1,7 +1,8 @@
 """Seeded random generators of valid complexes, splittings and morphisms.
 
-Test utility, not part of the stable API.  The strategy follows the
-structure of the objects rather than rejection sampling:
+Test utility, not part of the stable API; its degree span, retry count and
+densities are constants.  The strategy follows the structure of the
+objects rather than rejection sampling:
 
 * delta^0 is sampled as a matched acyclic pairing (a square-zero map that is
   strictly triangular in a suitable basis order) and the whole family is
@@ -50,6 +51,10 @@ from .morphisms import (
 )
 
 _SMALL = [Fraction(x) for x in (-2, -1, -1, 1, 1, 2)]
+# generator degrees lie in _DEGREE_SPAN; an unsolvable higher operator is
+# redrawn _RETRIES times; each kernel basis vector joins a random kernel
+# element with chance _KERNEL_DENSITY
+_DEGREE_SPAN, _RETRIES, _KERNEL_DENSITY = (-3, 4), 4, 0.5
 
 
 def _rand_coeff(rng: random.Random) -> Fraction:
@@ -150,17 +155,15 @@ def _solve_relation_level(rng: random.Random, gens: tuple[Generator, ...],
                                             for t, x in total.items()])
 
 
-def random_s1_complex(rng: random.Random, n_gens: int, truncation: int,
-                      degree_span: tuple[int, int] = (-3, 4),
-                      retries: int = 4) -> S1Complex:
+def random_s1_complex(rng: random.Random, n_gens: int, truncation: int) -> S1Complex:
     """A valid N-truncated complex with nonzero higher operators when possible."""
-    degrees = tuple(rng.randint(*degree_span) for _ in range(n_gens))
+    degrees = tuple(rng.randint(*_DEGREE_SPAN) for _ in range(n_gens))
     gens = tuple(Generator(f"g{i}", d) for i, d in enumerate(degrees))
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         deltas = [_matched_pairing_delta0(rng, degrees)]
         ok = True
         for k in range(1, truncation + 1):
-            density = 0.5 if attempt < retries else 0.0
+            density = _KERNEL_DENSITY if attempt < _RETRIES else 0.0
             dk = _solve_relation_level(rng, gens, deltas, k, density)
             if dk is None:
                 ok = False
@@ -182,7 +185,6 @@ def random_s1_complex(rng: random.Random, n_gens: int, truncation: int,
 
 def random_split_complex(rng: random.Random, n_plus: int, n_zero_extra: int,
                          truncation: int,
-                         degree_span: tuple[int, int] = (-3, 4),
                          with_unit_killer: bool = False) -> SplitS1Complex:
     """A valid split complex with unit e and sampled connecting operators.
 
@@ -190,9 +192,9 @@ def random_split_complex(rng: random.Random, n_plus: int, n_zero_extra: int,
     forces a 0-dilation; useful for exercising the implications that are
     vacuous on complexes without any dilation.
     """
-    plus = random_s1_complex(rng, n_plus, truncation, degree_span)
+    plus = random_s1_complex(rng, n_plus, truncation)
     zero_gens = (Generator("e", 0),) + tuple(
-        Generator(f"z{i}", rng.randint(degree_span[0], degree_span[1]))
+        Generator(f"z{i}", rng.randint(*_DEGREE_SPAN))
         for i in range(n_zero_extra))
     # e (index 0) is protected: never a pairing source or target
     d0_zero = _matched_pairing_delta0(rng, tuple(g.degree for g in zero_gens), protected={0})
@@ -236,15 +238,14 @@ def _append_unit_killer(s: SplitS1Complex) -> SplitS1Complex:
                           tuple(s.parts) + (PLUS_PART,), dict(s.unit))
 
 
-def random_homotopy_blocks(rng: random.Random, phi: S1Morphism,
-                           density: float = 0.4) -> tuple[SparseMatrix, ...]:
+def random_homotopy_blocks(rng: random.Random, phi: S1Morphism) -> tuple[SparseMatrix, ...]:
     """Arbitrary degree-(-2r-1) blocks; any choice is a valid homotopy datum."""
     src, dst = phi.source, phi.target
     hs = []
     for r in range(phi.truncation + 1):
         ent = []
         for (i, j) in _allowed_pairs(src.degrees, dst.degrees, -2 * r - 1):
-            if rng.random() < density:
+            if rng.random() < 0.4:
                 ent.append((i, j, _rand_coeff(rng)))
         hs.append(SparseMatrix.from_entries(dst.n, src.n, ent))
     return tuple(hs)
@@ -284,23 +285,22 @@ def _relation_system(source: S1Complex, target: S1Complex
     return SparseMatrix.from_entries(len(rows), len(unknowns), ent), unknowns, rpos
 
 
-def _morphism_components(rng: random.Random, source: S1Complex, target: S1Complex,
-                         density: float = 0.5) -> tuple[SparseMatrix, ...]:
+def _morphism_components(rng: random.Random, source: S1Complex,
+                         target: S1Complex) -> tuple[SparseMatrix, ...]:
     """phi^0, ..., phi^N of a random element of the kernel of the morphism relations."""
     sys, unknowns, _ = _relation_system(source, target)
     comps: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(source.truncation + 1)]
-    for t, x in _random_kernel_element(rng, sys, density, {}).items():
+    for t, x in _random_kernel_element(rng, sys, _KERNEL_DENSITY, {}).items():
         r, i, j = unknowns[t]
         comps[r].append((i, j, x))
     return tuple(SparseMatrix.from_entries(target.n, source.n, e) for e in comps)
 
 
-def random_morphism(rng: random.Random, source: S1Complex, target: S1Complex,
-                    density: float = 0.5) -> S1Morphism:
+def random_morphism(rng: random.Random, source: S1Complex, target: S1Complex) -> S1Morphism:
     """A random solution of the (jointly linear) morphism relations."""
     if source.truncation != target.truncation:
         raise ValueError("equal truncations required")
-    phi = S1Morphism(source, target, _morphism_components(rng, source, target, density))
+    phi = S1Morphism(source, target, _morphism_components(rng, source, target))
     assert verify_morphism(phi).valid
     return phi
 

@@ -7,6 +7,7 @@ from math import factorial, gcd
 import pytest
 
 from s1cochain.brieskorn import (
+    MAX_DISTINCT_EXPONENTS,
     MAX_PERIOD_BOUND,
     BrieskornData,
     OrbitFamily,
@@ -77,6 +78,16 @@ class TestPrincipalPeriods:
             principal_periods([2])
         with pytest.raises(ValueError):
             principal_periods([1, 2])
+
+    def test_distinct_exponents_beyond_the_limit_refused(self):
+        # coprime exponents are the worst case: any two or more make a principal period
+        primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+        k = MAX_DISTINCT_EXPONENTS
+        with pytest.raises(ValueError, match=f"{k + 1} distinct exponents exceed the limit {k}"):
+            principal_periods(primes[:k + 1])
+        BrieskornData(tuple(primes[:k]))
+        # repeats count once: the one-dilation exponents at n = 12 have 11
+        BrieskornData(tuple(range(2, 12)) + (12,) * 40)
 
 
 class TestMinCz:

@@ -252,7 +252,8 @@ def test_lift_degree_is_the_degree_d_columns_of_lift_family(kind, seed, n, n_tr)
                          if degrees[j % n_src] - 2 * (j // n_src) == d)
             assert lift_degree(ops, level, degrees, d) == SparseMatrix(full.rows, full.cols, kept)
     for d in set(degrees):
-        assert lift_degree(ops, -1, degrees, d) == SparseMatrix.zero(0, 0)
+        with pytest.raises(ValueError, match="level must be non-negative"):
+            lift_degree(ops, -1, degrees, d)
 
 
 def test_lift_degree_refuses_a_level_past_the_truncation_as_lift_family_does():
@@ -263,6 +264,13 @@ def test_lift_degree_refuses_a_level_past_the_truncation_as_lift_family_does():
         lift_degree(c.deltas, 99, c.degrees, 0)
     with pytest.raises(TruncationError, match="level 5 exceeds truncation 4"):
         lift_degree(c.deltas, 5, c.degrees, 0)
-    # level -1 stays the empty lift the torsion route asks for
-    assert lift_degree(c.deltas, -1, c.degrees, 0) == SparseMatrix.zero(0, 0)
     assert lift_degree(c.deltas, 4, c.degrees, 0).rows == 5 * 6
+
+
+@pytest.mark.parametrize("level", [-1, -5])
+def test_lift_degree_refuses_a_negative_level_as_lift_family_does(level):
+    c = random_s1_complex(random.Random(5), 6, 4)
+    with pytest.raises(ValueError, match="level must be non-negative"):
+        lift_family(c.deltas, level)
+    with pytest.raises(ValueError, match="level must be non-negative"):
+        lift_degree(c.deltas, level, c.degrees, 0)

@@ -44,7 +44,6 @@ from s1cochain.dilation import (
 from s1cochain.linalg import (
     SparseMatrix,
     Subquotient,
-    kernel_and_image,
     kernel_basis,
     rank,
     vadd,
@@ -92,21 +91,21 @@ class TestVerifySplitting:
         s = make_split_complex(c, ["e"], "e")
         rep = verify_splitting(s)
         assert not rep.valid
-        assert (1, "e") in rep.higher_violations
+        assert "delta^1 nonzero on zero-part generator e" in rep.violations()
         assert any("delta^1" in v for v in rep.violations())
 
     def test_unit_not_closed_flagged_over_a_common_denominator(self):
         c = make_complex([("e", 0), ("x", 1)], 0, {0: [("e", "x", F(1, 2))]})
         rep = verify_splitting(make_split_complex(c, ["e", "x"], "e"))
         assert not rep.valid
-        assert not rep.unit_closed
+        assert "unit chain is not closed" in rep.violations()
 
     def test_exact_unit_flagged(self):
         c = make_complex([("e", 0), ("f", -1)], 0, {0: [("f", "e", 1)]})
         s = make_split_complex(c, ["e", "f"], "e")
         rep = verify_splitting(s)
         assert not rep.valid
-        assert not rep.unit_nonexact
+        assert "unit class vanishes in H^0 of the zero part" in rep.violations()
 
     def test_milnor_models_valid(self):
         for k, m in [(1, 1), (2, 3), (3, 4), (2, 2)]:
@@ -488,9 +487,8 @@ class TestTautologicalLes:
         c = make_complex([("x", 0), ("y", 1), ("z", 2)], 0,
                          {0: [("x", "y", F(1, 2)), ("y", "z", F(2, 3))]})
         f = build_filtered_plus(c, 0)
-        kernel, image = kernel_and_image(f.differential)
         with pytest.raises(ValueError, match="a boundary is not a cycle"):
-            _homology_counts(f.differential, f.degrees, kernel, image)
+            _homology_counts(f.differential, f.degrees)
 
     @pytest.mark.parametrize("window", [range(MAX_DEGREE_WINDOW + 1), range(10**9),
                                         range(-10**20, 10**20)])
@@ -713,7 +711,7 @@ def _off_degree_unit():
     order_of_semidilation, order_via_torsion, partial(order_via_torsion, semi=True)])
 def test_every_order_route_refuses_a_unit_off_degree_zero(route):
     s = _off_degree_unit()
-    assert not verify_splitting(s).unit_degree_zero
+    assert "unit chain is not of pure degree 0" in verify_splitting(s).violations()
     with pytest.raises(ValueError, match="unit chain is not of pure degree 0"):
         route(s)
 
@@ -812,6 +810,15 @@ def test_make_split_complex_refuses_a_name_that_names_no_generator(names):
         make_split_complex(c, names, "e")
 
 
+@pytest.mark.parametrize("unit, error, message", [
+    ({0: 0.5}, TypeError, "floating point values are not allowed"),
+    ({0: F(1), 1: F(0)}, ValueError, "zero coefficient stored in the unit chain")])
+def test_split_refuses_a_float_or_a_stored_zero_in_the_unit(unit, error, message):
+    s = milnor_model(2, 3)
+    with pytest.raises(error, match=message):
+        dilation.SplitS1Complex(s.complex, s.parts, unit)
+
+
 def test_make_split_complex_refuses_a_unit_name_that_names_no_generator():
     c = make_complex([("e", 0), ("x", -1)], 1, {0: [("x", "e", 1)]})
     with pytest.raises(ValueError, match="unit name 'nope' names no generator"):
@@ -854,8 +861,9 @@ def assert_split_matches_oracle(s):
         assert s.complex.deltas[r].row_dicts()[i].get(j)
         assert s.parts[j] == "zero" and (r or s.parts[i] == "plus")
     rep = verify_splitting(s)
-    assert rep.subcomplex_ok == preserved
-    assert rep.higher_violations == tuple((r, s.complex.generators[j].name) for r, j in higher)
+    operator_lines = ["delta^0 does not preserve the zero part"] * (not preserved) + [
+        f"delta^{r} nonzero on zero-part generator {s.complex.generators[j].name}" for r, j in higher]
+    assert [v for v in rep.violations() if v.startswith("delta^")] == operator_lines
 
 
 def _retagged(s, rng):
@@ -890,6 +898,52 @@ def test_split_matches_oracle_on_edge_cases():
     assert every_zero.outside
     assert every_plus.outside == ()
     assert every_zero.plus_part.n == 0 and every_plus.zero_part.n == 0
+
+
+def _oracle_splitting_lines(s):
+    """The violation lines of the seven-flag splitting report, from the
+    oracle's slices and re-scans."""
+    c = s.complex
+    zero_deltas, _, _, unit_zero, preserved, higher = _oracle_split(s)
+    subcomplex_ok, higher_vanish_ok = preserved, not higher
+    unit_in_zero_part = all(s.parts[i] == "zero" for i in s.unit)
+    unit_degree_zero = all(c.generators[i].degree == 0 for i in s.unit)
+    d0 = zero_deltas[0]
+    unit_closed = vis_zero(d0.apply(unit_zero)) if unit_in_zero_part else False
+    unit_nonexact = unit_in_zero_part and unit_closed and linalg.solve(d0, unit_zero) is None
+    out = []
+    if not subcomplex_ok:
+        out.append("delta^0 does not preserve the zero part")
+    if not higher_vanish_ok:
+        out.extend(f"delta^{r} nonzero on zero-part generator {c.generators[j].name}"
+                   for r, j in higher)
+    if not unit_in_zero_part:
+        out.append("unit chain is not supported on the zero part")
+    if not unit_degree_zero:
+        out.append("unit chain is not of pure degree 0")
+    if not unit_closed:
+        out.append("unit chain is not closed")
+    if not unit_nonexact:
+        out.append("unit class vanishes in H^0 of the zero part")
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 8), st.integers(0, 3), st.integers(1, 4),
+       st.booleans(), st.booleans())
+def test_splitting_lines_match_the_seven_flag_oracle(seed, n_plus, n_zero_extra, n_tr,
+                                                     killer, redraw_unit):
+    rng = random.Random(seed)
+    s = random_split_complex(rng, n_plus, n_zero_extra, n_tr, with_unit_killer=killer)
+    assert verify_splitting(s).violations() == _oracle_splitting_lines(s) == []
+    # most re-tagged splits are invalid; a redrawn unit may be open or off degree 0
+    t = _retagged(s, rng)
+    if redraw_unit:
+        t = dilation.SplitS1Complex(t.complex, t.parts, {
+            i: F(rng.choice([-2, -1, 1, 3])) for i in rng.sample(range(t.complex.n), 2)})
+    rep = verify_splitting(t)
+    assert rep.violations() == _oracle_splitting_lines(t)
+    assert rep.valid == (not rep.violations())
 
 
 def test_making_a_split_slices_no_operator():

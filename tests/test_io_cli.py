@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s1cochain.brieskorn import MAX_PERIOD_BOUND, milnor_model
+from s1cochain.brieskorn import MAX_DISTINCT_EXPONENTS, MAX_PERIOD_BOUND, milnor_model
 from s1cochain.cli import MAX_ONE_DILATION_N, main
 from s1cochain.complexes import (
     MAX_DEGREE_WINDOW,
@@ -464,6 +464,14 @@ class TestCli:
     def test_brieskorn_bad_exponents_exit_2(self):
         res = run_cli("brieskorn", "periods", "2,x")
         assert res.exit_code == 2
+
+    def test_brieskorn_too_many_distinct_exponents_exit_2_fast(self):
+        primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+        start = time.perf_counter()
+        res = run_cli("brieskorn", "periods", ",".join(map(str, primes[:MAX_DISTINCT_EXPONENTS + 1])))
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert f"exceed the limit {MAX_DISTINCT_EXPONENTS}" in res.stderr
 
     def test_milnor_monotonicity_exit_2(self):
         res = run_cli("milnor", "--k", "3", "--m", "2")

@@ -216,6 +216,11 @@ def test_a_negative_shape_is_refused(make):
         make()
 
 
+def test_a_float_entry_is_refused():
+    with pytest.raises(TypeError, match="floating point values are not allowed"):
+        SparseMatrix(1, 1, ((0, 0, 0.5),))
+
+
 def test_span_leq_rejects_out_of_range_vector():
     for a, b in (([vec({2: 1})], [vec({0: 1})]), ([], [vec({-1: 1})])):
         with pytest.raises(DimensionError):
@@ -356,7 +361,7 @@ def _oracle_coordinates(s, u):
     """The quotient coordinates of u in s from the oracle's solve of the
     solver matrix, or None when u is not in Z."""
     sol = _oracle_solve(SparseMatrix.from_columns(s._solver, s.ambient_dim), u)
-    return None if sol is None else tuple(sol.get(s._nb_basis + j, F(0)) for j in range(s.dim))
+    return None if sol is None else tuple(sol.get(s.rank_b + j, F(0)) for j in range(s.dim))
 
 
 def _oracle_kernel_basis(m):

@@ -219,7 +219,7 @@ def _reference_connecting_family(rng, plus, zero_degrees, d0_zero, density=0.5):
 
 def _reference_random_split_complex(rng, n_plus, n_zero_extra, truncation,
                                     degree_span=(-3, 4), with_unit_killer=False):
-    plus = random_s1_complex(rng, n_plus, truncation, degree_span)
+    plus = random_s1_complex(rng, n_plus, truncation)
     zero_degrees = (0,) + tuple(rng.randint(degree_span[0], degree_span[1])
                                 for _ in range(n_zero_extra))
     d0_zero = _matched_pairing_delta0(rng, zero_degrees, protected={0})
