@@ -105,8 +105,9 @@ def _load_valid(path: str) -> SplitS1Complex:
 
 
 def _window(ctx: click.Context, param: click.Parameter, text: str | None) -> range | None:
-    """Parse a LO..HI option into a range.  A malformed or overlong window
-    is refused with exit 2, and click names the option in the message."""
+    """Parse a LO..HI option into a range.  A malformed, empty (HI < LO) or
+    overlong window is refused with exit 2, and click names the option in
+    the message."""
     if text is None:
         return None
     try:
@@ -114,6 +115,8 @@ def _window(ctx: click.Context, param: click.Parameter, text: str | None) -> ran
         window = range(int(lo), int(hi) + 1)
     except ValueError:
         raise click.BadParameter(f"bad window {text!r}; expected LO..HI") from None
+    if not window:
+        raise click.BadParameter(f"empty window {text!r}: HI is below LO")
     try:
         check_degree_window(window)
     except ValueError as exc:
@@ -151,13 +154,13 @@ def check(file: str) -> None:
     report = {
         "valid": rel.valid and spl.valid,
         "relations": [
-            {"k": c.k, "ok": c.ok,
+            {"k": c.order, "ok": c.ok,
              "violations": [{"from": f, "to": t, "residual": str(v)}
-                            for f, t, v in c.residual_entries]}
+                            for f, t, v in c.entries]}
             for c in rel.relation_checks],
         "degree_shifts": [
-            {"r": c.r, "ok": c.ok,
-             "violations": [{"from": f, "to": t} for f, t in c.violations]}
+            {"r": c.order, "ok": c.ok,
+             "violations": [{"from": f, "to": t} for f, t in c.entries]}
             for c in rel.degree_checks],
         "splitting": {"ok": spl.valid, "violations": spl.violations()},
     }

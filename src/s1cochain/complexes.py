@@ -12,9 +12,10 @@ acts by lowering the u-power and truncating at u^0.
 `family_product(a, b, k)` is the degree-k part sum_{i+j=k} a^i b^j of the
 product of two operator families.  The relation above, and in
 `s1cochain.morphisms` the morphism and homotopy relations and composition,
-are all read from it; `RelationCheck.of` and `DegreeCheck.of_family` name
-the entries of a residual and of a degree-shift violation for every family,
-and `S1ValidationReport` carries both for complexes, morphisms and
+are all read from it.  One `EntryCheck` type names the entries that break
+a rule at one order: `EntryCheck.relation` those of a residual,
+`EntryCheck.shifts` those of a degree-shift violation, for every family,
+and `S1ValidationReport` carries both kinds for complexes, morphisms and
 homotopies alike.
 """
 
@@ -124,41 +125,35 @@ def family_product(a: Sequence[SparseMatrix], b: Sequence[SparseMatrix],
 
 
 @dataclass(frozen=True)
-class RelationCheck:
-    """The degree-k relation of a family: its residual's nonzero entries,
-    named (source generator, target generator, value)."""
+class EntryCheck:
+    """The entries of the order-`order` member of a family that break a rule,
+    named (source generator, target generator), with the residual value
+    appended for a relation."""
 
-    k: int
-    ok: bool
-    residual_entries: tuple[tuple[str, str, Fraction], ...]
+    order: int
+    entries: tuple[tuple[str, str] | tuple[str, str, Fraction], ...]
 
-    @staticmethod
-    def of(k: int, residual: SparseMatrix, source: S1Complex,
-           target: S1Complex) -> "RelationCheck":
-        bad = tuple((source.generators[j].name, target.generators[i].name, v)
-                    for i, j, v in residual.entries)
-        return RelationCheck(k, not bad, bad)
-
-
-@dataclass(frozen=True)
-class DegreeCheck:
-    """The entries of the order-r member of a family, named (source
-    generator, target generator), that do not shift degree as required."""
-
-    r: int
-    ok: bool
-    violations: tuple[tuple[str, str], ...]
+    @property
+    def ok(self) -> bool:
+        return not self.entries
 
     @staticmethod
-    def of_family(mats: Sequence[SparseMatrix], source: S1Complex, target: S1Complex,
-                  shift: int) -> tuple["DegreeCheck", ...]:
+    def relation(k: int, residual: SparseMatrix, source: S1Complex,
+                 target: S1Complex) -> "EntryCheck":
+        """The nonzero entries of the degree-k residual, with their values."""
+        return EntryCheck(k, tuple((source.generators[j].name, target.generators[i].name, v)
+                                   for i, j, v in residual.entries))
+
+    @staticmethod
+    def shifts(mats: Sequence[SparseMatrix], source: S1Complex, target: S1Complex,
+               shift: int) -> tuple["EntryCheck", ...]:
         """One check per order r, each entry required to shift degree by shift - 2r."""
         src, dst = source.generators, target.generators
         out = []
         for r, m in enumerate(mats):
             bad = tuple((src[j].name, dst[i].name) for i, j, _ in m.entries
                         if dst[i].degree - src[j].degree != shift - 2 * r)
-            out.append(DegreeCheck(r, not bad, bad))
+            out.append(EntryCheck(r, bad))
         return tuple(out)
 
 
@@ -169,8 +164,8 @@ class S1ValidationReport:
     degree-k relation (`{k}` marks the degree) for the lines of
     `violations`."""
 
-    relation_checks: tuple[RelationCheck, ...]
-    degree_checks: tuple[DegreeCheck, ...]
+    relation_checks: tuple[EntryCheck, ...]
+    degree_checks: tuple[EntryCheck, ...]
     symbol: str
     rule: str
     relation: str
@@ -182,18 +177,17 @@ class S1ValidationReport:
 
     def violations(self) -> list[str]:
         """One line per failed check, the degree shifts first."""
-        return ([f"degree shift of {self.symbol}^{c.r} ({self.rule}): VIOLATED {c.violations[:3]}"
+        return ([f"degree shift of {self.symbol}^{c.order} ({self.rule}): VIOLATED {c.entries[:3]}"
                  for c in self.degree_checks if not c.ok]
-                + [f"relation {self.relation.format(k=c.k)}: "
-                   f"VIOLATED {c.residual_entries[:3]}"
+                + [f"relation {self.relation.format(k=c.order)}: VIOLATED {c.entries[:3]}"
                    for c in self.relation_checks if not c.ok])
 
 
 def verify_s1_relations(c: S1Complex) -> S1ValidationReport:
     """Check every truncated relation and every operator's degree shift."""
-    relation_checks = tuple(RelationCheck.of(k, family_product(c.deltas, c.deltas, k), c, c)
+    relation_checks = tuple(EntryCheck.relation(k, family_product(c.deltas, c.deltas, k), c, c)
                             for k in range(c.truncation + 1))
-    return S1ValidationReport(relation_checks, DegreeCheck.of_family(c.deltas, c, c, 1),
+    return S1ValidationReport(relation_checks, EntryCheck.shifts(c.deltas, c, c, 1),
                               "delta", "1-2r", "sum_(i+j={k}) delta^i delta^j = 0")
 
 
@@ -222,10 +216,6 @@ class FilteredPlusComplex:
 
     def index_of(self, gen_index: int, power: int) -> int:
         return power * self.source.n + gen_index
-
-    def include_chain(self, v: Vector, power: int = 0) -> Vector:
-        """A chain of C placed at the given u-power."""
-        return {self.index_of(i, power): x for i, x in v.items()}
 
     def power_component(self, v: Vector, power: int) -> Vector:
         """Coefficient of u^-power, as a chain of C."""

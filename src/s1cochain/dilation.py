@@ -43,11 +43,10 @@ from .linalg import (
     SparseMatrix,
     Subquotient,
     Vector,
-    as_q,
     kernel_and_image,
     pivot_columns,
+    require_exact,
     solve,
-    vis_zero,
 )
 from .morphisms import S1Morphism, compose, phi_k, verify_morphism
 from .spectral import QuotientMap, delta_k
@@ -65,8 +64,8 @@ class SplitS1Complex:
 
     The split is the one reader of the partition.  Its derived fields are
     built once, in one pass over each operator's entries, and never compared:
-    `zero_indices` and `plus_indices` list each part's generators in ambient
-    order, `positions` maps a generator to its place in its part, `zero_part`
+    `positions` maps a generator to its place in its part (each part keeps
+    the ambient order, so `parts` lists either part's generators), `zero_part`
     is C_0 with (delta^0_0, 0, ..., 0), `plus_part` is C_+ with (delta^0_+,
     delta^1_+, ...), `connecting` holds the blocks delta^r_{+,0} : C_+ -> C_0,
     `unit_zero` is the unit in C_0's coordinates, and `outside` lists the
@@ -77,8 +76,6 @@ class SplitS1Complex:
     complex: S1Complex
     parts: tuple[str, ...]
     unit: Vector
-    zero_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    plus_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
     positions: dict[int, int] = field(init=False, compare=False, repr=False)
     zero_part: S1Complex = field(init=False, compare=False, repr=False)
     plus_part: S1Complex = field(init=False, compare=False, repr=False)
@@ -92,14 +89,15 @@ class SplitS1Complex:
         for p in self.parts:
             if p not in (ZERO_PART, PLUS_PART):
                 raise ValueError(f"unknown part tag {p!r}")
-        if vis_zero(self.unit):
+        if not self.unit:
             raise ValueError("unit chain must be nonzero")
         c = self.complex
         if not all(0 <= i < c.n for i in self.unit):
             raise ValueError(f"unit chain index outside the generators 0..{c.n - 1}")
-        # as_q refuses a float coefficient with TypeError
-        if not all(as_q(x) for x in self.unit.values()):
-            raise ValueError("zero coefficient stored in the unit chain")
+        for x in self.unit.values():
+            require_exact(x)
+            if not x:
+                raise ValueError("zero coefficient stored in the unit chain")
         zero = [p == ZERO_PART for p in self.parts]
         zi = tuple(i for i in range(c.n) if zero[i])
         pi = tuple(i for i in range(c.n) if not zero[i])
@@ -118,8 +116,6 @@ class SplitS1Complex:
             plus_blocks.append(SparseMatrix(len(pi), len(pi), tuple(plus)))
             conn_blocks.append(SparseMatrix(len(zi), len(pi), tuple(conn)))
         derived = {
-            "zero_indices": zi,
-            "plus_indices": pi,
             "positions": pos,
             "zero_part": S1Complex(tuple(c.generators[i] for i in zi), c.truncation,
                                    (SparseMatrix(len(zi), len(zi), tuple(zero_block)),)
@@ -190,7 +186,7 @@ def verify_splitting(s: SplitS1Complex) -> SplittingReport:
     if any(c.generators[i].degree for i in s.unit):
         lines.append("unit chain is not of pure degree 0")
     d0, e0 = s.zero_part.deltas[0], s.unit_zero
-    closed = in_zero and vis_zero(d0.apply(e0))
+    closed = in_zero and not d0.apply(e0)
     if not closed:
         lines.append("unit chain is not closed")
     if not closed or solve(d0, e0) is not None:

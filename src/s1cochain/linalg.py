@@ -87,8 +87,8 @@ from typing import Iterable, Mapping, Sequence
 
 Vector = dict[int, Fraction]
 
-# Fractions are immutable, so eliminations share this one instance.
-_ONE = Fraction(1)
+# Fractions are immutable, so every caller shares these instances.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 _NO_FLOATS = "floating point values are not allowed; use Fraction or int"
 
 
@@ -105,6 +105,20 @@ def as_q(x: object) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _inexact(x: object) -> TypeError:
+    """The refusal of a stored value that is neither an int nor a Fraction."""
+    if isinstance(x, float):
+        return TypeError(_NO_FLOATS)
+    return TypeError(f"{x!r} is neither an int nor a Fraction")
+
+
+def require_exact(x: object) -> None:
+    """Refuse a value that is neither an int nor a Fraction with TypeError;
+    unlike `as_q`, a rational string is refused too."""
+    if type(x) is not Fraction and not isinstance(x, int):
+        raise _inexact(x)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +159,6 @@ def vscale(c: object, v: Vector) -> Vector:
     return {i: q * x for i, x in v.items()}
 
 
-def vis_zero(v: Vector) -> bool:
-    return not v
-
-
 # ---------------------------------------------------------------------------
 # sparse matrices
 
@@ -175,8 +185,9 @@ class SparseMatrix:
                 raise DimensionError(f"entry ({r},{c}) out of range {self.rows}x{self.cols}")
             if not v:
                 raise ValueError("zero coefficient stored in SparseMatrix")
-            if isinstance(v, float):
-                raise TypeError(_NO_FLOATS)
+            # the identity test first: it is the common case and the cheapest
+            if type(v) is not Fraction and not isinstance(v, int):
+                raise _inexact(v)
             if last is not None and (r, c) <= last:
                 raise ValueError("entries not in canonical row-major order")
             last = (r, c)
@@ -279,9 +290,6 @@ class SparseMatrix:
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + other.scale(-1)
-
-    def __neg__(self) -> "SparseMatrix":
-        return self.scale(-1)
 
     def scale(self, c: object) -> "SparseMatrix":
         q = as_q(c)
@@ -560,9 +568,10 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     Free variables are set to zero, so the returned witness is deterministic.
     Absence is certified by the pivot landing in the augmented column.
     """
-    for i in b:
+    for i, x in b.items():
         if not 0 <= i < m.rows:
             raise DimensionError("right-hand side index out of range")
+        require_exact(x)
     aug = m.cols
     rows = _matrix_rows(m, b)
     pivots, prows, pvals = _echelon(rows, aug + 1)
@@ -616,11 +625,6 @@ def span_leq(a: Sequence[Vector], b: Sequence[Vector], dim: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # subquotients Z/B
-
-
-def _column(m: SparseMatrix) -> tuple[Fraction, ...]:
-    """The one column of m as a dense tuple."""
-    return tuple(row[0] for row in m.to_dense())
 
 
 class Subquotient:
@@ -686,7 +690,8 @@ class Subquotient:
         return SparseMatrix(self.dim, len(images), ent)
 
     def coordinates(self, v: Vector) -> tuple[Fraction, ...]:
-        return _column(self.coordinate_matrix([v]))
+        col = self.coordinate_matrix([v]).col(0)
+        return tuple(col.get(j, _ZERO) for j in range(self.dim))
 
     def dims_by(self, grading: Sequence[int]) -> dict[int, int]:
         """Quotient dimension per value of a grading on the ambient basis."""

@@ -34,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
-    DegreeCheck,
-    RelationCheck,
+    EntryCheck,
     S1Complex,
     S1ValidationReport,
     TruncationError,
@@ -51,7 +50,6 @@ from .linalg import (
     Vector,
     kernel_and_image,
     span_leq,
-    vis_zero,
     vsub,
 )
 from .spectral import (
@@ -117,10 +115,10 @@ def zero_morphism(source: S1Complex, target: S1Complex) -> S1Morphism:
 def verify_morphism(phi: S1Morphism) -> S1ValidationReport:
     src, dst = phi.source, phi.target
     checks = tuple(
-        RelationCheck.of(k, family_product(phi.phis, src.deltas, k)
-                         - family_product(dst.deltas, phi.phis, k), src, dst)
+        EntryCheck.relation(k, family_product(phi.phis, src.deltas, k)
+                            - family_product(dst.deltas, phi.phis, k), src, dst)
         for k in range(phi.truncation + 1))
-    return S1ValidationReport(checks, DegreeCheck.of_family(phi.phis, src, dst, 0),
+    return S1ValidationReport(checks, EntryCheck.shifts(phi.phis, src, dst, 0),
                               "phi", "-2r", "sum_(i+j={k}) phi^i delta^j - partial^j phi^i = 0")
 
 
@@ -130,9 +128,9 @@ def verify_homotopy(h: S1Homotopy) -> S1ValidationReport:
     phi, psi = h.between
     src, dst = phi.source, phi.target
     deformed, _ = homotopy_deformation(phi, h.hs)
-    checks = tuple(RelationCheck.of(k, deformed.phis[k] - psi.phis[k], src, dst)
+    checks = tuple(EntryCheck.relation(k, deformed.phis[k] - psi.phis[k], src, dst)
                    for k in range(phi.truncation + 1))
-    return S1ValidationReport(checks, DegreeCheck.of_family(h.hs, src, dst, -1), "h", "-1-2r",
+    return S1ValidationReport(checks, EntryCheck.shifts(h.hs, src, dst, -1), "h", "-1-2r",
                               "phi^{k} - psi^{k} = sum_(i+j={k}) h^i delta^j + partial^j h^i")
 
 
@@ -196,9 +194,7 @@ def phi_k(phi: S1Morphism, k: int) -> QuotientMap:
     cycles, cum = kernel_and_image(dst.deltas[0])
     for j in range(k):
         for w in t.z(j):
-            val = phi_value(phi, w)
-            if not vis_zero(val):
-                cum.append(val)
+            cum.append(phi_value(phi, w))
     [(dom, dom_wits)] = t.quotients(k, [t.b_vectors(0)])
     cod = Subquotient(dst.n, cycles, cum)
     mat = cod.coordinate_matrix([phi_value(phi, w) for w in dom_wits])

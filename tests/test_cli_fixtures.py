@@ -8,7 +8,8 @@ and `cohomology` on each.  It also holds the stdout of `check` on
 violate relations at every k and degree shifts at two orders, so the
 residual entries are pinned too.  `cli_fixtures/commands/` holds the stdout
 of the commands that read no document: `brieskorn periods`, `cz`, `adc` and
-`predict` on three exponent vectors, and `reproduce theorem-a --max 3`.
+`predict` on three exponent vectors, `reproduce theorem-a --max 3` and
+`reproduce corollary-1dilation --n-range 3..5`.
 Every test compares bytes, so a change to any basis, witness, order,
 residual, index or key order fails here.
 
@@ -52,7 +53,8 @@ BRIESKORN = {"2,3,3,3": ("--bound", "60"), "3,3,3,3": (), "2,3,5": ()}
 COMMANDS = [("brieskorn", "periods", e) for e in BRIESKORN]
 COMMANDS += [("brieskorn", c, e, *bound) for c in ("cz", "adc", "predict")
              for e, bound in BRIESKORN.items()]
-COMMANDS += [("reproduce", "theorem-a", "--max", "3")]
+COMMANDS += [("reproduce", "theorem-a", "--max", "3"),
+             ("reproduce", "corollary-1dilation", "--n-range", "3..5")]
 
 
 def _fixture_path(doc: str, args: tuple[str, ...]) -> Path:

@@ -47,7 +47,7 @@ class TestVerify:
         rep = verify_s1_relations(bad)
         assert not rep.valid
         assert not rep.degree_checks[0].ok
-        assert ("y", "x") in rep.degree_checks[0].violations
+        assert ("y", "x") in rep.degree_checks[0].entries
 
     def test_relation_violation_detected(self):
         # delta0 not square-zero: x -> y -> z
@@ -69,7 +69,7 @@ class TestVerify:
         broken = make_complex(gens, 0, {0: [("x", "w", F(1, 2)), *ops[::2], ops[3]]})
         rep = verify_s1_relations(broken)
         assert not rep.valid
-        assert rep.relation_checks[0].residual_entries == (("x", "z", F(-1, 2)),)
+        assert rep.relation_checks[0].entries == (("x", "z", F(-1, 2)),)
 
 
 class TestFilteredPlus:

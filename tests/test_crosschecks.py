@@ -24,6 +24,7 @@ from s1cochain.brieskorn import (
 )
 from s1cochain.complexes import build_filtered_plus, make_complex
 from s1cochain.dilation import (
+    ZERO_PART,
     delta_plus0_k,
     has_k_semidilation,
     pi0_coordinate,
@@ -43,7 +44,7 @@ def _semidilation_via_quotient_images(s, k):
     """
     p = delta_plus0_k(s, k)
     cz = s.zero_part
-    zero_idx = s.zero_indices
+    zero_idx = [i for i, part in enumerate(s.parts) if part == ZERO_PART]
     from s1cochain.morphisms import phi_value
     from s1cochain.spectral import filtration_tower
 
@@ -88,7 +89,7 @@ class TestSemidilationCharacterizations:
             assert ok
             cp = s.plus_part
             conn = s.connecting
-            zero_idx = s.zero_indices
+            zero_idx = [i for i, part in enumerate(s.parts) if part == ZERO_PART]
             total = {}
             for idx, x in witness.items():
                 p, g = divmod(idx, cp.n)

@@ -619,6 +619,16 @@ class TestCli:
         assert res.exit_code == 0
         assert len(json.loads(res.stdout)["cohomology"]) == MAX_DEGREE_WINDOW
 
+    def test_empty_degree_window_exit_2_fast(self):
+        # HI < LO holds no degree, so an LES over it would read as exact
+        doc = str(Path(__file__).parent / "cli_fixtures" / "milnor_3_3.json")
+        for command in ("les", "cohomology"):
+            start = time.perf_counter()
+            res = run_cli(command, "--degrees", "5..1", doc)
+            assert time.perf_counter() - start < 1.0
+            assert res.exit_code == 2
+            assert "--degrees" in res.stderr and "empty window" in res.stderr
+
     def test_far_degree_les_exit_2_fast(self, tmp_path):
         # valid, but the default LES window spans the degrees 0..10^9
         doc = flat_doc(24, 2)

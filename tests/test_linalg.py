@@ -221,6 +221,20 @@ def test_a_float_entry_is_refused():
         SparseMatrix(1, 1, ((0, 0, 0.5),))
 
 
+def test_a_string_entry_is_refused():
+    # from_entries converts "p/q" through as_q; a stored entry must be exact
+    with pytest.raises(TypeError, match="neither an int nor a Fraction"):
+        SparseMatrix(1, 1, ((0, 0, "2"),))
+
+
+@pytest.mark.parametrize("value, message", [(0.5, "floating point values are not allowed"),
+                                            ("1", "neither an int nor a Fraction")])
+def test_solve_refuses_an_inexact_right_hand_side(value, message):
+    with pytest.raises(TypeError, match=message):
+        solve(dense([[2]]), {0: value})
+    assert solve(dense([[2]]), {0: 1}) == {0: F(1, 2)}
+
+
 def test_span_leq_rejects_out_of_range_vector():
     for a, b in (([vec({2: 1})], [vec({0: 1})]), ([], [vec({-1: 1})])):
         with pytest.raises(DimensionError):
@@ -677,6 +691,22 @@ def test_a_stored_zero_enters_no_row():
     assert linalg._column_rows([{0: F(0)}, {1: F(0)}], 2) == []
     assert solve(dense([[2]]), {0: F(0)}) == {}
     assert linalg._matrix_rows(dense([[2], [0]]), {0: F(0), 1: F(0)}) == [{0: 2}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(), st.data())
+def test_an_empty_spanning_vector_of_b_changes_nothing(m, data):
+    # phi_k passes a zero value of Phi^j to the codomain's B as it is
+    z = m.columns()
+    b = [m.apply(x) for x in data.draw(st.lists(_vectors(m.cols), max_size=3))]
+    padded = list(b)
+    for _ in range(data.draw(st.integers(1, 3))):
+        padded.insert(data.draw(st.integers(0, len(padded))), {})
+    images = [m.apply(x) for x in data.draw(st.lists(_vectors(m.cols), max_size=3))]
+    s, t = Subquotient(m.rows, z, b), Subquotient(m.rows, z, padded)
+    assert (_exact(t.basis), t.basis_sources, t.rank_b, t.rank_z) \
+        == (_exact(s.basis), s.basis_sources, s.rank_b, s.rank_z)
+    assert t.coordinate_matrix(images) == s.coordinate_matrix(images)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class TestVerify:
         bad = S1Morphism(a, b, (phi0, SparseMatrix.zero(1, 1)))
         rep = verify_morphism(bad)
         assert not rep.degree_checks[0].ok
-        assert rep.degree_checks[0].violations == (("x", "y"),)
+        assert rep.degree_checks[0].entries == (("x", "y"),)
         assert not rep.valid
         assert rep.violations() == ["degree shift of phi^0 (-2r): VIOLATED (('x', 'y'),)"]
 
@@ -103,7 +103,7 @@ class TestVerify:
         h0 = SparseMatrix.from_entries(1, 1, [(0, 0, F(1))])
         phi = zero_morphism(a, b)
         rep = verify_homotopy(S1Homotopy((phi, phi), (h0, SparseMatrix.zero(1, 1))))
-        assert [(c.r, c.ok, c.violations) for c in rep.degree_checks] == [
+        assert [(c.order, c.ok, c.entries) for c in rep.degree_checks] == [
             (0, False, (("x", "y"),)), (1, True, ())]
         assert not rep.valid
         assert rep.violations() == ["degree shift of h^0 (-1-2r): VIOLATED (('x', 'y'),)"]

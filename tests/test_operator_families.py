@@ -252,8 +252,8 @@ def _reference_random_split_complex(rng, n_plus, n_zero_extra, truncation,
 def _report_fields(report):
     """A report as plain data: (k, ok, residual entries) and
     (r, ok, violating pairs)."""
-    return ([(c.k, c.ok, c.residual_entries) for c in report.relation_checks],
-            [(c.r, c.ok, c.violations) for c in report.degree_checks])
+    return ([(c.order, c.ok, c.entries) for c in report.relation_checks],
+            [(c.order, c.ok, c.entries) for c in report.degree_checks])
 
 
 def _noise(rng, rows, cols, count):

@@ -11,7 +11,7 @@ from s1cochain.complexes import (
     cohomology,
     make_complex,
 )
-from s1cochain.linalg import kernel_basis, span_leq, vis_zero
+from s1cochain.linalg import kernel_basis, span_leq
 from s1cochain.randomized import random_s1_complex
 from s1cochain.spectral import (
     delta_k,
@@ -58,7 +58,7 @@ class TestZSpace:
         for k in range(c.truncation + 1):
             f = build_filtered_plus(c, k)
             for w in filtration_tower(c, k).z(k):
-                assert vis_zero(f.differential.apply(w.chain))
+                assert not f.differential.apply(w.chain)
 
     def test_level_above_truncation(self):
         with pytest.raises(TruncationError):
@@ -93,7 +93,7 @@ class TestBSpace:
             f = build_filtered_plus(c, k)
             for w in filtration_tower(c, k).b(k):
                 image = f.differential.apply(w.chain)
-                assert image == f.include_chain(w.boundary_value, 0)
+                assert image == w.boundary_value
 
 
 def _chain_respected(c):

@@ -12,6 +12,7 @@ from s1cochain.complexes import (
     verify_s1_relations,
 )
 from s1cochain.dilation import (
+    ZERO_PART,
     make_split_complex,
     order_of_dilation,
     order_of_semidilation,
@@ -77,7 +78,7 @@ class TestTensorSplit:
         s = random_split_complex(rng, 4, 2, 3)
         t = random_split_complex(rng, 4, 2, 3)
         p = tensor_split(s, t)
-        zset = set(p.zero_indices)
+        zset = {i for i, part in enumerate(p.parts) if part == ZERO_PART}
         for r in range(1, p.truncation + 1):
             assert all(j not in zset for _, j, _ in p.complex.deltas[r].entries)
 
