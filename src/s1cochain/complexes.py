@@ -314,20 +314,25 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
     Returns {degree: cycles/boundaries}, each a `Subquotient` whose `basis`
     holds deterministic representative cycles.  `preferred` optionally
     requests distinguished representatives (per degree) to head the chosen
-    basis.  The cycles and boundaries of every degree come from one
-    elimination of the differential.  A window of more than
-    MAX_DEGREE_WINDOW degrees is refused before it.
+    basis, placed ahead of the degree's cycles in Z; ValueError when one is
+    not a cycle of its degree, read as rank(Z) above the number of cycles.
+    The cycles and boundaries of every degree come from one elimination of
+    the differential.  A window of more than MAX_DEGREE_WINDOW degrees is
+    refused before it.
     """
     degs, diff = _graded_data(obj)
     if degrees is not None:
         check_degree_window(degrees)
     kernel, image = kernel_and_image(diff)
     cycles, bounds = group_by_degree(kernel, degs), group_by_degree(image, degs)
+    heads = preferred or {}
     out: dict[int, Subquotient] = {}
     for d in sorted(set(cycles) | set(bounds)):
         if degrees is None or d in degrees:
-            out[d] = Subquotient(len(degs), cycles.get(d, []), bounds.get(d, []),
-                                 preferred=(preferred or {}).get(d, []))
+            cyc = cycles.get(d, [])
+            out[d] = Subquotient(len(degs), [*heads.get(d, []), *cyc], bounds.get(d, []))
+            if out[d].rank_z != len(cyc):
+                raise ValueError(f"a preferred vector is not a cycle of degree {d}")
     if degrees is not None:
         # the window degrees without cycles or boundaries share one zero group
         empty = None

@@ -199,14 +199,17 @@ def verify_splitting(s: SplitS1Complex) -> SplittingReport:
 
 
 def _check_level(s: SplitS1Complex, k: int) -> None:
-    """Refuse a level outside 0..N, and a unit off degree 0: every order
-    system reads the unit from its degree-0 rows only."""
+    """Refuse a level outside 0..N, and a unit off degree 0 or off the zero
+    part: every order system reads the unit from its degree-0 rows only,
+    and the semi-dilation and torsion systems from C_0's rows only."""
     if k < 0:
         raise ValueError("level must be non-negative")
     if k > s.truncation:
         raise TruncationError(f"level {k} exceeds truncation {s.truncation}")
     if any(s.complex.generators[i].degree for i in s.unit):
         raise ValueError("unit chain is not of pure degree 0")
+    if not all(s.parts[i] == ZERO_PART for i in s.unit):
+        raise ValueError("unit chain is not supported on the zero part")
 
 
 def has_k_dilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
@@ -235,7 +238,7 @@ def _zero_part_h0(s: SplitS1Complex, k: int) -> _ZeroPartH0 | None:
     """
     groups = cohomology(s.zero_part, range(0, 2 * k + 1, 2), preferred={0: [s.unit_zero]})
     h0 = groups[0]
-    if not h0.basis_sources or h0.basis_sources[0] != ("preferred", 0):
+    if not h0.basis_sources or h0.basis_sources[0] != 0:
         return None
     n0 = s.zero_part.n
     rest = [(p, {p * n0 + i: x for i, x in z.items()}) for p in range(k + 1)
@@ -259,22 +262,22 @@ def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
 
 
 def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0 | None, by_power: bool
-                        ) -> tuple[Vector | None, list[int]]:
+                        ) -> tuple[Vector, int] | None:
     """Solve the level-k system in [A | w | c]: A of total degree -1 in
     F^k(C_+), w of degree -1 in F^k(C_0) absorbing exact ambiguity, c along
     the non-unit part of H^0(F^k C_0), with delta_+ A = 0 and conn(A) -
     delta_0 w - sum c_j z_j = e u^0.  Returns the free-variables-zero
-    solution (None if there is none or the unit class vanishes) and each
-    column's u-power; `by_power` orders the columns stably by (u-power,
-    block, position).  A sits at its F^k(C_+) index, w after all of those
-    at its F^k(C_0) index, and the rows are F^k(C_+)'s, then F^k(C_0)'s;
-    the other degrees' columns stay empty and are never pivots.  The c
-    columns come last, H(C_0) tiled: the degree-2p basis of H(C_0) at
+    solution's A and the largest u-power in its support, or None if there
+    is none or the unit class vanishes; `by_power` orders the columns stably
+    by (u-power, block, position).  A sits at its F^k(C_+) index, w after
+    all of those at its F^k(C_0) index, and the rows are F^k(C_+)'s, then
+    F^k(C_0)'s; the other degrees' columns stay empty and are never pivots.
+    The c columns come last, H(C_0) tiled: the degree-2p basis of H(C_0) at
     u^-p, read from `h0`, the result of `_zero_part_h0` at level k or
     above.  The per-degree bases do not depend on the level, so the level-k
     list is the part of a higher level's with u-power <= k."""
     if h0 is None:
-        return None, []
+        return None
     rest = [(p, z) for p, z in h0[1] if p <= k]
     cp, cz = s.plus_part, s.zero_part
     na, nw = (k + 1) * cp.n, (k + 1) * cz.n
@@ -291,24 +294,19 @@ def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0 | None, by_po
     ent += [(na + i, col[na + nw + jj], -v) for jj, (_, z) in enumerate(rest)
             for i, v in z.items()]
     system = SparseMatrix.from_entries(na + nw, len(col), ent)
-    rhs = {na + i: x for i, x in s.unit_zero.items()}
-    return solve(system, rhs), [powers[j] for j in order]
-
-
-def _semidilation_witness(s: SplitS1Complex, k: int, h0: _ZeroPartH0 | None) -> Vector | None:
-    """`has_k_semidilation`'s A, or None; `h0` as in `_solve_semidilation`."""
-    sol, _ = _solve_semidilation(s, k, h0, by_power=False)
+    sol = solve(system, {na + i: x for i, x in s.unit_zero.items()})
     if sol is None:
         return None
-    return {j: x for j, x in sol.items() if j < (k + 1) * s.plus_part.n}
+    unknowns = {order[t]: x for t, x in sol.items()}
+    return {j: x for j, x in unknowns.items() if j < na}, max(powers[j] for j in unknowns)
 
 
 def has_k_semidilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     """Can a closed A of F^k(C_+) connect to a class projecting to [e]?
-    Returns A in ambient F^k(C_+) coordinates of the plus part."""
+    Returns A in F^k(C_+) coordinates, solved in the ambient column order."""
     _check_level(s, k)
-    prim = _semidilation_witness(s, k, _zero_part_h0(s, k))
-    return (prim is not None), prim
+    found = _solve_semidilation(s, k, _zero_part_h0(s, k), by_power=False)
+    return (found is not None), found[0] if found else None
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +379,12 @@ def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> Dilati
     level = _scan_level(s, max_k)
     _check_level(s, level)
     h0 = _zero_part_h0(s, level)
-    sol, powers = _solve_semidilation(s, level, h0, by_power=True)
-    if sol is None:
+    found = _solve_semidilation(s, level, h0, by_power=True)
+    if found is None:
         return DilationReport("semidilation", s.truncation, None, None)
-    order = powers[max(sol)]
+    order = found[1]
     return DilationReport("semidilation", s.truncation, order,
-                          _semidilation_witness(s, order, h0))
+                          _solve_semidilation(s, order, h0, by_power=False)[0])
 
 
 # ---------------------------------------------------------------------------

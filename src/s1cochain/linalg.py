@@ -54,13 +54,14 @@ vectors over the same rows.  `kernel_and_image` reads a kernel basis and
 the pivot columns from a single elimination, for callers that need both,
 and copies the image columns out of the matrix's own entries.
 
-A subquotient Z/B reduces any number of vectors in one elimination.  Its
-B basis and quotient basis are independent columns, so the elimination of
-[B basis | quotient basis | v_1 ... v_m], with pivots in the basis columns
-only, makes every basis column a pivot.  The pivot rows then hold the
-unique coordinates of every v_t, and v_t lies in Z exactly when no other
-row holds its column.  `Subquotient.coordinate_matrix` reads the matrix of
-a map into Z/B this way; `coordinates` is the case of one vector.  The
+A prefix question is read from pivots, since the pivots of a column
+prefix are the prefix's pivots.  `solve` reads its augmented column, and a
+subquotient Z/B reduces any number of vectors in one elimination: its B
+basis and quotient basis are independent and span Z, so they are the first
+pivots of [B basis | quotient basis | v_1 ... v_m], their rows hold the
+unique coordinates of every v_t, and the v_t lie in Z exactly when no
+later column is a pivot.  `Subquotient.coordinate_matrix` reads the matrix
+of a map into Z/B this way; `coordinates` is the case of one vector.  The
 coordinates are the unique solution that `solve` would find vector by
 vector, so they are the same numbers.
 
@@ -89,6 +90,8 @@ Vector = dict[int, Fraction]
 
 # Fractions are immutable, so every caller shares these instances.
 _ZERO, _ONE = Fraction(0), Fraction(1)
+# the class the exactness guards compare with, bound once at import
+_FRACTION = Fraction
 _NO_FLOATS = "floating point values are not allowed; use Fraction or int"
 
 
@@ -117,7 +120,7 @@ def _inexact(x: object) -> TypeError:
 def require_exact(x: object) -> None:
     """Refuse a value that is neither an int nor a Fraction with TypeError;
     unlike `as_q`, a rational string is refused too."""
-    if type(x) is not Fraction and not isinstance(x, int):
+    if type(x) is not _FRACTION and not isinstance(x, int):
         raise _inexact(x)
 
 
@@ -186,7 +189,7 @@ class SparseMatrix:
             if not v:
                 raise ValueError("zero coefficient stored in SparseMatrix")
             # the identity test first: it is the common case and the cheapest
-            if type(v) is not Fraction and not isinstance(v, int):
+            if type(v) is not _FRACTION and not isinstance(v, int):
                 raise _inexact(v)
             if last is not None and (r, c) <= last:
                 raise ValueError("entries not in canonical row-major order")
@@ -315,7 +318,7 @@ class SparseMatrix:
         return SparseMatrix(self.rows, other.cols, ent)
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix times sparse column vector."""
+        """Matrix times sparse column vector; TypeError for an inexact value."""
         den, by_col = self._int_cols
         # d is the lcm of the denominators seen so far; a new one rescales
         # the integer sums onto the new lcm
@@ -324,6 +327,8 @@ class SparseMatrix:
         for c, x in v.items():
             if not 0 <= c < self.cols:
                 raise DimensionError(f"vector index {c} out of range")
+            if type(x) is not _FRACTION and not isinstance(x, int):
+                raise _inexact(x)
             p, q = x.as_integer_ratio()
             if d % q:
                 s = q // gcd(d, q)
@@ -348,9 +353,8 @@ class SparseMatrix:
 # elimination
 
 
-def _echelon(rows: list[dict[int, int]], cols: int) -> tuple[list[int], list[int], list[int]]:
-    """The forward pass: reduce the integer rows to echelon form over the
-    columns < cols, in place.
+def _echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[int], list[int]]:
+    """The forward pass: reduce the integer rows to echelon form, in place.
 
     Returns the strictly increasing pivot columns, the index in `rows` of
     each pivot row and its positive integer pivot value, which is left out
@@ -371,8 +375,6 @@ def _echelon(rows: list[dict[int, int]], cols: int) -> tuple[list[int], list[int
     prows: list[int] = []
     pvals: list[int] = []
     for c in sorted(index):
-        if c >= cols:
-            break
         holders = index[c]
         if not holders:
             continue
@@ -417,14 +419,12 @@ def _echelon(rows: list[dict[int, int]], cols: int) -> tuple[list[int], list[int
     return pivots, prows, pvals
 
 
-def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[Vector], list[int]]:
-    """The RREF over the columns < cols of the integer rows.
-
-    Returns the rows as `Fraction` dicts, pivot rows in pivot order (1 at the
-    pivot) followed by the other rows, which hold columns >= cols only, up
-    to a scale; and the strictly increasing pivot columns.
+def _rref_rows(rows: list[dict[int, int]]) -> tuple[list[Vector], list[int]]:
+    """The RREF of the integer rows: its pivot rows as `Fraction` dicts, in
+    pivot order with 1 at the pivot, and the strictly increasing pivot
+    columns.  The other rows of the RREF are empty.
     """
-    pivots, prows, pvals = _echelon(rows, cols)
+    pivots, prows, pvals = _echelon(rows)
     # Back-substitution, last pivot first, with the same integer row update;
     # a pivot row above scales its pivot value with its row, and a/g > 0
     # keeps that value positive.  When a
@@ -466,9 +466,6 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[Vector], lis
         row = {k: Fraction(v, a) for k, v in rows[p].items()}
         row[c] = _ONE
         out.append(row)
-    pset = set(prows)
-    out += [{k: Fraction(v) for k, v in row.items()}
-            for i, row in enumerate(rows) if i not in pset]
     return out, pivots
 
 
@@ -507,9 +504,8 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
     deterministic function of the input, whichever row supplies each pivot.
     Row r of the result is the r-th pivot row; the zero rows come last.
     """
-    rows, pivots = _rref_rows(_matrix_rows(m), m.cols)
-    # only the pivot rows can be nonzero
-    ent = tuple((r, c, row[c]) for r, row in enumerate(rows[:len(pivots)]) for c in sorted(row))
+    rows, pivots = _rref_rows(_matrix_rows(m))
+    ent = tuple((r, c, row[c]) for r, row in enumerate(rows) for c in sorted(row))
     return SparseMatrix(m.rows, m.cols, ent), tuple(pivots)
 
 
@@ -555,11 +551,11 @@ def _column_rows(vectors: Sequence[Vector], dim: int) -> list[dict[int, int]]:
 def pivot_columns(vectors: Sequence[Vector], dim: int) -> list[int]:
     """Pivot columns of the matrix whose columns are `vectors`: the first
     vector of each rank increase, read without building the matrix."""
-    return _echelon(_column_rows(vectors, dim), len(vectors))[0]
+    return _echelon(_column_rows(vectors, dim))[0]
 
 
 def rank(m: SparseMatrix) -> int:
-    return len(_echelon(_matrix_rows(m), m.cols)[0])
+    return len(_echelon(_matrix_rows(m))[0])
 
 
 def solve(m: SparseMatrix, b: Vector) -> Vector | None:
@@ -574,7 +570,7 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
         require_exact(x)
     aug = m.cols
     rows = _matrix_rows(m, b)
-    pivots, prows, pvals = _echelon(rows, aug + 1)
+    pivots, prows, pvals = _echelon(rows)
     if pivots and pivots[-1] == aug:
         return None
     # the augmented column alone, last pivot first; free variables are zero
@@ -602,14 +598,14 @@ def _kernel_of_reduced(rows: list[Vector], pivots: list[int], cols: int) -> list
 
 def kernel_basis(m: SparseMatrix) -> list[Vector]:
     """Deterministic basis of ker(m), one vector per free column."""
-    rows, pivots = _rref_rows(_matrix_rows(m), m.cols)
+    rows, pivots = _rref_rows(_matrix_rows(m))
     return _kernel_of_reduced(rows, pivots, m.cols)
 
 
 def kernel_and_image(m: SparseMatrix) -> tuple[list[Vector], list[Vector]]:
     """`kernel_basis(m)` and a basis of the column space, the original
     columns at the pivot indices, read from one elimination."""
-    rows, pivots = _rref_rows(_matrix_rows(m), m.cols)
+    rows, pivots = _rref_rows(_matrix_rows(m))
     image: dict[int, Vector] = {p: {} for p in pivots}
     for r, c, v in m.entries:
         if c in image:
@@ -632,37 +628,33 @@ class Subquotient:
 
     Z and B are presented by spanning sets; span(B) <= span(Z) is verified at
     construction.  A deterministic quotient basis is chosen by running the
-    pivot search over the columns [B | preferred | Z]: the pivot columns
-    beyond rank(B) represent the quotient, with any `preferred` vectors
-    (e.g. a distinguished unit class) coming first when independent.
+    pivot search over the columns [B | Z]: the pivot columns beyond rank(B)
+    represent the quotient, and `basis_sources` holds the index in `z_gens`
+    of each.  A caller that wants some vectors to head the basis (e.g. a
+    distinguished unit class) puts them first in `z_gens`.
 
     Construction runs two eliminations, both `pivot_columns` over the
-    generators: rank(Z), and the one over [B | preferred | Z].  The
-    containment check needs no third: the latter has the columns of
-    [Z | B | preferred], so its pivot count is rank(span(Z, B, preferred)),
-    which equals rank(Z) exactly when B and the preferred vectors lie in
-    span(Z).
+    generators: rank(Z), and the one over [B | Z].  The containment check
+    needs no third: the pivot count of [B | Z] is rank(span(Z, B)), which
+    equals rank(Z) exactly when B lies in span(Z).
     """
 
     def __init__(self, ambient_dim: int, z_gens: Sequence[Vector],
-                 b_gens: Sequence[Vector] = (),
-                 preferred: Sequence[Vector] = ()):
+                 b_gens: Sequence[Vector] = ()):
         self.ambient_dim = ambient_dim
         nb = len(b_gens)
-        np_ = len(preferred)
-        combined = [*b_gens, *preferred, *z_gens]
+        combined = [*b_gens, *z_gens]
         try:
             self.rank_z = len(pivot_columns(z_gens, ambient_dim))
             pivots = pivot_columns(combined, ambient_dim)
         except DimensionError:
             raise DimensionError("generator index out of ambient range") from None
         if len(pivots) != self.rank_z:
-            raise ValueError("b_gens/preferred not contained in span(z_gens)")
+            raise ValueError("b_gens not contained in span(z_gens)")
         b_indep = [combined[p] for p in pivots if p < nb]
         self.rank_b = len(b_indep)
         self.basis = tuple(combined[p] for p in pivots if p >= nb)
-        self.basis_sources = tuple(("preferred", p - nb) if p < nb + np_ else ("z", p - nb - np_)
-                                   for p in pivots if p >= nb)
+        self.basis_sources = tuple(p - nb for p in pivots if p >= nb)
         self.dim = len(self.basis)
         assert self.dim == self.rank_z - self.rank_b
         self._solver = [*b_indep, *self.basis]
@@ -671,21 +663,19 @@ class Subquotient:
         """Column t holds the quotient coordinates of images[t]; raises
         ValueError when an image is not in Z.
 
-        One elimination of the rows of [B basis | quotient basis | v_1 ... v_m],
-        with pivots in the solver columns only.  Those columns are
-        independent, so each of them is a pivot, and pivot row r holds in
-        column s + t the unique coefficient of solver column r in v_t.  v_t
-        lies in Z exactly when no other row holds column s + t.
+        One elimination of the rows of [B basis | quotient basis | v_1 ... v_m].
+        The s solver columns are independent, so they are the first s
+        pivots, and pivot row r holds in column s + t the unique coefficient
+        of solver column r in v_t.  They are a basis of Z, so every v_t lies
+        in Z exactly when no later column is a pivot.
         """
         if not images:
             return SparseMatrix.zero(self.dim, 0)
         s = len(self._solver)
-        reduced, pivots = _rref_rows(
-            _column_rows([*self._solver, *images], self.ambient_dim), s)
-        assert len(pivots) == s
-        if any(reduced[s:]):
+        reduced, pivots = _rref_rows(_column_rows([*self._solver, *images], self.ambient_dim))
+        if len(pivots) > s:
             raise ValueError("vector is not in Z")
-        ent = tuple((j, c - s, x) for j, row in enumerate(reduced[self.rank_b:s])
+        ent = tuple((j, c - s, x) for j, row in enumerate(reduced[self.rank_b:])
                     for c, x in sorted(row.items()) if c >= s)
         return SparseMatrix(self.dim, len(images), ent)
 
@@ -697,7 +687,7 @@ class Subquotient:
         """Quotient dimension per value of a grading on the ambient basis."""
         out: dict[int, int] = {}
         for b in self.basis:
-            d = grading[next(iter(sorted(b)))]
+            d = grading[min(b)]
             out[d] = out.get(d, 0) + 1
         return out
 

@@ -205,11 +205,10 @@ class FiltrationTower:
         n = self.filtered.source.n
         z_vecs = self.z_vectors(j)
         sqs = [Subquotient(n, z_vecs, b) for b in b_spans]
-        assert all(kind == "z" for sq in sqs for kind, _ in sq.basis_sources)
         closed = self._level_closed(j)
-        kept = {i for sq in sqs for _, i in sq.basis_sources}
+        kept = {i for sq in sqs for i in sq.basis_sources}
         wits = {i: WitnessedCycle(j, closed[i], n) for i in kept}
-        return [(sq, tuple(wits[i] for _, i in sq.basis_sources)) for sq in sqs]
+        return [(sq, tuple(wits[i] for i in sq.basis_sources)) for sq in sqs]
 
 
 def filtration_tower(c: S1Complex, level: int) -> FiltrationTower:

@@ -72,12 +72,11 @@ def tensor_split(s: SplitS1Complex, t: SplitS1Complex) -> SplitS1Complex:
     parts = tuple(
         ZERO_PART if pc == ZERO_PART and pt == ZERO_PART else PLUS_PART
         for pc in s.parts for pt in t.parts)
-    unit = tensor_chain(s, t, s.unit, t.unit)
+    unit = tensor_chain(t, s.unit, t.unit)
     return SplitS1Complex(prod, parts, unit)
 
 
-def tensor_chain(s: SplitS1Complex, t: SplitS1Complex,
-                 u: Vector, v: Vector) -> Vector:
+def tensor_chain(t: SplitS1Complex, u: Vector, v: Vector) -> Vector:
     """The chain u (x) v of the product, from chains of the two factors."""
     n_t = t.complex.n
     out: Vector = {}

@@ -152,6 +152,17 @@ class TestCohomology:
                 assert c.deltas[0].apply(rep) == {}
             assert g.dim == len(g.basis)
 
+    def test_preferred_cycle_heads_its_degree_and_others_are_refused(self):
+        # degree 0: cycles a, a2; b is not a cycle, since delta0 b = c
+        c = make_complex([("a", 0), ("a2", 0), ("b", 0), ("c", 1)], 0, {0: [("b", "c", 1)]})
+        head = {0: F(1), 1: F(1)}
+        g = cohomology(c, preferred={0: [head]})[0]
+        assert g.basis[0] == head and g.basis_sources[0] == 0
+        assert g.dim == cohomology(c)[0].dim == 2
+        for bad in ({2: F(1)}, {3: F(1)}, {0: F(1), 2: F(1)}):
+            with pytest.raises(ValueError, match="not a cycle of degree 0"):
+                cohomology(c, preferred={0: [head, bad]})
+
     def test_filtered_cohomology_degree_window(self):
         c = milnor_model(2, 2).complex
         f = build_filtered_plus(c, 1)

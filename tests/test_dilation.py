@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import random
 import re
 
@@ -145,6 +146,23 @@ class TestHasKDilation:
 def test_level_tests_refuse_a_level_outside_0_to_n(level_test, level, error, message):
     with pytest.raises(error, match=message):
         level_test(unit_only_complex(1), level)
+
+
+@pytest.mark.parametrize("names", [("p2_hat",), ("e", "p2_hat")])
+@pytest.mark.parametrize("entry", [
+    lambda s: has_k_dilation(s, 1), lambda s: has_k_semidilation(s, 1),
+    order_of_dilation, order_of_semidilation, order_via_torsion,
+    partial(order_via_torsion, semi=True),
+], ids=["has_k_dilation", "has_k_semidilation", "order_of_dilation",
+        "order_of_semidilation", "order_via_torsion", "order_via_torsion_semi"])
+def test_order_entry_points_refuse_a_unit_off_the_zero_part(entry, names):
+    # p2_hat is a degree-0 plus generator: the dilation system would read
+    # it, the semi-dilation and torsion systems would drop it
+    s = milnor_model(2, 3, include_spheres=False)
+    index = {g.name: i for i, g in enumerate(s.complex.generators)}
+    off = dataclasses.replace(s, unit={index[n]: F(1) for n in names})
+    with pytest.raises(ValueError, match="unit chain is not supported on the zero part"):
+        entry(off)
 
 
 def _lift_called(*args):
@@ -640,7 +658,7 @@ def test_zero_part_cohomology_tensor_factorization():
 
 def _oracle_unit_first_h0(obj, e):
     sq = cohomology(obj, degrees=range(0, 1), preferred={0: [e]})[0]
-    if not sq.basis_sources or sq.basis_sources[0] != ("preferred", 0):
+    if not sq.basis_sources or sq.basis_sources[0] != 0:
         return None
     return sq
 

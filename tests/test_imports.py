@@ -172,7 +172,8 @@ def _called(node: ast.AST) -> str:
 def _rows_off_the_builders(source: str) -> list[str]:
     """"function:line" of each kernel call whose rows are neither a builder's
     call, nor a name the enclosing function binds only to builder calls,
-    nor, inside a kernel function, that function's own parameter."""
+    nor, inside a kernel function, that function's own parameter; and of
+    each kernel call that passes anything besides its rows."""
     out = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -194,7 +195,8 @@ def _rows_off_the_builders(source: str) -> list[str]:
                 continue
             rows = call.args[0] if call.args else next(
                 (k.value for k in call.keywords if k.arg == "rows"), None)
-            if not (_called(rows) in _ROW_BUILDERS
+            if len(call.args) + len(call.keywords) != 1 or not (
+                    _called(rows) in _ROW_BUILDERS
                     or isinstance(rows, ast.Name) and (rows.id in built - other
                                                        or rows.id in params)):
                 out.append(f"{fn.name}:{call.lineno}")
@@ -210,24 +212,29 @@ def test_every_elimination_takes_builder_rows():
 
 
 def test_rows_from_elsewhere_are_caught():
-    source = ("def _rref_rows(rows, cols):\n"
-              "    return _echelon(rows, cols)\n"
+    source = ("def _rref_rows(rows):\n"
+              "    return _echelon(rows)\n"
               "def direct(m):\n"
-              "    return _echelon(_matrix_rows(m), m.cols)\n"
+              "    return _echelon(_matrix_rows(m))\n"
               "def bound(m, b):\n"
               "    rows = _matrix_rows(m, b)\n"
-              "    return _rref_rows(rows, m.cols + 1)\n"
+              "    return _rref_rows(rows)\n"
               "def copied(m):\n"
-              "    return _echelon([dict(r) for r in _matrix_rows(m)], m.cols)\n"
+              "    return _echelon([dict(r) for r in _matrix_rows(m)])\n"
               "def rebound(vs, n):\n"
               "    rows = _column_rows(vs, n)\n"
               "    rows = [r for r in rows if r]\n"
-              "    return linalg._rref_rows(rows, len(vs))\n"
+              "    return linalg._rref_rows(rows)\n"
               "def passed_on(rows, n):\n"
-              "    return _echelon(rows, n)\n"
+              "    return _echelon(rows)\n"
               "def keyword(m):\n"
-              "    return _echelon(rows=_matrix_rows(m), cols=m.cols)\n"
+              "    return _echelon(rows=_matrix_rows(m))\n"
               "def keyword_copied(m):\n"
-              "    return _echelon(cols=m.cols, rows=list(_matrix_rows(m)))\n")
+              "    return _echelon(rows=list(_matrix_rows(m)))\n"
+              "def column_bound(m):\n"
+              "    return _echelon(_matrix_rows(m), m.cols)\n"
+              "def column_bound_keyword(m):\n"
+              "    return linalg._rref_rows(rows=_matrix_rows(m), cols=m.cols)\n")
     assert _rows_off_the_builders(source) == [
-        "copied:9", "rebound:13", "passed_on:15", "keyword_copied:19"]
+        "copied:9", "rebound:13", "passed_on:15", "keyword_copied:19",
+        "column_bound:21", "column_bound_keyword:23"]

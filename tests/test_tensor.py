@@ -86,7 +86,7 @@ class TestTensorSplit:
         s = milnor_model(2, 2, include_spheres=False)
         t = milnor_model(2, 3, include_spheres=False)
         p = tensor_split(s, t)
-        assert p.unit == tensor_chain(s, t, s.unit, t.unit)
+        assert p.unit == tensor_chain(t, s.unit, t.unit)
 
 
 class TestOrderLaws:

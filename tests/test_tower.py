@@ -135,7 +135,7 @@ def _reference_leray_page(c, k, with_differential=None):
         bi = min(k, n_tr - i)
         # every Z witness built, then the quotient's picked out
         sq = Subquotient(c.n, [w.leading for w in z_wits[zi]], b_vecs[bi])
-        wits = [z_wits[zi][j] for _, j in sq.basis_sources]
+        wits = [z_wits[zi][j] for j in sq.basis_sources]
         columns.append(PageColumn(i, sq, tuple(wits)))
     diffs = {}
     if with_differential:
