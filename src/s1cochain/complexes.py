@@ -12,20 +12,26 @@ acts by lowering the u-power and truncating at u^0.
 `family_product(a, b, k)` is the degree-k part sum_{i+j=k} a^i b^j of the
 product of two operator families.  The relation above, and in
 `s1cochain.morphisms` the morphism and homotopy relations and composition,
-are all read from it.  One `EntryCheck` type names the entries that break
-a rule at one order: `EntryCheck.relation` those of a residual,
-`EntryCheck.shifts` those of a degree-shift violation, for every family,
-and `S1ValidationReport` carries both kinds for complexes, morphisms and
-homotopies alike.
+are all read from it.  It skips every pair in which either order is empty
+and sums the others' products as integers over one common denominator, so
+a relation that holds builds no product matrix and no `Fraction`.
+
+One `EntryCheck` type names the entries that break a rule at one order:
+`EntryCheck.relation` those of a residual, `EntryCheck.shifts` those of a
+degree-shift violation, for every family, and `S1ValidationReport`
+carries both kinds for complexes, morphisms and homotopies alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Sequence
 
 from .linalg import (
+    DimensionError,
     SparseMatrix,
     Subquotient,
     Vector,
@@ -86,8 +92,10 @@ class S1Complex:
     def n(self) -> int:
         return len(self.generators)
 
-    @property
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
+        """Built on first use and kept on the instance, which is immutable;
+        fields, equality, hashing and repr do not see it."""
         return tuple(g.degree for g in self.generators)
 
     def index_of(self, name: str) -> int:
@@ -117,11 +125,34 @@ def make_complex(generators: list[tuple[str, int]], truncation: int,
 def family_product(a: Sequence[SparseMatrix], b: Sequence[SparseMatrix],
                    k: int) -> SparseMatrix:
     """sum_{i+j=k} a[i] @ b[j], summed in one pass: the degree-k part of the
-    product of two operator families, on which every family relation rests."""
-    ent = []
+    product of two operator families, on which every family relation rests.
+
+    A pair in which either order is empty adds nothing and is skipped.  The
+    others are summed as integers, read from each matrix's column view
+    (integer / D), over the lcm of the pairs' products of denominators, and
+    each nonzero sum becomes one `Fraction`: a product that vanishes, as
+    the residual of a relation that holds does, makes none.
+    """
+    pairs = []
     for i in range(k + 1):
-        ent.extend((a[i] @ b[k - i]).entries)
-    return SparseMatrix.from_entries(a[0].rows, b[0].cols, ent)
+        x, y = a[i], b[k - i]
+        if x.cols != y.rows:
+            raise DimensionError("inner dimensions differ")
+        if x.entries and y.entries:
+            pairs.append((x._int_cols, y._int_cols))
+    den = lcm(*[dx * dy for (dx, _), (dy, _) in pairs])
+    acc: dict[tuple[int, int], int] = {}
+    for (dx, x_cols), (dy, y_cols) in pairs:
+        scale = den // (dx * dy)
+        for c, column in y_cols.items():
+            # column c of x @ y is the sum of w * (column r of x)
+            for r, w in column:
+                w *= scale
+                for rr, v in x_cols.get(r, ()):
+                    key = (rr, c)
+                    acc[key] = acc.get(key, 0) + v * w
+    return SparseMatrix(a[0].rows, b[0].cols, tuple(
+        (r, c, Fraction(s, den)) for (r, c), s in sorted(acc.items()) if s))
 
 
 @dataclass(frozen=True)
@@ -315,7 +346,9 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
     holds deterministic representative cycles.  `preferred` optionally
     requests distinguished representatives (per degree) to head the chosen
     basis, placed ahead of the degree's cycles in Z; ValueError when one is
-    not a cycle of its degree, read as rank(Z) above the number of cycles.
+    not a cycle of its degree, read as rank(Z) above the number of cycles,
+    when its degree holds no cycle at all, or when its degree lies outside
+    the window.
     The cycles and boundaries of every degree come from one elimination of
     the differential.  A window of more than MAX_DEGREE_WINDOW degrees is
     refused before it.
@@ -333,6 +366,12 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
             out[d] = Subquotient(len(degs), [*heads.get(d, []), *cyc], bounds.get(d, []))
             if out[d].rank_z != len(cyc):
                 raise ValueError(f"a preferred vector is not a cycle of degree {d}")
+    for d, vs in heads.items():
+        # a degree without a group: outside the window, or holding no cycle
+        if d not in out and any(vs):
+            if degrees is not None and d not in degrees:
+                raise ValueError(f"a preferred vector of degree {d} lies outside the window")
+            raise ValueError(f"a preferred vector is not a cycle of degree {d}")
     if degrees is not None:
         # the window degrees without cycles or boundaries share one zero group
         empty = None

@@ -280,8 +280,9 @@ def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0 | None, by_po
         return None
     rest = [(p, z) for p, z in h0[1] if p <= k]
     cp, cz = s.plus_part, s.zero_part
-    na, nw = (k + 1) * cp.n, (k + 1) * cz.n
-    powers = ([j // cp.n for j in range(na)] + [j // cz.n for j in range(nw)]
+    n_plus, n_zero = cp.n, cz.n
+    na, nw = (k + 1) * n_plus, (k + 1) * n_zero
+    powers = ([j // n_plus for j in range(na)] + [j // n_zero for j in range(nw)]
               + [p for p, _ in rest])
     order = sorted(range(len(powers)), key=powers.__getitem__) if by_power else range(len(powers))
     col = {j: t for t, j in enumerate(order)}

@@ -293,6 +293,20 @@ def test_criterion_5f_torsion_route_agreement(corpus):
     report("ACCEPTANCE 5f (direct and u-torsion order detection agree): PASS")
 
 
+def test_semidilation_witness_is_the_fixed_level_solve(corpus):
+    """The scan's witness is `has_k_semidilation`'s at the order found, on
+    the corpus and the Milnor models with spheres: this pins which of the
+    scan's two solves supplies it."""
+    models = [milnor_model(k, m) for m in range(1, 5) for k in range(1, m + 1)]
+    found = 0
+    for s in corpus + models:
+        got = order_of_semidilation(s)
+        if got.order is not None:
+            found += 1
+            assert got.witness == has_k_semidilation(s, got.order)[1]
+    assert found > len(models)
+
+
 def test_criterion_5g_les_exact(corpus):
     for s in corpus:
         assert tautological_les(s).exact

@@ -163,6 +163,23 @@ class TestCohomology:
             with pytest.raises(ValueError, match="not a cycle of degree 0"):
                 cohomology(c, preferred={0: [head, bad]})
 
+    @pytest.mark.parametrize("window, preferred, message", [
+        # degree 2 has no cycles and no boundaries, so it gets no group
+        (None, {2: [{1: F(1)}]}, "not a cycle of degree 2"),
+        (range(0, 3), {2: [{1: F(1)}]}, "not a cycle of degree 2"),
+        (range(0, 2), {2: [{1: F(1)}]}, "degree 2 lies outside the window"),
+        # a cycle, but of a degree the window leaves out
+        (range(1, 2), {0: [{0: F(1)}]}, "degree 0 lies outside the window"),
+    ])
+    def test_preferred_vector_of_a_degree_without_a_group_is_refused(self, window,
+                                                                      preferred, message):
+        c = make_complex([("a", 0), ("b", 0), ("c", 1)], 0, {0: [("b", "c", 1)]})
+        with pytest.raises(ValueError, match=message):
+            cohomology(c, window, preferred=preferred)
+        # a degree listed with no vector asks for nothing
+        assert ({d: g.basis for d, g in cohomology(c, window, preferred={2: []}).items()}
+                == {d: g.basis for d, g in cohomology(c, window).items()})
+
     def test_filtered_cohomology_degree_window(self):
         c = milnor_model(2, 2).complex
         f = build_filtered_plus(c, 1)
@@ -216,6 +233,13 @@ class TestConstructions:
         assert sh.degrees == (-1, 0)
         assert sh.deltas[0] == c.deltas[0].scale(-1)
         assert verify_s1_relations(sh).valid
+
+    def test_degrees_are_kept_and_unseen_by_equality(self):
+        c, twin = two_step(), two_step()
+        before = (repr(c), hash(c))
+        assert c.degrees == (0, 1) and c.degrees is c.degrees
+        assert (repr(c), hash(c)) == before
+        assert c == twin and hash(c) == hash(twin) and "degrees" not in repr(c)
 
     def test_direct_sum_valid(self):
         rng = random.Random(11)

@@ -13,13 +13,28 @@ is checked, on valid families and on deliberately broken ones.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s1cochain.complexes import Generator, S1Complex, verify_s1_relations
+from s1cochain import complexes
+from s1cochain.complexes import (
+    Generator,
+    S1Complex,
+    family_product,
+    verify_s1_relations,
+)
 from s1cochain.dilation import PLUS_PART, ZERO_PART, SplitS1Complex
-from s1cochain.linalg import SparseMatrix, Vector, kernel_basis, vadd, vscale
+from s1cochain.linalg import (
+    DimensionError,
+    SparseMatrix,
+    Vector,
+    kernel_basis,
+    vadd,
+    vscale,
+)
 from s1cochain.morphisms import (
     S1Homotopy,
     S1Morphism,
@@ -350,3 +365,73 @@ def test_split_sampler_on_the_corpus_recipe():
         ref = _reference_random_split_complex(random.Random(10_000 + seed), *rng_args,
                                               with_unit_killer=(seed % 7 == 0))
         assert repr(got) == repr(ref)
+
+
+# ---------------------------------------------------------------------------
+# the degree-k product itself, against the per-pair products it replaced
+
+
+def _reference_family_product(a, b, k):
+    ent = []
+    for i in range(k + 1):
+        ent.extend((a[i] @ b[k - i]).entries)
+    return SparseMatrix.from_entries(a[0].rows, b[0].cols, ent)
+
+
+_product_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
+
+
+def _family(rows, cols, length):
+    """`length` matrices of one shape, about a third of them empty."""
+    entry = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    one = st.one_of(st.just({}), st.dictionaries(entry, _product_coeffs, max_size=rows * cols))
+    return st.lists(one.map(lambda d: SparseMatrix.from_entries(
+        rows, cols, [(r, c, v) for (r, c), v in d.items()])), min_size=length, max_size=length)
+
+
+@st.composite
+def _family_pairs(draw):
+    """Families a (m x n) and b (n x p) and an order k; when asked, a[k] is
+    a[0] and b[0] is -b[k], so the two end terms of the sum cancel."""
+    m, n, p, length = (draw(st.integers(1, 4)) for _ in range(4))
+    a, b = draw(_family(m, n, length)), draw(_family(n, p, length))
+    k = draw(st.integers(0, length - 1))
+    if k and draw(st.booleans()):
+        a[k], b[0] = a[0], b[k].scale(-1)
+    return a, b, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_pairs())
+def test_family_product_matches_the_per_pair_products(pair):
+    a, b, k = pair
+    got = family_product(a, b, k)
+    assert repr(got) == repr(_reference_family_product(a, b, k))
+    assert all(type(v) is Fraction for _, _, v in got.entries)
+
+
+def test_family_product_cases():
+    half, third = SparseMatrix(1, 1, ((0, 0, Fraction(1, 2)),)), SparseMatrix(
+        1, 1, ((0, 0, Fraction(-2, 3)),))
+    empty = SparseMatrix.zero(1, 1)
+    # different denominators: 1/2 * 1/2 + (-2/3) * 1/2 = -1/12
+    assert family_product([half, third], [half, half], 1).entries == ((0, 0, Fraction(-1, 12)),)
+    # every pair with an empty order adds nothing
+    assert family_product([empty, third, half], [half, empty, empty], 2).entries == (
+        (0, 0, Fraction(1, 4)),)
+    assert family_product([empty, empty], [half, half], 1).is_zero()
+    # and is skipped unread: no column view is built for an empty order
+    assert "_int_cols" not in vars(empty)
+    # residuals that cancel leave no entry
+    assert family_product([half, half], [third, third.scale(-1)], 1).is_zero()
+    with pytest.raises(DimensionError):
+        family_product([SparseMatrix.zero(1, 2)], [SparseMatrix.zero(3, 1)], 0)
+
+
+def test_a_relation_that_holds_builds_no_product_and_no_fraction():
+    c = random_s1_complex(random.Random(4), 8, 4)
+    assert any(not m.is_zero() for m in c.deltas[1:])
+    with mock.patch.object(complexes, "Fraction", wraps=Fraction) as made, \
+            mock.patch.object(SparseMatrix, "__matmul__") as products:
+        assert verify_s1_relations(c).valid
+    assert made.call_count == 0 and products.call_count == 0
