@@ -20,7 +20,6 @@ from .linalg import (
     Vector,
     kernel_basis,
     rank,
-    rref,
     solve,
 )
 from .complexes import (
@@ -30,7 +29,6 @@ from .complexes import (
     TruncationError,
     build_filtered_plus,
     cohomology,
-    direct_sum,
     make_complex,
     shift,
     truncate,

@@ -61,10 +61,14 @@ def _write_output(text: str, output: str) -> None:
     """Write a document to the file `output`, or to standard output for `-`."""
     if output == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _diag(f"wrote {output}")
+    except OSError as exc:
+        _diag(f"cannot write {output}: {exc}")
+        raise SystemExit(EXIT_INPUT_ERROR)
+    _diag(f"wrote {output}")
 
 
 @contextmanager
@@ -85,7 +89,7 @@ def _read_document(path: str) -> SplitS1Complex:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         _diag(f"cannot read {path}: {exc}")
         raise SystemExit(EXIT_INPUT_ERROR)
     with _refused("parse error at "):

@@ -418,24 +418,3 @@ def shift(c: S1Complex, s: int = 1) -> S1Complex:
     deltas = tuple(d.scale(sign) for d in c.deltas)
     return S1Complex(gens, c.truncation, deltas)
 
-
-def direct_sum(a: S1Complex, b: S1Complex) -> S1Complex:
-    if a.truncation != b.truncation:
-        raise TruncationError("summands must share the truncation")
-    taken = {g.name for g in a.generators}
-    b_names = []
-    for g in b.generators:
-        name = g.name
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        b_names.append(name)
-    gens = tuple(a.generators) + tuple(
-        Generator(n, g.degree) for n, g in zip(b_names, b.generators))
-    n, m = a.n, b.n
-    deltas = []
-    for r in range(a.truncation + 1):
-        ent = list(a.deltas[r].entries)
-        ent.extend((i + n, j + n, v) for i, j, v in b.deltas[r].entries)
-        deltas.append(SparseMatrix.from_entries(n + m, n + m, ent))
-    return S1Complex(gens, a.truncation, tuple(deltas))

@@ -328,11 +328,6 @@ class DilationReport:
     def found(self) -> bool:
         return self.order is not None
 
-    def describe(self) -> str:
-        if self.found:
-            return f"{self.kind} order {self.order} (truncation {self.truncation}, {self.route} route)"
-        return f"{self.kind} order > truncation {self.truncation} ({self.route} route)"
-
 
 def _scan_level(s: SplitS1Complex, max_k: int | None) -> int:
     if max_k is None:
@@ -376,6 +371,12 @@ def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> Dilati
     exactly when it is supported there.  The order is its largest u-power,
     every higher level has a semi-dilation, and the witness is
     `has_k_semidilation`'s, solved over the same H(C_0), read once.
+
+    That second solve is not redundant: the two column orders give
+    different free-variables-zero solutions.  On `random197` of the
+    benchmark's seed-10 corpus (n = 13, N = 4, order 2) the ambient-order
+    witness is {1: -1/2, 28: -1, 30: -1} and the by-power one {28: 1}, and
+    the golden digests pin the ambient one.
     """
     level = _scan_level(s, max_k)
     _check_level(s, level)

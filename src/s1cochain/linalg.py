@@ -33,15 +33,15 @@ column's set, and clears the column from exactly the rows in that set,
 updating the sets on fill-in and cancellation.  `pivot_columns`, `rank` and
 `span_leq` need only the pivots and stop there, with no back-substitution
 and no `Fraction` made.  `_rref_rows` adds the back-substitution, for
-`rref`, `kernel_basis`, `kernel_and_image` and
-`Subquotient.coordinate_matrix`: it clears each pivot column from the pivot
-rows above it, found through an index of pivot rows by pivot column built
-once.  Empty columns and rows that do not hold a column cost nothing, so
-the work follows the nonzeros, not rows x columns.  `solve` reads only the
-augmented column of [m | b]: it back-substitutes that column alone over the
-echelon rows, last pivot first, x_p = (b_r - sum row[c] x_c) / a_r over the
-later pivot columns c, with every free variable zero.  That is the solution
-the RREF gives, so the witness is the same.
+`kernel_basis`, `kernel_and_image` and `Subquotient.coordinate_matrix`: it
+clears each pivot column from the pivot rows above it, found through an
+index of pivot rows by pivot column built once.  Empty columns and rows
+that do not hold a column cost nothing, so the work follows the nonzeros,
+not rows x columns.  `solve` reads only the augmented column of [m | b]: it
+back-substitutes that column alone over the echelon rows, last pivot
+first, x_p = (b_r - sum row[c] x_c) / a_r over the later pivot columns c,
+with every free variable zero.  That is the solution the RREF gives, so
+the witness is the same.
 
 Eliminations see the nonempty rows only; an empty row can neither supply a
 pivot nor change one, so the RREF is the same.  A matrix hands over its own
@@ -70,7 +70,7 @@ Each matrix builds one column view on first use and keeps it: the
 the lcm of the entries' denominators.  `apply(v)` scales v by the lcm d of
 its denominators, accumulates plain integer products and makes one
 `Fraction(y, D d)` per output nonzero; `@` does the same per output entry,
-and `col` and `columns` read the view too.  A vector that maps to zero
+and `col` reads the view too.  A vector that maps to zero
 makes no `Fraction` at all, which is the common case of the checks that
 only ask whether a mat-vec vanishes.  `entries`, equality, hashing and
 `repr` do not see the view.  `from_entries` stores the first value at a
@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Vector = dict[int, Fraction]
 
@@ -126,18 +126,6 @@ def require_exact(x: object) -> None:
 
 # ---------------------------------------------------------------------------
 # sparse vectors
-
-
-def vec(entries: Mapping[int, object] | Iterable[tuple[int, object]] = ()) -> Vector:
-    items = entries.items() if isinstance(entries, Mapping) else entries
-    out: Vector = {}
-    for i, x in items:
-        q = as_q(x)
-        if q:
-            out[i] = out.get(i, Fraction(0)) + q
-            if not out[i]:
-                del out[i]
-    return out
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -218,14 +206,6 @@ class SparseMatrix:
         return SparseMatrix(rows, cols, items)
 
     @staticmethod
-    def from_dense(data: Sequence[Sequence[object]]) -> "SparseMatrix":
-        ncols = len(data[0]) if data else 0
-        if any(len(row) != ncols for row in data):
-            raise DimensionError("ragged dense matrix")
-        return SparseMatrix.from_entries(len(data), ncols, [
-            (r, c, x) for r, row in enumerate(data) for c, x in enumerate(row)])
-
-    @staticmethod
     def from_columns(columns: Sequence[Vector], rows: int) -> "SparseMatrix":
         ent = []
         for c, col in enumerate(columns):
@@ -242,18 +222,6 @@ class SparseMatrix:
         return SparseMatrix(rows, cols, ())
 
     # access -----------------------------------------------------------
-
-    def to_dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
-
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
 
     @cached_property
     def _int_cols(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
@@ -276,9 +244,6 @@ class SparseMatrix:
             raise DimensionError(f"column {j} out of range")
         den, by_col = self._int_cols
         return {r: Fraction(x, den) for r, x in by_col.get(j, ())}
-
-    def columns(self) -> list[Vector]:
-        return [self.col(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -340,13 +305,6 @@ class SparseMatrix:
                 out[r] = out.get(r, 0) + m * x
         den *= d
         return {r: Fraction(y, den) for r, y in out.items() if y}
-
-    def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "SparseMatrix":
-        rpos = {idx: p for p, idx in enumerate(row_indices)}
-        cpos = {idx: p for p, idx in enumerate(col_indices)}
-        ent = [(rpos[r], cpos[c], v) for r, c, v in self.entries
-               if r in rpos and c in cpos]
-        return SparseMatrix.from_entries(len(row_indices), len(col_indices), ent)
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +453,6 @@ def _matrix_rows(m: SparseMatrix, rhs: Vector | None = None) -> list[dict[int, i
                 row[k] *= s
         row[c] = p * (d // q)
     return _join_columns(rows, dens, [rhs] if rhs else [], m.cols, m.rows)
-
-
-def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form with strictly increasing pivot columns.
-
-    The RREF of a matrix is unique for its column order, so the output is a
-    deterministic function of the input, whichever row supplies each pivot.
-    Row r of the result is the r-th pivot row; the zero rows come last.
-    """
-    rows, pivots = _rref_rows(_matrix_rows(m))
-    ent = tuple((r, c, row[c]) for r, row in enumerate(rows) for c in sorted(row))
-    return SparseMatrix(m.rows, m.cols, ent), tuple(pivots)
 
 
 def _join_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],

@@ -259,23 +259,6 @@ def delta_k(c: S1Complex, k: int) -> QuotientMap:
     return QuotientMap(k, dom_sq, cod_sq, mat, dom_wits)
 
 
-def perturbed_witness(t: FiltrationTower, w: WitnessedCycle, kernel_index: int = 0
-                      ) -> WitnessedCycle:
-    """Another witness family for the same leading term, if one exists.
-
-    Adds a closed element of F^{level} with zero leading block, a closed
-    vector of `t` below that level; used to test that Delta^k and Phi^k do
-    not depend on the witness choice.  Those vectors are the same, in the
-    same order, in every tower of level >= w.level.
-    """
-    t._check(w.level)
-    candidates = [v for lv, v in t._closed if lv < w.level]
-    if not candidates:
-        return w
-    extra = candidates[kernel_index % len(candidates)]
-    return WitnessedCycle(w.level, vadd(w.chain, extra), w.n, boundary_value=w.boundary_value)
-
-
 # ---------------------------------------------------------------------------
 # Leray pages of the u-power filtration on F^N
 

@@ -4,8 +4,9 @@ One pass of the `fermat_spheres` and `product_pages` operations defined in
 `perfbench/workloads.py`, and of the `random_corpus` operations on every
 fifth input at the default seed (344 operations: every morphism operation,
 and the order, LES and E_infinity operations of 43 inputs), each answer's
-digest checked against `perfbench/golden.json`; then the LES of every one
-of the 215 `random_corpus` inputs, each after its `load`.  Both files are
+digest checked against `perfbench/golden.json`; then the LES, and the four
+order answers (dilation, semi-dilation and both torsion routes), of every
+one of the 215 `random_corpus` inputs, each after its `load`.  Both files are
 only read.  A change that alters any basis, witness, page, order or LES
 rank fails here.
 """
@@ -59,20 +60,35 @@ def test_answers_match_golden_digests(workload):
         assert digests == {key: golden["ops"].get(key) for key in digests}
 
 
-def test_every_corpus_les_matches_golden_digest():
+def _every_corpus_digest(buckets):
+    """The digest of every `random_corpus` operation in `buckets`, on all
+    215 inputs, each after its input's `load`, and the golden ones."""
     W = _workloads()
     golden = json.loads((PERFBENCH / "golden.json").read_text())["random_corpus"]
     _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
     assert inputs.sha256 == golden["inputs_sha256"]
+    assert len(inputs.documents) == 215
     contexts: dict[int, dict] = {}
     digests = {}
     for op in inputs.ops:
-        if op.bucket not in ("load", "les"):
+        if op.bucket != "load" and op.bucket not in buckets:
             continue
         ctx = contexts.setdefault(op.subject, {})
         answer = op.run(ctx)
         assert op.check(answer, ctx), op.key
-        if op.bucket == "les":
+        if op.bucket in buckets:
             digests[op.key] = W.digest(op.canon(answer))
-    assert len(digests) == len(inputs.documents) == 215
-    assert digests == {key: golden["ops"][key] for key in digests}
+    return digests, {key: golden["ops"][key] for key in digests}
+
+
+def test_every_corpus_les_matches_golden_digest():
+    digests, golden = _every_corpus_digest({"les"})
+    assert len(digests) == 215
+    assert digests == golden
+
+
+def test_every_corpus_order_matches_golden_digest():
+    # dilation, semidilation and both torsion routes of every input
+    digests, golden = _every_corpus_digest({"dilation", "semidilation", "torsion"})
+    assert len(digests) == 4 * 215
+    assert [key for key in digests if digests[key] != golden[key]] == []

@@ -1,15 +1,18 @@
 """Every name a package module imports is referenced in that module, no
 package module imports another's private name, every private helper the
-package defines is referenced somewhere in it, the
+package defines is referenced somewhere in it, every public function and
+method has a reader outside the tests or a stated reason to stay, the
 CLI turns the library's refusals into exit 2 in one place only, and every
 elimination takes its rows from one of the two integer row builders."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "s1cochain"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "s1cochain"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -100,6 +103,99 @@ def test_an_orphaned_private_helper_is_caught():
               "_used(); _Kept()\n")
     assert _orphaned_private([source]) == ["_orphan", "_unread"]
     assert _orphaned_private([source, "_orphan\nx._unread\n"]) == []
+
+
+def _registered(fn: ast.FunctionDef) -> bool:
+    """A function that a `.command(...)` or `.group(...)` decorator
+    registers: the CLI reaches it through its command name."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in fn.decorator_list)
+
+
+def _public_defs(source: str) -> list[str]:
+    """The public module-level functions, other than registered commands,
+    and the public methods of module-level classes."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out += [] if _registered(node) else [node.name]
+        elif isinstance(node, ast.ClassDef):
+            out += [m.name for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return out
+
+
+def _references(node: ast.AST, own: frozenset = frozenset()) -> set[str]:
+    """The names and attributes that code under `node` references, leaving
+    out each function's references to its own name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        own = own | {node.name}
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    out = {name} if isinstance(name, str) and name not in own else set()
+    for child in ast.iter_child_nodes(node):
+        out |= _references(child, own)
+    return out
+
+
+def _unreferenced(defined: list[str], sources: list[str], texts: list[str]) -> list[str]:
+    """The names in `defined` that no source references in code, outside
+    the function itself, and no text holds as a word."""
+    used = {name for src in sources for name in _references(ast.parse(src))}
+    used |= {w for text in texts for w in re.findall(r"\w+", text)}
+    return [name for name in defined if name not in used]
+
+
+# The public functions that no package code, demo, benchmark or README line
+# reaches, each with the reason it stays in the package.
+_UNREACHED = {
+    "make_complex": "the constructor of a complex from named generators and "
+                    "(source, target, coefficient) triples, the form a complex is "
+                    "written in by hand",
+    "pi0_coordinate": "the paper's pi_0 of a closed degree-0 chain of C_0, which "
+                      "defines a semi-dilation",
+    "has_k_semidilation": "the paper's test for a k-semi-dilation at one level; the "
+                          "order scan's witness is its solution at the order",
+    "delta_plus_k": "the paper's structural map Delta^k of the plus part",
+    "delta_plus0_k": "the paper's map Delta^k_{+,0} of the connecting morphism",
+    "delta_partial_k": "the paper's Delta^k_{+,0} followed by a map out of C_0",
+    "zero_morphism": "the zero S^1-morphism, a construction of the paper's category",
+    "verify_homotopy": "the check of the paper's S^1-homotopy relation",
+    "document_to_morphism": "the reader of the morphism document format",
+    "morphism_to_document": "the writer of the morphism document format",
+}
+
+
+def test_every_public_function_has_a_reader_outside_the_tests():
+    # the package's own modules except `__init__`, whose exports read everything
+    defined = {n for p in MODULES for n in _public_defs(p.read_text())}
+    readers = [*MODULES, *sorted((REPO / "demos").glob("*.py")),
+               *sorted((REPO / "perfbench").glob("*.py"))]
+    got = _unreferenced(sorted(defined), [p.read_text() for p in readers],
+                        [(REPO / "README.md").read_text()])
+    assert got == sorted(_UNREACHED)
+
+
+def test_a_function_only_the_tests_call_is_caught():
+    source = ("def used(): pass\n"
+              "def orphan(): return orphan\n"
+              "@main.command('cmd')\n"
+              "def cmd(): pass\n"
+              "@cache\n"
+              "def cached(): pass\n"
+              "class Kept:\n"
+              "    def read(self): pass\n"
+              "    def unread(self): pass\n"
+              "    def _private(self): pass\n"
+              "used(); Kept().read\n")
+    defined = _public_defs(source)
+    assert defined == ["used", "orphan", "cached", "read", "unread"]
+    # a function's call of itself is not a reader
+    assert _unreferenced(defined, [source], []) == ["orphan", "cached", "unread"]
+    # a string or a comment is not a reference; a word of a text is
+    assert _unreferenced(defined, [source, "'cached'  # unread\n"], []) == [
+        "orphan", "cached", "unread"]
+    assert _unreferenced(defined, [source, "orphan()"],
+                         ["call `cached()`, then unread"]) == []
 
 
 # What a handler catches when it catches a refusal of the library.
@@ -208,7 +304,7 @@ def test_every_elimination_takes_builder_rows():
     assert [bad for src in sources for bad in _rows_off_the_builders(src)] == []
     # the check has calls to look at: every entry of linalg makes one
     calls = [n for src in sources for n in ast.walk(ast.parse(src)) if _called(n) in _KERNEL]
-    assert len(calls) >= 8
+    assert len(calls) >= 7
 
 
 def test_rows_from_elsewhere_are_caught():

@@ -439,6 +439,32 @@ class TestCli:
         assert res.exit_code == 0 and res.stdout == ""
         assert out.read_text() == run_cli("milnor", "--k", "2", "--m", "2").stdout
 
+    @pytest.mark.parametrize("args", [
+        ("check", "BAD"), ("cohomology", "BAD"), ("zb", "--k", "1", "BAD"),
+        ("delta", "--k", "1", "BAD"), ("pages", "BAD"), ("dilation", "BAD"),
+        ("semidilation", "BAD"), ("les", "BAD"), ("tensor", "BAD", "GOOD"),
+        ("tensor", "GOOD", "BAD")], ids=lambda args: "-".join(args))
+    def test_non_utf8_document_exit_2_with_one_line(self, tmp_path, args):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"a":1}')
+        good = tmp_path / "good.json"
+        good.write_text(dumps(milnor_model(1, 1)))
+        res = run_cli(*[{"BAD": str(bad), "GOOD": str(good)}.get(a, a) for a in args])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.startswith(f"cannot read {bad}: ") and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["milnor", "tensor"])
+    def test_unwritable_output_exit_2_with_one_line(self, tmp_path, command, target):
+        doc = tmp_path / "m.json"
+        doc.write_text(dumps(milnor_model(1, 1)))
+        out = tmp_path / "no" / "x.json" if target == "missing" else tmp_path
+        argv = (["milnor", "--k", "2", "--m", "2"] if command == "milnor"
+                else ["tensor", str(doc), str(doc)])
+        res = run_cli(*argv, "-o", str(out))
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.startswith(f"cannot write {out}: ") and res.stderr.count("\n") == 1
+
     def test_brieskorn_periods(self):
         res = run_cli("brieskorn", "periods", "2,3,3,3")
         payload = json.loads(res.stdout)

@@ -15,16 +15,17 @@ from s1cochain.linalg import (
     kernel_basis,
     pivot_columns,
     rank,
-    rref,
     solve,
     span_leq,
     vadd,
-    vec,
 )
+
+from oracles import row_dicts, rref, to_dense, vec
 
 
 def dense(rows):
-    return SparseMatrix.from_dense(rows)
+    return SparseMatrix.from_entries(len(rows), len(rows[0]), [
+        (r, c, x) for r, row in enumerate(rows) for c, x in enumerate(row)])
 
 
 class TestRref:
@@ -41,7 +42,7 @@ class TestRref:
     def test_rank_one_hand_reduction(self):
         # [[2,4],[1,2]] ~ [[1,2],[0,0]] with pivot column 0
         r, piv = rref(dense([[2, 4], [1, 2]]))
-        assert r.to_dense() == [[F(1), F(2)], [F(0), F(0)]]
+        assert to_dense(r) == [[F(1), F(2)], [F(0), F(0)]]
         assert piv == (0,)
 
     def test_idempotent_and_deterministic(self):
@@ -81,7 +82,7 @@ class TestSolve:
         m = dense([[1, 2], [2, 4]])
         b = vec({0: 0, 1: 1})
         assert solve(m, b) is None
-        aug = SparseMatrix.from_columns(m.columns() + [b], 2)
+        aug = SparseMatrix.from_columns([m.col(j) for j in range(m.cols)] + [b], 2)
         assert rank(aug) == rank(m) + 1
 
     def test_dimension_mismatch(self):
@@ -264,11 +265,11 @@ def test_from_entries_matches_dense_accumulation(case):
     for r, c, x in ent:
         acc[r][c] += F(x)
     m = SparseMatrix.from_entries(nrows, ncols, ent)
-    assert m.to_dense() == acc
+    assert to_dense(m) == acc
     assert [(r, c) for r, c, _ in m.entries] == sorted(
         (r, c) for r in range(nrows) for c in range(ncols) if acc[r][c])
     assert all(type(v) is F for _, _, v in m.entries)
-    assert m == SparseMatrix.from_dense(acc)
+    assert m == dense(acc)
 
 
 def test_from_entries_drops_cancelled_and_zero_values():
@@ -350,13 +351,13 @@ def _oracle_echelon(rows):
 
 
 def _oracle_rref(m):
-    rows, pivots = _oracle_rref_rows(m.row_dicts(), m.cols)
+    rows, pivots = _oracle_rref_rows(row_dicts(m), m.cols)
     ent = [(r, c, row[c]) for r, row in enumerate(rows) for c in sorted(row)]
     return SparseMatrix.from_entries(m.rows, m.cols, ent), tuple(pivots)
 
 
 def _oracle_solve(m, b):
-    rows = m.row_dicts()
+    rows = row_dicts(m)
     for i, x in b.items():
         rows[i][m.cols] = x
     rows, pivots = _oracle_rref_rows(rows, m.cols + 1)
@@ -374,7 +375,7 @@ def _oracle_coordinates(s, u):
 
 def _oracle_kernel_basis(m):
     red, pivots = _oracle_rref(m)
-    rows = red.row_dicts()
+    rows = row_dicts(red)
     out = []
     for f in range(m.cols):
         if f in pivots:
@@ -465,7 +466,7 @@ def test_kernel_matches_gauss_jordan_oracle(system):
 @given(_system(), st.data())
 def test_subquotient_membership_matches_oracle(system, data):
     m, v = system
-    z = m.columns()
+    z = [m.col(j) for j in range(m.cols)]
     b = [m.apply(x) for x in data.draw(st.lists(_vectors(m.cols), max_size=3))]
     # images of m lie in Z = span(z); other vectors usually do not
     vs = [v] + data.draw(st.lists(
@@ -495,12 +496,12 @@ def test_subquotient_membership_matches_oracle(system, data):
             with pytest.raises(ValueError, match="vector is not in Z"):
                 s.coordinates(u)
         else:
-            assert s.coordinate_matrix([u]).to_dense() == [[x] for x in coords]
+            assert to_dense(s.coordinate_matrix([u])) == [[x] for x in coords]
             assert s.coordinates(u) == coords
     inside = [c for c in expected if c is not None]
     mat = s.coordinate_matrix([u for u, c in zip(vs, expected) if c is not None])
     assert (mat.rows, mat.cols) == (s.dim, len(inside))
-    assert [tuple(mat.to_dense()[i][j] for i in range(s.dim))
+    assert [tuple(to_dense(mat)[i][j] for i in range(s.dim))
             for j in range(mat.cols)] == inside
     if len(inside) < len(vs):
         with pytest.raises(ValueError, match="vector is not in Z"):
@@ -513,7 +514,8 @@ def _spans(draw):
     of the others, zeros); a lies inside span(b) by construction when
     `inside`, and is drawn at random otherwise."""
     m = draw(_matrices())
-    b = m.columns() + [m.apply(x) for x in draw(st.lists(_vectors(m.cols), max_size=3))]
+    b = [m.col(j) for j in range(m.cols)] + [
+        m.apply(x) for x in draw(st.lists(_vectors(m.cols), max_size=3))]
     inside = draw(st.booleans())
     if inside:
         a = [m.apply(x) for x in draw(st.lists(_vectors(m.cols), max_size=3))]
@@ -545,7 +547,7 @@ def test_pivot_columns_and_span_leq_match_oracle(case):
 
 
 _M = dense([[1, 2, 0, 1], [2, 4, 1, 0], [0, 0, 3, F(1, 2)]])
-_Z = _M.columns()
+_Z = [_M.col(j) for j in range(_M.cols)]
 _SQ = Subquotient(_M.rows, _Z, [_Z[0]])
 
 
@@ -594,7 +596,7 @@ def test_every_scalar_leaving_linalg_is_a_fraction(system, data):
     assert all(_fractions(v.values()) for v in kernel_basis(m) + kernel + image)
     rows, _ = linalg._rref_rows(linalg._matrix_rows(m, b))
     assert all(_fractions(row.values()) for row in rows)
-    s = Subquotient(m.rows, m.columns(), image[:1])
+    s = Subquotient(m.rows, [m.col(j) for j in range(m.cols)], image[:1])
     images = [m.apply(v) for v in data.draw(st.lists(_vectors(m.cols), max_size=3))]
     assert _fractions(v for _, _, v in s.coordinate_matrix(images).entries)
 
@@ -625,11 +627,11 @@ def test_each_integer_row_is_its_rational_row_times_its_lcm(system):
     expected_rhs = _scaled(by_row.values())
     # as columns, b last: its entries join rows built from the other columns
     by_col: dict[int, dict[int, F]] = {}
-    for c, v in enumerate([*m.columns(), b]):
+    for c, v in enumerate([*(m.col(j) for j in range(m.cols)), b]):
         for r, x in v.items():
             by_col.setdefault(r, {})[c] = x
     got = [linalg._matrix_rows(m), linalg._matrix_rows(m, b),
-           linalg._column_rows([*m.columns(), b], m.rows)]
+           linalg._column_rows([*(m.col(j) for j in range(m.cols)), b], m.rows)]
     assert [[list(row.items()) for row in rows] for rows in got] == [
         expected, expected_rhs, _scaled(by_col.values())]
     assert all(type(v) is int for rows in got for row in rows for v in row.values())
@@ -653,11 +655,12 @@ def test_solve_and_coordinates_over_mixed_denominators_match_oracle(system, den)
     assert _exact([x]) == _exact([_oracle_solve(m, b)])
     if x is not None:
         assert m.apply(x) == b
-    s = Subquotient(m.rows, m.columns(), m.columns()[:1])
+    z = [m.col(j) for j in range(m.cols)]
+    s = Subquotient(m.rows, z, z[:1])
     images = [m.apply({j: F(1, j + 2)}) for j in range(m.cols)]
     coords = [_oracle_coordinates(s, u) for u in [*images, b]]
     mat = s.coordinate_matrix(images)
-    assert [tuple(mat.to_dense()[i][j] for i in range(s.dim)) for j in range(mat.cols)] \
+    assert [tuple(to_dense(mat)[i][j] for i in range(s.dim)) for j in range(mat.cols)] \
         == coords[:-1]
     if coords[-1] is None:
         with pytest.raises(ValueError, match="vector is not in Z"):
@@ -692,7 +695,7 @@ def test_a_stored_zero_enters_no_row():
 @given(_matrices(), st.data())
 def test_an_empty_spanning_vector_of_b_changes_nothing(m, data):
     # phi_k passes a zero value of Phi^j to the codomain's B as it is
-    z = m.columns()
+    z = [m.col(j) for j in range(m.cols)]
     b = [m.apply(x) for x in data.draw(st.lists(_vectors(m.cols), max_size=3))]
     padded = list(b)
     for _ in range(data.draw(st.integers(1, 3))):
@@ -711,25 +714,24 @@ def test_an_empty_spanning_vector_of_b_changes_nothing(m, data):
 @settings(max_examples=100, deadline=None)
 @given(_matrices(), st.data())
 def test_column_view_agrees_with_dense(m, data):
-    d = m.to_dense()
+    d = to_dense(m)
     other = data.draw(_matrices().map(lambda o: SparseMatrix.from_entries(
         m.cols, o.cols, [(r, c, v) for r, c, v in o.entries if r < m.cols])))
     x = data.draw(_vectors(m.cols))
     kernel = kernel_basis(m)
     if kernel and data.draw(st.booleans()):
         # kernel vectors make every product term at a touched position cancel
-        other = SparseMatrix.from_columns(kernel + other.columns(), m.cols)
+        other = SparseMatrix.from_columns(
+            kernel + [other.col(j) for j in range(other.cols)], m.cols)
         x = vadd(x, kernel[-1])
-    od = other.to_dense()
-    assert (m @ other).to_dense() == [
+    od = to_dense(other)
+    assert to_dense(m @ other) == [
         [sum((d[i][k] * od[k][j] for k in range(m.cols)), F(0)) for j in range(other.cols)]
         for i in range(m.rows)]
     product = {i: sum((d[i][j] * c for j, c in x.items()), F(0)) for i in range(m.rows)}
     assert m.apply(x) == {i: c for i, c in product.items() if c}
-    cols = m.columns()
-    assert len(cols) == m.cols
     for j in range(m.cols):
-        assert cols[j] == m.col(j) == {i: d[i][j] for i in range(m.rows) if d[i][j]}
+        assert m.col(j) == {i: d[i][j] for i in range(m.rows) if d[i][j]}
         assert list(m.col(j)) == sorted(m.col(j))
 
 
@@ -803,9 +805,8 @@ def test_integer_column_view_matches_fraction_sums(system, data):
     product = m @ other
     assert product == _reference_matmul(m, other)
     assert all(type(v) is F for _, _, v in product.entries)
-    cols = m.columns()
-    assert cols == [m.col(j) for j in range(m.cols)]
-    assert cols == [{r: v for r, c, v in m.entries if c == j} for j in range(m.cols)]
+    assert [m.col(j) for j in range(m.cols)] == [
+        {r: v for r, c, v in m.entries if c == j} for j in range(m.cols)]
     with pytest.raises(DimensionError):
         m.apply({m.cols: F(1, 2)})
     # the view built above is invisible to equality, hashing and repr
@@ -823,6 +824,6 @@ def test_integer_column_view_of_empty_shapes():
     for rows, cols in [(0, 3), (3, 0), (0, 0)]:
         z = SparseMatrix.zero(rows, cols)
         assert z.apply({}) == {}
-        assert z.columns() == [{}] * cols
+        assert [z.col(j) for j in range(z.cols)] == [{}] * cols
         assert z @ SparseMatrix.zero(cols, 2) == SparseMatrix.zero(rows, 2)
     assert SparseMatrix.zero(0, 3).apply({2: F(1, 2)}) == {}

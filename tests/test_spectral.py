@@ -19,9 +19,10 @@ from s1cochain.spectral import (
     e_infinity,
     filtration_tower,
     leray_page,
-    perturbed_witness,
     reduced_page_map,
 )
+
+from oracles import perturbed_witness
 
 
 def all_zero_complex(n_tr=3):
