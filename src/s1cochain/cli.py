@@ -215,7 +215,7 @@ def zb(file: str, k: int) -> None:
             "witness": filtered_chain_terms(c, w.chain),
         } for w in zs],
         "b_generators": [{
-            "value": chain_terms(c, w.boundary_value or {}),
+            "value": chain_terms(c, w.boundary_value),
             "primitive": filtered_chain_terms(c, w.chain),
         } for w in bs],
     })
@@ -507,9 +507,9 @@ def corollary_1dilation(window: range) -> None:
     ok_all = True
     for n in ns:
         exps = _one_dilation_exponents(n)
-        tmin = min(p.period for p in bk.principal_periods(exps))
+        periods = [p.period for p in bk.principal_periods(exps)]
+        tmin, lcm_bound = min(periods), 10 * max(periods)
         f_min = bk.f_of_t(exps, tmin)
-        lcm_bound = 10 * max(p.period for p in bk.principal_periods(exps))
         dips = [t for t in range(tmin, lcm_bound + 1)
                 if bk.f_of_t(exps, t) < f_min]
         pred = bk.predicted_order(exps)

@@ -314,12 +314,6 @@ def build_filtered_plus(c: S1Complex, k: int) -> FilteredPlusComplex:
 # cohomology
 
 
-def _graded_data(obj: S1Complex | FilteredPlusComplex) -> tuple[tuple[int, ...], SparseMatrix]:
-    if isinstance(obj, S1Complex):
-        return obj.degrees, obj.deltas[0]
-    return obj.degrees, obj.differential
-
-
 def check_degree_window(degrees: range) -> None:
     """Refuse a window of more than MAX_DEGREE_WINDOW degrees."""
     # len() of a range longer than sys.maxsize raises OverflowError
@@ -329,57 +323,43 @@ def check_degree_window(degrees: range) -> None:
                          f"{span} degrees, more than {MAX_DEGREE_WINDOW}")
 
 
-def group_by_degree(vectors: Sequence[Vector], degrees: Sequence[int]) -> dict[int, list[Vector]]:
-    """Homogeneous nonzero vectors by degree, read at each one's lowest index."""
-    out: dict[int, list[Vector]] = {}
-    for v in vectors:
-        out.setdefault(degrees[min(v)], []).append(v)
-    return out
+def cycles_and_boundaries(differential: SparseMatrix, degrees: Sequence[int]
+                          ) -> tuple[dict[int, list[Vector]], dict[int, list[Vector]]]:
+    """The kernel basis and the image basis of the differential, each grouped
+    by degree, from one `kernel_and_image`.  Every vector is homogeneous, and
+    its degree is read at its lowest index."""
+    kernel, image = kernel_and_image(differential)
+    cycles: dict[int, list[Vector]] = {}
+    bounds: dict[int, list[Vector]] = {}
+    for grouped, vectors in ((cycles, kernel), (bounds, image)):
+        for v in vectors:
+            grouped.setdefault(degrees[min(v)], []).append(v)
+    return cycles, bounds
 
 
 def cohomology(obj: S1Complex | FilteredPlusComplex,
-               degrees: range | None = None,
-               preferred: dict[int, list[Vector]] | None = None) -> dict[int, Subquotient]:
+               degrees: range | None = None) -> dict[int, Subquotient]:
     """Per-degree cohomology of (C, delta^0) or of a filtered complex.
 
     Returns {degree: cycles/boundaries}, each a `Subquotient` whose `basis`
-    holds deterministic representative cycles.  `preferred` optionally
-    requests distinguished representatives (per degree) to head the chosen
-    basis, placed ahead of the degree's cycles in Z; ValueError when one is
-    not a cycle of its degree, read as rank(Z) above the number of cycles,
-    when its degree holds no cycle at all, or when its degree lies outside
-    the window.
-    The cycles and boundaries of every degree come from one elimination of
-    the differential.  A window of more than MAX_DEGREE_WINDOW degrees is
-    refused before it.
+    holds deterministic representative cycles.  The cycles and boundaries
+    of every degree come from one elimination of the differential.  A
+    window of more than MAX_DEGREE_WINDOW degrees is refused before it.
     """
-    degs, diff = _graded_data(obj)
     if degrees is not None:
         check_degree_window(degrees)
-    kernel, image = kernel_and_image(diff)
-    cycles, bounds = group_by_degree(kernel, degs), group_by_degree(image, degs)
-    heads = preferred or {}
+    diff = obj.deltas[0] if isinstance(obj, S1Complex) else obj.differential
+    n = len(obj.degrees)
+    cycles, bounds = cycles_and_boundaries(diff, obj.degrees)
     out: dict[int, Subquotient] = {}
-    for d in sorted(set(cycles) | set(bounds)):
+    for d in sorted(cycles.keys() | bounds.keys()):
         if degrees is None or d in degrees:
-            cyc = cycles.get(d, [])
-            out[d] = Subquotient(len(degs), [*heads.get(d, []), *cyc], bounds.get(d, []))
-            if out[d].rank_z != len(cyc):
-                raise ValueError(f"a preferred vector is not a cycle of degree {d}")
-    for d, vs in heads.items():
-        # a degree without a group: outside the window, or holding no cycle
-        if d not in out and any(vs):
-            if degrees is not None and d not in degrees:
-                raise ValueError(f"a preferred vector of degree {d} lies outside the window")
-            raise ValueError(f"a preferred vector is not a cycle of degree {d}")
+            out[d] = Subquotient(n, cycles.get(d, []), bounds.get(d, []))
     if degrees is not None:
         # the window degrees without cycles or boundaries share one zero group
-        empty = None
-        for d in degrees:
-            if d not in out:
-                if empty is None:
-                    empty = Subquotient(len(degs), [], [])
-                out[d] = empty
+        missing = [d for d in degrees if d not in out]
+        if missing:
+            out.update(dict.fromkeys(missing, Subquotient(n, [], [])))
     return out
 
 

@@ -33,8 +33,7 @@ from .complexes import (
     TruncationError,
     build_filtered_plus,
     check_degree_window,
-    cohomology,
-    group_by_degree,
+    cycles_and_boundaries,
     lift_degree,
     lift_family,
     shift,
@@ -43,7 +42,6 @@ from .linalg import (
     SparseMatrix,
     Subquotient,
     Vector,
-    kernel_and_image,
     pivot_columns,
     require_exact,
     solve,
@@ -224,25 +222,36 @@ def has_k_dilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
 _ZeroPartH0 = tuple[Subquotient, list[tuple[int, Vector]]]
 
 
-def _zero_part_h0(s: SplitS1Complex, k: int) -> _ZeroPartH0 | None:
-    """H^0(F^k C_0) read as (+)_p u^-p H^{2p}(C_0), from one `cohomology` of C_0.
+def _zero_part_h0(s: SplitS1Complex, k: int) -> _ZeroPartH0:
+    """H^0(F^k C_0) read as (+)_p u^-p H^{2p}(C_0), from one elimination of
+    C_0's delta^0.
 
-    Returns H^0(C_0) with [e] heading its basis, and the rest of the basis
-    of H^0(F^k C_0) as (u-power p, chain of F^k C_0) pairs: the degree-2p
-    basis of H(C_0), without [e], placed at u^-p.  None when [e] vanishes.
+    Returns H^0(C_0), built over [B_0 | e | Z_0] so that [e] heads its
+    basis, and the rest of the basis of H^0(F^k C_0) as (u-power p, chain
+    of F^k C_0) pairs: the degree-2p basis of H(C_0), without [e], placed
+    at u^-p; a degree without cycles or boundaries builds no group.
+    ValueError, in `verify_splitting`'s words, when e is not closed (it
+    raises rank(Z)) or its class vanishes (it is not the first pivot after
+    B_0): then pi_0 does not exist.
 
     C_0 carries no higher operators, so F^k(C_0) is k+1 disjoint copies of
     (C_0, delta^0).  Its kernel, its image and the pivots of [B | e | Z] are
     those of C_0, block by block, so this is the basis that the cohomology
-    of F^k(C_0) itself, with e preferred, would choose.
+    of F^k(C_0) itself, with e put ahead of the degree-0 cycles, would choose.
     """
-    groups = cohomology(s.zero_part, range(0, 2 * k + 1, 2), preferred={0: [s.unit_zero]})
-    h0 = groups[0]
-    if not h0.basis_sources or h0.basis_sources[0] != 0:
-        return None
     n0 = s.zero_part.n
-    rest = [(p, {p * n0 + i: x for i, x in z.items()}) for p in range(k + 1)
-            for z in (h0.basis[1:] if p == 0 else groups[2 * p].basis)]
+    cycles, bounds = cycles_and_boundaries(s.zero_part.deltas[0], s.zero_part.degrees)
+    z0 = cycles.get(0, [])
+    h0 = Subquotient(n0, [s.unit_zero, *z0], bounds.get(0, []))
+    if h0.rank_z != len(z0):
+        raise ValueError("unit chain is not closed")
+    if h0.basis_sources[:1] != (0,):
+        raise ValueError("unit class vanishes in H^0 of the zero part")
+    rest = [(0, z) for z in h0.basis[1:]]
+    for p in range(1, k + 1):
+        if 2 * p in cycles or 2 * p in bounds:
+            group = Subquotient(n0, cycles.get(2 * p, []), bounds.get(2 * p, []))
+            rest += [(p, {p * n0 + i: x for i, x in z.items()}) for z in group.basis]
     return h0, rest
 
 
@@ -250,34 +259,33 @@ def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
     """pi_0 of a closed degree-0 chain of C_0, in ambient coordinates.
 
     The e-coordinate of the class in the deterministic basis of H^0(C_0).
-    ValueError when an index of v is not a zero-part generator.
+    ValueError when an index of v is not a zero-part generator, and, as in
+    the semi-dilation routes, when the unit is off degree 0 or off the zero
+    part, is not closed, or has a vanishing class.
     """
+    _check_level(s, 0)
     bad = sorted(i for i in v if not (0 <= i < s.complex.n and s.parts[i] == ZERO_PART))
     if bad:
         raise ValueError(f"indices {bad} are not zero-part generators")
-    h0 = _zero_part_h0(s, 0)
-    if h0 is None:
-        raise ValueError("unit class vanishes in H^0; not a valid split complex")
-    return h0[0].coordinates({s.positions[i]: x for i, x in v.items()})[0]
+    return _zero_part_h0(s, 0)[0].coordinates({s.positions[i]: x for i, x in v.items()})[0]
 
 
-def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0 | None, by_power: bool
+def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0, by_power: bool
                         ) -> tuple[Vector, int] | None:
     """Solve the level-k system in [A | w | c]: A of total degree -1 in
     F^k(C_+), w of degree -1 in F^k(C_0) absorbing exact ambiguity, c along
     the non-unit part of H^0(F^k C_0), with delta_+ A = 0 and conn(A) -
     delta_0 w - sum c_j z_j = e u^0.  Returns the free-variables-zero
     solution's A and the largest u-power in its support, or None if there
-    is none or the unit class vanishes; `by_power` orders the columns stably
-    by (u-power, block, position).  A sits at its F^k(C_+) index, w after
+    is none; `by_power` orders the columns stably by (u-power, block,
+    position).  A sits at its F^k(C_+) index, w after
     all of those at its F^k(C_0) index, and the rows are F^k(C_+)'s, then
     F^k(C_0)'s; the other degrees' columns stay empty and are never pivots.
     The c columns come last, H(C_0) tiled: the degree-2p basis of H(C_0) at
     u^-p, read from `h0`, the result of `_zero_part_h0` at level k or
     above.  The per-degree bases do not depend on the level, so the level-k
-    list is the part of a higher level's with u-power <= k."""
-    if h0 is None:
-        return None
+    list is the part of a higher level's with u-power <= k.  Reading `h0`
+    has refused a unit without a class."""
     rest = [(p, z) for p, z in h0[1] if p <= k]
     cp, cz = s.plus_part, s.zero_part
     n_plus, n_zero = cp.n, cz.n
@@ -304,7 +312,8 @@ def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0 | None, by_po
 
 def has_k_semidilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     """Can a closed A of F^k(C_+) connect to a class projecting to [e]?
-    Returns A in F^k(C_+) coordinates, solved in the ambient column order."""
+    Returns A in F^k(C_+) coordinates, solved in the ambient column order.
+    ValueError at every k when e is not closed or [e] vanishes in H^0(C_0)."""
     _check_level(s, k)
     found = _solve_semidilation(s, k, _zero_part_h0(s, k), by_power=False)
     return (found is not None), found[0] if found else None
@@ -401,8 +410,9 @@ def order_via_torsion(s: SplitS1Complex, semi: bool = False) -> DilationReport:
     F^{N-k-1}(C_+).  Restricting the primitive to the lower filtration level
     is the truncated shadow of torsion on the untruncated module and makes
     this route agree with the direct scan at every level.  The order is the
-    first feasible k; the semi test fails at every k when the unit class
-    vanishes in H^0(F^N C_0).
+    first feasible k.  The semi route reads pi_0 first, so it raises
+    ValueError when e is not closed or [e] vanishes in H^0(C_0); the
+    dilation route asks only whether e is exact.
 
     The unknowns are [x | w | y | c], x at its F^N(C_+) index and w after
     all of those at its F^N(C_0) index; the rows are F^N(C_+)'s (x closed),
@@ -414,12 +424,7 @@ def order_via_torsion(s: SplitS1Complex, semi: bool = False) -> DilationReport:
     kind = "semidilation" if semi else "dilation"
     n_tr = s.truncation
     _check_level(s, n_tr)
-    complement: list[Vector] = []
-    if semi:
-        h0 = _zero_part_h0(s, n_tr)
-        if h0 is None:
-            return DilationReport(kind, n_tr, None, None, route="torsion")
-        complement = [z for _, z in h0[1]]
+    complement = [z for _, z in _zero_part_h0(s, n_tr)[1]] if semi else []
 
     cp, cz = s.plus_part, s.zero_part
     # x and w take the first nxw columns, the closed and target rows the first nxw rows
@@ -524,11 +529,11 @@ def _homology_counts(differential: SparseMatrix, degrees: tuple[int, ...]
     per degree, from one elimination of the differential, given the degree
     of each basis vector.  Raises ValueError when a boundary is not a cycle:
     d does not square to zero."""
-    kernel, image = kernel_and_image(differential)
+    cycles, bounds = cycles_and_boundaries(differential, degrees)
+    image = [b for bs in bounds.values() for b in bs]
     for b in image:
         if differential.apply(b):
             raise ValueError("a boundary is not a cycle: the differential does not square to zero")
-    cycles, bounds = group_by_degree(kernel, degrees), group_by_degree(image, degrees)
     dims = {d: len(cycles.get(d, ())) - len(bounds.get(d, ()))
             for d in sorted(cycles.keys() | bounds.keys())}
     return cycles, image, dims

@@ -3,12 +3,16 @@
 Each is a plain reference that the tests build inputs with or compare the
 package against: a sparse vector from a mapping, dense and per-row views
 of a matrix, a slice of a matrix, the RREF as a matrix, and a second
-witness family for a leading term.  The file name has no `test_` prefix,
-so pytest does not collect it; the test modules import it by name.
+witness family for a leading term; and the benchmark's workload module,
+whose inputs the tests reuse.  The file name has no `test_` prefix, so
+pytest does not collect it; the test modules import it by name.
 """
 
+import importlib.util
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from pathlib import Path
 
 from s1cochain import linalg
 from s1cochain.linalg import SparseMatrix, Vector, as_q, vadd
@@ -77,3 +81,17 @@ def perturbed_witness(t: FiltrationTower, w: WitnessedCycle, kernel_index: int =
         return w
     extra = candidates[kernel_index % len(candidates)]
     return WitnessedCycle(w.level, vadd(w.chain, extra), w.n, boundary_value=w.boundary_value)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_workloads():
+    """`perfbench/workloads.py`, imported once and only read."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up while defined
+        spec.loader.exec_module(module)
+    return sys.modules[name]

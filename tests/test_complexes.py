@@ -14,6 +14,7 @@ from s1cochain.complexes import (
     TruncationError,
     build_filtered_plus,
     cohomology,
+    cycles_and_boundaries,
     lift_degree,
     lift_family,
     make_complex,
@@ -153,33 +154,17 @@ class TestCohomology:
                 assert c.deltas[0].apply(rep) == {}
             assert g.dim == len(g.basis)
 
-    def test_preferred_cycle_heads_its_degree_and_others_are_refused(self):
-        # degree 0: cycles a, a2; b is not a cycle, since delta0 b = c
-        c = make_complex([("a", 0), ("a2", 0), ("b", 0), ("c", 1)], 0, {0: [("b", "c", 1)]})
-        head = {0: F(1), 1: F(1)}
-        g = cohomology(c, preferred={0: [head]})[0]
-        assert g.basis[0] == head and g.basis_sources[0] == 0
-        assert g.dim == cohomology(c)[0].dim == 2
-        for bad in ({2: F(1)}, {3: F(1)}, {0: F(1), 2: F(1)}):
-            with pytest.raises(ValueError, match="not a cycle of degree 0"):
-                cohomology(c, preferred={0: [head, bad]})
-
-    @pytest.mark.parametrize("window, preferred, message", [
-        # degree 2 has no cycles and no boundaries, so it gets no group
-        (None, {2: [{1: F(1)}]}, "not a cycle of degree 2"),
-        (range(0, 3), {2: [{1: F(1)}]}, "not a cycle of degree 2"),
-        (range(0, 2), {2: [{1: F(1)}]}, "degree 2 lies outside the window"),
-        # a cycle, but of a degree the window leaves out
-        (range(1, 2), {0: [{0: F(1)}]}, "degree 0 lies outside the window"),
-    ])
-    def test_preferred_vector_of_a_degree_without_a_group_is_refused(self, window,
-                                                                      preferred, message):
-        c = make_complex([("a", 0), ("b", 0), ("c", 1)], 0, {0: [("b", "c", 1)]})
-        with pytest.raises(ValueError, match=message):
-            cohomology(c, window, preferred=preferred)
-        # a degree listed with no vector asks for nothing
-        assert ({d: g.basis for d, g in cohomology(c, window, preferred={2: []}).items()}
-                == {d: g.basis for d, g in cohomology(c, window).items()})
+    def test_cycles_and_boundaries_group_one_elimination_by_degree(self):
+        f = build_filtered_plus(milnor_model(2, 3).complex, 2)
+        with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as spy:
+            cycles, bounds = cycles_and_boundaries(f.differential, f.degrees)
+        assert spy.call_count == 1
+        kernel, image = linalg.kernel_and_image(f.differential)
+        for grouped, flat in ((cycles, kernel), (bounds, image)):
+            # each degree keeps the elimination's order, and every vector is homogeneous
+            assert grouped == {d: [v for v in flat if f.degrees[min(v)] == d]
+                               for d in {f.degrees[min(v)] for v in flat}}
+            assert all({f.degrees[i] for i in v} == {d} for d, vs in grouped.items() for v in vs)
 
     def test_filtered_cohomology_degree_window(self):
         c = milnor_model(2, 2).complex

@@ -44,6 +44,7 @@ from s1cochain.dilation import (
     tautological_les,
     verify_splitting,
 )
+from s1cochain.io_json import loads
 from s1cochain.linalg import (
     SparseMatrix,
     Subquotient,
@@ -57,7 +58,7 @@ from s1cochain.morphisms import phi_k
 from s1cochain.spectral import QuotientMap, delta_k, leray_page, reduced_page_map
 from s1cochain.tensor import tensor_split
 
-from oracles import submatrix
+from oracles import perfbench_workloads, submatrix
 
 
 def unit_only_complex(n_tr=2):
@@ -154,12 +155,13 @@ def test_level_tests_refuse_a_level_outside_0_to_n(level_test, level, error, mes
 @pytest.mark.parametrize("entry", [
     lambda s: has_k_dilation(s, 1), lambda s: has_k_semidilation(s, 1),
     order_of_dilation, order_of_semidilation, order_via_torsion,
-    partial(order_via_torsion, semi=True),
+    partial(order_via_torsion, semi=True), partial(pi0_coordinate, v={0: F(1)}),
 ], ids=["has_k_dilation", "has_k_semidilation", "order_of_dilation",
-        "order_of_semidilation", "order_via_torsion", "order_via_torsion_semi"])
+        "order_of_semidilation", "order_via_torsion", "order_via_torsion_semi",
+        "pi0_coordinate"])
 def test_order_entry_points_refuse_a_unit_off_the_zero_part(entry, names):
     # p2_hat is a degree-0 plus generator: the dilation system would read
-    # it, the semi-dilation and torsion systems would drop it
+    # it, the semi-dilation, torsion and pi_0 systems would drop it
     s = milnor_model(2, 3, include_spheres=False)
     index = {g.name: i for i, g in enumerate(s.complex.generators)}
     off = dataclasses.replace(s, unit={index[n]: F(1) for n in names})
@@ -658,8 +660,13 @@ def test_zero_part_cohomology_tensor_factorization():
 
 
 def _oracle_unit_first_h0(obj, e):
-    sq = cohomology(obj, degrees=range(0, 1), preferred={0: [e]})[0]
-    if not sq.basis_sources or sq.basis_sources[0] != 0:
+    """H^0 of obj (C_0 or F^k(C_0)) over [B_0 | e | Z_0], from the kernel and
+    image of obj's own differential; None when [e] does not head its basis."""
+    diff = obj.differential if isinstance(obj, FilteredPlusComplex) else obj.deltas[0]
+    kernel, image = linalg.kernel_and_image(diff)
+    z0, b0 = ([v for v in vs if obj.degrees[min(v)] == 0] for vs in (kernel, image))
+    sq = Subquotient(len(obj.degrees), [e, *z0], b0)
+    if sq.rank_z != len(z0) or sq.basis_sources[:1] != (0,):
         return None
     return sq
 
@@ -668,10 +675,11 @@ def assert_h0_matches_oracle(s):
     for k in range(s.truncation + 1):
         fz = build_filtered_plus(s.zero_part, k)
         old = _oracle_unit_first_h0(fz, s.unit_zero)
-        new = _zero_part_h0(s, k)
-        assert (old is None) == (new is None)
-        if new is None:
+        if old is None:
+            with pytest.raises(ValueError, match=r"unit (chain is not closed|class vanishes)"):
+                _zero_part_h0(s, k)
             continue
+        new = _zero_part_h0(s, k)
         assert repr([z for _, z in new[1]]) == repr(list(old.basis[1:]))
         assert [p for p, _ in new[1]] == [max(z) // s.zero_part.n for z in old.basis[1:]]
         assert repr(new[0].basis) == repr(_oracle_unit_first_h0(s.zero_part, s.unit_zero).basis)
@@ -691,10 +699,25 @@ def test_zero_part_h0_matches_oracle_on_milnor_models_with_spheres(k, m):
     assert_h0_matches_oracle(milnor_model(k, m))
 
 
-def test_zero_part_h0_none_when_unit_exact_in_zero_part():
-    c = make_complex([("e", 0), ("f", -1), ("z", 2)], 2, {0: [("f", "e", 1)]})
-    s = make_split_complex(c, ["e", "f", "z"], "e")
-    assert _zero_part_h0(s, 2) is None
+@pytest.mark.parametrize("s", [milnor_model(3, 6), milnor_model(4, 4),
+                               random_split_complex(random.Random(83), 6, 3, 3)])
+def test_zero_part_h0_builds_a_group_only_where_cycles_or_boundaries_lie(s):
+    # one elimination of C_0's delta^0, then two per group: H^0(C_0) and each
+    # degree 2p <= 2N that holds a cycle or a boundary
+    cz = s.zero_part
+    kernel, image = linalg.kernel_and_image(cz.deltas[0])
+    held = {cz.degrees[min(v)] for v in kernel + image}
+    with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as spy:
+        _zero_part_h0(s, s.truncation)
+    groups = 1 + sum(2 * p in held for p in range(1, s.truncation + 1))
+    assert spy.call_count == 1 + 2 * groups
+
+
+def test_zero_part_h0_refuses_a_unit_exact_in_zero_part():
+    s = _unit_exact_in_zero_part()
+    with pytest.raises(ValueError, match=r"^unit class vanishes in H\^0 of the zero part$"):
+        _zero_part_h0(s, 2)
+    assert _oracle_unit_first_h0(s.zero_part, s.unit_zero) is None
     assert_h0_matches_oracle(s)
 
 
@@ -702,22 +725,58 @@ def test_zero_part_h0_none_when_unit_exact_in_zero_part():
                                random_split_complex(random.Random(83), 6, 3, 3,
                                                     with_unit_killer=True)])
 def test_split_routes_build_no_part_and_no_filtered_zero_part_cohomology(s):
-    real = dilation.cohomology
+    real = dilation.cycles_and_boundaries
 
-    def cohomology_of_complexes_only(obj, *args, **kwargs):
-        if isinstance(obj, FilteredPlusComplex):
-            raise AssertionError("cohomology of a filtered complex")
-        return real(obj, *args, **kwargs)
+    def of_c0_only(differential, degrees):
+        # H(C_0) is read from C_0's own delta^0, never from F^k(C_0)'s differential
+        if differential is not s.zero_part.deltas[0]:
+            raise AssertionError("cycles of a differential other than C_0's delta^0")
+        return real(differential, degrees)
 
-    expected = [order_of_semidilation(s), has_k_semidilation(s, s.truncation),
+    def semi_routes():
+        return [order_of_semidilation(s), has_k_semidilation(s, s.truncation),
                 order_via_torsion(s), order_via_torsion(s, semi=True),
-                pi0_coordinate(s, s.unit), tautological_les(s)]
-    with mock.patch.object(S1Complex, "__post_init__", side_effect=AssertionError("built")), \
-            mock.patch.object(dilation, "cohomology", side_effect=cohomology_of_complexes_only):
-        got = [order_of_semidilation(s), has_k_semidilation(s, s.truncation),
-               order_via_torsion(s), order_via_torsion(s, semi=True),
-               pi0_coordinate(s, s.unit), tautological_les(s)]
+                pi0_coordinate(s, s.unit)]
+
+    expected = [*semi_routes(), tautological_les(s)]
+    with mock.patch.object(S1Complex, "__post_init__", side_effect=AssertionError("built")):
+        with mock.patch.object(dilation, "cycles_and_boundaries", side_effect=of_c0_only):
+            got = semi_routes()
+        got.append(tautological_les(s))
     assert repr(got) == repr(expected)
+
+
+def _unit_class_vanishes():
+    """e = delta g in C_0, so [e] = 0; e is also exact in C."""
+    c = make_complex([("e", 0), ("g", -1), ("x", -1), ("y", 0)], 2,
+                     {0: [("g", "e", 1), ("x", "y", 1)]})
+    return make_split_complex(c, ["e", "g"], "e")
+
+
+def _unit_not_closed():
+    """delta e = f, so e has no class, and e is not exact in C."""
+    c = make_complex([("e", 0), ("f", 1), ("x", -1), ("y", 0)], 2,
+                     {0: [("e", "f", 1), ("x", "y", 1)]})
+    return make_split_complex(c, ["e", "f"], "e")
+
+
+@pytest.mark.parametrize("split, sentence, dilation_order", [
+    (_unit_class_vanishes, "unit class vanishes in H^0 of the zero part", 0),
+    (_unit_not_closed, "unit chain is not closed", None),
+], ids=["class-vanishes", "not-closed"])
+def test_semidilation_routes_refuse_a_unit_without_a_class(split, sentence, dilation_order):
+    s = split()
+    assert sentence in verify_splitting(s).violations()
+    routes = [order_of_semidilation, partial(order_via_torsion, semi=True),
+              partial(pi0_coordinate, v=s.unit),
+              *(partial(has_k_semidilation, k=k) for k in range(s.truncation + 1))]
+    for route in routes:
+        with pytest.raises(ValueError, match=f"^{re.escape(sentence)}$"):
+            route(s)
+    # the dilation routes ask whether e is exact, which needs no class
+    assert order_of_dilation(s).order == order_via_torsion(s).order == dilation_order
+    assert [has_k_dilation(s, k)[0] for k in range(s.truncation + 1)] == [
+        dilation_order is not None] * (s.truncation + 1)
 
 
 def _off_degree_unit():
@@ -728,7 +787,8 @@ def _off_degree_unit():
 
 @pytest.mark.parametrize("route", [
     partial(has_k_dilation, k=0), partial(has_k_semidilation, k=0), order_of_dilation,
-    order_of_semidilation, order_via_torsion, partial(order_via_torsion, semi=True)])
+    order_of_semidilation, order_via_torsion, partial(order_via_torsion, semi=True),
+    partial(pi0_coordinate, v={0: F(1)})])
 def test_every_order_route_refuses_a_unit_off_degree_zero(route):
     s = _off_degree_unit()
     assert "unit chain is not of pure degree 0" in verify_splitting(s).violations()
@@ -788,9 +848,11 @@ def test_torsion_route_lifts_its_degree_minus_one_blocks_once(n_tr, semi):
 
 
 def test_torsion_semi_route_lifts_nothing_when_the_unit_vanishes():
-    s = _unit_exact_in_zero_part()
-    assert _degree_minus_one_lifts(partial(order_via_torsion, semi=True), s) == 0
-    assert order_via_torsion(s, semi=True).order is None
+    def refused(s):
+        with pytest.raises(ValueError, match=r"unit class vanishes in H\^0 of the zero part"):
+            order_via_torsion(s, semi=True)
+
+    assert _degree_minus_one_lifts(refused, _unit_exact_in_zero_part()) == 0
 
 
 _DIRECT_SCAN = ("has_k_dilation", "has_k_semidilation", "_solve_semidilation",
@@ -819,6 +881,53 @@ def test_torsion_route_runs_without_the_direct_scan_on_random_split_complexes(
     _assert_torsion_orders_match_scan_without_it(
         random_split_complex(random.Random(seed), n_plus, n_zero_extra, n_tr,
                              with_unit_killer=killer))
+
+
+def _torsion_feasible_levels(s, semi):
+    """The levels k in 0..N whose torsion system `order_via_torsion` can
+    solve, with every level visited: a spy records whether the real solve
+    succeeds and then reports no solution."""
+    feasible = []
+    real = dilation.solve
+
+    def spy(system, rhs):
+        feasible.append(real(system, rhs) is not None)
+        return None
+
+    with mock.patch.object(dilation, "solve", spy):
+        assert order_via_torsion(s, semi=semi).order is None
+    assert len(feasible) == s.truncation + 1
+    return [k for k, ok in enumerate(feasible) if ok]
+
+
+def test_torsion_feasibility_is_monotone_in_the_level():
+    """The feasible levels of the torsion route are an up-set in k.
+
+    If u^{k+1} x = delta y with y in F^{N-k-1}(C_+), then u^{k+2} x =
+    delta(u y), since u commutes with the differential, and u y lies in
+    F^{N-k-2}(C_+): level k feasible makes level k+1 feasible, with the same
+    x, w and c.  At k = N the u-condition is void.  So the first feasible
+    level is the order, and a bisection over 0..N would find it.  Checked
+    for both kinds on the benchmark's 215 seed-10 corpus inputs and on the
+    Milnor models with spheres, 2 <= k <= m <= 4.
+    """
+    W = perfbench_workloads()
+    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
+    subjects = [loads(text) for text in inputs.documents]
+    subjects += [milnor_model(k, m) for m in range(2, 5) for k in range(2, m + 1)]
+    assert len(subjects) == 221
+    bad, with_feasible = [], 0
+    for i, s in enumerate(subjects):
+        for semi in (False, True):
+            levels = _torsion_feasible_levels(s, semi)
+            with_feasible += bool(levels)
+            up_set = levels == list(range(levels[0], s.truncation + 1)) if levels else True
+            first = levels[0] if levels else None
+            if not up_set or first != order_via_torsion(s, semi=semi).order:
+                bad.append((i, semi, levels))
+    assert bad == []
+    # both outcomes are exercised: some runs feasible somewhere, some nowhere
+    assert 0 < with_feasible < 2 * len(subjects)
 
 
 @pytest.mark.parametrize("names", [["e", "typo"], ["E"]])

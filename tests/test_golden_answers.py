@@ -13,24 +13,11 @@ rank fails here.
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _workloads():
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module  # dataclasses look their module up while defined
-        spec.loader.exec_module(module)
-    return sys.modules[name]
+from oracles import PERFBENCH, perfbench_workloads
 
 
 # workload -> run the operations of the inputs whose index is 0 mod this
@@ -40,7 +27,7 @@ EVERY = {"fermat_spheres": 1, "product_pages": 1, "random_corpus": 5}
 
 @pytest.mark.parametrize("workload", list(EVERY))
 def test_answers_match_golden_digests(workload):
-    W = _workloads()
+    W = perfbench_workloads()
     golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
     _, inputs = W.setup(workload, W.DEFAULT_SEED)
     assert inputs.sha256 == golden["inputs_sha256"]
@@ -63,7 +50,7 @@ def test_answers_match_golden_digests(workload):
 def _every_corpus_digest(buckets):
     """The digest of every `random_corpus` operation in `buckets`, on all
     215 inputs, each after its input's `load`, and the golden ones."""
-    W = _workloads()
+    W = perfbench_workloads()
     golden = json.loads((PERFBENCH / "golden.json").read_text())["random_corpus"]
     _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
     assert inputs.sha256 == golden["inputs_sha256"]
