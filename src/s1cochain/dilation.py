@@ -66,9 +66,13 @@ class SplitS1Complex:
     the ambient order, so `parts` lists either part's generators), `zero_part`
     is C_0 with (delta^0_0, 0, ..., 0), `plus_part` is C_+ with (delta^0_+,
     delta^1_+, ...), `connecting` holds the blocks delta^r_{+,0} : C_+ -> C_0,
-    `unit_zero` is the unit in C_0's coordinates, and `outside` lists the
+    `unit_zero` is the unit in C_0's coordinates, `outside` lists the
     entries (r, row, column) that fit no block, the splitting's violations,
-    in operator then entry order.
+    in operator then entry order, and `inert_zero` holds the C_0 positions
+    of the inert generators: those off the unit's support that hold no
+    entry in any row or column of any delta^r, read in the same pass.  An
+    inert generator is a cycle of its own that nothing else touches, so
+    every order system leaves its class out (see `_zero_part_h0`).
     """
 
     complex: S1Complex
@@ -80,6 +84,7 @@ class SplitS1Complex:
     connecting: tuple[SparseMatrix, ...] = field(init=False, compare=False, repr=False)
     outside: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
     unit_zero: Vector = field(init=False, compare=False, repr=False)
+    inert_zero: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.parts) != self.complex.n:
@@ -102,15 +107,24 @@ class SplitS1Complex:
         pos = {i: t for part in (zi, pi) for t, i in enumerate(part)}
         # each part keeps the ambient order, so every block stays row-major
         zero_block, plus_blocks, conn_blocks, outside = [], [], [], []
+        # the generators of either part that an entry touching C_0 holds
+        touched: set[int] = set()
         for r, d in enumerate(c.deltas):
             plus, conn = [], []
             for i, j, v in d.entries:
                 if not zero[j]:
-                    (conn if zero[i] else plus).append((pos[i], pos[j], v))
-                elif r == 0 and zero[i]:
-                    zero_block.append((pos[i], pos[j], v))
+                    if zero[i]:
+                        conn.append((pos[i], pos[j], v))
+                        touched.add(i)
+                    else:
+                        plus.append((pos[i], pos[j], v))
                 else:
-                    outside.append((r, i, j))
+                    touched.add(i)
+                    touched.add(j)
+                    if r == 0 and zero[i]:
+                        zero_block.append((pos[i], pos[j], v))
+                    else:
+                        outside.append((r, i, j))
             plus_blocks.append(SparseMatrix(len(pi), len(pi), tuple(plus)))
             conn_blocks.append(SparseMatrix(len(zi), len(pi), tuple(conn)))
         derived = {
@@ -123,6 +137,8 @@ class SplitS1Complex:
             "connecting": tuple(conn_blocks),
             "outside": tuple(outside),
             "unit_zero": {pos[i]: x for i, x in self.unit.items() if zero[i]},
+            "inert_zero": frozenset(t for t, i in enumerate(zi)
+                                    if i not in touched and i not in self.unit),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -224,7 +240,7 @@ _ZeroPartH0 = tuple[Subquotient, list[tuple[int, Vector]]]
 
 def _zero_part_h0(s: SplitS1Complex, k: int) -> _ZeroPartH0:
     """H^0(F^k C_0) read as (+)_p u^-p H^{2p}(C_0), from one elimination of
-    C_0's delta^0.
+    C_0's delta^0, less the classes of the inert generators.
 
     Returns H^0(C_0), built over [B_0 | e | Z_0] so that [e] heads its
     basis, and the rest of the basis of H^0(F^k C_0) as (u-power p, chain
@@ -237,10 +253,24 @@ def _zero_part_h0(s: SplitS1Complex, k: int) -> _ZeroPartH0:
     C_0 carries no higher operators, so F^k(C_0) is k+1 disjoint copies of
     (C_0, delta^0).  Its kernel, its image and the pivots of [B | e | Z] are
     those of C_0, block by block, so this is the basis that the cohomology
-    of F^k(C_0) itself, with e put ahead of the degree-0 cycles, would choose.
+    of F^k(C_0) itself, with e put ahead of the degree-0 cycles, would choose,
+    less the inert classes.
+
+    An inert generator g (`SplitS1Complex.inert_zero`) has an empty column,
+    so the one kernel vector that holds g is the unit vector {g: 1}, and no
+    other cycle, no boundary and not e touches g.  It is left out before any
+    group is built, and a degree whose cycles are all inert builds none.  No
+    reader loses anything: in every system that solves over this basis its
+    column at u^-p has its only entry in row (g, p), which holds nothing
+    else and no right-hand side.  It is a private pivot whose unknown is 0,
+    and dropping that row and column leaves every other pivot, every other
+    RREF row and the free-variables-zero solution as they were.
     """
-    n0 = s.zero_part.n
+    n0, inert = s.zero_part.n, s.inert_zero
     cycles, bounds = cycles_and_boundaries(s.zero_part.deltas[0], s.zero_part.degrees)
+    if inert:
+        active = ((d, [z for z in zs if min(z) not in inert]) for d, zs in cycles.items())
+        cycles = {d: zs for d, zs in active if zs}
     z0 = cycles.get(0, [])
     h0 = Subquotient(n0, [s.unit_zero, *z0], bounds.get(0, []))
     if h0.rank_z != len(z0):
@@ -259,15 +289,23 @@ def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
     """pi_0 of a closed degree-0 chain of C_0, in ambient coordinates.
 
     The e-coordinate of the class in the deterministic basis of H^0(C_0).
-    ValueError when an index of v is not a zero-part generator, and, as in
-    the semi-dilation routes, when the unit is off degree 0 or off the zero
-    part, is not closed, or has a vanishing class.
+    The components of v at degree-0 inert generators are dropped first:
+    each is a cycle whose class is a basis vector of its own, with
+    e-coordinate 0.  An inert component of any other degree is kept, so v
+    is still refused as not in Z.  ValueError when an index of v is not a
+    zero-part generator, and, as in the semi-dilation routes, when the unit
+    is off degree 0 or off the zero part, is not closed, or has a vanishing
+    class; TypeError when a value is neither an int nor a Fraction.
     """
     _check_level(s, 0)
     bad = sorted(i for i in v if not (0 <= i < s.complex.n and s.parts[i] == ZERO_PART))
     if bad:
         raise ValueError(f"indices {bad} are not zero-part generators")
-    return _zero_part_h0(s, 0)[0].coordinates({s.positions[i]: x for i, x in v.items()})[0]
+    for x in v.values():
+        require_exact(x)
+    pos, inert, degrees = s.positions, s.inert_zero, s.complex.degrees
+    v0 = {pos[i]: x for i, x in v.items() if pos[i] not in inert or degrees[i]}
+    return _zero_part_h0(s, 0)[0].coordinates(v0)[0]
 
 
 def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0, by_power: bool
@@ -285,7 +323,11 @@ def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0, by_power: bo
     u^-p, read from `h0`, the result of `_zero_part_h0` at level k or
     above.  The per-degree bases do not depend on the level, so the level-k
     list is the part of a higher level's with u-power <= k.  Reading `h0`
-    has refused a unit without a class."""
+    has refused a unit without a class.  The tiling holds no inert class:
+    its column would have its only entry in a row that holds nothing else
+    and no right-hand side, a private pivot whose unknown is 0, so leaving
+    it out changes no other pivot and neither the solution nor its largest
+    u-power."""
     rest = [(p, z) for p, z in h0[1] if p <= k]
     cp, cz = s.plus_part, s.zero_part
     n_plus, n_zero = cp.n, cz.n
@@ -414,12 +456,23 @@ def order_via_torsion(s: SplitS1Complex, semi: bool = False) -> DilationReport:
     ValueError when e is not closed or [e] vanishes in H^0(C_0); the
     dilation route asks only whether e is exact.
 
+    Feasibility is monotone in k.  If u^{k+1} x = delta y with y in
+    F^{N-k-1}(C_+), then u^{k+2} x = delta(u y), since u commutes with the
+    differential, and u y lies in F^{N-k-2}(C_+): level k feasible makes
+    level k+1 feasible with the same x, w and c.  At k = N the u-condition
+    is void, so an infeasible level N means no level is feasible.  The
+    feasible levels are an up-set, and the first one is the order.
+
     The unknowns are [x | w | y | c], x at its F^N(C_+) index and w after
     all of those at its F^N(C_0) index; the rows are F^N(C_+)'s (x closed),
     F^N(C_0)'s (x connects to e), then F^N(C_+)'s (u^{k+1} x is exact).
     The degree -1 blocks of x and w, the non-unit part of H^0(F^N C_0) and
     the right-hand side are built once; each level adds u^{k+1} x and the
-    y columns, the degree-2k block of F^{N-k-1}(C_+)'s differential.
+    y columns, the degree-2k block of F^{N-k-1}(C_+)'s differential.  The
+    c columns hold no inert class (`_zero_part_h0`): such a column's only
+    entry lies in a target row that holds nothing else and no right-hand
+    side, a private pivot whose unknown is 0 at every level, so leaving it
+    out changes no other pivot, no witness and no order.
     """
     kind = "semidilation" if semi else "dilation"
     n_tr = s.truncation

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import random
 import re
@@ -405,6 +406,14 @@ class TestPi0:
         assert pi0_coordinate(s, mixed) == F(3)
 
 
+    @pytest.mark.parametrize("value, message", [
+        (0.5, "floating point values are not allowed"), ("1", "neither an int nor a Fraction")],
+        ids=["float", "string"])
+    def test_inexact_value_refused(self, value, message):
+        s = milnor_model(2, 3)
+        with pytest.raises(TypeError, match=message):
+            pi0_coordinate(s, {0: value})
+
     @pytest.mark.parametrize("extra", [lambda n: {0: F(1), n - 1: F(1)},
                                        lambda n: {10**6: F(1)}, lambda n: {-1: F(1)}],
                              ids=["plus-generator", "past-the-end", "negative"])
@@ -671,18 +680,48 @@ def _oracle_unit_first_h0(obj, e):
     return sq
 
 
+def _oracle_inert(s):
+    """The C_0 positions of the generators off the unit's support that hold
+    no entry in any row or column of any delta^r, from a scan of every
+    operator."""
+    touched = {x for d in s.complex.deltas for i, j, _ in d.entries for x in (i, j)}
+    zi = [i for i, p in enumerate(s.parts) if p == "zero"]
+    return frozenset(t for t, i in enumerate(zi) if i not in touched and i not in s.unit)
+
+
+def _whole(s):
+    """A copy of s that marks no generator inert: the whole-complex path."""
+    t = copy.copy(s)
+    object.__setattr__(t, "inert_zero", frozenset())
+    return t
+
+
 def assert_h0_matches_oracle(s):
+    inert, n0 = _oracle_inert(s), s.zero_part.n
+    assert s.inert_zero == inert
+
+    def active(basis):
+        # an inert class of F^k(C_0) is the unit vector at (g, p), g inert
+        return [z for z in basis if not (len(z) == 1 and min(z) % n0 in inert)]
+
     for k in range(s.truncation + 1):
         fz = build_filtered_plus(s.zero_part, k)
         old = _oracle_unit_first_h0(fz, s.unit_zero)
         if old is None:
-            with pytest.raises(ValueError, match=r"unit (chain is not closed|class vanishes)"):
-                _zero_part_h0(s, k)
+            for subject in (s, _whole(s)):
+                with pytest.raises(ValueError,
+                                   match=r"unit (chain is not closed|class vanishes)"):
+                    _zero_part_h0(subject, k)
             continue
         new = _zero_part_h0(s, k)
-        assert repr([z for _, z in new[1]]) == repr(list(old.basis[1:]))
-        assert [p for p, _ in new[1]] == [max(z) // s.zero_part.n for z in old.basis[1:]]
-        assert repr(new[0].basis) == repr(_oracle_unit_first_h0(s.zero_part, s.unit_zero).basis)
+        assert repr([z for _, z in new[1]]) == repr(active(old.basis[1:]))
+        assert [p for p, _ in new[1]] == [max(z) // n0 for z in active(old.basis[1:])]
+        h0_oracle = _oracle_unit_first_h0(s.zero_part, s.unit_zero).basis
+        assert repr(list(new[0].basis)) == repr(active(h0_oracle))
+        # the whole-complex path keeps the inert classes, as the oracle does
+        whole = _zero_part_h0(_whole(s), k)
+        assert repr([z for _, z in whole[1]]) == repr(list(old.basis[1:]))
+        assert repr(whole[0].basis) == repr(h0_oracle)
 
 
 @settings(max_examples=40, deadline=None)
@@ -704,9 +743,11 @@ def test_zero_part_h0_matches_oracle_on_milnor_models_with_spheres(k, m):
 def test_zero_part_h0_builds_a_group_only_where_cycles_or_boundaries_lie(s):
     # one elimination of C_0's delta^0, then two per group: H^0(C_0) and each
     # degree 2p <= 2N that holds a cycle or a boundary
-    cz = s.zero_part
+    # the inert classes hold no degree of their own
+    cz, inert = s.zero_part, _oracle_inert(s)
     kernel, image = linalg.kernel_and_image(cz.deltas[0])
-    held = {cz.degrees[min(v)] for v in kernel + image}
+    held = {cz.degrees[min(v)] for v in kernel + image
+            if not (len(v) == 1 and min(v) in inert)}
     with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as spy:
         _zero_part_h0(s, s.truncation)
     groups = 1 + sum(2 * p in held for p in range(1, s.truncation + 1))
@@ -719,6 +760,99 @@ def test_zero_part_h0_refuses_a_unit_exact_in_zero_part():
         _zero_part_h0(s, 2)
     assert _oracle_unit_first_h0(s.zero_part, s.unit_zero) is None
     assert_h0_matches_oracle(s)
+
+
+def _hand_split_with_inert(unit):
+    """milnor_model(2, 2) without spheres, plus zero-part generators s and g
+    of degree 0 and t of degree 2 that no operator touches; `unit` names
+    the generators of a unit with coefficient 1."""
+    base = milnor_model(2, 2, include_spheres=False)
+    c = base.complex
+    gens = [(g.name, g.degree) for g in c.generators] + [("s", 0), ("g", 0), ("t", 2)]
+    ops = {r: [(c.generators[j].name, c.generators[i].name, v) for i, j, v in d.entries]
+           for r, d in enumerate(c.deltas)}
+    big = make_complex(gens, c.truncation, ops)
+    zero = [g.name for g, p in zip(c.generators, base.parts) if p == "zero"] + ["s", "g", "t"]
+    return make_split_complex(big, zero, {big.index_of(name): F(1) for name in unit})
+
+
+def _routes_repr(s):
+    """Every order route's report, and the semi-dilation test at every level."""
+    return repr([order_of_dilation(s), order_of_semidilation(s), order_via_torsion(s),
+                 order_via_torsion(s, semi=True),
+                 *(has_k_semidilation(s, k) for k in range(s.truncation + 1))])
+
+
+def test_order_routes_match_the_whole_complex_path():
+    W = perfbench_workloads()
+    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
+    corpus = [loads(text) for text in inputs.documents]
+    models = [milnor_model(k, m) for m in range(2, 5) for k in range(2, m + 1)]
+    models.append(milnor_model(3, 6))
+    product = tensor_split(milnor_model(3, 3), milnor_model(3, 4))
+    hand = _hand_split_with_inert(["e", "s"])
+    assert len(corpus) == 215
+    assert [len(s.inert_zero) for s in models] == [(k - 1) ** (m + 1) for m in range(2, 5)
+                                                   for k in range(2, m + 1)] + [2 ** 7]
+    assert len(product.inert_zero) == 512
+    # s sits on the unit and no operator touches it: it is not inert
+    s_pos = hand.positions[hand.complex.index_of("s")]
+    assert s_pos not in hand.inert_zero and len(hand.inert_zero) == 2
+    assert sum(bool(s.inert_zero) for s in corpus) > 0
+    bad = [i for i, s in enumerate([*corpus, *models, product, hand])
+           if _routes_repr(s) != _routes_repr(_whole(s))]
+    assert bad == []
+
+
+def test_pi0_coordinate_drops_degree_zero_inert_components():
+    for unit in (["e"], ["e", "s"]):
+        s = _hand_split_with_inert(unit)
+        c = s.complex
+        e, g, t = (c.index_of(name) for name in ("e", "g", "t"))
+        for v in ({e: F(3), g: F(5)}, {g: F(-2)}, {e: F(1), c.index_of("s"): F(1), g: F(7)}):
+            assert pi0_coordinate(s, v) == pi0_coordinate(_whole(s), v)
+        assert pi0_coordinate(s, {e: F(3), g: F(5)}) == (F(3) if unit == ["e"] else F(0))
+        # an inert component of degree 2 has no class in H^0 on either path
+        for subject in (s, _whole(s)):
+            with pytest.raises(ValueError, match="^vector is not in Z$"):
+                pi0_coordinate(subject, {e: F(1), t: F(1)})
+
+
+def test_pi0_coordinate_refuses_an_inert_component_off_degree_zero():
+    s = milnor_model(2, 3)
+    assert s.complex.generators[1].name == "s0" and s.complex.generators[1].degree == 3
+    assert s.positions[1] in s.inert_zero
+    with pytest.raises(ValueError, match="^vector is not in Z$"):
+        pi0_coordinate(s, {0: F(1), 1: F(1)})
+
+
+def _elimination_shapes(route, s):
+    """(rows, pivots) of every `_echelon` call that `route(s)` makes."""
+    shapes = []
+    real = linalg._echelon
+
+    def spy(rows):
+        n = len(rows)
+        out = real(rows)
+        shapes.append((n, len(out[0])))
+        return out
+
+    with mock.patch.object(linalg, "_echelon", spy):
+        route(s)
+    return shapes
+
+
+@pytest.mark.parametrize("k,m", [(2, 2), (3, 4), (4, 4), (3, 6)])
+def test_spheres_add_no_row_and_no_pivot_to_any_elimination(k, m):
+    with_spheres = milnor_model(k, m)
+    without = milnor_model(k, m, include_spheres=False)
+    assert len(with_spheres.inert_zero) == (k - 1) ** (m + 1)
+    routes = [order_of_dilation, order_of_semidilation, order_via_torsion,
+              partial(order_via_torsion, semi=True),
+              partial(has_k_semidilation, k=with_spheres.truncation),
+              partial(pi0_coordinate, v={0: F(1)})]
+    for route in routes:
+        assert _elimination_shapes(route, with_spheres) == _elimination_shapes(route, without)
 
 
 @pytest.mark.parametrize("s", [milnor_model(3, 4), modified_milnor(2, 2),
@@ -981,6 +1115,7 @@ def assert_split_matches_oracle(s):
     assert s.plus_part.deltas == plus_deltas
     assert s.connecting == connecting
     assert repr(s.unit_zero) == repr(unit_zero)
+    assert s.inert_zero == _oracle_inert(s)
     for tag in (ZERO_PART, PLUS_PART):
         part = [i for i, p in enumerate(s.parts) if p == tag]
         assert [s.positions[i] for i in part] == list(range(len(part)))
