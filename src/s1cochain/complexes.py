@@ -65,8 +65,9 @@ class S1Complex:
 
     Matrices act on column vectors in the generator basis: column j of
     deltas[r] is delta^r applied to generators[j].  Structural constraints
-    (shapes, unique names) are enforced here; the graded relations are
-    checked by `verify_s1_relations`.
+    (shapes; unique, non-empty `str` names; `int` degrees, so no `bool`)
+    are enforced here, as the document reader enforces them; the graded
+    relations are checked by `verify_s1_relations`.
     """
 
     generators: tuple[Generator, ...]
@@ -81,6 +82,10 @@ class S1Complex:
         n = len(self.generators)
         names = set()
         for g in self.generators:
+            if type(g.name) is not str or not g.name:
+                raise ValueError(f"generator name {g.name!r} is not a non-empty string")
+            if type(g.degree) is not int:
+                raise ValueError(f"generator {g.name!r} has degree {g.degree!r}, not an int")
             if g.name in names:
                 raise ValueError(f"duplicate generator name {g.name!r}")
             names.add(g.name)
@@ -337,9 +342,10 @@ def cycles_and_boundaries(differential: SparseMatrix, degrees: Sequence[int]
     return cycles, bounds
 
 
-def cohomology(obj: S1Complex | FilteredPlusComplex,
+def cohomology(f: FilteredPlusComplex,
                degrees: range | None = None) -> dict[int, Subquotient]:
-    """Per-degree cohomology of (C, delta^0) or of a filtered complex.
+    """Per-degree cohomology of a filtered complex F^k; that of (C, delta^0)
+    is the cohomology of `build_filtered_plus(c, 0)`.
 
     Returns {degree: cycles/boundaries}, each a `Subquotient` whose `basis`
     holds deterministic representative cycles.  The cycles and boundaries
@@ -348,9 +354,8 @@ def cohomology(obj: S1Complex | FilteredPlusComplex,
     """
     if degrees is not None:
         check_degree_window(degrees)
-    diff = obj.deltas[0] if isinstance(obj, S1Complex) else obj.differential
-    n = len(obj.degrees)
-    cycles, bounds = cycles_and_boundaries(diff, obj.degrees)
+    n = len(f.degrees)
+    cycles, bounds = cycles_and_boundaries(f.differential, f.degrees)
     out: dict[int, Subquotient] = {}
     for d in sorted(cycles.keys() | bounds.keys()):
         if degrees is None or d in degrees:

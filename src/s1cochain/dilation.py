@@ -234,55 +234,50 @@ def has_k_dilation(s: SplitS1Complex, k: int) -> tuple[bool, Vector | None]:
     return (prim is not None), prim
 
 
-# H^0(C_0), and the rest of a basis of H^0(F^k C_0) as (u-power, chain) pairs
-_ZeroPartH0 = tuple[Subquotient, list[tuple[int, Vector]]]
-
-
-def _zero_part_h0(s: SplitS1Complex, k: int) -> _ZeroPartH0:
-    """H^0(F^k C_0) read as (+)_p u^-p H^{2p}(C_0), from one elimination of
-    C_0's delta^0, less the classes of the inert generators.
-
-    Returns H^0(C_0), built over [B_0 | e | Z_0] so that [e] heads its
-    basis, and the rest of the basis of H^0(F^k C_0) as (u-power p, chain
-    of F^k C_0) pairs: the degree-2p basis of H(C_0), without [e], placed
-    at u^-p; a degree without cycles or boundaries builds no group.
-    ValueError, in `verify_splitting`'s words, when e is not closed (it
-    raises rank(Z)) or its class vanishes (it is not the first pivot after
-    B_0): then pi_0 does not exist.
+def _zero_part_h0(s: SplitS1Complex, k: int) -> Subquotient:
+    """H^0(F^k C_0), less the classes of the inert generators, as one
+    subquotient of F^k(C_0) over [B | e | Z], so that [e] heads its basis.
 
     C_0 carries no higher operators, so F^k(C_0) is k+1 disjoint copies of
-    (C_0, delta^0).  Its kernel, its image and the pivots of [B | e | Z] are
-    those of C_0, block by block, so this is the basis that the cohomology
-    of F^k(C_0) itself, with e put ahead of the degree-0 cycles, would choose,
-    less the inert classes.
+    (C_0, delta^0), and its degree-0 part at u^-p is C_0's degree 2p.  Z
+    holds C_0's degree-2p cycles and B its degree-2p boundaries, each placed
+    at u^-p (index p * n0 + i), all read from one elimination of C_0's
+    delta^0.  The pivots of block-disjoint columns split by block, so this
+    is the basis that the cohomology of F^k(C_0) itself, with e put ahead
+    of the degree-0 cycles, would choose, less the inert classes; a basis
+    vector's u-power is its lowest index // n0.  ValueError, in
+    `verify_splitting`'s words, when e is not closed (it raises rank(Z))
+    or its class vanishes (it is not the first pivot after B): then pi_0
+    does not exist.
 
     An inert generator g (`SplitS1Complex.inert_zero`) has an empty column,
     so the one kernel vector that holds g is the unit vector {g: 1}, and no
-    other cycle, no boundary and not e touches g.  It is left out before any
-    group is built, and a degree whose cycles are all inert builds none.  No
-    reader loses anything: in every system that solves over this basis its
-    column at u^-p has its only entry in row (g, p), which holds nothing
-    else and no right-hand side.  It is a private pivot whose unknown is 0,
-    and dropping that row and column leaves every other pivot, every other
-    RREF row and the free-variables-zero solution as they were.
+    other cycle, no boundary and not e touches g.  It is left out before
+    any vector is placed.  No reader loses anything: in every system that
+    solves over this basis its column at u^-p has its only entry in row
+    (g, p), which holds nothing else and no right-hand side.  It is a
+    private pivot whose unknown is 0, and dropping that row and column
+    leaves every other pivot, every other RREF row and the
+    free-variables-zero solution as they were.
     """
     n0, inert = s.zero_part.n, s.inert_zero
     cycles, bounds = cycles_and_boundaries(s.zero_part.deltas[0], s.zero_part.degrees)
-    if inert:
-        active = ((d, [z for z in zs if min(z) not in inert]) for d, zs in cycles.items())
-        cycles = {d: zs for d, zs in active if zs}
-    z0 = cycles.get(0, [])
-    h0 = Subquotient(n0, [s.unit_zero, *z0], bounds.get(0, []))
-    if h0.rank_z != len(z0):
+    z_gens: list[Vector] = [s.unit_zero]
+    b_gens: list[Vector] = []
+    for d in sorted(cycles.keys() | bounds.keys()):
+        p, odd = divmod(d, 2)
+        if odd or not 0 <= p <= k:
+            continue
+        at = p * n0
+        z_gens += [{at + i: x for i, x in z.items()}
+                   for z in cycles.get(d, ()) if min(z) not in inert]
+        b_gens += [{at + i: x for i, x in b.items()} for b in bounds.get(d, ())]
+    h0 = Subquotient((k + 1) * n0, z_gens, b_gens)
+    if h0.rank_z != len(z_gens) - 1:
         raise ValueError("unit chain is not closed")
     if h0.basis_sources[:1] != (0,):
         raise ValueError("unit class vanishes in H^0 of the zero part")
-    rest = [(0, z) for z in h0.basis[1:]]
-    for p in range(1, k + 1):
-        if 2 * p in cycles or 2 * p in bounds:
-            group = Subquotient(n0, cycles.get(2 * p, []), bounds.get(2 * p, []))
-            rest += [(p, {p * n0 + i: x for i, x in z.items()}) for z in group.basis]
-    return h0, rest
+    return h0
 
 
 def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
@@ -305,10 +300,10 @@ def pi0_coordinate(s: SplitS1Complex, v: Vector) -> Fraction:
         require_exact(x)
     pos, inert, degrees = s.positions, s.inert_zero, s.complex.degrees
     v0 = {pos[i]: x for i, x in v.items() if pos[i] not in inert or degrees[i]}
-    return _zero_part_h0(s, 0)[0].coordinates(v0)[0]
+    return _zero_part_h0(s, 0).coordinates(v0)[0]
 
 
-def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0, by_power: bool
+def _solve_semidilation(s: SplitS1Complex, k: int, h0: Subquotient, by_power: bool
                         ) -> tuple[Vector, int] | None:
     """Solve the level-k system in [A | w | c]: A of total degree -1 in
     F^k(C_+), w of degree -1 in F^k(C_0) absorbing exact ambiguity, c along
@@ -319,21 +314,17 @@ def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0, by_power: bo
     position).  A sits at its F^k(C_+) index, w after
     all of those at its F^k(C_0) index, and the rows are F^k(C_+)'s, then
     F^k(C_0)'s; the other degrees' columns stay empty and are never pivots.
-    The c columns come last, H(C_0) tiled: the degree-2p basis of H(C_0) at
-    u^-p, read from `h0`, the result of `_zero_part_h0` at level k or
-    above.  The per-degree bases do not depend on the level, so the level-k
-    list is the part of a higher level's with u-power <= k.  Reading `h0`
-    has refused a unit without a class.  The tiling holds no inert class:
-    its column would have its only entry in a row that holds nothing else
-    and no right-hand side, a private pivot whose unknown is 0, so leaving
-    it out changes no other pivot and neither the solution nor its largest
-    u-power."""
-    rest = [(p, z) for p, z in h0[1] if p <= k]
+    The c columns come last: the non-unit basis of `h0`, the result of
+    `_zero_part_h0` at level k or above, less its vectors at u-power > k.
+    The per-degree bases of H(C_0) do not depend on the level, so this is
+    the level-k basis, vector for vector.  Reading `h0` has refused a unit
+    without a class, and `h0` holds no inert class (see `_zero_part_h0`)."""
     cp, cz = s.plus_part, s.zero_part
     n_plus, n_zero = cp.n, cz.n
     na, nw = (k + 1) * n_plus, (k + 1) * n_zero
+    rest = [z for z in h0.basis[1:] if min(z) < nw]
     powers = ([j // n_plus for j in range(na)] + [j // n_zero for j in range(nw)]
-              + [p for p, _ in rest])
+              + [min(z) // n_zero for z in rest])
     order = sorted(range(len(powers)), key=powers.__getitem__) if by_power else range(len(powers))
     col = {j: t for t, j in enumerate(order)}
 
@@ -342,7 +333,7 @@ def _solve_semidilation(s: SplitS1Complex, k: int, h0: _ZeroPartH0, by_power: bo
             for i, j, v in lift_degree(s.connecting, k, cp.degrees, -1).entries]
     ent += [(na + i, col[na + j], -v)
             for i, j, v in lift_degree(cz.deltas, k, cz.degrees, -1).entries]
-    ent += [(na + i, col[na + nw + jj], -v) for jj, (_, z) in enumerate(rest)
+    ent += [(na + i, col[na + nw + jj], -v) for jj, z in enumerate(rest)
             for i, v in z.items()]
     system = SparseMatrix.from_entries(na + nw, len(col), ent)
     sol = solve(system, {na + i: x for i, x in s.unit_zero.items()})
@@ -413,15 +404,15 @@ def order_of_semidilation(s: SplitS1Complex, max_k: int | None = None) -> Dilati
     In (u-power, block, position) column order the degree -1 columns of A
     and w at level k are the level-N ones at u-power <= k, a column prefix,
     and the level-N rows they miss are zero there: a column at power p has
-    rows at powers <= p only.  The complement is H(C_0), tiled: C_0 carries no
-    higher operators, so H^0(F^k C_0) is (+)_p u^-p H^{2p}(C_0), and its
-    non-unit basis at u^-p is the degree-2p basis of H(C_0) whatever the
-    level.  So the level-k complement is the level-N complement's columns
-    of power <= k, each at its power p.  The RREF of a column prefix is the
-    prefix of the RREF, so the free-variables-zero solution solves level k
-    exactly when it is supported there.  The order is its largest u-power,
-    every higher level has a semi-dilation, and the witness is
-    `has_k_semidilation`'s, solved over the same H(C_0), read once.
+    rows at powers <= p only.  The complement is the non-unit basis of
+    `_zero_part_h0` at level N, each vector at its u-power, and its level-k
+    part is the level-N vectors of power <= k, in order: the basis at u^-p
+    is the degree-2p basis of H(C_0) whatever the level.  The RREF of a
+    column prefix is the prefix of the RREF, so the free-variables-zero
+    solution solves level k exactly when it is supported there.  The order
+    is its largest u-power, every higher level has a semi-dilation, and the
+    witness is `has_k_semidilation`'s, solved over the same subquotient,
+    built once.
 
     That second solve is not redundant: the two column orders give
     different free-variables-zero solutions.  On `random197` of the
@@ -469,15 +460,12 @@ def order_via_torsion(s: SplitS1Complex, semi: bool = False) -> DilationReport:
     The degree -1 blocks of x and w, the non-unit part of H^0(F^N C_0) and
     the right-hand side are built once; each level adds u^{k+1} x and the
     y columns, the degree-2k block of F^{N-k-1}(C_+)'s differential.  The
-    c columns hold no inert class (`_zero_part_h0`): such a column's only
-    entry lies in a target row that holds nothing else and no right-hand
-    side, a private pivot whose unknown is 0 at every level, so leaving it
-    out changes no other pivot, no witness and no order.
+    c columns hold no inert class (see `_zero_part_h0`).
     """
     kind = "semidilation" if semi else "dilation"
     n_tr = s.truncation
     _check_level(s, n_tr)
-    complement = [z for _, z in _zero_part_h0(s, n_tr)[1]] if semi else []
+    complement = list(_zero_part_h0(s, n_tr).basis[1:]) if semi else []
 
     cp, cz = s.plus_part, s.zero_part
     # x and w take the first nxw columns, the closed and target rows the first nxw rows

@@ -100,12 +100,13 @@ class DimensionError(ValueError):
 
 
 def as_q(x: object) -> Fraction:
-    """Coerce an int / Fraction / rational string to Fraction, rejecting floats."""
+    """Coerce an int / Fraction / rational string to Fraction, rejecting
+    floats and bools."""
     if isinstance(x, float):
         raise TypeError(_NO_FLOATS)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -118,9 +119,9 @@ def _inexact(x: object) -> TypeError:
 
 
 def require_exact(x: object) -> None:
-    """Refuse a value that is neither an int nor a Fraction with TypeError;
-    unlike `as_q`, a rational string is refused too."""
-    if type(x) is not _FRACTION and not isinstance(x, int):
+    """Refuse a value that is neither an int nor a Fraction, or is a bool,
+    with TypeError; unlike `as_q`, a rational string is refused too."""
+    if type(x) is not _FRACTION and (not isinstance(x, int) or type(x) is bool):
         raise _inexact(x)
 
 
@@ -177,7 +178,7 @@ class SparseMatrix:
             if not v:
                 raise ValueError("zero coefficient stored in SparseMatrix")
             # the identity test first: it is the common case and the cheapest
-            if type(v) is not _FRACTION and not isinstance(v, int):
+            if type(v) is not _FRACTION and (not isinstance(v, int) or type(v) is bool):
                 raise _inexact(v)
             if last is not None and (r, c) <= last:
                 raise ValueError("entries not in canonical row-major order")
@@ -292,7 +293,7 @@ class SparseMatrix:
         for c, x in v.items():
             if not 0 <= c < self.cols:
                 raise DimensionError(f"vector index {c} out of range")
-            if type(x) is not _FRACTION and not isinstance(x, int):
+            if type(x) is not _FRACTION and (not isinstance(x, int) or type(x) is bool):
                 raise _inexact(x)
             p, q = x.as_integer_ratio()
             if d % q:

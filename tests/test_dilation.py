@@ -31,6 +31,7 @@ from s1cochain.dilation import (
     LesReport,
     _homology_counts,
     _induced_ranks,
+    _solve_semidilation,
     _zero_part_h0,
     delta_partial_k,
     delta_plus0_k,
@@ -654,7 +655,7 @@ def test_zero_part_cohomology_tensor_factorization():
         s = random_split_complex(rng, rng.randint(3, 7), rng.randint(1, 4),
                                  rng.randint(1, 4))
         cz = s.zero_part
-        base = {d: g.dim for d, g in cohomology(cz).items() if g.dim}
+        base = {d: g.dim for d, g in cohomology(build_filtered_plus(cz, 0)).items() if g.dim}
         f = build_filtered_plus(cz, s.truncation)
         full = {d: g.dim for d, g in cohomology(f).items() if g.dim}
         expected: dict[int, int] = {}
@@ -713,15 +714,9 @@ def assert_h0_matches_oracle(s):
                                    match=r"unit (chain is not closed|class vanishes)"):
                     _zero_part_h0(subject, k)
             continue
-        new = _zero_part_h0(s, k)
-        assert repr([z for _, z in new[1]]) == repr(active(old.basis[1:]))
-        assert [p for p, _ in new[1]] == [max(z) // n0 for z in active(old.basis[1:])]
-        h0_oracle = _oracle_unit_first_h0(s.zero_part, s.unit_zero).basis
-        assert repr(list(new[0].basis)) == repr(active(h0_oracle))
+        assert repr(list(_zero_part_h0(s, k).basis)) == repr(active(old.basis))
         # the whole-complex path keeps the inert classes, as the oracle does
-        whole = _zero_part_h0(_whole(s), k)
-        assert repr([z for _, z in whole[1]]) == repr(list(old.basis[1:]))
-        assert repr(whole[0].basis) == repr(h0_oracle)
+        assert repr(_zero_part_h0(_whole(s), k).basis) == repr(old.basis)
 
 
 @settings(max_examples=40, deadline=None)
@@ -740,18 +735,12 @@ def test_zero_part_h0_matches_oracle_on_milnor_models_with_spheres(k, m):
 
 @pytest.mark.parametrize("s", [milnor_model(3, 6), milnor_model(4, 4),
                                random_split_complex(random.Random(83), 6, 3, 3)])
-def test_zero_part_h0_builds_a_group_only_where_cycles_or_boundaries_lie(s):
-    # one elimination of C_0's delta^0, then two per group: H^0(C_0) and each
-    # degree 2p <= 2N that holds a cycle or a boundary
-    # the inert classes hold no degree of their own
-    cz, inert = s.zero_part, _oracle_inert(s)
-    kernel, image = linalg.kernel_and_image(cz.deltas[0])
-    held = {cz.degrees[min(v)] for v in kernel + image
-            if not (len(v) == 1 and min(v) in inert)}
-    with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as spy:
-        _zero_part_h0(s, s.truncation)
-    groups = 1 + sum(2 * p in held for p in range(1, s.truncation + 1))
-    assert spy.call_count == 1 + 2 * groups
+def test_zero_part_h0_makes_three_eliminations_at_every_level(s):
+    # one elimination of C_0's delta^0, then the two of one subquotient
+    for k in range(s.truncation + 1):
+        with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as spy:
+            _zero_part_h0(s, k)
+        assert spy.call_count == 3
 
 
 def test_zero_part_h0_refuses_a_unit_exact_in_zero_part():
@@ -1064,6 +1053,41 @@ def test_torsion_feasibility_is_monotone_in_the_level():
     assert 0 < with_feasible < 2 * len(subjects)
 
 
+def test_the_level_k_complement_is_the_level_n_one_at_u_power_at_most_k():
+    """`order_of_semidilation` solves its witness at `order` over the
+    level-N complement, filtered by u-power.  That rests on two claims: the
+    basis of `_zero_part_h0` at level k is the level-N basis's vectors of
+    u-power <= k, in order, and `_solve_semidilation` at level k answers
+    the same over either.  Checked at every level on the benchmark's 215
+    seed-10 corpus inputs and on the Milnor models with spheres,
+    2 <= k <= m <= 4; a unit without a class is refused at every level.
+    """
+    W = perfbench_workloads()
+    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
+    subjects = [loads(text) for text in inputs.documents]
+    subjects += [milnor_model(k, m) for m in range(2, 5) for k in range(2, m + 1)]
+    assert len(subjects) == 221
+    bad, checked = [], 0
+    for i, s in enumerate(subjects):
+        n0, levels = s.zero_part.n, range(s.truncation + 1)
+        try:
+            top = _zero_part_h0(s, s.truncation)
+        except ValueError:
+            for k in levels:
+                with pytest.raises(ValueError, match="^unit "):
+                    _zero_part_h0(s, k)
+            continue
+        for k in levels:
+            own = _zero_part_h0(s, k)
+            checked += 1
+            if (repr(own.basis) != repr(tuple(z for z in top.basis if min(z) // n0 <= k))
+                    or _solve_semidilation(s, k, top, False)
+                    != _solve_semidilation(s, k, own, False)):
+                bad.append((i, k))
+    assert bad == []
+    assert checked == 1123
+
+
 @pytest.mark.parametrize("names", [["e", "typo"], ["E"]])
 def test_make_split_complex_refuses_a_name_that_names_no_generator(names):
     c = make_complex([("e", 0), ("x", -1)], 1, {0: [("x", "e", 1)]})
@@ -1075,7 +1099,8 @@ def test_make_split_complex_refuses_a_name_that_names_no_generator(names):
 @pytest.mark.parametrize("unit, error, message", [
     ({0: 0.5}, TypeError, "floating point values are not allowed"),
     ({0: F(1), 1: F(0)}, ValueError, "zero coefficient stored in the unit chain"),
-    ({0: "1"}, TypeError, "neither an int nor a Fraction")])
+    ({0: "1"}, TypeError, "neither an int nor a Fraction"),
+    ({0: True}, TypeError, "True is neither an int nor a Fraction")])
 def test_split_refuses_a_float_or_a_stored_zero_in_the_unit(unit, error, message):
     s = milnor_model(2, 3)
     with pytest.raises(error, match=message):

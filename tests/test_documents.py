@@ -15,6 +15,7 @@ byte for byte.
 import copy
 import json
 import random
+import re
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -68,16 +69,20 @@ _NAME_CHARS = st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\n", "\t", "\x7f
 
 
 @st.composite
-def _split_complexes(draw):
+def _split_complexes(draw, in_name_order=False):
     """A structurally sound split complex: odd names, any operator entries
     (relations unchecked, as the reader leaves them), orders left empty at
-    random, and a unit of one or more rational terms."""
+    random, and a unit of one or more terms, each an int or a Fraction.
+    `in_name_order` sorts the generators by name, the reader's order."""
     names = draw(st.lists(st.text(_NAME_CHARS, min_size=1, max_size=4),
                           min_size=1, max_size=6, unique=True))
+    if in_name_order:
+        names.sort()
     n = len(names)
     gens = tuple(Generator(x, draw(st.integers(-3, 3))) for x in names)
     parts = tuple(draw(st.sampled_from([ZERO_PART, PLUS_PART])) for _ in names)
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+    coeffs = st.one_of(st.integers(-5, 5),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=7)).filter(bool)
     n_tr = draw(st.integers(0, 3))
     deltas = []
     for _ in range(n_tr + 1):
@@ -97,6 +102,23 @@ def test_dumps_matches_the_json_oracle(s):
     text = dumps(s)
     assert text == _oracle_dumps(s)
     assert dumps(loads(text)) == text
+
+
+@settings(max_examples=200, deadline=timedelta(milliseconds=500))
+@given(s=_split_complexes(in_name_order=True))
+def test_every_split_the_constructors_accept_survives_the_round_trip(s):
+    assert loads(dumps(s)) == s
+
+
+@pytest.mark.parametrize("generator, message", [
+    (Generator("a", True), "degree True, not an int"),
+    (Generator("a", 1.5), "degree 1.5, not an int"),
+    (Generator("", 0), "name '' is not a non-empty string"),
+    (Generator(5, 0), "name 5 is not a non-empty string"),
+], ids=["bool-degree", "float-degree", "empty-name", "int-name"])
+def test_a_complex_refuses_a_name_or_degree_that_no_document_holds(generator, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        S1Complex((Generator("e", 0), generator), 0, (SparseMatrix.zero(2, 2),))
 
 
 def _hand_complex(names, ops, unit):

@@ -229,6 +229,20 @@ def test_solve_refuses_an_inexact_right_hand_side(value, message):
     assert solve(dense([[2]]), {0: 1}) == {0: F(1, 2)}
 
 
+@pytest.mark.parametrize("refuse", [
+    lambda: linalg.require_exact(True),
+    lambda: linalg.as_q(True),
+    lambda: SparseMatrix(1, 1, ((0, 0, True),)),
+    lambda: SparseMatrix.from_entries(1, 1, [(0, 0, True)]),
+    lambda: dense([[2]]).apply({0: True}),
+    lambda: solve(dense([[2]]), {0: True}),
+], ids=["require_exact", "as_q", "SparseMatrix", "from_entries", "apply", "solve"])
+def test_a_bool_value_is_refused(refuse):
+    # bool is an int subclass, but a document holds no "True" coefficient
+    with pytest.raises(TypeError, match="True"):
+        refuse()
+
+
 def test_span_leq_rejects_out_of_range_vector():
     for a, b in (([vec({2: 1})], [vec({0: 1})]), ([], [vec({-1: 1})])):
         with pytest.raises(DimensionError):
