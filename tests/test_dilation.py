@@ -32,6 +32,7 @@ from s1cochain.dilation import (
     _homology_counts,
     _induced_ranks,
     _solve_semidilation,
+    _torsion_solver,
     _zero_part_h0,
     delta_partial_k,
     delta_plus0_k,
@@ -60,7 +61,8 @@ from s1cochain.morphisms import phi_k
 from s1cochain.spectral import QuotientMap, delta_k, leray_page, reduced_page_map
 from s1cochain.tensor import tensor_split
 
-from oracles import perfbench_workloads, submatrix
+from oracles import (perfbench_workloads, submatrix, whole_solve_semidilation,
+                     whole_zero_part_h0)
 
 
 def unit_only_complex(n_tr=2):
@@ -849,10 +851,14 @@ def test_spheres_add_no_row_and_no_pivot_to_any_elimination(k, m):
                                                     with_unit_killer=True)])
 def test_split_routes_build_no_part_and_no_filtered_zero_part_cohomology(s):
     real = dilation.cycles_and_boundaries
+    d0 = s.zero_part.deltas[0]
+    active = [t for t in range(s.zero_part.n) if t not in s.inert_zero]
+    restricted = submatrix(d0, active, active)
 
     def of_c0_only(differential, degrees):
-        # H(C_0) is read from C_0's own delta^0, never from F^k(C_0)'s differential
-        if differential is not s.zero_part.deltas[0]:
+        # H(C_0) is read from C_0's own delta^0, or from its restriction to the
+        # active generators when some are inert, never from F^k(C_0)'s differential
+        if not (differential is d0 or (s.inert_zero and differential == restricted)):
             raise AssertionError("cycles of a differential other than C_0's delta^0")
         return real(differential, degrees)
 
@@ -1006,21 +1012,22 @@ def test_torsion_route_runs_without_the_direct_scan_on_random_split_complexes(
                              with_unit_killer=killer))
 
 
+def _corpus_and_sphere_models():
+    """The benchmark's 215 seed-10 corpus inputs and the Milnor models with
+    spheres, 2 <= k <= m <= 4."""
+    W = perfbench_workloads()
+    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
+    subjects = [loads(text) for text in inputs.documents]
+    subjects += [milnor_model(k, m) for m in range(2, 5) for k in range(2, m + 1)]
+    assert len(subjects) == 221
+    return subjects
+
+
 def _torsion_feasible_levels(s, semi):
     """The levels k in 0..N whose torsion system `order_via_torsion` can
-    solve, with every level visited: a spy records whether the real solve
-    succeeds and then reports no solution."""
-    feasible = []
-    real = dilation.solve
-
-    def spy(system, rhs):
-        feasible.append(real(system, rhs) is not None)
-        return None
-
-    with mock.patch.object(dilation, "solve", spy):
-        assert order_via_torsion(s, semi=semi).order is None
-    assert len(feasible) == s.truncation + 1
-    return [k for k, ok in enumerate(feasible) if ok]
+    solve, each solved on its own."""
+    at = _torsion_solver(s, semi)
+    return [k for k in range(s.truncation + 1) if at(k) is not None]
 
 
 def test_torsion_feasibility_is_monotone_in_the_level():
@@ -1034,11 +1041,7 @@ def test_torsion_feasibility_is_monotone_in_the_level():
     for both kinds on the benchmark's 215 seed-10 corpus inputs and on the
     Milnor models with spheres, 2 <= k <= m <= 4.
     """
-    W = perfbench_workloads()
-    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
-    subjects = [loads(text) for text in inputs.documents]
-    subjects += [milnor_model(k, m) for m in range(2, 5) for k in range(2, m + 1)]
-    assert len(subjects) == 221
+    subjects = _corpus_and_sphere_models()
     bad, with_feasible = [], 0
     for i, s in enumerate(subjects):
         for semi in (False, True):
@@ -1053,6 +1056,80 @@ def test_torsion_feasibility_is_monotone_in_the_level():
     assert 0 < with_feasible < 2 * len(subjects)
 
 
+def test_torsion_route_solves_once_beyond_the_truncation_and_at_most_order_plus_two():
+    """Level N first: an infeasible one ends the scan, and a feasible one
+    is followed by levels 0..order, the level-N solve serving at N."""
+    bad, found, beyond = [], 0, 0
+    for i, s in enumerate(_corpus_and_sphere_models()):
+        for semi in (False, True):
+            with mock.patch.object(dilation, "solve", wraps=dilation.solve) as spy:
+                report = order_via_torsion(s, semi=semi)
+            count = spy.call_count
+            if report.order is None:
+                beyond += 1
+                ok = count == 1
+            else:
+                found += 1
+                ok = count <= report.order + 2
+            if not ok:
+                bad.append((i, semi, report.order, count))
+    assert bad == []
+    assert found > 0 and beyond > 0
+
+
+def test_semidilation_routes_match_their_whole_column_oracles():
+    """`_zero_part_h0` eliminates delta^0 over the active generators and
+    `_solve_semidilation` solves over the columns its blocks fill; both
+    answer as their oracles over every generator and every column, at
+    every level, for both column orders, over the level-N and the level-k
+    subquotient."""
+    bad, checked = [], 0
+    for i, s in enumerate(_corpus_and_sphere_models()):
+        levels = range(s.truncation + 1)
+        try:
+            top = whole_zero_part_h0(s, s.truncation)
+        except ValueError as exc:
+            for k in levels:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    _zero_part_h0(s, k)
+            continue
+        for k in levels:
+            own, whole = _zero_part_h0(s, k), whole_zero_part_h0(s, k)
+            if (repr((own.basis, own.basis_sources, own.rank_z, own.rank_b))
+                    != repr((whole.basis, whole.basis_sources, whole.rank_z, whole.rank_b))):
+                bad.append((i, k, "h0"))
+            for h0 in (top, own):
+                for by_power in (False, True):
+                    checked += 1
+                    if (repr(_solve_semidilation(s, k, h0, by_power))
+                            != repr(whole_solve_semidilation(s, k, h0, by_power))):
+                        bad.append((i, k, by_power))
+    assert bad == []
+    assert checked == 4 * 1123
+
+
+def test_semidilation_system_columns_do_not_depend_on_the_spheres():
+    def columns(s):
+        cols = []
+        real = dilation.solve
+
+        def spy(m, b):
+            cols.append(m.cols)
+            return real(m, b)
+
+        with mock.patch.object(dilation, "solve", spy):
+            order_of_semidilation(s)
+            for k in range(s.truncation + 1):
+                has_k_semidilation(s, k)
+        return cols
+
+    with_spheres = milnor_model(4, 4)
+    assert len(with_spheres.inert_zero) == 3 ** 5
+    got = columns(with_spheres)
+    assert len(got) == with_spheres.truncation + 3
+    assert got == columns(milnor_model(4, 4, include_spheres=False))
+
+
 def test_the_level_k_complement_is_the_level_n_one_at_u_power_at_most_k():
     """`order_of_semidilation` solves its witness at `order` over the
     level-N complement, filtered by u-power.  That rests on two claims: the
@@ -1062,11 +1139,7 @@ def test_the_level_k_complement_is_the_level_n_one_at_u_power_at_most_k():
     seed-10 corpus inputs and on the Milnor models with spheres,
     2 <= k <= m <= 4; a unit without a class is refused at every level.
     """
-    W = perfbench_workloads()
-    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
-    subjects = [loads(text) for text in inputs.documents]
-    subjects += [milnor_model(k, m) for m in range(2, 5) for k in range(2, m + 1)]
-    assert len(subjects) == 221
+    subjects = _corpus_and_sphere_models()
     bad, checked = [], 0
     for i, s in enumerate(subjects):
         n0, levels = s.zero_part.n, range(s.truncation + 1)
