@@ -66,8 +66,9 @@ class S1Complex:
     Matrices act on column vectors in the generator basis: column j of
     deltas[r] is delta^r applied to generators[j].  Structural constraints
     (shapes; unique, non-empty `str` names; `int` degrees, so no `bool`)
-    are enforced here, as the document reader enforces them; the graded
-    relations are checked by `verify_s1_relations`.
+    are enforced here, or, by a caller that has already checked its
+    fields, before `from_checked`; the graded relations are checked by
+    `verify_s1_relations`.
     """
 
     generators: tuple[Generator, ...]
@@ -92,6 +93,21 @@ class S1Complex:
         for d in self.deltas:
             if (d.rows, d.cols) != (n, n):
                 raise ValueError("operator matrix shape does not match basis")
+
+    @classmethod
+    def from_checked(cls, generators: tuple[Generator, ...], truncation: int,
+                     deltas: tuple[SparseMatrix, ...]) -> "S1Complex":
+        """The complex of fields that already meet `__post_init__`'s
+        constraints, built without checking them again.  Its two callers
+        know they do: the document reader, which refuses a bad truncation,
+        name or degree with the field's JSON path and shapes every operator
+        itself, and a split's parts, whose generators are a sub-tuple of
+        a checked complex's and whose blocks the split shapes."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "generators", generators)
+        object.__setattr__(c, "truncation", truncation)
+        object.__setattr__(c, "deltas", deltas)
+        return c
 
     @property
     def n(self) -> int:

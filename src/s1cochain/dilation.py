@@ -129,11 +129,12 @@ class SplitS1Complex:
             conn_blocks.append(SparseMatrix(len(zi), len(pi), tuple(conn)))
         derived = {
             "positions": pos,
-            "zero_part": S1Complex(tuple(c.generators[i] for i in zi), c.truncation,
-                                   (SparseMatrix(len(zi), len(zi), tuple(zero_block)),)
-                                   + (SparseMatrix.zero(len(zi), len(zi)),) * c.truncation),
-            "plus_part": S1Complex(tuple(c.generators[i] for i in pi), c.truncation,
-                                   tuple(plus_blocks)),
+            "zero_part": S1Complex.from_checked(
+                tuple(c.generators[i] for i in zi), c.truncation,
+                (SparseMatrix(len(zi), len(zi), tuple(zero_block)),)
+                + (SparseMatrix.zero(len(zi), len(zi)),) * c.truncation),
+            "plus_part": S1Complex.from_checked(
+                tuple(c.generators[i] for i in pi), c.truncation, tuple(plus_blocks)),
             "connecting": tuple(conn_blocks),
             "outside": tuple(outside),
             "unit_zero": {pos[i]: x for i, x in self.unit.items() if zero[i]},

@@ -21,7 +21,9 @@ pure-Python encoder, which costs about ten times as much.
 The reader checks every field with a plain conditional, in a fixed order,
 and formats an error's JSON path and message only when it raises, so a
 valid document builds no message.  A coefficient's value is read from the
-digit groups of the literal that the grammar matched.
+digit groups of the literal that the grammar matched.  The complex is built
+through `S1Complex.from_checked`, and its split's parts likewise, so a load
+checks each generator's name and degree once, here.
 """
 
 from __future__ import annotations
@@ -179,13 +181,14 @@ def document_to_split_complex(doc: Any) -> SplitS1Complex:
         if not isinstance(g, dict):
             raise DocumentError(f"$.generators[{i}]", "expected an object")
         name = g.get("name")
-        if not (isinstance(name, str) and name):
+        # exact types, as `S1Complex.__post_init__` requires them
+        if not (type(name) is str and name):
             raise DocumentError(f"$.generators[{i}].name", "expected a non-empty string")
         if name in seen:
             raise DocumentError(f"$.generators[{i}].name", f"duplicate generator {name!r}")
         seen.add(name)
         deg = g.get("degree")
-        if not isinstance(deg, int) or isinstance(deg, bool):
+        if type(deg) is not int:
             raise DocumentError(f"$.generators[{i}].degree", "expected an integer")
         part = g.get("part")
         if part not in (ZERO_PART, PLUS_PART):
@@ -224,7 +227,8 @@ def document_to_split_complex(doc: Any) -> SplitS1Complex:
     else:
         raise DocumentError("$.unit", "expected a generator name or a chain array")
 
-    cplx = S1Complex(gens, n_tr, deltas)
+    # every name and degree was checked above, where its path is known
+    cplx = S1Complex.from_checked(gens, n_tr, deltas)
     return SplitS1Complex(cplx, parts, unit)
 
 

@@ -22,7 +22,12 @@ from s1cochain.brieskorn import (
     predicted_order,
     principal_periods,
 )
-from s1cochain.complexes import MAX_FILTERED_DIM, build_filtered_plus, verify_s1_relations
+from s1cochain.complexes import (
+    MAX_FILTERED_DIM,
+    MAX_TRUNCATION,
+    build_filtered_plus,
+    verify_s1_relations,
+)
 from s1cochain.dilation import order_of_dilation, verify_splitting
 
 
@@ -300,6 +305,19 @@ class TestMilnorModel:
             c = milnor_model(k, m, include_spheres=False).complex
             col = c.deltas[0].col(c.index_of(f"p{m-k}_check"))
             assert col[c.index_of("e")] == F(factorial(k))
+
+    def test_sphere_free_model_depends_on_m_only_through_names(self):
+        # `reproduce theorem-a` solves (k, k) once for every m >= k; its
+        # --max limit is MAX_TRUNCATION // 2
+        for k in range(1, MAX_TRUNCATION // 2 + 1):
+            base = milnor_model(k, k, include_spheres=False)
+            for m in range(k, MAX_TRUNCATION // 2 + 1):
+                s = milnor_model(k, m, include_spheres=False)
+                assert s.complex.degrees == base.complex.degrees, (k, m)
+                assert s.complex.deltas == base.complex.deltas, (k, m)
+                assert s.truncation == base.truncation, (k, m)
+                assert s.parts == base.parts, (k, m)
+                assert s.unit == base.unit, (k, m)
 
     def test_sphere_count(self):
         for k, m in [(2, 2), (3, 3), (2, 4)]:

@@ -7,11 +7,13 @@ and `cohomology` on each.  It also holds the stdout of `check` on
 `milnor_3_3` and on `broken.json`, a hand-written document whose operators
 violate relations at every k and degree shifts at two orders, so the
 residual entries are pinned too.  `cli_fixtures/commands/` holds the stdout
-of the commands that read no document: `brieskorn periods`, `cz`, `adc` and
-`predict` on three exponent vectors, `reproduce theorem-a --max 3` and
-`reproduce corollary-1dilation --n-range 3..5`.
+(`.out`) and the stderr (`.err`) of the commands that read no document:
+`brieskorn periods`, `cz`, `adc` and `predict` on three exponent vectors,
+which write nothing to stderr, `reproduce theorem-a` at `--max` 3 and 6
+(the benchmark's argument) and `reproduce corollary-1dilation --n-range
+3..5`, whose per-row diagnostic lines the `.err` files pin.
 Every test compares bytes, so a change to any basis, witness, order,
-residual, index or key order fails here.
+residual, index, key order or diagnostic line fails here.
 
 To regenerate after an intended change of the output, run
 
@@ -54,11 +56,12 @@ COMMANDS = [("brieskorn", "periods", e) for e in BRIESKORN]
 COMMANDS += [("brieskorn", c, e, *bound) for c in ("cz", "adc", "predict")
              for e, bound in BRIESKORN.items()]
 COMMANDS += [("reproduce", "theorem-a", "--max", "3"),
+             ("reproduce", "theorem-a", "--max", "6"),
              ("reproduce", "corollary-1dilation", "--n-range", "3..5")]
 
 
-def _fixture_path(doc: str, args: tuple[str, ...]) -> Path:
-    return FIXTURES / doc / ("_".join(a.lstrip("-") for a in args) + ".out")
+def _fixture_path(doc: str, args: tuple[str, ...], stream: str = "out") -> Path:
+    return FIXTURES / doc / ("_".join(a.lstrip("-") for a in args) + "." + stream)
 
 
 def _run(doc: str, args: tuple[str, ...]):
@@ -84,6 +87,7 @@ def test_command_output_matches_fixture(args):
     res = CliRunner().invoke(main, list(args))
     assert res.exit_code == 0, res.stderr
     assert res.stdout == _fixture_path("commands", args).read_text(encoding="utf-8")
+    assert res.stderr == _fixture_path("commands", args, "err").read_text(encoding="utf-8")
 
 
 def _write_fixtures() -> None:
@@ -117,6 +121,7 @@ def _write_fixtures() -> None:
         res = CliRunner().invoke(main, list(args))
         assert res.exit_code == 0, (args, res.stderr)
         _fixture_path("commands", args).write_text(res.stdout, encoding="utf-8")
+        _fixture_path("commands", args, "err").write_text(res.stderr, encoding="utf-8")
 
 
 if __name__ == "__main__":

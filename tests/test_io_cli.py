@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s1cochain.brieskorn import MAX_DISTINCT_EXPONENTS, MAX_PERIOD_BOUND, milnor_model
+from s1cochain import cli
 from s1cochain.cli import MAX_ONE_DILATION_N, main
 from s1cochain.complexes import (
     MAX_DEGREE_WINDOW,
     MAX_FILTERED_DIM,
     MAX_GENERATORS,
     MAX_TRUNCATION,
+    S1Complex,
 )
 from s1cochain.io_json import (
     DocumentError,
@@ -83,8 +85,34 @@ class TestDocumentRoundTrip:
         s = document_to_split_complex(doc)
         assert s.unit == {s.complex.index_of("e"): __import__("fractions").Fraction(2, 3)}
 
+    def test_a_load_checks_each_name_and_degree_once(self, monkeypatch):
+        # the reader checks them; the complex and the split's parts are
+        # built without checking them again, and they meet every constraint
+        text = dumps(milnor_model(3, 4))
+        checked = []
+        post_init = S1Complex.__post_init__
+        monkeypatch.setattr(S1Complex, "__post_init__",
+                            lambda self: checked.append(self) or post_init(self))
+        s = loads(text)
+        assert checked == []
+        for c in (s.complex, s.zero_part, s.plus_part):
+            assert S1Complex(c.generators, c.truncation, c.deltas) == c
+        assert len(checked) == 3
+
 
 class TestDocumentErrors:
+    @pytest.mark.parametrize("field, value", [
+        ("name", type("Name", (str,), {})("x")),
+        ("degree", type("Degree", (int,), {})(-1)),
+        ("degree", True)], ids=["str-subclass", "int-subclass", "bool"])
+    def test_name_and_degree_must_have_the_exact_type(self, field, value):
+        # what `S1Complex` itself would refuse, since a load does not ask it
+        doc = sample_doc()
+        doc["generators"][0][field] = value
+        with pytest.raises(DocumentError) as exc:
+            document_to_split_complex(doc)
+        assert exc.value.path == f"$.generators[0].{field}"
+
     def test_numeric_coefficient_rejected(self):
         doc = sample_doc()
         doc["operators"][0]["entries"][0]["coeff"] = 2
@@ -510,6 +538,19 @@ class TestCli:
         assert payload["pass"]
         assert len(payload["rows"]) == 6
         assert "PASS" in res.stderr
+
+    @pytest.mark.parametrize("max_m", [3, 6])
+    def test_reproduce_theorem_a_solves_each_k_once(self, monkeypatch, max_m):
+        calls = {"order_of_dilation": 0, "order_of_semidilation": 0}
+        for name in calls:
+            def counted(s, _name=name, _fn=getattr(cli, name)):
+                calls[_name] += 1
+                return _fn(s)
+            monkeypatch.setattr(cli, name, counted)
+        res = run_cli("reproduce", "theorem-a", "--max", str(max_m))
+        assert res.exit_code == 0
+        assert len(json.loads(res.stdout)["rows"]) == max_m * (max_m + 1) // 2
+        assert calls == {"order_of_dilation": max_m, "order_of_semidilation": max_m}
 
     def test_reproduce_corollary_small(self):
         res = run_cli("reproduce", "corollary-1dilation", "--n-range", "3..5")

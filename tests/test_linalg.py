@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import gcd, lcm
 from unittest import mock
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s1cochain import linalg
+from s1cochain.brieskorn import milnor_model
+from s1cochain.complexes import build_filtered_plus, cycles_and_boundaries
+from s1cochain.io_json import loads
 from s1cochain.linalg import (
     DimensionError,
     SparseMatrix,
@@ -20,7 +24,7 @@ from s1cochain.linalg import (
     vadd,
 )
 
-from oracles import row_dicts, rref, to_dense, vec
+from oracles import perfbench_workloads, row_dicts, rref, to_dense, vec
 
 
 def dense(rows):
@@ -841,3 +845,60 @@ def test_integer_column_view_of_empty_shapes():
         assert [z.col(j) for j in range(z.cols)] == [{}] * cols
         assert z @ SparseMatrix.zero(cols, 2) == SparseMatrix.zero(rows, 2)
     assert SparseMatrix.zero(0, 3).apply({2: F(1, 2)}) == {}
+
+
+# the pivot row is free: any holder of the pivot column gives the same RREF
+
+
+def _holder_subjects():
+    """The benchmark's 215 seed-10 corpus inputs and Milnor models, with
+    spheres for 2 <= k <= m <= 3 and without for 2 <= k <= m <= 5."""
+    W = perfbench_workloads()
+    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
+    subjects = [loads(text) for text in inputs.documents]
+    subjects += [milnor_model(k, m) for m in range(2, 4) for k in range(2, m + 1)]
+    subjects += [milnor_model(k, m, include_spheres=False)
+                 for m in range(2, 6) for k in range(2, m + 1)]
+    assert len(subjects) == 215 + 3 + 10
+    return subjects
+
+
+def _elimination_answers(s):
+    """Every answer of the four entry points on F^N(C)'s differential D:
+    the kernel and image bases, the pivot columns of D's columns, a solve
+    that succeeds and solves at unit vectors (some fail), and the quotient
+    coordinates of each degree's cycles in its cohomology."""
+    f = build_filtered_plus(s.complex, s.truncation)
+    d = f.differential
+    columns = [d.col(j) for j in range(d.cols)]
+    kernel, image = kernel_and_image(d)
+    b = d.apply({j: F(j + 1, 2) for j in range(0, d.cols, 3)})
+    solves = [solve(d, b)] + [solve(d, {i: F(1)}) for i in range(0, d.rows, 7)]
+    cycles, bounds = cycles_and_boundaries(d, f.degrees)
+    coordinates = {deg: Subquotient(d.rows, z, bounds.get(deg, [])).coordinate_matrix(z)
+                   for deg, z in cycles.items()}
+    return kernel, image, pivot_columns(columns, d.rows), solves, coordinates
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_any_holder_can_supply_the_pivot(monkeypatch, seed):
+    """`_echelon` takes `min(holders)` as its pivot row; a seeded random
+    holder gives equal pivots, solutions, bases and coordinates, since the
+    RREF for a fixed column order is unique."""
+    subjects = _holder_subjects()
+    expected = [_elimination_answers(s) for s in subjects]
+    rng = random.Random(seed)
+    free_choices = 0
+
+    def any_holder(items, *args, **kwargs):
+        nonlocal free_choices
+        if not isinstance(items, set):
+            return min(items, *args, **kwargs)
+        choice = rng.choice(sorted(items))
+        free_choices += choice != min(items)
+        return choice
+
+    monkeypatch.setattr(linalg, "min", any_holder, raising=False)
+    for s, want in zip(subjects, expected):
+        assert _elimination_answers(s) == want
+    assert free_choices > 1000
