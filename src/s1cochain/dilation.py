@@ -37,6 +37,7 @@ from .complexes import (
     lift_degree,
     lift_family,
     shift,
+    verify_s1_relations,
 )
 from .linalg import (
     SparseMatrix,
@@ -612,46 +613,49 @@ class LesReport:
         return all(n.exact for n in self.nodes)
 
 
+def _check_operators(c: S1Complex) -> None:
+    """Refuse an operator family that breaks a degree shift or a relation
+    R_k = sum_(i+j=k) delta^i delta^j = 0, k <= N, as `verify_s1_relations`
+    reads them: ValueError naming the first broken shift, else the first
+    broken relation."""
+    rel = verify_s1_relations(c)
+    for check in rel.degree_checks:
+        if not check.ok:
+            a = c.generators[c.index_of(check.entries[0][0])].degree
+            r = check.order
+            raise ValueError(f"a degree-{a} generator maps under delta^{r} "
+                             f"to no cycle of degree {a + 1 - 2 * r}")
+    for check in rel.relation_checks:
+        if not check.ok:
+            raise ValueError(f"sum_(i+j={check.order}) delta^i delta^j is not 0: "
+                             "the differential does not square to zero")
+
+
 def _homology_counts(differential: SparseMatrix, degrees: tuple[int, ...]
                      ) -> tuple[dict[int, list[Vector]], list[Vector], dict[int, int]]:
     """The cycles by degree, the boundary basis and dim H^d = |Z_d| - |B_d|
     per degree, from one elimination of the differential, given the degree
-    of each basis vector.  Raises ValueError when a boundary is not a cycle:
-    d does not square to zero."""
+    of each basis vector."""
     cycles, bounds = cycles_and_boundaries(differential, degrees)
     image = [b for bs in bounds.values() for b in bs]
-    for b in image:
-        if differential.apply(b):
-            raise ValueError("a boundary is not a cycle: the differential does not square to zero")
     dims = {d: len(cycles.get(d, ())) - len(bounds.get(d, ()))
             for d in sorted(cycles.keys() | bounds.keys())}
     return cycles, image, dims
 
 
 def _induced_ranks(cycles: dict[int, list[Vector]], push: Callable[[Vector], Vector],
-                   differential: SparseMatrix, degrees: tuple[int, ...],
-                   bounds: list[Vector], raise_by: int) -> Counter[int]:
-    """Source degree d -> rank of H^d(source) -> H^{d+raise_by}(target)
-    induced by the chain map `push`, from one `pivot_columns` of
-    [B_tgt | push(Z_src)], B_tgt being the boundary basis of the target,
-    which has the given differential and basis degrees.
-
-    Raises ValueError when a pushed cycle is not a cycle of the target in
-    degree d + raise_by.
-    """
+                   target_dim: int, bounds: list[Vector]) -> Counter[int]:
+    """Source degree d -> rank of the map that the chain map `push` induces
+    on H^d(source), from one `pivot_columns` of [B_tgt | push(Z_src)],
+    B_tgt being the boundary basis of the target, of dimension target_dim."""
     images: list[Vector] = []
     source_degree: list[int] = []
     for d, zs in cycles.items():
         for z in zs:
-            v = push(z)
-            # an empty push is a cycle of every degree
-            if v and (differential.apply(v)
-                      or any(degrees[i] != d + raise_by for i in v)):
-                raise ValueError(f"a degree-{d} cycle maps to no cycle of degree {d + raise_by}")
-            images.append(v)
+            images.append(push(z))
             source_degree.append(d)
     nb = len(bounds)
-    return Counter(source_degree[p - nb] for p in pivot_columns([*bounds, *images], len(degrees))
+    return Counter(source_degree[p - nb] for p in pivot_columns([*bounds, *images], target_dim)
                    if p >= nb)
 
 
@@ -678,18 +682,38 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
     source cycle.  ker = im is then compared as ranks at every node of the
     window.
 
-    The input must be a valid split: delta^0 preserves C_0 and the higher
-    operators vanish on it, i.e. the split's `outside` is empty, which makes
-    the block form F^N(C)'s differential.  Mat-vecs check that every boundary
-    is a cycle and every pushed cycle a cycle of the target; each failure
-    raises ValueError.  An explicit window of more than MAX_DEGREE_WINDOW
-    degrees is refused before any elimination.
+    Every fact the sequence rests on is checked once, on the operators,
+    before any elimination.  The split must be valid: delta^0 preserves C_0
+    and the higher operators vanish on it, i.e. the split's `outside` is
+    empty, which makes the block form F^N(C)'s differential D.  Then the
+    operators must meet their degree shifts and the relations R_k =
+    sum_(i+j=k) delta^i delta^j = 0 for k <= N (`verify_s1_relations`).
+    That is enough:
+
+    * D's block (q, p) is delta^(p-q), so D^2's block (q, p) is R_(p-q),
+      and D^2 = 0 exactly when R_0 = ... = R_N = 0.
+    * In the basis [F^N(C_0) | F^N(C_+)], D^2 is [[D_0^2, D_0 K + K D_+],
+      [0, D_+^2]]: D_0^2 = 0, D_+^2 = 0 and K being a chain map are its
+      blocks, and the inclusion and the projection are chain maps of the
+      block form.  So every boundary is a cycle and every pushed cycle is a
+      cycle of its target.
+    * The degree shifts make D raise the total degree by one, so every
+      cycle and boundary is homogeneous, inclusion and projection keep its
+      degree and K raises it by one.
+
+    It refuses, each with ValueError and in this order: an explicit window
+    of more than MAX_DEGREE_WINDOW degrees; a non-empty `outside`; a
+    degree-a generator that some delta^r maps off degree a + 1 - 2r ("maps
+    under delta^r to no cycle of degree a+1-2r"); a broken relation ("the
+    differential does not square to zero"); and a derived window wider than
+    MAX_DEGREE_WINDOW.
     """
     if degrees is not None:
         check_degree_window(degrees)
     if s.outside:
         raise ValueError("not a split complex: delta^0 must preserve the zero part "
                          "and the higher operators must vanish on it")
+    _check_operators(s.complex)
     n_tr = s.truncation
     f_zero, f_plus = (build_filtered_plus(x, n_tr) for x in (s.zero_part, s.plus_part))
     conn = lift_family(s.connecting, n_tr)
@@ -711,9 +735,9 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
     def project(v: Vector) -> Vector:
         return {i - nz: x for i, x in v.items() if i >= nz}
 
-    r_iota = _induced_ranks(cyc_zero, dict, d_full, deg_full, b_full, 0)
-    r_pi = _induced_ranks(cyc_full, project, d_plus, f_plus.degrees, b_plus, 0)
-    r_conn = _induced_ranks(cyc_plus, conn.apply, d_zero, f_zero.degrees, b_zero, 1)
+    r_iota = _induced_ranks(cyc_zero, dict, d_full.rows, b_full)
+    r_pi = _induced_ranks(cyc_full, project, d_plus.rows, b_plus)
+    r_conn = _induced_ranks(cyc_plus, conn.apply, nz, b_zero)
     nodes = []
     for d in degrees:
         nodes.append(LesNode(d, "full", r_iota[d], dims_full.get(d, 0) - r_pi[d]))

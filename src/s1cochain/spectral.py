@@ -39,7 +39,10 @@ which is F^{N-1}'s block (q-1, p-1).  So their RREF has no pivot at u-power
 every generator g, then the closed vectors of level < N raised one u-power
 (index + n), in the same order and with the same entries.  A primitive's
 boundary value lies at u-power 0, and the tower keeps the primitives at the
-`pivot_columns` of those values.  The primitives of B_j are a
+`pivot_columns` of those values.  Each kernel vector costs one mat-vec: a
+vector below level N is applied raised, and since the raised vector's
+value beyond u-power 0 is the vector's own value, that one product both
+checks it closed and gives its boundary value.  The primitives of B_j are a
 prefix of these, and the pivots of a column prefix are the pivots in the
 prefix, so B_j's basis is the prefix of B_N's.  Every vector and witness is
 the one a separate elimination of F^j, and of its rows at positive u-power,
@@ -134,19 +137,38 @@ class FiltrationTower:
     kernel is every generator at u-power 0, then the closed vectors below
     level raised one u-power.  B keeps the primitives at the
     `pivot_columns` of their boundary values.  A vector's level is the
-    u-power of its free column, max index // n.
+    u-power of its free column, max index // n.  One mat-vec per kernel
+    vector serves both its closedness check and, below the top level, its
+    boundary value (see `_closed`).
     """
 
     filtered: FilteredPlusComplex
 
     @cached_property
-    def _closed(self) -> list[tuple[int, Vector]]:
-        """(level, kernel vector of F^level's differential)."""
+    def _closed(self) -> list[tuple[int, Vector, Vector | None]]:
+        """(level, kernel vector v of F^level's differential D, boundary
+        value), with one mat-vec per vector that checks v closed.
+
+        Below the top level D is applied once, to v raised one u-power (a),
+        and the value is D(a), which lies in C.  A raised vector's block p+1
+        is v's block p, so (Da)_q = (Dv)_(q-1) for q >= 1: D(a) beyond
+        u-power 0 is all of D(v), and v is closed exactly when D(a) lies at
+        u-power 0.  A vector of the top level has no raise and no value; it
+        is checked by D(v) itself."""
         f = self.filtered
-        kern = kernel_basis(f.differential)
-        if any(f.differential.apply(v) for v in kern):
-            raise AssertionError("a kernel vector of the filtered differential is not closed")
-        return [(max(v) // f.source.n, v) for v in kern]
+        d, n, top = f.differential, f.source.n, f.level
+        out = []
+        for v in kernel_basis(d):
+            lv = max(v) // n
+            if lv < top:
+                value = d.apply({i + n: x for i, x in v.items()})
+                closed = all(i < n for i in value)
+            else:
+                value, closed = None, not d.apply(v)
+            if not closed:
+                raise AssertionError("a kernel vector of the filtered differential is not closed")
+            out.append((lv, v, value))
+        return out
 
     @cached_property
     def _exact(self) -> list[tuple[int, Vector, Vector]]:
@@ -154,18 +176,14 @@ class FiltrationTower:
         f = self.filtered
         d = f.differential
         n = f.source.n
-        # the kernel of the rows at positive u-power, in kernel_basis' order;
+        # the kernel of the rows at positive u-power, in kernel_basis' order:
         # a generator's value is its column of d, which has rows at u-power 0
-        # only, as a column at u-power p has rows at u-powers <= p
+        # only, as a column at u-power p has rows at u-powers <= p, then the
+        # closed vectors below the top level raised one u-power
         one = Fraction(1)
         pairs = [(0, d.col(g), {g: one}) for g in range(n)]
-        for lv, v in self._closed:
-            if lv < f.level:
-                a = {i + n: x for i, x in v.items()}
-                image = d.apply(a)
-                if any(i >= n for i in image):
-                    raise AssertionError("a boundary value does not lie at u-power 0")
-                pairs.append((lv + 1, image, a))
+        pairs += [(lv + 1, value, {i + n: x for i, x in v.items()})
+                  for lv, v, value in self._closed if value is not None]
         pairs = [p for p in pairs if p[1]]
         return [pairs[i] for i in pivot_columns([p[1] for p in pairs], n)]
 
@@ -175,7 +193,7 @@ class FiltrationTower:
 
     def _level_closed(self, j: int) -> list[Vector]:
         self._check(j)
-        return [v for lv, v in self._closed if lv == j]
+        return [v for lv, v, _ in self._closed if lv == j]
 
     def z(self, j: int) -> list[WitnessedCycle]:
         """Basis of Z_j with witnesses: the closed vectors of level j."""

@@ -3,22 +3,34 @@
 Each is a plain reference that the tests build inputs with or compare the
 package against: a sparse vector from a mapping, dense and per-row views
 of a matrix, a slice of a matrix, the RREF as a matrix, a second
-witness family for a leading term, and the semi-dilation route's H^0 of
-the zero part and level system over every generator and every column; and
-the benchmark's workload module, whose inputs the tests reuse.  The file name has no `test_` prefix, so
-pytest does not collect it; the test modules import it by name.
+witness family for a leading term, the semi-dilation route's H^0 of the
+zero part and level system over every generator and every column, the
+tautological sequence checked vector by vector, and plain Gauss-Jordan
+elimination in `linalg._echelon`'s place; and the benchmark's workload
+module, whose inputs the tests reuse.  The file name has no `test_`
+prefix, so pytest does not collect it; the test modules import it by
+name.
 """
 
 import importlib.util
 import sys
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from s1cochain import linalg
-from s1cochain.complexes import cycles_and_boundaries, lift_degree
-from s1cochain.dilation import SplitS1Complex
-from s1cochain.linalg import SparseMatrix, Subquotient, Vector, as_q, solve, vadd
+from s1cochain.complexes import (
+    build_filtered_plus,
+    check_degree_window,
+    cycles_and_boundaries,
+    lift_degree,
+    lift_family,
+)
+from s1cochain.dilation import LesNode, LesReport, SplitS1Complex
+from s1cochain.io_json import loads
+from s1cochain.linalg import SparseMatrix, Subquotient, Vector, as_q, pivot_columns, solve, vadd
 from s1cochain.spectral import FiltrationTower, WitnessedCycle
 
 
@@ -79,7 +91,7 @@ def perturbed_witness(t: FiltrationTower, w: WitnessedCycle, kernel_index: int =
     same order, in every tower of level >= w.level.
     """
     t._check(w.level)
-    candidates = [v for lv, v in t._closed if lv < w.level]
+    candidates = [v for lv, v, _ in t._closed if lv < w.level]
     if not candidates:
         return w
     extra = candidates[kernel_index % len(candidates)]
@@ -139,6 +151,139 @@ def whole_solve_semidilation(s: SplitS1Complex, k: int, h0: Subquotient, by_powe
     return {j: x for j, x in unknowns.items() if j < na}, max(powers[j] for j in unknowns)
 
 
+def _checked_homology(differential: SparseMatrix, degrees: tuple[int, ...]
+                      ) -> tuple[dict[int, list[Vector]], list[Vector], dict[int, int]]:
+    """Cycles by degree, the boundary basis and dim H^d, with every
+    boundary checked to be a cycle by a mat-vec."""
+    cycles, bounds = cycles_and_boundaries(differential, degrees)
+    image = [b for bs in bounds.values() for b in bs]
+    for b in image:
+        if differential.apply(b):
+            raise ValueError("a boundary is not a cycle: the differential does not square to zero")
+    dims = {d: len(cycles.get(d, ())) - len(bounds.get(d, ()))
+            for d in sorted(cycles.keys() | bounds.keys())}
+    return cycles, image, dims
+
+
+def _checked_ranks(cycles, push, differential, degrees, bounds, raise_by) -> Counter:
+    """Source degree d -> rank of the induced map on H^d, with every pushed
+    cycle checked to be a cycle of the target in degree d + raise_by."""
+    images, source_degree = [], []
+    for d, zs in cycles.items():
+        for z in zs:
+            v = push(z)
+            if v and (differential.apply(v) or any(degrees[i] != d + raise_by for i in v)):
+                raise ValueError(f"a degree-{d} cycle maps to no cycle of degree {d + raise_by}")
+            images.append(v)
+            source_degree.append(d)
+    nb = len(bounds)
+    return Counter(source_degree[p - nb] for p in pivot_columns([*bounds, *images], len(degrees))
+                   if p >= nb)
+
+
+def les_with_vector_checks(s: SplitS1Complex, degrees: range | None = None) -> LesReport:
+    """`dilation.tautological_les` that checks each fact on the vectors
+    instead of on the operators: a mat-vec shows every boundary of F^N(C_0),
+    F^N(C) and F^N(C_+) a cycle, and every pushed cycle a cycle of its
+    target in the right degree.  ValueError when one is not."""
+    if degrees is not None:
+        check_degree_window(degrees)
+    if s.outside:
+        raise ValueError("not a split complex")
+    n_tr = s.truncation
+    f_zero, f_plus = (build_filtered_plus(x, n_tr) for x in (s.zero_part, s.plus_part))
+    conn = lift_family(s.connecting, n_tr)
+    d_zero, d_plus = f_zero.differential, f_plus.differential
+    nz, deg_full = d_zero.rows, f_zero.degrees + f_plus.degrees
+    d_full = SparseMatrix.from_entries(len(deg_full), len(deg_full), [
+        *d_zero.entries, *((i, nz + j, v) for i, j, v in conn.entries),
+        *((nz + i, nz + j, v) for i, j, v in d_plus.entries)])
+    cyc_zero, b_zero, dims_zero = _checked_homology(d_zero, f_zero.degrees)
+    cyc_full, b_full, dims_full = _checked_homology(d_full, deg_full)
+    cyc_plus, b_plus, dims_plus = _checked_homology(d_plus, f_plus.degrees)
+    if degrees is None:
+        all_deg = sorted(dims_full.keys() | dims_zero.keys() | dims_plus.keys())
+        degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
+        check_degree_window(degrees)
+
+    def project(v: Vector) -> Vector:
+        return {i - nz: x for i, x in v.items() if i >= nz}
+
+    r_iota = _checked_ranks(cyc_zero, dict, d_full, deg_full, b_full, 0)
+    r_pi = _checked_ranks(cyc_full, project, d_plus, f_plus.degrees, b_plus, 0)
+    r_conn = _checked_ranks(cyc_plus, conn.apply, d_zero, f_zero.degrees, b_zero, 1)
+    nodes = []
+    for d in degrees:
+        nodes.append(LesNode(d, "full", r_iota[d], dims_full.get(d, 0) - r_pi[d]))
+        nodes.append(LesNode(d, "plus", r_pi[d], dims_plus.get(d, 0) - r_conn[d]))
+        nodes.append(LesNode(d, "zero", r_conn[d - 1], dims_zero.get(d, 0) - r_iota[d]))
+    return LesReport(n_tr, dims_zero, dims_full, dims_plus, tuple(nodes))
+
+
+def oracle_rref_rows(rows: list[dict[int, Fraction]], cols: int
+                     ) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Plain leftmost-column, first-row Gauss-Jordan elimination of the
+    rows, in place: the RREF rows, pivot rows first, and the pivots."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(cols):
+        piv = None
+        for i in range(r, nrows):
+            if c in rows[i]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        pval = prow[c]
+        if pval != 1:
+            inv = Fraction(1) / pval
+            for k in prow:
+                prow[k] *= inv
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row.get(c)
+            if f is None:
+                continue
+            for k, v in prow.items():
+                s = row.get(k, Fraction(0)) - f * v
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _primitive(row: dict[int, Fraction]) -> dict[int, int]:
+    """The primitive integer row on the line of a rational row."""
+    d = lcm(*(x.denominator for x in row.values()))
+    out = {k: int(x * d) for k, x in row.items() if x}
+    g = gcd(*out.values())
+    return {k: v // g for k, v in out.items()}
+
+
+def oracle_echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[int], list[int]]:
+    """The oracle in the forward kernel's place: Gauss-Jordan over Fraction
+    copies of the integer rows, written back as the kernel leaves them,
+    primitive and with each pivot entry set aside as the pivot value.  The
+    rows are then already reduced, so the back-substitution finds nothing
+    to clear."""
+    cols = 1 + max((k for row in rows for k in row), default=-1)
+    reduced, pivots = oracle_rref_rows([{k: Fraction(v) for k, v in row.items()} for row in rows],
+                                       cols)
+    rows[:] = [_primitive(row) for row in reduced]
+    pvals = [rows[r].pop(c) for r, c in enumerate(pivots)]
+    return pivots, list(range(len(pivots))), pvals
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -151,3 +296,11 @@ def perfbench_workloads():
         sys.modules[name] = module  # dataclasses look their module up while defined
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def corpus_splits() -> list[SplitS1Complex]:
+    """The benchmark's 215 seed-10 `random_corpus` inputs, read from their
+    documents."""
+    W = perfbench_workloads()
+    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
+    return [loads(text) for text in inputs.documents]

@@ -29,8 +29,6 @@ from s1cochain.dilation import (
     ZERO_PART,
     LesNode,
     LesReport,
-    _homology_counts,
-    _induced_ranks,
     _solve_semidilation,
     _torsion_solver,
     _zero_part_h0,
@@ -61,8 +59,8 @@ from s1cochain.morphisms import phi_k
 from s1cochain.spectral import QuotientMap, delta_k, leray_page, reduced_page_map
 from s1cochain.tensor import tensor_split
 
-from oracles import (perfbench_workloads, submatrix, whole_solve_semidilation,
-                     whole_zero_part_h0)
+from oracles import (corpus_splits, les_with_vector_checks, perfbench_workloads, submatrix,
+                     whole_solve_semidilation, whole_zero_part_h0)
 
 
 def unit_only_complex(n_tr=2):
@@ -502,26 +500,54 @@ class TestTautologicalLes:
             tautological_les(s)
 
     def test_pushed_non_cycle_rejected(self):
-        c = make_complex([("a", 0), ("b", 1)], 0, {0: [("a", "b", 1)]})
-        f = build_filtered_plus(c, 0)
-        with pytest.raises(ValueError, match="cycle of degree 0"):
-            _induced_ranks({0: [{1: F(1)}]}, lambda z: {0: F(1)}, f.differential, f.degrees, [], 0)
+        # delta^0 a = b crosses into C_0 and delta^0 b = c there, so the
+        # connecting image b of the C_+ cycle a is no cycle of C_0: R_0 a = c
+        c = make_complex([("e", 0), ("a", 0), ("b", 1), ("c", 2)], 0,
+                         {0: [("a", "b", 1), ("b", "c", 1)]})
+        s = make_split_complex(c, ["e", "b", "c"], "e")
+        with pytest.raises(ValueError, match="does not square to zero"):
+            tautological_les(s)
 
     def test_pushed_non_cycle_rejected_over_a_common_denominator(self):
-        # a 3/2 in the differential and 1/2, 1/3 in the vectors: D > 1
-        c = make_complex([("a", 0), ("b", 1)], 0, {0: [("a", "b", F(3, 2))]})
-        f = build_filtered_plus(c, 0)
-        with pytest.raises(ValueError, match="cycle of degree 0"):
-            _induced_ranks({0: [{1: F(1, 2)}]}, lambda z: {0: F(1, 3)}, f.differential, f.degrees,
-                           [], 0)
+        # delta^0 x = (3/2) y + (1/2) y' in C_+, and the connecting map sends
+        # y to (1/3) z and y' to sign z: R_0 x = (1/2 + sign/2) z, which
+        # cancels over the common denominator only for sign = -1
+        def split(sign):
+            c = make_complex([("e", 0), ("x", 0), ("y", 1), ("y'", 1), ("z", 2)], 0,
+                             {0: [("x", "y", F(3, 2)), ("x", "y'", F(1, 2)),
+                                  ("y", "z", F(1, 3)), ("y'", "z", sign)]})
+            return make_split_complex(c, ["e", "z"], "e")
+
+        with pytest.raises(ValueError, match=r"sum_\(i\+j=0\).*does not square to zero"):
+            tautological_les(split(1))
+        assert tautological_les(split(-1)).exact
 
     def test_boundary_that_is_not_a_cycle_rejected(self):
-        # delta^0 delta^0 x = (1/2)(2/3) z, not 0
-        c = make_complex([("x", 0), ("y", 1), ("z", 2)], 0,
+        # delta^0 delta^0 x = (1/2)(2/3) z, not 0, inside C_+ and inside C_0
+        c = make_complex([("e", 0), ("x", 0), ("y", 1), ("z", 2)], 0,
                          {0: [("x", "y", F(1, 2)), ("y", "z", F(2, 3))]})
-        f = build_filtered_plus(c, 0)
-        with pytest.raises(ValueError, match="a boundary is not a cycle"):
-            _homology_counts(f.differential, f.degrees)
+        for zero in (["e"], ["e", "x", "y", "z"]):
+            with pytest.raises(ValueError, match="does not square to zero"):
+                tautological_les(make_split_complex(c, zero, "e"))
+
+    def test_higher_relation_refused(self):
+        # delta^1 delta^0 x = w while delta^0 delta^1 x = 0: R_1 x = w
+        c = make_complex([("e", 0), ("x", 0), ("y", 1), ("w", 0)], 1,
+                         {0: [("x", "y", 1)], 1: [("y", "w", 1)]})
+        s = make_split_complex(c, ["e"], "e")
+        with pytest.raises(ValueError, match=r"sum_\(i\+j=1\).*does not square to zero"):
+            tautological_les(s)
+
+    def test_degree_shift_refused_where_no_cycle_shows_it(self):
+        # delta^0 a = b keeps the degree inside C_+; the cycle b pushes to
+        # nothing, so no pushed cycle exposes the shift, but the operator
+        # check refuses it before any elimination
+        c = make_complex([("e", 0), ("a", 0), ("b", 0)], 0, {0: [("a", "b", 1)]})
+        s = make_split_complex(c, ["e"], "e")
+        with mock.patch.object(linalg, "_echelon", side_effect=AssertionError("eliminated")):
+            with pytest.raises(ValueError, match="degree-0 generator maps under delta.0 "
+                                                 "to no cycle of degree 1"):
+                tautological_les(s)
 
     @pytest.mark.parametrize("window", [range(MAX_DEGREE_WINDOW + 1), range(10**9),
                                         range(-10**20, 10**20)])
@@ -542,6 +568,73 @@ class TestTautologicalLes:
             assert tautological_les(s).exact
         # one kernel_and_image per complex, one pivot_columns per map
         assert spy.call_count == 6
+
+
+# ---------------------------------------------------------------------------
+# the LES's one operator check against the vector checks it replaced
+
+
+def _les_subjects():
+    """The benchmark's 215 seed-10 corpus inputs, which hold the sphere-free
+    Milnor models with k <= m <= 4, and the sphere-free models with m = 5."""
+    subjects = corpus_splits() + [milnor_model(k, 5, include_spheres=False) for k in range(1, 6)]
+    assert len(subjects) == 220
+    return subjects
+
+
+def _with_one_value_changed(s, rng):
+    """s with one seeded entry of one operator scaled by a seeded factor
+    other than 0 and 1, or s itself when no operator holds an entry.  The
+    entry pattern stays, and with it the degree shifts and the split; the
+    relations may break."""
+    c = s.complex
+    held = [r for r, d in enumerate(c.deltas) if d.entries]
+    if not held:
+        return s
+    r = rng.choice(held)
+    ent = list(c.deltas[r].entries)
+    t = rng.randrange(len(ent))
+    i, j, v = ent[t]
+    ent[t] = (i, j, v * rng.choice([F(-1), F(2), F(1, 2), F(-2, 3)]))
+    deltas = list(c.deltas)
+    deltas[r] = SparseMatrix(c.n, c.n, tuple(ent))
+    return dilation.SplitS1Complex(S1Complex(c.generators, c.truncation, tuple(deltas)),
+                                   s.parts, s.unit)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_les_refuses_exactly_what_the_vector_checks_refuse(seed):
+    """On every input and on a copy with one value changed, the operator
+    check refuses exactly when a mat-vec shows a boundary or a pushed
+    cycle that is no cycle, and an accepted input gets the oracle's report."""
+    rng = random.Random(seed)
+    refused = accepted = 0
+    for s in _les_subjects():
+        for t in (s, _with_one_value_changed(s, rng)):
+            try:
+                want = les_with_vector_checks(t)
+            except ValueError:
+                with pytest.raises(ValueError, match="does not square to zero"):
+                    tautological_les(t)
+                refused += 1
+            else:
+                assert tautological_les(t) == want
+                accepted += 1
+    # seeds 0 and 1 refuse 65 and 67 of the 440 inputs
+    assert refused > 50 and accepted > 300
+
+
+def test_les_makes_one_mat_vec_per_connecting_push(monkeypatch):
+    """The only mat-vecs are K's pushes of the cycles of F^N(C_+): no
+    boundary and no pushed cycle is checked vector by vector."""
+    apply = SparseMatrix.apply
+    calls = []
+    monkeypatch.setattr(SparseMatrix, "apply", lambda m, v: calls.append(m) or apply(m, v))
+    for s in _les_subjects():
+        plus_cycles = len(kernel_basis(build_filtered_plus(s.plus_part, s.truncation).differential))
+        calls.clear()
+        tautological_les(s)
+        assert len(calls) == plus_cycles
 
 
 # ---------------------------------------------------------------------------

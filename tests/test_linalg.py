@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -10,6 +10,12 @@ from hypothesis import strategies as st
 from s1cochain import linalg
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import build_filtered_plus, cycles_and_boundaries
+from s1cochain.dilation import (
+    order_of_dilation,
+    order_of_semidilation,
+    order_via_torsion,
+    tautological_les,
+)
 from s1cochain.io_json import loads
 from s1cochain.linalg import (
     DimensionError,
@@ -23,8 +29,10 @@ from s1cochain.linalg import (
     span_leq,
     vadd,
 )
+from s1cochain.spectral import leray_pages
 
-from oracles import perfbench_workloads, row_dicts, rref, to_dense, vec
+from oracles import (corpus_splits, oracle_echelon, oracle_rref_rows, perfbench_workloads,
+                     row_dicts, rref, to_dense, vec)
 
 
 def dense(rows):
@@ -307,69 +315,8 @@ def test_no_floats_anywhere():
 # oracle: plain leftmost-column, first-row Gauss-Jordan elimination
 
 
-def _oracle_rref_rows(rows, cols):
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(cols):
-        piv = None
-        for i in range(r, nrows):
-            if c in rows[i]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pval = prow[c]
-        if pval != 1:
-            inv = F(1) / pval
-            for k in prow:
-                prow[k] *= inv
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row.get(c)
-            if f is None:
-                continue
-            for k, v in prow.items():
-                s = row.get(k, F(0)) - f * v
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def _primitive(row):
-    """The primitive integer row on the line of a rational row."""
-    d = lcm(*(x.denominator for x in row.values()))
-    out = {k: int(x * d) for k, x in row.items() if x}
-    g = gcd(*out.values())
-    return {k: v // g for k, v in out.items()}
-
-
-def _oracle_echelon(rows):
-    """The oracle in the forward kernel's place: Gauss-Jordan over Fraction
-    copies of the integer rows, written back as the kernel leaves them,
-    primitive and with each pivot entry set aside as the pivot value.  The
-    rows are then already reduced, so the back-substitution finds nothing
-    to clear."""
-    cols = 1 + max((k for row in rows for k in row), default=-1)
-    reduced, pivots = _oracle_rref_rows([{k: F(v) for k, v in row.items()} for row in rows],
-                                        cols)
-    rows[:] = [_primitive(row) for row in reduced]
-    pvals = [rows[r].pop(c) for r, c in enumerate(pivots)]
-    return pivots, list(range(len(pivots))), pvals
-
-
 def _oracle_rref(m):
-    rows, pivots = _oracle_rref_rows(row_dicts(m), m.cols)
+    rows, pivots = oracle_rref_rows(row_dicts(m), m.cols)
     ent = [(r, c, row[c]) for r, row in enumerate(rows) for c in sorted(row)]
     return SparseMatrix.from_entries(m.rows, m.cols, ent), tuple(pivots)
 
@@ -378,7 +325,7 @@ def _oracle_solve(m, b):
     rows = row_dicts(m)
     for i, x in b.items():
         rows[i][m.cols] = x
-    rows, pivots = _oracle_rref_rows(rows, m.cols + 1)
+    rows, pivots = oracle_rref_rows(rows, m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
     return {p: rows[r][m.cols] for r, p in enumerate(pivots) if rows[r].get(m.cols)}
@@ -498,7 +445,7 @@ def test_subquotient_membership_matches_oracle(system, data):
             return _exact(s.basis), None
 
     got = reduce()
-    with mock.patch.object(linalg, "_echelon", _oracle_echelon):
+    with mock.patch.object(linalg, "_echelon", oracle_echelon):
         assert got == reduce()
 
     # The batched reduction against the oracle's solve of the solver
@@ -902,3 +849,30 @@ def test_any_holder_can_supply_the_pivot(monkeypatch, seed):
     for s, want in zip(subjects, expected):
         assert _elimination_answers(s) == want
     assert free_choices > 1000
+
+
+# the package's answers with plain Gauss-Jordan in the forward kernel's place
+
+
+def _package_answers(s):
+    """The four order routes, the tautological sequence and every Leray page,
+    by `repr`, each page's subquotients by their bases and sources."""
+    pages = [(page.index, page.differentials,
+              [(col.u_power, col.subquotient.basis, col.subquotient.basis_sources,
+                [w.chain for w in col.witnesses]) for col in page.columns])
+             for page in leray_pages(s.complex)]
+    return repr([order_of_dilation(s), order_of_semidilation(s), order_via_torsion(s),
+                 order_via_torsion(s, semi=True), tautological_les(s), pages])
+
+
+def test_corpus_answers_match_with_the_oracle_echelon():
+    """On the benchmark's 215 seed-10 corpus inputs, the answers with
+    `oracle_echelon` in `_echelon`'s place equal the kernel's."""
+    subjects = corpus_splits()
+    assert len(subjects) == 215
+    expected = [_package_answers(s) for s in subjects]
+    with mock.patch.object(linalg, "_echelon", wraps=oracle_echelon) as spy:
+        differ = [i for i, (s, want) in enumerate(zip(subjects, expected))
+                  if _package_answers(s) != want]
+    assert differ == []
+    assert spy.call_count > 10_000

@@ -59,7 +59,7 @@ from s1cochain.spectral import (
     leray_pages,
 )
 
-from oracles import perturbed_witness, rref
+from oracles import corpus_splits, perturbed_witness, rref
 from test_acceptance import _corpus
 
 
@@ -312,6 +312,25 @@ def test_a_tower_runs_one_kernel_elimination(monkeypatch):
         kernels.clear()
 
 
+def test_a_tower_makes_one_mat_vec_per_kernel_vector(monkeypatch):
+    """Reading every Z_j and B_j applies F^level's differential once to each
+    of its kernel vectors: that one product checks the vector closed and,
+    below the top level, gives its boundary value."""
+    complexes = [s.complex for s in corpus_splits()]
+    complexes += [milnor_model(k, m).complex for m in range(2, 4) for k in range(2, m + 1)]
+    sizes = {(id(c), level): len(kernel_basis(build_filtered_plus(c, level).differential))
+             for c in complexes for level in {c.truncation, c.truncation // 2}}
+    calls = _counting(monkeypatch, SparseMatrix, "apply")
+    for c in complexes:
+        for level in {c.truncation, c.truncation // 2}:
+            tower = filtration_tower(c, level)
+            for j in range(level + 1):
+                tower.z(j)
+                tower.b(j)
+            assert len(calls) == sizes[id(c), level]
+            calls.clear()
+
+
 def test_perturbed_witness_reads_the_callers_tower(monkeypatch):
     # one kernel elimination per tower and none per perturbation; every
     # tower of level >= the witness's gives the same perturbed witness
@@ -358,22 +377,32 @@ def test_tower_rejects_a_kernel_vector_that_is_not_closed(monkeypatch):
 
 
 def test_tower_rejects_a_boundary_value_beyond_u_power_0(monkeypatch):
-    # B's primitives raise the closed vectors of level 0 to u-power 1; a
-    # "closed" (x, 0) times 1/2 is not closed, and raised to (x, 1) it maps
-    # to (2/3)(y, 1) times 1/2: u-power 1, not 0
-    tower = filtration_tower(_rational_pair(), 1)
-    monkeypatch.setitem(tower.__dict__, "_closed", [(0, {0: F(1, 2)})])
-    with pytest.raises(AssertionError, match="boundary value does not lie at u-power 0"):
-        tower.b(1)
+    # the one mat-vec of a level-0 vector in a level-1 tower applies D to it
+    # raised to u-power 1: (x, 0) times 1/2 raised to (x, 1) maps to
+    # (2/3)(y, 1) times 1/2, beyond u-power 0, so the vector is not closed
+    # and neither Z_0 nor B_1, which reads its boundary value, is built
+    monkeypatch.setattr(spectral, "kernel_basis", lambda m: [{0: F(1, 2)}])
+    for read in (lambda t: t.z(0), lambda t: t.b(1)):
+        with pytest.raises(AssertionError, match="kernel vector .* not closed"):
+            read(filtration_tower(_rational_pair(), 1))
+
+
+LES_REFUSALS = ("test_connecting_map_off_degree_rejected", "test_pushed_non_cycle_rejected",
+                "test_pushed_non_cycle_rejected_over_a_common_denominator",
+                "test_boundary_that_is_not_a_cycle_rejected", "test_higher_relation_refused",
+                "test_degree_shift_refused_where_no_cycle_shows_it")
 
 
 def test_tower_checks_survive_python_O():
-    """Both tower checks are explicit raises, so `python -O` keeps them."""
+    """Both tower checks and the LES's operator check are explicit raises,
+    so `python -O` keeps them."""
     here = Path(__file__).resolve()
+    dilation_tests = here.parent / "test_dilation.py"
     out = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{here}::test_tower_rejects_a_kernel_vector_that_is_not_closed",
-         f"{here}::test_tower_rejects_a_boundary_value_beyond_u_power_0"],
+         f"{here}::test_tower_rejects_a_boundary_value_beyond_u_power_0",
+         *(f"{dilation_tests}::TestTautologicalLes::{name}" for name in LES_REFUSALS)],
         cwd=here.parent.parent, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "2 passed" in out.stdout
+    assert "8 passed" in out.stdout
