@@ -21,9 +21,12 @@ rational row, and the RREF, the pivots and every answer read from them are
 invariant under scaling a row.  Clearing column c of a row with entry f by
 a pivot row with pivot value a replaces the row by (a/g) row - (f/g) pivot
 row, g = gcd(a, f), and divides its content out; each pivot row keeps its
-integer pivot value beside it.  On output each RREF nonzero becomes one
-`Fraction(v, pivot value)`, so no `Fraction` arithmetic runs in a row
-update, and callers see the same exact rationals.
+integer pivot value beside it.  No `Fraction` RREF row is built: a reader
+of the reduced rows makes one `Fraction` per nonzero of its own answer,
+Fraction(-v, a) for an entry of a kernel vector and Fraction(v, a) for a
+quotient coordinate, where v is the integer RREF entry and a its row's
+pivot value.  No `Fraction` arithmetic runs in a row update, and callers
+see the same exact rationals.
 
 The elimination has one kernel, the forward pass `_echelon`, which every
 elimination enters.  It is column-indexed: it keeps, for every column that
@@ -33,11 +36,13 @@ column's set, and clears the column from exactly the rows in that set,
 updating the sets on fill-in and cancellation.  `pivot_columns`, `rank` and
 `span_leq` need only the pivots and stop there, with no back-substitution
 and no `Fraction` made.  `_rref_rows` adds the back-substitution, for
-`kernel_basis`, `kernel_and_image` and `Subquotient.coordinate_matrix`: it
-clears each pivot column from the pivot rows above it, found through an
-index of pivot rows by pivot column built once.  Empty columns and rows
-that do not hold a column cost nothing, so the work follows the nonzeros,
-not rows x columns.  `solve` reads only the augmented column of [m | b]: it
+`kernel_basis` and `Subquotient.coordinate_matrix`: it clears each pivot
+column from the pivot rows above it, found through an index of pivot rows
+by pivot column built once, and hands its reader the integer RREF in
+`_echelon`'s form: the rows, reduced in place, and each pivot's row index
+and positive pivot value.  Empty columns and rows that do not hold a
+column cost nothing, so the work follows the nonzeros, not rows x
+columns.  `solve` reads only the augmented column of [m | b]: it
 back-substitutes that column alone over the echelon rows, last pivot
 first, x_p = (b_r - sum row[c] x_c) / a_r over the later pivot columns c,
 with every free variable zero.  That is the solution the RREF gives, so
@@ -50,9 +55,13 @@ Vectors take one path, with no matrix built: `_column_rows` turns them into
 the integer rows of the matrix whose columns they are, range-checking every
 index.  `span_leq`, the filtration tower and `Subquotient`'s construction
 ask their span questions through `pivot_columns`, and `Subquotient` reduces
-vectors over the same rows.  `kernel_and_image` reads a kernel basis and
-the pivot columns from a single elimination, for callers that need both,
-and copies the image columns out of the matrix's own entries.
+vectors over the same rows.  A `Subquotient` reads rank(Z) without
+eliminating the Z generators that hold a private index, an index that no
+other generator holds, since each lies outside the span of all the others;
+every kernel-basis vector holds its free column so.  `kernel_and_image`
+reads a kernel basis and the pivot columns, the columns that head no
+kernel vector, from a single elimination, for callers that need both, and
+copies the image columns out of the matrix's own entries.
 
 A prefix question is read from pivots, since the pivots of a column
 prefix are the prefix's pivots.  `solve` reads its augmented column, and a
@@ -378,10 +387,12 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[int], list[int
     return pivots, prows, pvals
 
 
-def _rref_rows(rows: list[dict[int, int]]) -> tuple[list[Vector], list[int]]:
-    """The RREF of the integer rows: its pivot rows as `Fraction` dicts, in
-    pivot order with 1 at the pivot, and the strictly increasing pivot
-    columns.  The other rows of the RREF are empty.
+def _rref_rows(rows: list[dict[int, int]]) -> tuple[list[int], list[int], list[int]]:
+    """The RREF of the integer rows, in place: `_echelon`'s pivot columns,
+    pivot row indices and positive pivot values, with each pivot row then
+    cleared of every later pivot column.  Pivot row j of the RREF is
+    rows[prows[j]] / pvals[j] with 1 at pivots[j], which the row's dict
+    leaves out; the other rows of the RREF are empty.
     """
     pivots, prows, pvals = _echelon(rows)
     # Back-substitution, last pivot first, with the same integer row update;
@@ -420,12 +431,7 @@ def _rref_rows(rows: list[dict[int, int]]) -> tuple[list[Vector], list[int]]:
                 for k in row:
                     row[k] //= g
                 pvals[i] //= g
-    out: list[Vector] = []
-    for c, p, a in zip(pivots, prows, pvals):
-        row = {k: Fraction(v, a) for k, v in rows[p].items()}
-        row[c] = _ONE
-        out.append(row)
-    return out, pivots
+    return pivots, prows, pvals
 
 
 def _matrix_rows(m: SparseMatrix, rhs: Vector | None = None) -> list[dict[int, int]]:
@@ -533,31 +539,56 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     return {p: x[p] for p in pivots if p in x}
 
 
-def _kernel_of_reduced(rows: list[Vector], pivots: list[int], cols: int) -> list[Vector]:
-    pivset = set(pivots)
-    free: dict[int, Vector] = {f: {f: _ONE} for f in range(cols) if f not in pivset}
-    for row, p in zip(rows, pivots):
-        for f, coeff in row.items():
-            if f != p:
-                free[f][p] = -coeff
-    return list(free.values())
-
-
 def kernel_basis(m: SparseMatrix) -> list[Vector]:
-    """Deterministic basis of ker(m), one vector per free column."""
-    rows, pivots = _rref_rows(_matrix_rows(m))
-    return _kernel_of_reduced(rows, pivots, m.cols)
+    """Deterministic basis of ker(m), one vector per free column f:
+    {f: 1, p: -RREF[p][f]} over the pivots p, in pivot order."""
+    rows = _matrix_rows(m)
+    pivots, prows, pvals = _rref_rows(rows)
+    pivset = set(pivots)
+    free: dict[int, Vector] = {f: {f: _ONE} for f in range(m.cols) if f not in pivset}
+    for p, i, a in zip(pivots, prows, pvals):
+        for f, v in rows[i].items():
+            free[f][p] = Fraction(-v, a)
+    return list(free.values())
 
 
 def kernel_and_image(m: SparseMatrix) -> tuple[list[Vector], list[Vector]]:
     """`kernel_basis(m)` and a basis of the column space, the original
     columns at the pivot indices, read from one elimination."""
-    rows, pivots = _rref_rows(_matrix_rows(m))
-    image: dict[int, Vector] = {p: {} for p in pivots}
+    kernel = kernel_basis(m)
+    # the pivots are the columns that head no kernel vector
+    free = {next(iter(v)) for v in kernel}
+    image: dict[int, Vector] = {c: {} for c in range(m.cols) if c not in free}
     for r, c, v in m.entries:
         if c in image:
             image[c][r] = v
-    return _kernel_of_reduced(rows, pivots, m.cols), list(image.values())
+    return kernel, list(image.values())
+
+
+def _rank_private_first(vectors: Sequence[Vector], dim: int) -> int:
+    """rank(span(vectors)), eliminating only the vectors without a private
+    index.
+
+    A vector holds index i privately when its entry there is nonzero and no
+    other vector holds i.  Such a vector lies outside the span of all the
+    others, whose entries at i are zero, so the rank is the number of
+    vectors with a private index plus the rank of the rest.  One O(nnz)
+    pass counts the holders of each index.
+    """
+    holders: dict[int, int] = {}
+    for v in vectors:
+        for i in v:
+            holders[i] = holders.get(i, 0) + 1
+    rest = []
+    for v in vectors:
+        for i, x in v.items():
+            if holders[i] == 1 and x:
+                break
+        else:
+            rest.append(v)
+    if not rest:
+        return len(vectors)
+    return len(vectors) - len(rest) + len(pivot_columns(rest, dim))
 
 
 def span_leq(a: Sequence[Vector], b: Sequence[Vector], dim: int) -> bool:
@@ -580,10 +611,13 @@ class Subquotient:
     of each.  A caller that wants some vectors to head the basis (e.g. a
     distinguished unit class) puts them first in `z_gens`.
 
-    Construction runs two eliminations, both `pivot_columns` over the
-    generators: rank(Z), and the one over [B | Z].  The containment check
-    needs no third: the pivot count of [B | Z] is rank(span(Z, B)), which
-    equals rank(Z) exactly when B lies in span(Z).
+    Construction runs one elimination, `pivot_columns` over [B | Z], and
+    reads rank(Z) from `_rank_private_first`, which eliminates only the Z
+    generators without a private index, and none when every generator has
+    one, as every kernel-basis vector does at its free column.  The
+    containment check needs no further elimination: the pivot count of
+    [B | Z] is rank(span(Z, B)), which equals rank(Z) exactly when B lies
+    in span(Z).
     """
 
     def __init__(self, ambient_dim: int, z_gens: Sequence[Vector],
@@ -592,7 +626,7 @@ class Subquotient:
         nb = len(b_gens)
         combined = [*b_gens, *z_gens]
         try:
-            self.rank_z = len(pivot_columns(z_gens, ambient_dim))
+            self.rank_z = _rank_private_first(z_gens, ambient_dim)
             pivots = pivot_columns(combined, ambient_dim)
         except DimensionError:
             raise DimensionError("generator index out of ambient range") from None
@@ -614,16 +648,20 @@ class Subquotient:
         The s solver columns are independent, so they are the first s
         pivots, and pivot row r holds in column s + t the unique coefficient
         of solver column r in v_t.  They are a basis of Z, so every v_t lies
-        in Z exactly when no later column is a pivot.
+        in Z exactly when no later column is a pivot.  Every column of a
+        pivot row but its pivot is then some s + t, and only the quotient's
+        rows, those after the first rank(B), become `Fraction`s.
         """
         if not images:
             return SparseMatrix.zero(self.dim, 0)
-        s = len(self._solver)
-        reduced, pivots = _rref_rows(_column_rows([*self._solver, *images], self.ambient_dim))
+        s, nb = len(self._solver), self.rank_b
+        rows = _column_rows([*self._solver, *images], self.ambient_dim)
+        pivots, prows, pvals = _rref_rows(rows)
         if len(pivots) > s:
             raise ValueError("vector is not in Z")
-        ent = tuple((j, c - s, x) for j, row in enumerate(reduced[self.rank_b:])
-                    for c, x in sorted(row.items()) if c >= s)
+        ent = tuple((j, c - s, Fraction(x, a))
+                    for j, (i, a) in enumerate(zip(prows[nb:], pvals[nb:]))
+                    for c, x in sorted(rows[i].items()))
         return SparseMatrix(self.dim, len(images), ent)
 
     def coordinates(self, v: Vector) -> tuple[Fraction, ...]:

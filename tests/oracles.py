@@ -7,7 +7,8 @@ witness family for a leading term, the semi-dilation route's H^0 of the
 zero part and level system over every generator and every column, the
 tautological sequence checked vector by vector, and plain Gauss-Jordan
 elimination in `linalg._echelon`'s place; and the benchmark's workload
-module, whose inputs the tests reuse.  The file name has no `test_`
+module, whose inputs the tests reuse, with the seed-10 corpus documents
+built once per session.  The file name has no `test_`
 prefix, so pytest does not collect it; the test modules import it by
 name.
 """
@@ -17,6 +18,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from pathlib import Path
 
@@ -76,9 +78,14 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
     deterministic function of the input, whichever row supplies each pivot.
     Row r of the result is the r-th pivot row; the zero rows come last.
     """
-    rows, pivots = linalg._rref_rows(linalg._matrix_rows(m))
-    ent = tuple((r, c, row[c]) for r, row in enumerate(rows) for c in sorted(row))
-    return SparseMatrix(m.rows, m.cols, ent), tuple(pivots)
+    rows = linalg._matrix_rows(m)
+    pivots, prows, pvals = linalg._rref_rows(rows)
+    ent = []
+    for r, (p, i, a) in enumerate(zip(pivots, prows, pvals)):
+        row = {c: Fraction(v, a) for c, v in rows[i].items()}
+        row[p] = Fraction(1)
+        ent += [(r, c, row[c]) for c in sorted(row)]
+    return SparseMatrix(m.rows, m.cols, tuple(ent)), tuple(pivots)
 
 
 def perturbed_witness(t: FiltrationTower, w: WitnessedCycle, kernel_index: int = 0
@@ -298,9 +305,17 @@ def perfbench_workloads():
     return sys.modules[name]
 
 
-def corpus_splits() -> list[SplitS1Complex]:
-    """The benchmark's 215 seed-10 `random_corpus` inputs, read from their
-    documents."""
+@cache
+def corpus_documents() -> tuple[str, ...]:
+    """The documents of the benchmark's 215 seed-10 `random_corpus` inputs,
+    built once per session; strings, so no caller can change them."""
     W = perfbench_workloads()
     _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
-    return [loads(text) for text in inputs.documents]
+    return tuple(inputs.documents)
+
+
+def corpus_splits() -> list[SplitS1Complex]:
+    """The benchmark's 215 seed-10 `random_corpus` inputs, each caller
+    reading its own complexes from the documents, so that no patched or
+    counting test shares one."""
+    return [loads(text) for text in corpus_documents()]

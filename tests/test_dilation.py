@@ -45,7 +45,6 @@ from s1cochain.dilation import (
     tautological_les,
     verify_splitting,
 )
-from s1cochain.io_json import loads
 from s1cochain.linalg import (
     SparseMatrix,
     Subquotient,
@@ -59,7 +58,7 @@ from s1cochain.morphisms import phi_k
 from s1cochain.spectral import QuotientMap, delta_k, leray_page, reduced_page_map
 from s1cochain.tensor import tensor_split
 
-from oracles import (corpus_splits, les_with_vector_checks, perfbench_workloads, submatrix,
+from oracles import (corpus_splits, les_with_vector_checks, submatrix,
                      whole_solve_semidilation, whole_zero_part_h0)
 
 
@@ -868,9 +867,7 @@ def _routes_repr(s):
 
 
 def test_order_routes_match_the_whole_complex_path():
-    W = perfbench_workloads()
-    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
-    corpus = [loads(text) for text in inputs.documents]
+    corpus = corpus_splits()
     models = [milnor_model(k, m) for m in range(2, 5) for k in range(2, m + 1)]
     models.append(milnor_model(3, 6))
     product = tensor_split(milnor_model(3, 3), milnor_model(3, 4))
@@ -1108,9 +1105,7 @@ def test_torsion_route_runs_without_the_direct_scan_on_random_split_complexes(
 def _corpus_and_sphere_models():
     """The benchmark's 215 seed-10 corpus inputs and the Milnor models with
     spheres, 2 <= k <= m <= 4."""
-    W = perfbench_workloads()
-    _, inputs = W.setup("random_corpus", W.DEFAULT_SEED)
-    subjects = [loads(text) for text in inputs.documents]
+    subjects = corpus_splits()
     subjects += [milnor_model(k, m) for m in range(2, 5) for k in range(2, m + 1)]
     assert len(subjects) == 221
     return subjects

@@ -309,9 +309,13 @@ def _rows_off_the_builders(source: str) -> list[str]:
 def test_every_elimination_takes_builder_rows():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert [bad for src in sources for bad in _rows_off_the_builders(src)] == []
-    # the check has calls to look at: every entry of linalg makes one
-    calls = [n for src in sources for n in ast.walk(ast.parse(src)) if _called(n) in _KERNEL]
-    assert len(calls) >= 7
+    # the check has calls to look at: every entry of linalg makes one, and
+    # nothing else does
+    callers = {fn.name for src in sources for fn in ast.walk(ast.parse(src))
+               if isinstance(fn, ast.FunctionDef)
+               and any(_called(n) in _KERNEL for n in ast.walk(fn))}
+    assert callers == {"pivot_columns", "rank", "solve", "_rref_rows", "kernel_basis",
+                       "coordinate_matrix"}
 
 
 def test_rows_from_elsewhere_are_caught():
