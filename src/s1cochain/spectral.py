@@ -38,8 +38,13 @@ which is F^{N-1}'s block (q-1, p-1).  So their RREF has no pivot at u-power
 0 and is F^{N-1}'s RREF moved up one u-power: the kernel is {g: 1} for
 every generator g, then the closed vectors of level < N raised one u-power
 (index + n), in the same order and with the same entries.  A primitive's
-boundary value lies at u-power 0, and the tower keeps the primitives at the
-`pivot_columns` of those values.  Each kernel vector costs one mat-vec: a
+boundary value lies at u-power 0, and the tower keeps a primitive when its
+value lies outside the span of the values before it.  F^N's own pivots
+answer that: a generator g is kept exactly when g is a pivot of delta^0,
+and a raised vector with free column f exactly when f + n is a pivot of
+F^N, since the span of F^N's columns below f + n meets u-power 0 in the
+span of the values before it (`FiltrationTower._exact`).  So B is chosen
+with no second elimination.  Each kernel vector costs one mat-vec: a
 vector below level N is applied raised, and since the raised vector's
 value beyond u-power 0 is the vector's own value, that one product both
 checks it closed and gives its boundary value.  The primitives of B_j are a
@@ -76,7 +81,6 @@ from .linalg import (
     Subquotient,
     Vector,
     kernel_basis,
-    pivot_columns,
     rank as matrix_rank,
     vadd,
 )
@@ -135,11 +139,13 @@ class FiltrationTower:
     elimination of its own: those rows are empty at u-power 0, and their
     block (q, p), delta^{p-q}, is F^{level-1}'s block (q-1, p-1).  So the
     kernel is every generator at u-power 0, then the closed vectors below
-    level raised one u-power.  B keeps the primitives at the
-    `pivot_columns` of their boundary values.  A vector's level is the
-    u-power of its free column, max index // n.  One mat-vec per kernel
-    vector serves both its closedness check and, below the top level, its
-    boundary value (see `_closed`).
+    level raised one u-power.  B keeps a generator g when g is a pivot of
+    F^level, and a raised vector with free column f when f + n is one: the
+    free columns are the non-pivots, so B's primitives are read from the
+    one elimination too.  A vector's level is the u-power of its free
+    column, max index // n.  One mat-vec per kernel vector serves both its
+    closedness check and, below the top level, its boundary value (see
+    `_closed`).
     """
 
     filtered: FilteredPlusComplex
@@ -172,20 +178,32 @@ class FiltrationTower:
 
     @cached_property
     def _exact(self) -> list[tuple[int, Vector, Vector]]:
-        """(level, boundary value in C, primitive) of the chosen primitives."""
+        """(level, boundary value in C, primitive) of the chosen primitives.
+
+        The primitives are the kernel of the rows at positive u-power, in
+        kernel_basis' order: each generator g, whose value is column g of d,
+        then each closed vector v below the top level raised one u-power.
+        One is kept when its value lies outside the span of the values
+        before it, and F^level's pivots answer that, with no elimination.
+        g is kept exactly when it is a pivot of delta^0, the first n
+        columns.  Raised v holds 1 at f + n, for v's free column f, and
+        otherwise smaller indices, so its value lies in the span of the
+        columns below f + n exactly when f + n is not a pivot.  That span
+        meets u-power 0 in the values before it: a chain w_0 + raise(y)
+        with boundary at u-power 0 has y closed, so y is a combination of
+        the kernel vectors whose free column is below f.  A free column is
+        the largest index of its kernel vector.
+        """
         f = self.filtered
         d = f.differential
         n = f.source.n
-        # the kernel of the rows at positive u-power, in kernel_basis' order:
-        # a generator's value is its column of d, which has rows at u-power 0
-        # only, as a column at u-power p has rows at u-powers <= p, then the
-        # closed vectors below the top level raised one u-power
+        free = {max(v) for _, v, _ in self._closed}
         one = Fraction(1)
-        pairs = [(0, d.col(g), {g: one}) for g in range(n)]
-        pairs += [(lv + 1, value, {i + n: x for i, x in v.items()})
-                  for lv, v, value in self._closed if value is not None]
-        pairs = [p for p in pairs if p[1]]
-        return [pairs[i] for i in pivot_columns([p[1] for p in pairs], n)]
+        out = [(0, d.col(g), {g: one}) for g in range(n) if g not in free]
+        out += [(lv + 1, value, {i + n: x for i, x in v.items()})
+                for lv, v, value in self._closed
+                if value is not None and max(v) + n not in free]
+        return out
 
     def _check(self, j: int) -> None:
         if not 0 <= j <= self.filtered.level:

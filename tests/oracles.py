@@ -3,7 +3,8 @@
 Each is a plain reference that the tests build inputs with or compare the
 package against: a sparse vector from a mapping, dense and per-row views
 of a matrix, a slice of a matrix, the RREF as a matrix, a second
-witness family for a leading term, the semi-dilation route's H^0 of the
+witness family for a leading term, the filtration tower's choice of B
+by a second elimination, the semi-dilation route's H^0 of the
 zero part and level system over every generator and every column, the
 tautological sequence checked vector by vector, and plain Gauss-Jordan
 elimination in `linalg._echelon`'s place; and the benchmark's workload
@@ -103,6 +104,22 @@ def perturbed_witness(t: FiltrationTower, w: WitnessedCycle, kernel_index: int =
         return w
     extra = candidates[kernel_index % len(candidates)]
     return WitnessedCycle(w.level, vadd(w.chain, extra), w.n, boundary_value=w.boundary_value)
+
+
+def tower_exact_by_elimination(t: FiltrationTower) -> list[tuple[int, Vector, Vector]]:
+    """The tower's (level, boundary value, primitive) list for B as a second
+    elimination chooses it: the kernel of F^level's rows at positive
+    u-power, in kernel_basis' order (each generator, then each closed
+    vector below the top level raised one u-power), kept at the
+    `pivot_columns` of its nonzero boundary values."""
+    f = t.filtered
+    d, n = f.differential, f.source.n
+    one = Fraction(1)
+    pairs = [(0, d.col(g), {g: one}) for g in range(n)]
+    pairs += [(lv + 1, value, {i + n: x for i, x in v.items()})
+              for lv, v, value in t._closed if value is not None]
+    pairs = [p for p in pairs if p[1]]
+    return [pairs[i] for i in pivot_columns([p[1] for p in pairs], n)]
 
 
 def whole_zero_part_h0(s: SplitS1Complex, k: int) -> Subquotient:

@@ -898,7 +898,7 @@ def _elimination_answers(s):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_any_holder_can_supply_the_pivot(monkeypatch, seed):
-    """`_echelon` takes `min(holders)` as its pivot row; a seeded random
+    """`_echelon` takes `max(holders)` as its pivot row; a seeded random
     holder gives equal pivots, solutions, bases and coordinates, since the
     RREF for a fixed column order is unique."""
     subjects = _holder_subjects()
@@ -909,12 +909,12 @@ def test_any_holder_can_supply_the_pivot(monkeypatch, seed):
     def any_holder(items, *args, **kwargs):
         nonlocal free_choices
         if not isinstance(items, set):
-            return min(items, *args, **kwargs)
+            return max(items, *args, **kwargs)
         choice = rng.choice(sorted(items))
-        free_choices += choice != min(items)
+        free_choices += choice != max(items)
         return choice
 
-    monkeypatch.setattr(linalg, "min", any_holder, raising=False)
+    monkeypatch.setattr(linalg, "max", any_holder, raising=False)
     for s, want in zip(subjects, expected):
         assert _elimination_answers(s) == want
     assert free_choices > 1000

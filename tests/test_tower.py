@@ -19,6 +19,11 @@ agree with them, dict order included.
 test must fail below the order and hold at every level from the order up.
 `_reference_order_of_semidilation` is the per-level scan with its monotone
 check that the one-solve semi-dilation order replaced.
+`tower_exact_by_elimination` is the second elimination, `pivot_columns`
+over the boundary values, that chose B's primitives before the tower read
+them from its own pivots; both must keep the same primitives.  The
+dilation order must also be the least k with the unit in span(B_k), which
+reads it from the tower instead of from a solve.
 """
 
 import random
@@ -27,6 +32,7 @@ import sys
 
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +40,7 @@ from hypothesis import strategies as st
 import pytest
 from click.testing import CliRunner
 
-from s1cochain import cli, dilation, spectral
+from s1cochain import cli, dilation, linalg, spectral
 from s1cochain.brieskorn import milnor_model
 from s1cochain.complexes import build_filtered_plus, make_complex
 from s1cochain.dilation import (
@@ -45,7 +51,7 @@ from s1cochain.dilation import (
     order_of_semidilation,
 )
 from s1cochain.io_json import dumps
-from s1cochain.linalg import SparseMatrix, Subquotient, kernel_basis, vadd
+from s1cochain.linalg import SparseMatrix, Subquotient, kernel_basis, span_leq, vadd
 from s1cochain.randomized import random_split_complex
 from s1cochain.spectral import (
     LerayPage,
@@ -59,7 +65,7 @@ from s1cochain.spectral import (
     leray_pages,
 )
 
-from oracles import corpus_splits, perturbed_witness, rref
+from oracles import corpus_splits, perturbed_witness, rref, tower_exact_by_elimination
 from test_acceptance import _corpus
 
 
@@ -310,6 +316,51 @@ def test_a_tower_runs_one_kernel_elimination(monkeypatch):
             tower.b(j)
         assert len(kernels) == 1
         kernels.clear()
+
+
+def _tower_subjects(dense):
+    """The 215 seed-10 corpus inputs, the sphere Milnor models with
+    2 <= k <= m <= 4, and `dense`."""
+    subjects = corpus_splits()
+    subjects += [milnor_model(k, m) for m in range(2, 5) for k in range(2, m + 1)]
+    return [*subjects, dense]
+
+
+def test_a_tower_reads_b_from_its_own_pivots():
+    """B's primitives read from F^level's pivots are the ones that a second
+    elimination, `pivot_columns` over their boundary values, keeps, in the
+    same order and with the same entries, at every level; the dense input
+    has n = 76."""
+    for s in _tower_subjects(random_split_complex(random.Random(10), 60, 15, 6)):
+        c = s.complex
+        for level in range(c.truncation + 1):
+            t = filtration_tower(c, level)
+            assert repr(t._exact) == repr(tower_exact_by_elimination(t)), (c.n, level)
+
+
+def test_a_towers_z_and_b_make_one_elimination():
+    """`_closed` and `_exact` of one tower together run `_echelon` once."""
+    c = milnor_model(3, 4).complex
+    for level in (0, 1, c.truncation):
+        with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as spy:
+            t = filtration_tower(c, level)
+            assert t._closed and t._exact
+        assert spy.call_count == 1
+
+
+def test_dilation_order_is_the_first_b_holding_the_unit():
+    """`order_of_dilation` is the least k with the unit in span(B_k), read
+    from one tower of F^N, and None when no k <= N has it there; the dense
+    input has n = 151."""
+    orders = []
+    for s in _tower_subjects(random_split_complex(random.Random(10), 120, 30, 8)):
+        t = filtration_tower(s.complex, s.truncation)
+        want = next((k for k in range(s.truncation + 1)
+                     if span_leq([s.unit], t.b_vectors(k), s.complex.n)), None)
+        assert order_of_dilation(s).order == want
+        orders.append(want)
+    assert len(orders) == 222
+    assert sum(k is not None for k in orders) == 101
 
 
 def test_a_tower_makes_one_mat_vec_per_kernel_vector(monkeypatch):
