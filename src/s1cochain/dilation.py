@@ -43,7 +43,7 @@ from .linalg import (
     SparseMatrix,
     Subquotient,
     Vector,
-    pivot_columns,
+    matrix_pivot_columns,
     require_exact,
     solve,
 )
@@ -631,56 +631,46 @@ def _check_operators(c: S1Complex) -> None:
                              "the differential does not square to zero")
 
 
-def _homology_counts(differential: SparseMatrix, degrees: tuple[int, ...]
-                     ) -> tuple[dict[int, list[Vector]], list[Vector], dict[int, int]]:
-    """The cycles by degree, the boundary basis and dim H^d = |Z_d| - |B_d|
-    per degree, from one elimination of the differential, given the degree
-    of each basis vector."""
-    cycles, bounds = cycles_and_boundaries(differential, degrees)
-    image = [b for bs in bounds.values() for b in bs]
-    dims = {d: len(cycles.get(d, ())) - len(bounds.get(d, ()))
-            for d in sorted(cycles.keys() | bounds.keys())}
-    return cycles, image, dims
-
-
-def _induced_ranks(cycles: dict[int, list[Vector]], push: Callable[[Vector], Vector],
-                   target_dim: int, bounds: list[Vector]) -> Counter[int]:
-    """Source degree d -> rank of the map that the chain map `push` induces
-    on H^d(source), from one `pivot_columns` of [B_tgt | push(Z_src)],
-    B_tgt being the boundary basis of the target, of dimension target_dim."""
-    images: list[Vector] = []
-    source_degree: list[int] = []
-    for d, zs in cycles.items():
-        for z in zs:
-            images.append(push(z))
-            source_degree.append(d)
-    nb = len(bounds)
-    return Counter(source_degree[p - nb] for p in pivot_columns([*bounds, *images], target_dim)
-                   if p >= nb)
-
-
 def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesReport:
     """Exactness of ... -> H(F^N C_0) -> H(F^N C) -> H(F^N C_+) -> H(F^N C_0)[1] -> ... .
 
     Only dimensions and ranks leave this function, so it builds no
-    cohomology group.  Each complex gives its cycles Z and boundaries B from
-    one elimination of its differential, and dim H^d = |Z_d| - |B_d|.
+    cohomology group, no cycle or boundary vector and no pushed cycle: every
+    number is read from per-degree pivot counts of two forward eliminations,
+    one of F^N(C) and one of F^N(C_+).
 
     F^N(C) is read in the basis [F^N(C_0) | F^N(C_+)], a permutation of its
-    own, where its differential is [[D_0, K], [0, D_+]] with K the lift of
-    the blocks delta^r_{+,0}.  So the inclusion keeps every index, the
-    projection drops the first block, and the connecting map is K.  For
-    each of these chain maps f, with f(B_src) in B_tgt, the image of H(src)
-    in H(tgt) is (f(Z_src) + B_tgt) / B_tgt, and the B_tgt basis is
-    independent, so
+    own, where its differential is D = [[D_0, K], [0, D_+]] with K the lift
+    of the blocks delta^r_{+,0}.  So the inclusion keeps every index, the
+    projection drops the first block, and the connecting map is K.
+    F^N(C_0)'s columns are a column prefix of F^N(C)'s and hold rows in
+    C_0 only, so its pivots are F^N(C)'s pivots below |F^N(C_0)|, and it
+    needs no elimination of its own.  Every operator is homogeneous, so the
+    columns of one degree hold rows of the next degree only, and the pivots
+    split by degree: with rk_X[a] the number of pivots of X's differential
+    at a column of degree a and n_X^d the number of degree-d generators,
 
-        rank H^d(f) = rank [B_tgt | f(Z_src,d)] - |B_tgt|.
+        Z_X^d = n_X^d - rk_X[d],    B_X^d = rk_X[d-1],    dim H^d = Z^d - B^d.
 
-    One `pivot_columns` of [B_tgt | f(Z_src)] over all degrees serves every
-    d: the degree blocks have disjoint supports, so the pivots split by
-    block, and each pivot at or beyond |B_tgt| counts for the degree of its
-    source cycle.  ker = im is then compared as ranks at every node of the
-    window.
+    For 0 -> A = F^N(C_0) -> C = F^N(C) -> Q = F^N(C_+) -> 0:
+
+    * rank H^d(inclusion) = Z_A^d - B_C^d + B_Q^d: the image is
+      Z_A / (Z_A cap B_C), and Z_A cap B_C = A cap B_C is the kernel of the
+      projection on B_C, whose image is B_Q.
+    * rank H^d(projection) = Z_C^d - Z_A^d - B_Q^d: the image is
+      pi(Z_C) / B_Q, the kernel of pi on Z_C is Z_A, and B_Q = pi(B_C) lies
+      in pi(Z_C).
+    * rank of the connecting map H^d(Q) -> H^(d+1)(A) = n_A^d + Z_Q^d -
+      Z_C^d - B_A^(d+1): K(Z_Q) + B_A = D(pi^-1 Z_Q), and the kernel of D
+      on pi^-1 Z_Q = A^d + Z_Q^d is Z_C^d.
+
+    ker = im is then compared as ranks at every node of the window.  Once
+    the operator check below passes, exactness is a theorem, and these
+    identities are its proof, so `LesReport.exact` holds by rank-nullity;
+    the report's content is its dims and ranks.  The independent check is
+    in the tests: an oracle from the three cohomology groups and the
+    matrices of the induced maps in their bases, and a copy that checks
+    every boundary and pushed cycle by a mat-vec.
 
     Every fact the sequence rests on is checked once, on the operators,
     before any elimination.  The split must be valid: delta^0 preserves C_0
@@ -696,10 +686,10 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
       [0, D_+^2]]: D_0^2 = 0, D_+^2 = 0 and K being a chain map are its
       blocks, and the inclusion and the projection are chain maps of the
       block form.  So every boundary is a cycle and every pushed cycle is a
-      cycle of its target.
+      cycle of its target, as the identities above assume.
     * The degree shifts make D raise the total degree by one, so every
       cycle and boundary is homogeneous, inclusion and projection keep its
-      degree and K raises it by one.
+      degree and K raises it by one, and the pivots split by degree.
 
     It refuses, each with ValueError and in this order: an explicit window
     of more than MAX_DEGREE_WINDOW degrees; a non-empty `outside`; a
@@ -723,24 +713,32 @@ def tautological_les(s: SplitS1Complex, degrees: range | None = None) -> LesRepo
     d_full = SparseMatrix(len(deg_full), len(deg_full), tuple(sorted(
         [*d_zero.entries, *((i, nz + j, v) for i, j, v in conn.entries),
          *((nz + i, nz + j, v) for i, j, v in d_plus.entries)])))
-    cyc_zero, b_zero, dims_zero = _homology_counts(d_zero, f_zero.degrees)
-    cyc_full, b_full, dims_full = _homology_counts(d_full, deg_full)
-    cyc_plus, b_plus, dims_plus = _homology_counts(d_plus, f_plus.degrees)
+    # F^N(C_0)'s columns are a prefix of F^N(C)'s and hold rows in C_0 only,
+    # so its pivots are F^N(C)'s pivots below nz
+    piv_full = matrix_pivot_columns(d_full)
+    rk_zero = Counter(deg_full[p] for p in piv_full if p < nz)
+    rk_full = Counter(deg_full[p] for p in piv_full)
+    rk_plus = Counter(f_plus.degrees[p] for p in matrix_pivot_columns(d_plus))
+    n_zero = Counter(f_zero.degrees)
+    # Z^d = n^d - rk[d], kept where positive, and B^d = rk[d - 1]
+    z_zero, z_full, z_plus = (Counter(n) - rk for n, rk in (
+        (n_zero, rk_zero), (deg_full, rk_full), (f_plus.degrees, rk_plus)))
+    dims_zero, dims_full, dims_plus = ({d: z[d] - rk[d - 1] for d in sorted(z)} for z, rk in (
+        (z_zero, rk_zero), (z_full, rk_full), (z_plus, rk_plus)))
 
     if degrees is None:
         all_deg = sorted(dims_full.keys() | dims_zero.keys() | dims_plus.keys())
         degrees = range(min(all_deg), max(all_deg) + 2) if all_deg else range(0, 1)
         check_degree_window(degrees)
 
-    def project(v: Vector) -> Vector:
-        return {i - nz: x for i, x in v.items() if i >= nz}
+    def r_conn(d: int) -> int:
+        return n_zero[d] + z_plus[d] - z_full[d] - rk_zero[d]
 
-    r_iota = _induced_ranks(cyc_zero, dict, d_full.rows, b_full)
-    r_pi = _induced_ranks(cyc_full, project, d_plus.rows, b_plus)
-    r_conn = _induced_ranks(cyc_plus, conn.apply, nz, b_zero)
     nodes = []
     for d in degrees:
-        nodes.append(LesNode(d, "full", r_iota[d], dims_full.get(d, 0) - r_pi[d]))
-        nodes.append(LesNode(d, "plus", r_pi[d], dims_plus.get(d, 0) - r_conn[d]))
-        nodes.append(LesNode(d, "zero", r_conn[d - 1], dims_zero.get(d, 0) - r_iota[d]))
+        r_iota = z_zero[d] - rk_full[d - 1] + rk_plus[d - 1]
+        r_pi = z_full[d] - z_zero[d] - rk_plus[d - 1]
+        nodes.append(LesNode(d, "full", r_iota, dims_full.get(d, 0) - r_pi))
+        nodes.append(LesNode(d, "plus", r_pi, dims_plus.get(d, 0) - r_conn(d)))
+        nodes.append(LesNode(d, "zero", r_conn(d - 1), dims_zero.get(d, 0) - r_iota))
     return LesReport(n_tr, dims_zero, dims_full, dims_plus, tuple(nodes))

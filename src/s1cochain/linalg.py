@@ -43,19 +43,21 @@ occurs, the set of not-yet-pivot rows holding it, built in O(nnz), visits
 only those columns, in increasing order, takes the highest-numbered row
 of the column's set as its pivot row, and clears the column from exactly
 the rows in that set, updating the sets on fill-in and cancellation.
-`pivot_columns`, `rank` and `span_leq` need only the pivots and stop
-there, with no back-substitution
-and no `Fraction` made.  `_rref_rows` adds the back-substitution, for
-`kernel_basis` and `Subquotient.coordinate_matrix`: it clears each pivot
-column from the pivot rows above it, found through an index of pivot rows
-by pivot column built once, and hands its reader the integer RREF in
-`_echelon`'s form: the rows, reduced in place, and each pivot's row index
-and positive pivot value.  Empty columns and rows that do not hold a
-column cost nothing, so the work follows the nonzeros, not rows x
-columns.  `solve` reads only the augmented column of [m | b]: it
+`pivot_columns` (of vectors), `matrix_pivot_columns` (of a matrix), `rank`
+and `span_leq` need only the pivots and stop there, with no
+back-substitution and no `Fraction` made.  `_rref_rows` adds the
+back-substitution, for `kernel_basis` and `Subquotient.coordinate_matrix`:
+it clears each pivot column from the pivot rows above it, found through an
+index of pivot rows by pivot column built once, and hands its reader the
+integer RREF in `_echelon`'s form: the rows, reduced in place, and each
+pivot's row index and positive pivot value.  Empty columns and rows that
+do not hold a column cost nothing, so the work follows the nonzeros, not
+rows x columns.  `solve` reads only the augmented column of [m | b]: it
 back-substitutes that column alone over the echelon rows, last pivot
 first, x_p = (b_r - sum row[c] x_c) / a_r over the later pivot columns c,
-with every free variable zero.  That is the solution the RREF gives, so
+with every free variable zero.  The sum is one integer over the lcm d of
+the solved x_c's denominators, as in `apply`, and each solved entry is one
+`Fraction(b_r d - sum, d a_r)`.  That is the solution the RREF gives, so
 the witness is the same.
 
 Eliminations see the nonempty rows only; an empty row can neither supply a
@@ -523,8 +525,14 @@ def pivot_columns(vectors: Sequence[Vector], dim: int) -> list[int]:
     return _echelon(_column_rows(vectors, dim))[0]
 
 
+def matrix_pivot_columns(m: SparseMatrix) -> list[int]:
+    """Pivot columns of m, from the forward pass alone: the columns that
+    raise the rank of the columns before them."""
+    return _echelon(_matrix_rows(m))[0]
+
+
 def rank(m: SparseMatrix) -> int:
-    return len(_echelon(_matrix_rows(m))[0])
+    return len(matrix_pivot_columns(m))
 
 
 def solve(m: SparseMatrix, b: Vector) -> Vector | None:
@@ -542,16 +550,29 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     pivots, prows, pvals = _echelon(rows)
     if pivots and pivots[-1] == aug:
         return None
-    # the augmented column alone, last pivot first; free variables are zero
+    # The augmented column alone, last pivot first; free variables are zero.
+    # x_p = (b_r - sum row[c] x_c) / a_r, with the sum accumulated as one
+    # integer over d, the lcm of the solved x_c's denominators, rescaled on
+    # a new one as in `SparseMatrix.apply`: one `Fraction` per solved entry.
     x: Vector = {}
+    ratios: dict[int, tuple[int, int]] = {}
     for p, i, a in zip(reversed(pivots), reversed(prows), reversed(pvals)):
         row = rows[i]
-        y = Fraction(row.get(aug, 0))
+        d = 1
+        acc = 0
         for c, v in row.items():
-            if c in x:
-                y -= v * x[c]
+            r = ratios.get(c)
+            if r is not None:
+                num, q = r
+                if d % q:
+                    s = q // gcd(d, q)
+                    d *= s
+                    acc *= s
+                acc += v * num * (d // q)
+        y = row.get(aug, 0) * d - acc
         if y:
-            x[p] = y / a
+            x[p] = f = Fraction(y, d * a)
+            ratios[p] = f.as_integer_ratio()
     return {p: x[p] for p in pivots if p in x}
 
 
